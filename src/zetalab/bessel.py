@@ -167,7 +167,11 @@ def _cosh_route(nu: complex, z: complex, q: QuadratureSpec) -> EvalResult:
         acc += grid_sum(h, 1, 2)
         result = h * (0.5 * f0 + acc)
         err = abs(result - prev)
-        if err <= q.tolerance_for(result):
+        # real order and argument: a positive integrand, so relative-only
+        # acceptance (as on the shifted contour) is reachable and keeps
+        # K_nu(z) ~ e^{-z} honest far below abs_tol
+        if err <= (q.rel_tol * abs(result) if real_case
+                   else q.tolerance_for(result)):
             return make_result(result, err, evaluations, q)
         prev = result
     err = abs(result - prev)

@@ -27,8 +27,7 @@ from .errors import (DomainError, NonConvergence, NonFiniteIntegrand,
                      PoleError, SymmetryViolation)
 from .funceq import STANDARD_S_GRID, FunctionalEqKind, verify
 from .records import (complex_to_obj, csv_text, dumps_record, parse_complex)
-from .regularized import (omega, smooth_F, xi_lambda, zeta_exp_bessel_series,
-                          zeta_regularized)
+from .regularized import omega, smooth_F, xi_lambda, zeta_regularized
 from .theta import big_theta, jacobi_theta3, psi
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec
 from .zeta_classic import find_zeros, hardy_z, xi_entire, zeta_analytic
@@ -521,7 +520,7 @@ def _grid_value(fn: str, sigma: float, t: float, lam: float | None,
     if lam is None:
         raise DomainError(f"--lambda is required for grid --fn {fn}")
     if fn == "zeta-reg":
-        rz = zeta_exp_bessel_series(s, lam, q)
+        rz = zeta_regularized(s, ExpSymmetric(lam), q)
         return rz.bare, rz.completed.err_estimate
     if fn == "omega":
         r = omega(s, lam, q)

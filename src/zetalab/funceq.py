@@ -18,7 +18,7 @@ from .cutoffs import (CutoffSpec, ExpAlpha, ExpSymmetric, TwoParam,
 from .errors import DomainError, PoleError
 from .gammafn import gamma_complex, power_real_base
 from .quadrature import integrate
-from .regularized import _completed_quadrature, _completed_series
+from .regularized import _completed_exp, _completed_quadrature
 from .types import DEFAULT_QUAD, FunctionalEqReport, QuadratureSpec, build_report
 from .zeta_classic import zeta_analytic
 
@@ -119,8 +119,8 @@ def _verify_exp_symmetric(s: complex, lam: complex, q: QuadratureSpec) -> tuple:
             return bessel_k(nu, z.real, q).value
         return bessel_k_complex_arg(nu, z, q).value
 
-    lhs = _completed_series(1.0 - s, lamc, q).value + kterm(0.5 * (1.0 - s))
-    rhs = _completed_series(s, lamc, q).value + kterm(0.5 * s)
+    lhs = _completed_exp(1.0 - s, lamc, q)[0].value + kterm(0.5 * (1.0 - s))
+    rhs = _completed_exp(s, lamc, q)[0].value + kterm(0.5 * s)
     return lhs, rhs
 
 

@@ -5,10 +5,32 @@ The central quantity is the completed integral
     completed(s; h) = int_0^inf psi(x) h(x) x^(s/2 - 1) dx,
 
 where psi is the Gaussian lattice sum and h a symmetric cutoff.  For the
-exponential cutoff h = exp(-lam (x + 1/x)) the same object has a fast
+exponential cutoff h = exp(-lam (x + 1/x)) the same object has a
 Bessel-series form and a boundary form assembled from four explicit
 pieces; all three routes are exposed and must agree, which the test suite
 exercises heavily.
+
+`zeta_regularized`, `omega`, `xi_lambda` and the exp-symmetric functional
+equation take that value from `_completed_exp`, which picks the cheaper of
+two routes by a constant rule on (lam, |Im s|):
+
+* ray quadrature for real lam < 0.1 when 0 < |t| <= 12, and for real
+  lam < 0.02 otherwise (t = Im s);
+* the Bessel series everywhere else, complex lam included.
+
+The series needs about 18.4 / sqrt(pi lam) terms, each a Bessel K, so its
+cost grows like lam^(-1/2): at lam = 1e-4, s = 0.4 + 20i it takes ~174k
+evaluations where the ray takes ~6k.  Above these lam the series is the
+cheaper one; the thresholds are where the two timings cross (CHANGES.md
+has the table).
+
+Why a ray: on the real axis the integral is of size ~e^{-pi |t| / 4}
+while its integrand is of order one, so it loses about e^{pi |t| / 4} to
+cancellation (2e-9 relative at t = 20).  The integrand is analytic for
+Re x > 0, so the contour can turn to x = r e^{i theta} with theta close to
+sign(t) pi/2, where the saddles are; the smallness e^{-theta t / 2} then
+comes out as an explicit factor, the same contour shift that
+`bessel._shifted_route` makes for K.
 """
 
 from __future__ import annotations
@@ -21,11 +43,21 @@ from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff, cutoff_value
 from .errors import DomainError, NonConvergence
 from .gammafn import power_real_base, rgamma
 from .quadrature import integrate
-from .theta import _psi_raw
+from .theta import _psi_complex_remainder, _psi_raw
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, RegZetaValue, make_result
 from .zeta_classic import zeta_series
 
 _MIN_SERIES_TERMS = 3
+
+# Route rule for the exp-symmetric completed value at real lam > 0: the ray
+# quadrature below lam = _RAY_LAM_LOW_T when 0 < |Im s| <= _RAY_LOW_T and
+# below _RAY_LAM otherwise, the Bessel series above (measured crossover).
+_RAY_LAM = 0.02
+_RAY_LAM_LOW_T = 0.1
+_RAY_LOW_T = 12.0
+# c in the ray margin delta = c / (|t|/2): the conditioning loss is ~e^c;
+# 3 and 4 give the same digits, 4 fewer levels at large |t|.
+_RAY_MARGIN = 4.0
 
 
 def _require_positive_real(lam, what: str) -> float:
@@ -72,26 +104,116 @@ def _completed_series(s: complex, lam: complex, q: QuadratureSpec) -> EvalResult
         f"(lam = {lam!r})", best=total, err_estimate=err)
 
 
-def _completed_quadrature(s: complex, cutoff: CutoffSpec,
-                          q: QuadratureSpec) -> EvalResult:
-    """completed(s; h) by tanh-sinh on (0,1) plus exp-sinh on (1,inf)."""
+def _asymptote_integral(s: complex, lam: float, q: QuadratureSpec) -> EvalResult:
+    """int_0^inf G(x) e^{-lam(x+1/x)} x^(s/2-1) dx, G = (x^(-1/2) - 1) e^{-pi x}/2.
+
+    Both halves of G are Laplace pairs with beta = lam, gamma = lam + pi:
+    r^((s-1)/4) K_{(s-1)/2}(z) - r^(s/4) K_{s/2}(z), r = lam/(lam+pi),
+    z = 2 sqrt(lam (lam+pi)).
+    """
+    shifted = lam + math.pi
+    z = 2.0 * math.sqrt(lam * shifted)
+    ratio = lam / shifted
+    c_odd = power_real_base(ratio, 0.25 * (s - 1.0))
+    c_even = power_real_base(ratio, 0.25 * s)
+    k_odd = bessel_k(0.5 * (s - 1.0), z, q)
+    k_even = bessel_k(0.5 * s, z, q)
+    return make_result(c_odd * k_odd.value - c_even * k_even.value,
+                       abs(c_odd) * k_odd.err_estimate
+                       + abs(c_even) * k_even.err_estimate,
+                       k_odd.evaluations + k_even.evaluations, q)
+
+
+def _completed_quadrature(s: complex, cutoff: CutoffSpec, q: QuadratureSpec,
+                          theta: float | None = None) -> EvalResult:
+    """completed(s; h) by tanh-sinh on (0,1) plus exp-sinh on (1,inf).
+
+    theta = None integrates psi h x^(s/2-1) along the real axis, for any
+    cutoff.  A float theta, |theta| < pi/2, is the exp-symmetric ray route
+    (an ExpSymmetric cutoff with real lam > 0): the contour turns to
+    x = r e^{i theta}, where the integrand is analytic and decays, and the
+    integrand is psi - G with G psi's small-x asymptote
+    (`_psi_complex_remainder`), whose own integral `_asymptote_integral` is
+    added back in closed form.  Without G the
+    e^{-lam/x} edge at x ~ lam carries a mass that grows like
+    lam^{-(1 - sigma)/2} and costs digits and levels.  On the ray
+    x^(s/2-1) dx = r^(s/2-1) e^{i theta s/2} dr; the constant factor
+    e^{i theta s/2}, of size e^{-theta t/2}, stays out of the integrand and
+    multiplies the sum, so the quadrature accepts on the scale of what it
+    integrates.
+    """
     s = complex(s)
     half_exp = 0.5 * s - 1.0
 
-    def integrand(x: float) -> complex:
-        hv = cutoff_value(cutoff, x)
+    if theta is None:
+        def integrand(x: float) -> complex:
+            hv = cutoff_value(cutoff, x)
+            if hv == 0.0:
+                return 0.0
+            ps = _psi_raw(x, q.series_tail_tol, q.max_terms)
+            if ps == 0.0:
+                return 0.0
+            return ps * hv * power_real_base(x, half_exp)
+
+        lower = integrate(integrand, (0.0, 1.0), q)
+        upper = integrate(integrand, (1.0, math.inf), q)
+        return make_result(lower.value + upper.value,
+                           lower.err_estimate + upper.err_estimate,
+                           lower.evaluations + upper.evaluations, q)
+
+    lam = _require_positive_real(cutoff.lam, "the ray route")
+    rot = cmath.exp(1j * theta)
+
+    def ray_integrand(r: float) -> complex:
+        x = r * rot
+        hv = cutoff.value(x)
         if hv == 0.0:
             return 0.0
-        ps = _psi_raw(x, q.series_tail_tol, q.max_terms)
-        if ps == 0.0:
-            return 0.0
-        return ps * hv * power_real_base(x, half_exp)
+        return (_psi_complex_remainder(x, q.series_tail_tol, q.max_terms)
+                * hv * power_real_base(r, half_exp))
 
-    lower = integrate(integrand, (0.0, 1.0), q)
-    upper = integrate(integrand, (1.0, math.inf), q)
-    return make_result(lower.value + upper.value,
-                       lower.err_estimate + upper.err_estimate,
-                       lower.evaluations + upper.evaluations, q)
+    lower = integrate(ray_integrand, (0.0, 1.0), q)
+    upper = integrate(ray_integrand, (1.0, math.inf), q)
+    added = _asymptote_integral(s, lam, q)
+    factor = cmath.exp(0.5j * theta * s)
+    return make_result(factor * (lower.value + upper.value) + added.value,
+                       abs(factor) * (lower.err_estimate + upper.err_estimate)
+                       + added.err_estimate,
+                       lower.evaluations + upper.evaluations + added.evaluations, q)
+
+
+def _ray_angle(t: float) -> float:
+    """theta = sign(t) (pi/2 - delta), delta = min(pi/2, c / (|t|/2)), t != 0.
+
+    Both saddles of the integrand -- of e^{-pi x} x^{s/2} near x = s/(2 pi)
+    and of its modular image near x = 2 pi i / t -- sit on the ray arg x =
+    sign(t) pi/2 for large |t|.  Stopping delta short of it leaves a decay
+    e^{-pi r sin(delta)} along the ray and a conditioning loss of about
+    e^{c} instead of the real axis's e^{pi |t| / 4}.  For |t| <= 4c/pi the
+    real axis already loses no more than that, and theta is 0.
+    """
+    delta = min(0.5 * math.pi, _RAY_MARGIN / (0.5 * abs(t)))
+    return math.copysign(0.5 * math.pi - delta, t)
+
+
+def _completed_exp(s: complex, lam, q: QuadratureSpec) -> tuple[EvalResult, str]:
+    """completed(s; e^{-lam(x+1/x)}) by its cheaper route, with the route name.
+
+    Real lam > 0 below the measured crossover (module docstring) takes the
+    ray quadrature; complex lam and everything else takes the Bessel series.
+    """
+    s = complex(s)
+    lamc = complex(lam)
+    if not lamc.real > 0.0:
+        raise DomainError(f"exp-symmetric completed value needs Re lam > 0, "
+                          f"got {lam!r}")
+    t = s.imag
+    crossover = _RAY_LAM_LOW_T if 0.0 < abs(t) <= _RAY_LOW_T else _RAY_LAM
+    if lamc.imag == 0.0 and lamc.real < crossover:
+        theta = _ray_angle(t) if t != 0.0 else None
+        return (_completed_quadrature(s, ExpSymmetric(lamc.real), q, theta),
+                "quadrature")
+    return _completed_series(s, lamc, q), "bessel-series"
 
 
 def _bare_from_completed(s: complex, completed: complex) -> complex:
@@ -103,16 +225,18 @@ def zeta_regularized(s: complex, cutoff: CutoffSpec,
                      q: QuadratureSpec = DEFAULT_QUAD) -> RegZetaValue:
     """Cutoff-damped zeta value, returned as completed + bare pair.
 
-    The exponential-symmetric cutoff routes through the Bessel series
-    (fast, spectrally accurate); every other kind is integrated directly.
+    The exponential-symmetric cutoff takes the cheaper of the ray
+    quadrature and the Bessel series (`_completed_exp`), and
+    `representation` names the one taken; every other kind is integrated
+    directly along the real axis.
     With no cutoff the defining integral only converges for Re s > 1.
     """
     s = complex(s)
     if isinstance(cutoff, ExpSymmetric):
-        completed = _completed_series(s, cutoff.lam, q)
+        completed, route = _completed_exp(s, cutoff.lam, q)
         return RegZetaValue(s=s, completed=completed,
                             bare=_bare_from_completed(s, completed.value),
-                            representation="bessel-series")
+                            representation=route)
     if not cutoff.decaying and not s.real > 1.0:
         raise DomainError(
             f"a non-decaying cutoff ({cutoff.kind_name}) leaves the integral "
@@ -127,7 +251,11 @@ def zeta_regularized(s: complex, cutoff: CutoffSpec,
 
 def zeta_exp_bessel_series(s: complex, lam: complex,
                            q: QuadratureSpec = DEFAULT_QUAD) -> RegZetaValue:
-    """Bessel-series route for the exponential-symmetric cutoff, Re lam > 0."""
+    """Bessel-series route for the exponential-symmetric cutoff, Re lam > 0.
+
+    Always the series, whatever `zeta_regularized` would pick: the explicit
+    cross-check of the routed value.
+    """
     s = complex(s)
     completed = _completed_series(s, lam, q)
     return RegZetaValue(s=s, completed=completed,
@@ -312,7 +440,7 @@ def xi_lambda(s: complex, lam, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     if pref == 0.0:
         return EvalResult(value=0.0 + 0.0j, err_estimate=0.0, evaluations=0,
                           converged=True)
-    completed = _completed_series(s, lam_r, q)
+    completed = _completed_exp(s, lam_r, q)[0]
     if s.imag == 0.0:
         # everything on the real-s path is real arithmetic; keep it exact
         value = complex(pref.real * completed.value.real)
@@ -330,7 +458,7 @@ def omega(s: complex, lam, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     """
     s = complex(s)
     lam_r = _require_positive_real(lam, "omega")
-    completed = _completed_series(s, lam_r, q)
+    completed = _completed_exp(s, lam_r, q)[0]
     k = bessel_k(0.5 * s, 2.0 * lam_r, q)
     pref = 0.5 * s * (s - 1.0)
     value = pref * (completed.value + k.value)

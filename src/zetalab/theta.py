@@ -44,6 +44,51 @@ def _psi_raw(x: float, tail_tol: float = 1e-16, max_terms: int = 10**6) -> float
     return -0.5 + (inv + 0.5) / math.sqrt(x)
 
 
+def _psi_direct_complex(z: complex, tail_tol: float, max_terms: int) -> complex:
+    # e^{-pi n^2 z} by the ratio recurrence: term_{n+1} = term_n * step_n,
+    # step_{n+1} = step_n * e^{-2 pi z}; the real part sets the decay.  The
+    # tail test is relative: psi(z) - G(z) needs every digit of tiny psi.
+    base = cmath.exp(-math.pi * z)
+    base2 = base * base
+    total = base
+    term = base2 * base2
+    step = base * base2 * base2
+    for _ in range(max_terms):
+        if abs(term) <= tail_tol * abs(total):
+            return total
+        total += term
+        term *= step
+        step *= base2
+    raise NonConvergence(f"complex psi series hit max_terms at z = {z!r}", best=total)
+
+
+def _one_minus_exp(w: complex) -> complex:
+    """1 - e^{-w}, without the cancellation of the direct form at small |w|."""
+    a, b = w.real, w.imag
+    return complex(2.0 * math.sin(0.5 * b) ** 2 - math.expm1(-a) * math.cos(b),
+                   math.exp(-a) * math.sin(b))
+
+
+def _psi_complex_remainder(z: complex, tail_tol: float = 1e-16,
+                           max_terms: int = 10**6) -> complex:
+    """psi(z) - G(z) for Re z > 0, where G(z) = (z^{-1/2} - 1) e^{-pi z} / 2.
+
+    G is psi's small-z asymptote from the modular identity, damped so it
+    also vanishes at infinity.  Inside the unit disc the same flip as in
+    `_psi_raw` gives psi - G = (z^{-1/2} - 1)(1 - e^{-pi z})/2
+    + z^{-1/2} psi(1/z), summed on 1/z, whose real part cos(arg z)/|z| is
+    the larger; outside it the direct sum is used.  The principal square
+    root is the right branch in the whole half-plane.
+    """
+    root_inv = 1.0 / cmath.sqrt(z)
+    half_gap = 0.5 * (root_inv - 1.0)
+    if abs(z) >= 1.0:
+        return (_psi_direct_complex(z, tail_tol, max_terms)
+                - half_gap * cmath.exp(-math.pi * z))
+    inv = _psi_direct_complex(1.0 / z, tail_tol, max_terms)
+    return half_gap * _one_minus_exp(math.pi * z) + root_inv * inv
+
+
 def psi(x: float, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     """psi(x) = sum_{n>=1} e^{-pi n^2 x} with truncation metadata."""
     if not (isinstance(x, (int, float)) and x > 0.0 and math.isfinite(x)):

@@ -318,10 +318,35 @@ def regenerate_approx_fe(t=30.0) -> dict:
             "scale_x_pow_minus_sigma": x ** -0.5}
 
 
+# (lam, s) where the exp-symmetric completed value takes the ray quadrature:
+# small lam, both signs of Im s, and the real axis
+RAY_POINTS = ((1e-4, complex(0.4, 20.0)), (3e-3, complex(0.4, 12.0)),
+              (0.03, complex(0.7, 5.0)), (1e-3, complex(0.3, 0.0)),
+              (3e-3, complex(0.4, -12.0)))
+
+
+def regenerate_completed_exp_ray() -> dict:
+    """completed_exp_ref at RAY_POINTS, plus omega at a large-lam real point.
+
+    omega(0.3, 20) is ~e^{-40}: the point where an absolute tolerance floor
+    in the real-order Bessel K route used to cost three digits.
+    """
+    rows = []
+    for lam, s in RAY_POINTS:
+        value = completed_exp_ref(s, lam)
+        rows.append({"lam": lam, "s_re": s.real, "s_im": s.imag,
+                     "completed_re": value.real, "completed_im": value.imag})
+    om = omega_ref(0.3, 20.0)
+    return {"completed": rows,
+            "omega": [{"s": 0.3, "lam": 20.0,
+                       "value_re": om.real, "value_im": om.imag}]}
+
+
 def main() -> None:
     _write_fixture("quarter_alpha_verdict.json", regenerate_quarter_alpha())
     _write_fixture("resolvent_ratio.json", regenerate_resolvent_ratio())
     _write_fixture("approx_fe_constant.json", regenerate_approx_fe())
+    _write_fixture("completed_exp_ray.json", regenerate_completed_exp_ray())
 
     frozen = [
         ("psi(1)", psi_ref(1.0)),
@@ -353,6 +378,8 @@ def main() -> None:
         ("laplace_h3(1, 0.7) closed", laplace_h3_closed(1.0, 0.7)),
         ("besselk(0.5, 2)", besselk_ref(0.5, 2.0)),
         ("besselk(0.3+2j, 1)", besselk_ref(complex(0.3, 2.0), 1.0)),
+        ("besselk(1.5636, 92.4)", besselk_ref(1.5636, 92.4)),
+        ("besselk(0.3, 700)", besselk_ref(0.3, 700.0)),
     ]
     print("\nfrozen values:")
     for name, value in frozen:

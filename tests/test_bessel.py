@@ -32,6 +32,17 @@ def test_frozen_against_reference():
     )
 
 
+@pytest.mark.parametrize("nu, z, ref", [
+    # mpmath besselk at 30 digits (tests/oracles.py frozen table)
+    (1.5636, 92.4, 9.807180339285012e-42),
+    (0.3, 700.0, 4.670076427132578e-306),
+])
+def test_real_order_keeps_relative_accuracy_far_below_abs_tol(nu, z, ref):
+    r = bessel_k(nu, z)
+    assert r.converged
+    assert abs(r.value - ref) <= 1e-12 * ref
+
+
 def test_complex_argument_route():
     v = bessel_k_complex_arg(0.7, 1.5 + 0.8j).value
     assert v == pytest.approx(0.10902928565169526 - 0.19806620446678222j, rel=1e-11)

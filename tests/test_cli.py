@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from zetalab.cli import main
+from zetalab.cutoffs import ExpSymmetric
+from zetalab.regularized import zeta_regularized
 from zetalab.records import dumps_record
 
 
@@ -82,6 +84,16 @@ def test_eval_zeta_reg_echoes_representation(capsys):
     doc = json.loads(out)
     assert doc["input"]["cutoff"] == "ExpSymmetric"
     assert doc["input"]["representation"] == "bessel-series"
+
+
+@pytest.mark.parametrize("lam, route", [("1e-4", "quadrature"),
+                                        ("0.5", "bessel-series")])
+def test_eval_zeta_reg_echoes_the_route_taken(capsys, lam, route):
+    code, out, _ = run_cli(
+        capsys, "eval", "--fn", "zeta-reg", "--s", "0.5+14i", "--lambda", lam
+    )
+    assert code == 0
+    assert json.loads(out)["input"]["representation"] == route
 
 
 def test_eval_out_flag(tmp_path, capsys):
@@ -197,6 +209,19 @@ def test_grid_cardinality_and_order(capsys):
     assert len(rows) == 22  # 11 sigmas x 1 t x 2 lambdas
     keys = [(float(r[0]), float(r[1]), float(r[2])) for r in rows]
     assert keys == sorted(keys)  # lexicographic over the input grid
+
+
+def test_grid_zeta_reg_takes_the_routed_value(capsys):
+    code, out, _ = run_cli(
+        capsys, "grid", "--fn", "zeta-reg", "--sigma", "0.5:0.5:0.1",
+        "--t", "14", "--lambda", "1e-4,0.5", "--format", "csv",
+    )
+    assert code == 0
+    for row in out.strip().split("\n")[1:]:
+        cells = row.split(",")
+        lam = float(cells[2])
+        ref = zeta_regularized(complex(0.5, 14.0), ExpSymmetric(lam)).bare
+        assert complex(float(cells[3]), float(cells[4])) == ref
 
 
 def test_grid_omega_symmetric_about_half(capsys):

@@ -4,14 +4,18 @@ Frozen numbers come from mpmath reference integrations at 30 digits
 (tests/oracles.py); the package routes must land on them at double precision.
 """
 
+import json
 import math
+import pathlib
 
 import pytest
 
 from zetalab.bessel import bessel_k
 from zetalab.cutoffs import CustomCutoff, ExpSymmetric, NoCutoff, TwoParam
 from zetalab.errors import DomainError, NonConvergence
+from zetalab.funceq import FunctionalEqKind, verify
 from zetalab.regularized import (
+    _completed_quadrature,
     abcd_terms,
     boundary_i1,
     boundary_i2,
@@ -269,3 +273,63 @@ def test_omega_frozen_and_symmetry():
         assert omega_symmetry_residual(s, 0.5) < 1e-12
     with pytest.raises(DomainError):
         omega(0.4, -1.0)
+
+
+# mpmath values of completed(s; lam) where the ray quadrature is the route
+RAY_FIXTURE = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "completed_exp_ray.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "row", RAY_FIXTURE["completed"],
+    ids=lambda r: f"lam={r['lam']:g},s={r['s_re']:g}{r['s_im']:+g}i")
+def test_ray_route_matches_oracle_and_series(row):
+    s, lam = complex(row["s_re"], row["s_im"]), row["lam"]
+    ref = complex(row["completed_re"], row["completed_im"])
+    routed = zeta_regularized(s, ExpSymmetric(lam))
+    assert routed.representation == "quadrature"
+    assert routed.completed.converged
+    assert abs(routed.completed.value - ref) <= 1e-12 * abs(ref)
+    series = zeta_exp_bessel_series(s, lam).completed.value
+    assert abs(routed.completed.value - series) <= 1e-12 * abs(series)
+
+
+def test_omega_and_xi_take_the_routed_value():
+    row = RAY_FIXTURE["completed"][1]
+    s, lam = complex(row["s_re"], row["s_im"]), row["lam"]
+    ref = complex(row["completed_re"], row["completed_im"])
+    pref = 0.5 * s * (s - 1.0)
+    xi = xi_lambda(s, lam).value
+    assert abs(xi - pref * ref) <= 1e-12 * abs(pref * ref)
+    om = omega(s, lam).value
+    om_ref = pref * (ref + bessel_k(0.5 * s, 2.0 * lam).value)
+    assert abs(om - om_ref) <= 1e-12 * abs(om_ref)
+    report = verify(FunctionalEqKind.EXP_SYMMETRIC, s, {"lam": lam})
+    assert report.rel_residual < 1e-12
+
+
+def test_omega_keeps_relative_accuracy_at_large_lambda():
+    row = RAY_FIXTURE["omega"][0]
+    ref = complex(row["value_re"], row["value_im"])
+    value = omega(row["s"], row["lam"]).value
+    assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def test_route_rule_keeps_series_where_it_is_cheaper():
+    assert zeta_regularized(0.5 + 14.0j, ExpSymmetric(0.5)).representation == (
+        "bessel-series")
+    assert zeta_regularized(0.5 + 14.0j, ExpSymmetric(0.02)).representation == (
+        "bessel-series")
+    assert zeta_regularized(0.5 + 3.0j, ExpSymmetric(0.02)).representation == (
+        "quadrature")
+    # complex lam has no ray route
+    assert zeta_regularized(0.5 + 3.0j, ExpSymmetric(1e-3 + 1e-3j)).representation == (
+        "bessel-series")
+
+
+def test_ray_route_needs_real_lambda():
+    with pytest.raises(DomainError):
+        _completed_quadrature(0.5 + 9.0j, ExpSymmetric(0.1 + 0.1j),
+                              QuadratureSpec(), theta=1.0)
+    with pytest.raises(DomainError):
+        xi_lambda(0.5 + 9.0j, 0.0)
