@@ -14,9 +14,13 @@ exercises heavily.
 equation take that value from `_completed_exp`, which picks the cheaper of
 two routes by a constant rule on (lam, |Im s|):
 
-* ray quadrature for real lam < 0.1 when 0 < |t| <= 12, and for real
-  lam < 0.02 otherwise (t = Im s);
+* ray quadrature for real lam < 0.1 when 0 < |t| <= 12, for real
+  lam < 0.02 otherwise, and for every real lam once |t| > 100 (t = Im s);
 * the Bessel series everywhere else, complex lam included.
+
+Past |t| = 100 the series stops too early and is wrong (0.56-1.0 relative
+error at t = 150, where the ray holds 1e-14 against an mpmath Bessel sum),
+so there it reports converged=False.
 
 The series needs about 18.4 / sqrt(pi lam) terms, each a Bessel K, so its
 cost grows like lam^(-1/2): at lam = 1e-4, s = 0.4 + 20i it takes ~174k
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 from .bessel import bessel_k, bessel_k_complex_arg
 from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff, cutoff_value
@@ -55,6 +60,8 @@ _MIN_SERIES_TERMS = 3
 _RAY_LAM = 0.02
 _RAY_LAM_LOW_T = 0.1
 _RAY_LOW_T = 12.0
+# Above this |Im s| the Bessel series is not trusted, and real lam takes the ray.
+_SERIES_MAX_T = 100.0
 # c in the ray margin delta = c / (|t|/2): the conditioning loss is ~e^c;
 # 3 and 4 give the same digits, 4 fewer levels at large |t|.
 _RAY_MARGIN = 4.0
@@ -71,7 +78,9 @@ def _completed_series(s: complex, lam: complex, q: QuadratureSpec) -> EvalResult
     """S(s) = sum_n 2 (lam/(lam+n^2 pi))^(s/4) K_{s/2}(2 sqrt(lam^2 + lam n^2 pi)).
 
     Terms decay like exp(-2 n sqrt(pi lam)), so the truncation rule
-    |term| < series_tail_tol * |partial sum| is honest.
+    |term| < series_tail_tol * |partial sum| is honest up to |Im s| = 100.
+    Above that height the sum settles on a wrong value (0.56-1.0 relative
+    error at Im s = 150), and the result reports converged=False.
     """
     s = complex(s)
     lamc = complex(lam)
@@ -98,7 +107,10 @@ def _completed_series(s: complex, lam: complex, q: QuadratureSpec) -> EvalResult
         err += abs(coef) * k.err_estimate
         evals += k.evaluations
         if n >= _MIN_SERIES_TERMS and abs(term) < q.series_tail_tol * max(abs(total), 1e-30):
-            return make_result(total, err + abs(term), evals, q)
+            result = make_result(total, err + abs(term), evals, q)
+            if abs(s.imag) > _SERIES_MAX_T:
+                return replace(result, converged=False)
+            return result
     raise NonConvergence(
         f"bessel series for completed zeta did not settle within {q.max_terms} terms "
         f"(lam = {lam!r})", best=total, err_estimate=err)
@@ -109,7 +121,7 @@ def _asymptote_integral(s: complex, lam: float, q: QuadratureSpec) -> EvalResult
 
     Both halves of G are Laplace pairs with beta = lam, gamma = lam + pi:
     r^((s-1)/4) K_{(s-1)/2}(z) - r^(s/4) K_{s/2}(z), r = lam/(lam+pi),
-    z = 2 sqrt(lam (lam+pi)).
+    z = 2 sqrt(lam (lam+pi)).  Converged when both K terms are.
     """
     shifted = lam + math.pi
     z = 2.0 * math.sqrt(lam * shifted)
@@ -118,10 +130,11 @@ def _asymptote_integral(s: complex, lam: float, q: QuadratureSpec) -> EvalResult
     c_even = power_real_base(ratio, 0.25 * s)
     k_odd = bessel_k(0.5 * (s - 1.0), z, q)
     k_even = bessel_k(0.5 * s, z, q)
-    return make_result(c_odd * k_odd.value - c_even * k_even.value,
-                       abs(c_odd) * k_odd.err_estimate
-                       + abs(c_even) * k_even.err_estimate,
-                       k_odd.evaluations + k_even.evaluations, q)
+    return EvalResult(value=c_odd * k_odd.value - c_even * k_even.value,
+                      err_estimate=abs(c_odd) * k_odd.err_estimate
+                      + abs(c_even) * k_even.err_estimate,
+                      evaluations=k_odd.evaluations + k_even.evaluations,
+                      converged=k_odd.converged and k_even.converged)
 
 
 def _completed_quadrature(s: complex, cutoff: CutoffSpec, q: QuadratureSpec,
@@ -141,6 +154,12 @@ def _completed_quadrature(s: complex, cutoff: CutoffSpec, q: QuadratureSpec,
     e^{i theta s/2}, of size e^{-theta t/2}, stays out of the integrand and
     multiplies the sum, so the quadrature accepts on the scale of what it
     integrates.
+
+    The result is the sum of separately accepted pieces: ``err_estimate`` is
+    the sum of their error estimates, and ``converged`` means that every
+    piece converged.  Testing the summed estimate against the spec's
+    tolerance again would fail values whose pieces each sat at the abs_tol
+    floor (s = 5+3i, lam = 1e-4: 1.2e-12 summed, value correct to 1e-15).
     """
     s = complex(s)
     half_exp = 0.5 * s - 1.0
@@ -157,9 +176,10 @@ def _completed_quadrature(s: complex, cutoff: CutoffSpec, q: QuadratureSpec,
 
         lower = integrate(integrand, (0.0, 1.0), q)
         upper = integrate(integrand, (1.0, math.inf), q)
-        return make_result(lower.value + upper.value,
-                           lower.err_estimate + upper.err_estimate,
-                           lower.evaluations + upper.evaluations, q)
+        return EvalResult(value=lower.value + upper.value,
+                          err_estimate=lower.err_estimate + upper.err_estimate,
+                          evaluations=lower.evaluations + upper.evaluations,
+                          converged=lower.converged and upper.converged)
 
     lam = _require_positive_real(cutoff.lam, "the ray route")
     rot = cmath.exp(1j * theta)
@@ -176,10 +196,12 @@ def _completed_quadrature(s: complex, cutoff: CutoffSpec, q: QuadratureSpec,
     upper = integrate(ray_integrand, (1.0, math.inf), q)
     added = _asymptote_integral(s, lam, q)
     factor = cmath.exp(0.5j * theta * s)
-    return make_result(factor * (lower.value + upper.value) + added.value,
-                       abs(factor) * (lower.err_estimate + upper.err_estimate)
-                       + added.err_estimate,
-                       lower.evaluations + upper.evaluations + added.evaluations, q)
+    return EvalResult(
+        value=factor * (lower.value + upper.value) + added.value,
+        err_estimate=abs(factor) * (lower.err_estimate + upper.err_estimate)
+        + added.err_estimate,
+        evaluations=lower.evaluations + upper.evaluations + added.evaluations,
+        converged=lower.converged and upper.converged and added.converged)
 
 
 def _ray_angle(t: float) -> float:
@@ -199,8 +221,9 @@ def _ray_angle(t: float) -> float:
 def _completed_exp(s: complex, lam, q: QuadratureSpec) -> tuple[EvalResult, str]:
     """completed(s; e^{-lam(x+1/x)}) by its cheaper route, with the route name.
 
-    Real lam > 0 below the measured crossover (module docstring) takes the
-    ray quadrature; complex lam and everything else takes the Bessel series.
+    Real lam > 0 below the measured crossover (module docstring), or at any
+    real lam once |Im s| > 100, takes the ray quadrature; complex lam and
+    everything else takes the Bessel series.
     """
     s = complex(s)
     lamc = complex(lam)
@@ -209,7 +232,7 @@ def _completed_exp(s: complex, lam, q: QuadratureSpec) -> tuple[EvalResult, str]
                           f"got {lam!r}")
     t = s.imag
     crossover = _RAY_LAM_LOW_T if 0.0 < abs(t) <= _RAY_LOW_T else _RAY_LAM
-    if lamc.imag == 0.0 and lamc.real < crossover:
+    if lamc.imag == 0.0 and (lamc.real < crossover or abs(t) > _SERIES_MAX_T):
         theta = _ray_angle(t) if t != 0.0 else None
         return (_completed_quadrature(s, ExpSymmetric(lamc.real), q, theta),
                 "quadrature")

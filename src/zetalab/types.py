@@ -56,7 +56,10 @@ class EvalResult:
 
     ``converged`` is only set when err_estimate <= max(abs_tol, rel_tol*|value|)
     for the spec the computation ran under; constructors go through
-    :func:`make_result` to keep that invariant true by construction.
+    :func:`make_result` to keep that invariant true by construction.  A sum
+    of separately accepted pieces (the completed integral's quadrature
+    pieces) is converged when every piece is, and its err_estimate is the
+    sum of theirs.
     """
 
     value: complex
@@ -83,7 +86,12 @@ def make_result(value: complex, err_estimate: float, evaluations: int,
 
 @dataclass(frozen=True)
 class ZeroBracket:
-    """A sign-change bracket for Hardy's Z with its bisection refinement."""
+    """A sign-change bracket for Hardy's Z and the zero refined inside it.
+
+    z_lo and z_hi are `hardy_z` values at the ends, of opposite signs;
+    refined_t is the midpoint of a sign-change bracket of `hardy_z` no wider
+    than 1e-8, found by Illinois (modified regula falsi) refinement.
+    """
 
     t_lo: float
     t_hi: float

@@ -25,6 +25,13 @@ extended coefficient table keeps near machine accuracy there.
 On top of those: the chi factor of the asymmetric functional equation, the
 entire xi function, Hardy's Z with its gamma phase, the two-sum approximate
 functional equation, and a sign-scan zero finder on the critical line.
+
+The zero finder reads signs of Z on its grid from the Riemann-Siegel formula
+(about sqrt(t / 2 pi) terms plus Gabcke's remainder series, against
+16 + 1.5 t for Euler-Maclaurin), and takes a sign only where |Z| clears the
+formula's error bound.  Every other grid point, every bracket end and every
+refinement step evaluates `hardy_z`, so the brackets and the refined zeros
+rest on Euler-Maclaurin alone.
 """
 
 from __future__ import annotations
@@ -56,6 +63,68 @@ _EM_COEFFS = (
     77683.0 / 14101100039391805440000.0,
     -236364091.0 / 1693824136731743669452800000.0,
 )
+
+# Riemann-Siegel remainder coefficients C_0..C_4 (Gabcke 1979) as power
+# series in y = (p - 1/2)^2, p = frac(sqrt(t / 2 pi)); C_1 and C_3 carry one
+# more factor p - 1/2.  Written by tests/oracles.py:rs_coefficient_tables
+# from exact series arithmetic in mpmath; dropped terms are < 1e-20.
+_RS_COEFFS = (
+    (0.3826834323650898, 1.7489618723100817, 2.118025207685496,
+     -0.8707216670511481, -3.4733112243465167, -1.6626947308999325,
+     1.216731288919232, 1.3014304161007977, 0.03051102182736167,
+     -0.3755803051545095, -0.1085784416564066, 0.051832902999549624,
+     0.029999480619902277, -0.0022759396706125644, -0.004382647416580339,
+     -0.0004064230183729847, 0.0004006097785422114, 8.971057991388841e-05,
+     -2.3025650027239108e-05, -9.380006601906792e-06, 6.323514947609108e-07,
+     6.551022819231502e-07),
+    (-0.053650205256750697, 0.11027818741081483, 1.2317200154315227,
+     1.2634964862799458, -1.695108997559503, -2.9998711967650102,
+     -0.10819944959899208, 1.9407662946212714, 0.7838423561500687,
+     -0.5054829667900366, -0.38450723496057976, 0.03747264646531532,
+     0.09092026610973176, 0.01044923755006451, -0.012582979651583417,
+     -0.003399503721151274, 0.0010410950537714891, 0.0005010949051118486,
+     -3.956359669003182e-05, -4.7624592453571896e-05,
+     -1.8539355338085133e-06, 3.1936918080068973e-06,
+     4.0907807608506065e-07),
+    (0.005188542830293168, 0.0012378633552253898, -0.18137505725166997,
+     0.14291492748532125, 1.3303391766687565, 0.3522472353403734,
+     -2.421001595891951, -1.6760787022538108, 1.3689416723328371,
+     1.5539019430222982, -0.1722164273472998, -0.6359068055045431,
+     -0.09911649873041208, 0.14033480067387008, 0.04782352019827292,
+     -0.017356040641479782, -0.010225012534028593, 0.0009274149159794888,
+     0.0013572194372373386, 6.41369012029388e-05, -0.0001230080569819663,
+     -1.83135074047892e-05, 7.821628604322627e-06, 2.0087542484759946e-06),
+    (-0.0026794321814389136, 0.02995372109103515, -0.042570172541828696,
+     -0.28997965779803886, 0.4888831999235446, 1.230855876395746,
+     -0.8297560708527408, -2.249763536666567, 0.07845139961005472,
+     1.7467492800868893, 0.45968080979749937, -0.6619353471039775,
+     -0.31590441036173633, 0.12844792545207495, 0.10073382716626152,
+     -0.009530183848825268, -0.019264421687514088, -0.001246463715876929,
+     0.0024243969641103086, 0.000437647697741857, -0.00020714032687001792,
+     -6.274344504186516e-05, 1.157534381459567e-05, 5.88385492454038e-06),
+    (0.00046483389361763383, -0.004022642946136188, 0.003847177051796127,
+     0.06581175135809486, -0.19604124343694448, -0.20854053686358853,
+     0.9507754185141751, 0.5341535312914873, -1.67634944117634,
+     -1.076747157875129, 1.235339301656597, 1.0257825340057276,
+     -0.40124095793988546, -0.5036663995108304, 0.03573487795502745,
+     0.14431763086785418, 0.01509152741790347, -0.026098874779194363,
+     -0.006126628379519262, 0.003077503129870841, 0.0011562478934088753,
+     -0.00022775966758472127, -0.00014189637118181445,
+     7.4648603079559195e-06, 1.2479701645409117e-05),
+)
+
+# The scan reads Riemann-Siegel signs from t >= 2 pi (a = sqrt(t / 2 pi) >= 1,
+# so the main sum has a term).  It costs 0.01-0.02 ms there against
+# 0.05-0.1 ms for Euler-Maclaurin Z at t = 10..100 and ~0.5 ms for the
+# theta integral below 10, so no height where the formula applies favours
+# Euler-Maclaurin.
+_RS_T_MIN = 2.0 * math.pi
+# Bound on |Z_RS - Z|: truncation after C_4 (~1e-4 a^(-11/2) measured) plus
+# rounding in t log n (~7e-15 t measured), each taken 20 times over.
+_RS_TRUNC = 2e-3
+_RS_ROUND = 2e-13
+# Width of the sign-change bracket the refinement leaves around each zero.
+_ZERO_TOL = 1e-8
 
 # With twelve correction terms the remainder carries N^{-(Re s + 23)}, so the
 # sum stays usable well left of the critical strip; past that we reflect.
@@ -227,33 +296,113 @@ def approx_functional_sum(s: complex, x: float, y: float,
     return make_result(value, err, evals, q)
 
 
+def _z_riemann_siegel(t: float) -> float:
+    """Hardy's Z(t) by the Riemann-Siegel formula, t >= 2 pi.
+
+    2 sum_{n <= N} n^(-1/2) cos(theta(t) - t log n) plus the remainder
+    (-1)^(N-1) a^(-1/2) sum_{k <= 4} C_k(p) a^(-k), a = sqrt(t / 2 pi),
+    N = floor(a), p = a - N.  Its error is below `_rs_bound(t)`.
+    """
+    a = math.sqrt(t / (2.0 * math.pi))
+    n_top = int(a)
+    theta = riemann_siegel_theta(t)
+    main = 0.0
+    for n in range(1, n_top + 1):
+        main += math.cos(theta - t * math.log(n)) / math.sqrt(n)
+    x = a - n_top - 0.5
+    y = x * x
+    rem = 0.0
+    scale = 1.0
+    for k, coeffs in enumerate(_RS_COEFFS):
+        ck = 0.0
+        for c in reversed(coeffs):
+            ck = ck * y + c
+        if k % 2:
+            ck *= x
+        rem += ck * scale
+        scale /= a
+    if n_top % 2 == 0:
+        rem = -rem
+    return 2.0 * main + rem / math.sqrt(a)
+
+
+def _rs_bound(t: float) -> float:
+    """Error bound of `_z_riemann_siegel` at t >= 2 pi."""
+    return _RS_TRUNC * (t / (2.0 * math.pi)) ** -2.75 + _RS_ROUND * t
+
+
+def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Midpoint of a sign-change bracket of f, no wider than _ZERO_TOL.
+
+    Regula falsi with the Illinois rule: when the same end survives twice,
+    its function value is halved, so both ends close in.  Each new point is
+    kept a quarter tolerance inside the bracket, which closes it as soon as
+    the secant lands within that distance of an end.
+    """
+    side = 0
+    while hi - lo > _ZERO_TOL:
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        x = min(max(x, lo + 0.25 * _ZERO_TOL), hi - 0.25 * _ZERO_TOL)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, fx
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = x, fx
+            if side == 1:
+                f_lo *= 0.5
+            side = 1
+    return 0.5 * (lo + hi)
+
+
 def find_zeros(t_min: float, t_max: float, step: float,
                q: QuadratureSpec = DEFAULT_QUAD) -> list[ZeroBracket]:
-    """Sign-scan Re Z(t) on [t_min, t_max] and bisect each bracket to 1e-8."""
+    """Zeros of Hardy's Z on [t_min, t_max]: sign scan on a grid, then refinement.
+
+    The grid runs from t_min in steps of `step`, the last one clamped to
+    t_max.  At a grid point t >= 2 pi whose Riemann-Siegel value clears its
+    error bound, that value's sign is taken; anywhere else Z comes from
+    `hardy_z` (Euler-Maclaurin above |t| = 10).  A sign change between two
+    grid points is re-checked with `hardy_z` at both ends, whose values
+    become z_lo and z_hi, and refined by the Illinois method on `hardy_z` to
+    a sign-change bracket no wider than 1e-8, whose midpoint is refined_t.
+    The brackets are exactly those of a scan that evaluates `hardy_z` at
+    every grid point.
+    """
     if not t_min < t_max:
         raise DomainError(f"needs t_min < t_max, got [{t_min!r}, {t_max!r}]")
     if not (0.0 < step <= 1.0):
         raise DomainError(f"step must lie in (0, 1], got {step!r}")
 
-    def zval(t: float) -> float:
+    def z_em(t: float) -> float:
         return hardy_z(t, q).value.real
+
+    def z_grid(t: float) -> tuple[float, bool]:
+        """Z(t) for the sign scan, and whether it came from hardy_z."""
+        if t >= _RS_T_MIN:
+            z = _z_riemann_siegel(t)
+            if abs(z) > _rs_bound(t):
+                return z, False
+        return z_em(t), True
 
     brackets: list[ZeroBracket] = []
     t_lo = float(t_min)
-    z_lo = zval(t_lo)
+    z_lo, em_lo = z_grid(t_lo)
     while t_lo < t_max:
         t_hi = min(t_lo + step, float(t_max))
-        z_hi = zval(t_hi)
+        z_hi, em_hi = z_grid(t_hi)
         if z_lo * z_hi < 0.0:
-            lo, hi, zl = t_lo, t_hi, z_lo
-            while hi - lo > 1e-8:
-                mid = 0.5 * (lo + hi)
-                zm = zval(mid)
-                if zl * zm <= 0.0:
-                    hi = mid
-                else:
-                    lo, zl = mid, zm
-            brackets.append(ZeroBracket(t_lo=t_lo, t_hi=t_hi, z_lo=z_lo,
-                                        z_hi=z_hi, refined_t=0.5 * (lo + hi)))
-        t_lo, z_lo = t_hi, z_hi
+            if not em_lo:
+                z_lo, em_lo = z_em(t_lo), True
+            if not em_hi:
+                z_hi, em_hi = z_em(t_hi), True
+            if z_lo * z_hi < 0.0:
+                root = _illinois(z_em, t_lo, t_hi, z_lo, z_hi)
+                brackets.append(ZeroBracket(t_lo=t_lo, t_hi=t_hi, z_lo=z_lo,
+                                            z_hi=z_hi, refined_t=root))
+        t_lo, z_lo, em_lo = t_hi, z_hi, em_hi
     return brackets

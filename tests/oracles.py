@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
+import re
 
 import mpmath as mp
 
@@ -76,6 +78,11 @@ def siegel_theta_ref(t) -> float:
 
 def zero_ref(n: int) -> float:
     return float(mp.im(mp.zetazero(n)))
+
+
+def zero_count_ref(t) -> int:
+    """Number of zeta zeros with 0 < Im rho <= t."""
+    return int(mp.nzeros(mp.mpf(t)))
 
 
 def chi_ref(s) -> complex:
@@ -142,16 +149,43 @@ def _quad_split(f, points):
 
 
 def completed_exp_ref(s, lam) -> complex:
-    """integral_0^inf psi(x) e^{-lam(x + 1/x)} x^{s/2-1} dx by mp.quad."""
+    """integral_0^inf psi(x) e^{-lam(x + 1/x)} x^{s/2-1} dx by mp.quad.
+
+    The factor e^{-2 lam}, the size of the cutoff at its peak x = 1, is taken
+    out of the integrand and multiplied back at the end: mp.quad accepts on an
+    absolute error, which at lam = 28 left the value (~1e-27) 8e-10 off,
+    relative.  On the real axis the integral is ~e^{-pi |t| / 4} while its
+    integrand is of order one, so at 30 digits this oracle keeps double
+    precision only up to |Im s| of about 40 (at 150 it is off by 1e16,
+    relative); `completed_exp_series_ref` has no such limit.
+    """
     sm, lm = mp.mpc(s), mp.mpf(lam)
 
     def f(x):
-        return _psi_mp(x) * mp.exp(-lm * (x + 1 / x)) * x ** (sm / 2 - 1)
+        return _psi_mp(x) * mp.exp(-lm * (x + 1 / x - 2)) * x ** (sm / 2 - 1)
 
     lo = float(lm)
     inner = [lo * r for r in (0.1, 1.0, 10.0)] if lo < 0.05 else []
     points = [0] + inner + [0.05, 0.3, 1, 3, 10, mp.inf]
-    return to_complex(_quad_split(f, points))
+    return to_complex(_quad_split(f, points) * mp.exp(-2 * lm))
+
+
+def completed_exp_series_ref(s, lam) -> complex:
+    """The same integral as sum_n 2 (lam/(lam + pi n^2))^{s/4} K_{s/2}(2 sqrt(lam(lam + pi n^2))).
+
+    Term-by-term Laplace transform of psi against the cutoff: no quadrature
+    and no cancellation, so it holds at any height.
+    """
+    sm, lm = mp.mpc(s), mp.mpf(lam)
+    total = mp.mpc(0)
+    n = 1
+    while True:
+        shifted = lm + mp.pi * n * n
+        term = 2 * (lm / shifted) ** (sm / 4) * mp.besselk(sm / 2, 2 * mp.sqrt(lm * shifted))
+        total += term
+        if n > 3 and abs(term) < mp.mpf(10) ** (-28) * abs(total):
+            return to_complex(total)
+        n += 1
 
 
 def completed_alpha_ref(s, lam, alpha) -> complex:
@@ -217,6 +251,117 @@ def omega_ref(s, lam) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# Riemann-Siegel remainder coefficients (Gabcke 1979)
+# ---------------------------------------------------------------------------
+
+
+def _rs_psi_series(degree: int) -> list:
+    """Taylor coefficients in x of Psi(1/2 + x), Psi(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p.
+
+    Psi(1/2 + x) = -cos(2 pi x^2 - 5 pi/8) / cos(2 pi x); both sides are
+    expanded and divided as power series.  Psi is entire (every zero of the
+    denominator is a zero of the numerator), but the division recursion
+    grows rounding like 4^n, hence the 200 working digits.
+    """
+    with mp.workdps(200):
+        two_pi = 2 * mp.pi
+        c, s = mp.cos(5 * mp.pi / 8), mp.sin(5 * mp.pi / 8)
+        num = [mp.mpf(0)] * (degree + 1)
+        den = [mp.mpf(0)] * (degree + 1)
+        for j in range(degree // 2 + 1):
+            sign = (-1) ** j
+            den[2 * j] = sign * two_pi ** (2 * j) / mp.factorial(2 * j)
+            if 4 * j <= degree:
+                num[4 * j] += c * sign * two_pi ** (2 * j) / mp.factorial(2 * j)
+            if 4 * j + 2 <= degree:
+                num[4 * j + 2] += s * sign * two_pi ** (2 * j + 1) / mp.factorial(2 * j + 1)
+        out = []
+        for n in range(degree + 1):
+            acc = -num[n] - sum(den[k] * out[n - k] for k in range(1, n + 1))
+            out.append(acc / den[0])
+        return out
+
+
+def rs_coefficient_tables(degree: int = 120, cut: float = 1e-20) -> list:
+    """C_0..C_4 of the Riemann-Siegel remainder as power series in y = (p - 1/2)^2.
+
+    C_k(p) = x^(k mod 2) * sum_j c_j y^j with x = p - 1/2 (C_0, C_2, C_4 are
+    even in x, C_1, C_3 odd).  Each series stops at the first term below
+    `cut` on |x| <= 1/2, the whole range of p = frac(sqrt(t / 2 pi)).
+    """
+    with mp.workdps(200):
+        psi = _rs_psi_series(degree)
+
+        def d(m):
+            out = psi
+            for _ in range(m):
+                out = [n * out[n] for n in range(1, len(out))]
+            return out
+
+        pi2 = mp.pi ** 2
+        recipe = (
+            ((1, 0),),
+            ((-1 / (96 * pi2), 3),),
+            ((1 / (64 * pi2), 2), (1 / (18432 * pi2 ** 2), 6)),
+            ((-1 / (64 * pi2), 1), (-1 / (3840 * pi2 ** 2), 5),
+             (-1 / (5308416 * pi2 ** 3), 9)),
+            ((1 / (128 * pi2), 0), (mp.mpf(19) / (24576 * pi2 ** 2), 4),
+             (mp.mpf(11) / (5898240 * pi2 ** 3), 8),
+             (1 / (2038431744 * pi2 ** 4), 12)),
+        )
+        tables = []
+        for k, parts in enumerate(recipe):
+            series = [mp.mpf(0)] * (degree + 1)
+            for coef, order in parts:
+                for n, v in enumerate(d(order)):
+                    series[n] += coef * v
+            row = []
+            for n in range(k % 2, degree + 1, 2):
+                if abs(series[n]) * mp.mpf(0.5) ** n < cut and n > 10:
+                    break
+                row.append(float(series[n]))
+            tables.append(row)
+        return tables
+
+
+# lowest height where the scan uses the Riemann-Siegel sign (a >= 1, N >= 1)
+RS_T_MIN = 2 * math.pi
+# indices n of the zeros the refinement test pins, at heights 14, 1000, 5000
+RS_ZERO_INDICES = (1, 649, 4519)
+
+
+def regenerate_riemann_siegel(n_points: int = 500, seed: int = 20261018) -> dict:
+    """Coefficient tables, Z(t) at seeded log-uniform t in [RS_T_MIN, 1e4], zeros.
+
+    mp.siegelz takes 5-70 ms a point at 30 digits, too slow to run live
+    over 500 points.
+    """
+    rng = random.Random(seed)
+    lo, hi = math.log(RS_T_MIN), math.log(1e4)
+    points = []
+    for _ in range(n_points):
+        t = math.exp(rng.uniform(lo, hi))
+        points.append([t, hardy_z_ref(t)])
+    return {"coefficients": rs_coefficient_tables(),
+            "z": points,
+            "zeros": [[n, zero_ref(n)] for n in RS_ZERO_INDICES]}
+
+
+# (lam, s) above the height where the package's Bessel series broke down
+HIGH_T_POINTS = ((0.05, complex(0.5, 150.0)), (1.0, complex(0.5, 150.0)))
+
+
+def regenerate_completed_exp_high_t() -> dict:
+    """completed_exp_series_ref at HIGH_T_POINTS (1-4 s each, so frozen)."""
+    rows = []
+    for lam, s in HIGH_T_POINTS:
+        value = completed_exp_series_ref(s, lam)
+        rows.append({"lam": lam, "s_re": s.real, "s_im": s.imag,
+                     "completed_re": value.real, "completed_im": value.imag})
+    return {"completed": rows}
+
+
+# ---------------------------------------------------------------------------
 # diffusion oracles
 # ---------------------------------------------------------------------------
 
@@ -272,12 +417,17 @@ def approx_fe_ref(s, x, y):
 # ---------------------------------------------------------------------------
 
 
-def _write_fixture(name: str, payload: dict) -> None:
+def _write_fixture(name: str, payload: dict, compact_rows: bool = False) -> None:
+    """Write payload as JSON; compact_rows puts each list of numbers on one line."""
     os.makedirs(FIXTURE_DIR, exist_ok=True)
     path = os.path.join(FIXTURE_DIR, name)
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if compact_rows:
+        text = re.sub(r"\[\s+([^\[\]{}]*?)\s+\]",
+                      lambda m: "[" + ", ".join(v.strip() for v in m.group(1).split(","))
+                      + "]", text)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     print(f"wrote {path}")
 
 
@@ -347,6 +497,9 @@ def main() -> None:
     _write_fixture("resolvent_ratio.json", regenerate_resolvent_ratio())
     _write_fixture("approx_fe_constant.json", regenerate_approx_fe())
     _write_fixture("completed_exp_ray.json", regenerate_completed_exp_ray())
+    _write_fixture("riemann_siegel.json", regenerate_riemann_siegel(),
+                   compact_rows=True)
+    _write_fixture("completed_exp_high_t.json", regenerate_completed_exp_high_t())
 
     frozen = [
         ("psi(1)", psi_ref(1.0)),

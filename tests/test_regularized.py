@@ -10,6 +10,7 @@ import pathlib
 
 import pytest
 
+from oracles import completed_exp_ref
 from zetalab.bessel import bessel_k
 from zetalab.cutoffs import CustomCutoff, ExpSymmetric, NoCutoff, TwoParam
 from zetalab.errors import DomainError, NonConvergence
@@ -333,3 +334,33 @@ def test_ray_route_needs_real_lambda():
                               QuadratureSpec(), theta=1.0)
     with pytest.raises(DomainError):
         xi_lambda(0.5 + 9.0j, 0.0)
+
+
+# mpmath Bessel-series values of completed(s; lam) at Im s = 150
+HIGH_T_FIXTURE = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "completed_exp_high_t.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "row", HIGH_T_FIXTURE["completed"],
+    ids=lambda r: f"lam={r['lam']:g},s={r['s_re']:g}{r['s_im']:+g}i")
+def test_high_t_takes_the_ray_and_the_series_owns_up(row):
+    s, lam = complex(row["s_re"], row["s_im"]), row["lam"]
+    ref = complex(row["completed_re"], row["completed_im"])
+    routed = zeta_regularized(s, ExpSymmetric(lam))
+    assert routed.representation == "quadrature"
+    assert routed.completed.converged
+    assert abs(routed.completed.value - ref) <= 1e-12 * abs(ref)
+    # the series settles on a wrong value up here and must say so
+    assert not zeta_exp_bessel_series(s, lam).completed.converged
+
+
+def test_quadrature_converged_when_every_piece_is():
+    # each piece accepted at the abs_tol floor; their summed estimate is above it
+    s, lam = 5.0 + 3.0j, 1e-4
+    routed = zeta_regularized(s, ExpSymmetric(lam))
+    assert routed.representation == "quadrature"
+    ref = completed_exp_ref(s, lam)
+    assert abs(routed.completed.value - ref) <= 1e-13 * abs(ref)
+    assert routed.completed.err_estimate > QuadratureSpec().abs_tol
+    assert routed.completed.converged

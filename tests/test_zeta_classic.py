@@ -12,8 +12,14 @@ import pathlib
 import pytest
 from hypothesis import given, strategies as st
 
+import zetalab.zeta_classic as zeta_classic
+from oracles import zero_count_ref
 from zetalab.errors import DomainError, PoleError
 from zetalab.zeta_classic import (
+    _RS_COEFFS,
+    _RS_T_MIN,
+    _rs_bound,
+    _z_riemann_siegel,
     approx_functional_sum,
     chi_factor,
     find_zeros,
@@ -25,6 +31,9 @@ from zetalab.zeta_classic import (
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+# mpmath: Riemann-Siegel coefficient tables, siegelz at 500 seeded heights,
+# and three zeros (tests/oracles.py:regenerate_riemann_siegel)
+RS_FIXTURE = json.loads((FIXTURES / "riemann_siegel.json").read_text())
 
 
 def test_series_exact():
@@ -189,3 +198,74 @@ def test_find_zeros_domain():
         find_zeros(10.0, 40.0, 0.0)
     with pytest.raises(DomainError):
         find_zeros(10.0, 40.0, 1.5)
+
+
+def test_riemann_siegel_coefficients_match_oracle_tables():
+    assert len(_RS_COEFFS) == len(RS_FIXTURE["coefficients"]) == 5
+    for mine, ref in zip(_RS_COEFFS, RS_FIXTURE["coefficients"]):
+        assert list(mine) == pytest.approx(ref, rel=1e-15, abs=1e-22)
+
+
+def test_riemann_siegel_z_stays_well_inside_its_bound():
+    points = RS_FIXTURE["z"]
+    assert len(points) >= 500
+    assert min(t for t, _ in points) >= _RS_T_MIN
+    assert max(t for t, _ in points) <= 1e4
+    # the bound is a conservative envelope: at least ten times the error
+    worst = max(abs(_z_riemann_siegel(t) - z) / _rs_bound(t) for t, z in points)
+    assert worst <= 0.1
+
+
+def _hardy_z_sign_scan(t_min, t_max, step):
+    """(t_lo, t_hi, z_lo, z_hi) of every sign change of hardy_z on the grid."""
+    out = []
+    t_lo = float(t_min)
+    z_lo = hardy_z(t_lo).value.real
+    while t_lo < t_max:
+        t_hi = min(t_lo + step, float(t_max))
+        z_hi = hardy_z(t_hi).value.real
+        if z_lo * z_hi < 0.0:
+            out.append((t_lo, t_hi, z_lo, z_hi))
+        t_lo, z_lo = t_hi, z_hi
+    return out
+
+
+@pytest.mark.parametrize("t_min", [10.0, 300.0, 1000.0, 4990.0])
+def test_find_zeros_brackets_equal_euler_maclaurin_scan(t_min):
+    t_max = t_min + 5.0
+    got = [(b.t_lo, b.t_hi, b.z_lo, b.z_hi) for b in find_zeros(t_min, t_max, 0.05)]
+    assert got == _hardy_z_sign_scan(t_min, t_max, 0.05)
+    assert len(got) == zero_count_ref(t_max) - zero_count_ref(t_min)
+
+
+def test_find_zeros_separates_lehmer_pair():
+    brackets = find_zeros(7005.0, 7005.2, 0.01)
+    assert len(brackets) == 2 == zero_count_ref(7005.2) - zero_count_ref(7005.0)
+    assert brackets[0].t_hi <= brackets[1].t_lo
+    for b in brackets:
+        assert b.t_lo <= b.refined_t <= b.t_hi
+        assert b.z_lo * b.z_hi < 0.0
+
+
+@pytest.mark.parametrize("n,zero", RS_FIXTURE["zeros"],
+                         ids=lambda v: f"{v:g}" if isinstance(v, float) else str(v))
+def test_refined_zero_within_1e8_of_mpmath(n, zero):
+    brackets = find_zeros(zero - 0.3, zero + 0.3, 0.05)
+    near = [b for b in brackets if b.t_lo <= zero <= b.t_hi]
+    assert len(near) == 1
+    assert abs(near[0].refined_t - zero) <= 1e-8
+
+
+def test_find_zeros_spends_few_hardy_z_calls_per_zero(monkeypatch):
+    calls = []
+
+    def counted(t, q=zeta_classic.DEFAULT_QUAD):
+        calls.append(t)
+        return hardy_z(t, q)
+
+    monkeypatch.setattr(zeta_classic, "hardy_z", counted)
+    brackets = find_zeros(1000.0, 1005.0, 0.05)
+    # two bracket ends plus the Illinois steps; a bisection scan spent
+    # 101 grid points plus 23 steps a zero
+    assert len(brackets) == 4
+    assert len(calls) <= 8 * len(brackets)
