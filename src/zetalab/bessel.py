@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 from .errors import DomainError, NonConvergence
 from .gammafn import power_real_base
@@ -44,6 +45,69 @@ from .quadrature import integrate
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result
 
 _TAIL_STOP = 1e-19
+
+
+def _tail_sum(f, h: float, stride: int, sign: int) -> tuple[complex, int]:
+    """sum of f(sign k h) for k = 1, 1 + stride, ..., with its term count.
+
+    Stops after three terms in a row below _TAIL_STOP relative to the sum,
+    or once k h passes 80.
+    """
+    total = 0j
+    k = 1
+    count = 0
+    small_run = 0
+    while True:
+        term = f(sign * k * h)
+        count += 1
+        total += term
+        if abs(term) <= _TAIL_STOP * (abs(total) + 1e-300):
+            small_run += 1
+            if small_run >= 3:
+                break
+        else:
+            small_run = 0
+        k += stride
+        if k * h > 80.0:
+            break
+    return total, count
+
+
+def _halving_trapezoid(f, even: bool, relative: bool, q: QuadratureSpec,
+                       route: str) -> EvalResult:
+    """(1/2) integral over R of f by the trapezoid rule, halving h from 0.5.
+
+    An even f is summed on the positive side only and that side counted
+    twice.  Each halving adds the odd multiples of the new h and is accepted
+    on err <= rel_tol |value| when `relative`, else on the spec's
+    tolerance_for; err is the change from the previous h.
+    """
+    def level_sum(h: float, stride: int) -> tuple[complex, int]:
+        plus, count = _tail_sum(f, h, stride, +1)
+        if even:
+            return plus + plus, count
+        minus, more = _tail_sum(f, h, stride, -1)
+        return plus + minus, count + more
+
+    f0 = f(0.0)
+    evaluations = 1
+    acc = 0j
+    h = 1.0
+    prev = None
+    for level in range(q.max_levels + 1):
+        h *= 0.5
+        part, spent = level_sum(h, 2 if level else 1)
+        acc += part
+        evaluations += spent
+        result = 0.5 * h * (f0 + acc)
+        if prev is not None:
+            err = abs(result - prev)
+            if err <= (q.rel_tol * abs(result) if relative
+                       else q.tolerance_for(result)):
+                return make_result(result, err, evaluations, q)
+        prev = result
+    raise NonConvergence(f"bessel_k {route} trapezoid did not converge",
+                         best=result, err_estimate=err)
 
 
 def _shifted_route(nu: complex, z: float, q: QuadratureSpec) -> EvalResult:
@@ -64,47 +128,9 @@ def _shifted_route(nu: complex, z: float, q: QuadratureSpec) -> EvalResult:
             return 0j
         return cmath.exp(w)
 
-    evaluations = 0
-
-    def tail_sum(h: float, first: int, stride: int, sign: int) -> complex:
-        nonlocal evaluations
-        total = 0j
-        k = first
-        small_run = 0
-        while True:
-            term = f(sign * k * h)
-            evaluations += 1
-            total += term
-            if abs(term) <= _TAIL_STOP * (abs(total) + 1e-300):
-                small_run += 1
-                if small_run >= 3:
-                    break
-            else:
-                small_run = 0
-            k += stride
-            if k * h > 80.0:
-                break
-        return total
-
-    f0 = f(0.0)
-    evaluations += 1
-    h = 0.5
-    acc = tail_sum(h, 1, 1, +1) + tail_sum(h, 1, 1, -1)
-    prev = 0.5 * h * (f0 + acc)
-    result = prev
-    for _ in range(q.max_levels):
-        h *= 0.5
-        acc += tail_sum(h, 1, 2, +1) + tail_sum(h, 1, 2, -1)
-        result = 0.5 * h * (f0 + acc)
-        err = abs(result - prev)
-        # relative-only acceptance: these values can sit far below abs_tol
-        # and still need every digit when a series divides by their scale
-        if err <= q.rel_tol * abs(result):
-            return make_result(result, err, evaluations, q)
-        prev = result
-    err = abs(result - prev)
-    raise NonConvergence("bessel_k contour trapezoid did not converge",
-                         best=result, err_estimate=err)
+    # relative-only acceptance: these values can sit far below abs_tol
+    # and still need every digit when a series divides by their scale
+    return _halving_trapezoid(f, False, True, q, "contour")
 
 
 def _cosh_route(nu: complex, z: complex, q: QuadratureSpec) -> EvalResult:
@@ -113,10 +139,7 @@ def _cosh_route(nu: complex, z: complex, q: QuadratureSpec) -> EvalResult:
     if z.imag == 0.0 and nu.imag != 0.0:
         if nu.imag < 0.0:
             inner = _shifted_route(nu.conjugate(), z.real, q)
-            return EvalResult(value=inner.value.conjugate(),
-                              err_estimate=inner.err_estimate,
-                              evaluations=inner.evaluations,
-                              converged=inner.converged)
+            return replace(inner, value=inner.value.conjugate())
         return _shifted_route(nu, z.real, q)
     real_case = nu.imag == 0.0 and z.imag == 0.0
 
@@ -132,51 +155,10 @@ def _cosh_route(nu: complex, z: complex, q: QuadratureSpec) -> EvalResult:
         nt = nu * t
         return 0.5 * (cmath.exp(-zc + nt) + cmath.exp(-zc - nt))
 
-    evaluations = 0
-
-    def grid_sum(h: float, first: int, stride: int) -> complex:
-        nonlocal evaluations
-        total = 0j
-        k = first
-        small_run = 0
-        while True:
-            term = f(k * h)
-            evaluations += 1
-            total += term
-            mag = abs(term)
-            if mag <= _TAIL_STOP * (abs(total) + 1e-300):
-                small_run += 1
-                if small_run >= 3:
-                    break
-            else:
-                small_run = 0
-            k += stride
-            if k * h > 80.0:
-                break
-        return total
-
-    f0 = f(0.0)
-    evaluations += 1
-
-    h = 0.5
-    acc = grid_sum(h, 1, 1)
-    prev = h * (0.5 * f0 + acc)
-    result = prev
-    for _ in range(q.max_levels):
-        h *= 0.5
-        acc += grid_sum(h, 1, 2)
-        result = h * (0.5 * f0 + acc)
-        err = abs(result - prev)
-        # real order and argument: a positive integrand, so relative-only
-        # acceptance (as on the shifted contour) is reachable and keeps
-        # K_nu(z) ~ e^{-z} honest far below abs_tol
-        if err <= (q.rel_tol * abs(result) if real_case
-                   else q.tolerance_for(result)):
-            return make_result(result, err, evaluations, q)
-        prev = result
-    err = abs(result - prev)
-    raise NonConvergence("bessel_k cosh-route trapezoid did not converge",
-                         best=result, err_estimate=err)
+    # real order and argument: a positive integrand, so relative-only
+    # acceptance (as on the shifted contour) is reachable and keeps
+    # K_nu(z) ~ e^{-z} honest far below abs_tol
+    return _halving_trapezoid(f, True, real_case, q, "cosh-route")
 
 
 def bessel_k(nu: complex, z: float, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
@@ -235,10 +217,8 @@ def bessel_k_from_laplace(nu: complex, z: float,
         raise DomainError(f"needs z > 0, got {z!r}")
     half = 0.5 * z
     inner = laplace_pair_integral(nu, half, half, q)
-    return EvalResult(value=0.5 * inner.value,
-                      err_estimate=0.5 * inner.err_estimate,
-                      evaluations=inner.evaluations,
-                      converged=inner.converged)
+    return replace(inner, value=0.5 * inner.value,
+                   err_estimate=0.5 * inner.err_estimate)
 
 
 def symmetry_residual(nu: complex, z: float,

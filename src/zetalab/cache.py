@@ -2,8 +2,8 @@
 
 The key hashes everything that determines a value: selector, parameters,
 quadrature settings, and the package version.  Entries are whole JSON
-records written atomically (temp file + rename), so concurrent runners
-either see a complete entry or none at all.
+records written atomically (temp file + rename), so processes sharing a
+cache directory either see a complete entry or none at all.
 """
 
 from __future__ import annotations
@@ -12,14 +12,11 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
 
 from . import __version__
 from .records import dumps_record, loads_record
 
 ENV_CACHE_DIR = "ZETALAB_CACHE_DIR"
-
-_LOCK = threading.Lock()
 
 
 def cache_key(selector: str, params: dict, quadrature: dict) -> str:
@@ -42,8 +39,8 @@ def get_or_compute(cache_dir: str | None, key: str, compute) -> dict:
     """Return the cached record for key, computing and storing on miss.
 
     Without a cache directory this is just compute().  Writes go through a
-    temp file in the same directory followed by os.replace, and a process
-    lock keeps sibling threads from duplicating work on the same key.
+    temp file in the same directory followed by os.replace, so two processes
+    missing on one key both compute it and the last rename wins.
     """
     if cache_dir is None:
         return compute()
@@ -51,24 +48,20 @@ def get_or_compute(cache_dir: str | None, key: str, compute) -> dict:
     cached = _read(path)
     if cached is not None:
         return cached
-    with _LOCK:
-        cached = _read(path)
-        if cached is not None:
-            return cached
-        record = compute()
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    record = compute()
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(dumps_record(record))
+        os.replace(tmp, path)
+    except BaseException:
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(dumps_record(record))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return record
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return record
 
 
 def _read(path: str) -> dict | None:

@@ -13,7 +13,6 @@ import dataclasses
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .bessel import bessel_k
@@ -58,7 +57,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", default=None,
                         help="overrides ZETALAB_CACHE_DIR")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for grid points")
+                        help="accepted and ignored; grid points run in order")
     return common
 
 
@@ -555,11 +554,7 @@ def _cmd_grid(args) -> int:
 
         return get_or_compute(cache_dir, key, compute)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_point, points))
-    else:
-        results = [run_point(p) for p in points]
+    results = [run_point(p) for p in points]
 
     header = ["sigma", "t"] + (["lambda"] if with_lambda else []) + \
         ["value_re", "value_im", "err_estimate"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .bessel import bessel_k, bessel_k_complex_arg
+from .bessel import bessel_k_complex_arg
 from .cutoffs import TwoParam
 from .errors import DomainError
 from .gammafn import gamma_complex, power_real_base
@@ -53,11 +53,7 @@ def resolvent_rd_bessel(alpha: complex, r: float, d: complex,
     d = complex(d)
     nu = 0.5 * (d - 2.0)
     root = cmath.sqrt(2.0 * alpha)
-    z = root * r
-    if z.imag == 0.0 and nu.imag == 0.0:
-        k = bessel_k(nu, z.real, q)
-    else:
-        k = bessel_k_complex_arg(nu, z, q)
+    k = bessel_k_complex_arg(nu, root * r, q)
     scale = 2.0 * power_real_base(2.0 * math.pi, -nu) * cmath.exp(
         nu * cmath.log(root / r))
     return make_result(scale * k.value, abs(scale) * k.err_estimate,

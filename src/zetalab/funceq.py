@@ -69,11 +69,7 @@ def _half_integral_two_param(nu: complex, lam1: complex, lam2: complex,
     """
     nu = complex(nu)
     l1, l2 = complex(lam1), complex(lam2)
-    root = 2.0 * cmath.sqrt(l1 * l2)
-    if root.imag == 0.0 and nu.imag == 0.0:
-        k = bessel_k(nu, root.real, q).value
-    else:
-        k = bessel_k_complex_arg(nu, root, q).value
+    k = bessel_k_complex_arg(nu, 2.0 * cmath.sqrt(l1 * l2), q).value
     ratio = cmath.exp(0.5 * nu * cmath.log(l2 / l1))
     return 0.5 * k * (ratio + 1.0 / ratio)
 
@@ -113,14 +109,10 @@ def _verify_exp_symmetric(s: complex, lam: complex, q: QuadratureSpec) -> tuple:
     if not lamc.real > 0.0:
         raise DomainError(f"exp-symmetric verify needs Re lam > 0, got {lam!r}")
     z = 2.0 * lamc
-
-    def kterm(nu: complex) -> complex:
-        if z.imag == 0.0 and complex(nu).imag == 0.0:
-            return bessel_k(nu, z.real, q).value
-        return bessel_k_complex_arg(nu, z, q).value
-
-    lhs = _completed_exp(1.0 - s, lamc, q)[0].value + kterm(0.5 * (1.0 - s))
-    rhs = _completed_exp(s, lamc, q)[0].value + kterm(0.5 * s)
+    lhs = (_completed_exp(1.0 - s, lamc, q)[0].value
+           + bessel_k_complex_arg(0.5 * (1.0 - s), z, q).value)
+    rhs = (_completed_exp(s, lamc, q)[0].value
+           + bessel_k_complex_arg(0.5 * s, z, q).value)
     return lhs, rhs
 
 

@@ -45,51 +45,41 @@ _TANH_SINH_CACHE: dict[int, list[tuple[float, float]]] = {}
 _EXP_SINH_CACHE: dict[int, list[tuple[float, float, float]]] = {}
 
 
-def _tanh_sinh_level(level: int) -> list[tuple[float, float]]:
-    """Positive-t nodes new at `level` (odd multiples of h, except level 0)."""
+def _level_nodes(cache: dict, level: int, u_cap: float, node) -> list[tuple]:
+    """Positive-t nodes new at `level` (odd multiples of h, except level 0).
+
+    node(t, u) turns t and u = (pi/2)sinh(t) into the row the transform
+    stores; the table stops at t = 7 or where u passes u_cap.
+    """
     try:
-        return _TANH_SINH_CACHE[level]
+        return cache[level]
     except KeyError:
         pass
     h = 0.5 ** level
-    ks = range(1, int(7.0 / h) + 1) if level == 0 else range(1, int(7.0 / h) + 1, 2)
     nodes = []
-    for k in ks:
+    for k in range(1, int(7.0 / h) + 1, 1 if level == 0 else 2):
         t = k * h
         u = 0.5 * math.pi * math.sinh(t)
-        if u > _U_CAP_TS:
+        if u > u_cap:
             break
-        e2u = math.exp(2.0 * u)
-        sm = 2.0 / (e2u + 1.0)
-        # sech^2(u) = 4 e^{2u} / (e^{2u}+1)^2 == sm * (1 - sm/2) * 2 ... just
-        # compute it from e2u directly to stay stable for large u.
-        sech2 = 4.0 * e2u / ((e2u + 1.0) * (e2u + 1.0))
-        w = 0.5 * math.pi * math.cosh(t) * sech2
-        if w == 0.0 and sm == 0.0:
-            break
-        nodes.append((sm, w))
-    _TANH_SINH_CACHE[level] = nodes
+        nodes.append(node(t, u))
+    cache[level] = nodes
     return nodes
 
 
-def _exp_sinh_level(level: int) -> list[tuple[float, float, float]]:
-    try:
-        return _EXP_SINH_CACHE[level]
-    except KeyError:
-        pass
-    h = 0.5 ** level
-    ks = range(1, int(7.0 / h) + 1) if level == 0 else range(1, int(7.0 / h) + 1, 2)
-    nodes = []
-    for k in ks:
-        t = k * h
-        u = 0.5 * math.pi * math.sinh(t)
-        if u > _U_CAP_ES:
-            break
-        x = math.exp(u)
-        c = 0.5 * math.pi * math.cosh(t)
-        nodes.append((x, c * x, c / x))
-    _EXP_SINH_CACHE[level] = nodes
-    return nodes
+def _tanh_sinh_node(t: float, u: float) -> tuple[float, float]:
+    e2u = math.exp(2.0 * u)
+    sm = 2.0 / (e2u + 1.0)
+    # sech^2(u) = 4 e^{2u} / (e^{2u}+1)^2 == sm * (1 - sm/2) * 2 ... just
+    # compute it from e2u directly to stay stable for large u.
+    sech2 = 4.0 * e2u / ((e2u + 1.0) * (e2u + 1.0))
+    return sm, 0.5 * math.pi * math.cosh(t) * sech2
+
+
+def _exp_sinh_node(t: float, u: float) -> tuple[float, float, float]:
+    x = math.exp(u)
+    c = 0.5 * math.pi * math.cosh(t)
+    return x, c * x, c / x
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +117,11 @@ def integrate(f: Callable[[float], complex], domain: tuple[float, float],
 
 def _integrate_finite(f, a: float, b: float, q: QuadratureSpec) -> EvalResult:
     half = 0.5 * (b - a)
-    evaluations = 0
 
-    # center node t = 0: x = midpoint, weight (pi/2)
-    mid = a + half
-    fx = _check(f(mid), mid)
-    evaluations += 1
-    raw = fx * (0.5 * math.pi)
-
-    prev = None
-    result = 0j
-    for level in range(q.max_levels + 1):
-        for sm, w in _tanh_sinh_level(level):
+    def add_level(raw, level):
+        evaluations = 0
+        for sm, w in _level_nodes(_TANH_SINH_CACHE, level, _U_CAP_TS,
+                                  _tanh_sinh_node):
             d = half * sm  # distance to either endpoint
             if d == 0.0:
                 continue
@@ -147,33 +130,16 @@ def _integrate_finite(f, a: float, b: float, q: QuadratureSpec) -> EvalResult:
                 evaluations += 1
                 if fx != 0:
                     raw += _check(fx, x) * w
-        h = 0.5 ** level
-        result = raw * h * half
-        # comparing successive levels only from level 2 on guards against a
-        # coincidentally tiny first increment being mistaken for convergence
-        if prev is not None and level >= 2:
-            err = abs(result - prev)
-            if err <= q.tolerance_for(result):
-                return make_result(result, err, evaluations, q)
-        prev = result
-    err = abs(result - prev) if prev is not None else abs(result)
-    raise NonConvergence(
-        f"tanh-sinh failed to reach tolerance after {q.max_levels} levels "
-        f"(last increment {err:.3e})", best=result, err_estimate=err)
+        return raw, evaluations
+
+    return _de_levels(f, a + half, add_level, half, q, "tanh-sinh")
 
 
 def _integrate_half_line(f, a: float, q: QuadratureSpec) -> EvalResult:
-    evaluations = 0
-
-    x0 = a + 1.0
-    fx = _check(f(x0), x0)
-    evaluations += 1
-    raw = fx * (0.5 * math.pi)
-
-    prev = None
-    result = 0j
-    for level in range(q.max_levels + 1):
-        for x, wp, wm in _exp_sinh_level(level):
+    def add_level(raw, level):
+        evaluations = 0
+        for x, wp, wm in _level_nodes(_EXP_SINH_CACHE, level, _U_CAP_ES,
+                                      _exp_sinh_node):
             xp = a + x
             fx = f(xp)
             evaluations += 1
@@ -184,14 +150,35 @@ def _integrate_half_line(f, a: float, q: QuadratureSpec) -> EvalResult:
             evaluations += 1
             if fx != 0:
                 raw += _check(fx, xm) * wm
-        h = 0.5 ** level
-        result = raw * h
-        if prev is not None and level >= 2:
+        return raw, evaluations
+
+    return _de_levels(f, a + 1.0, add_level, 1.0, q, "exp-sinh")
+
+
+def _de_levels(f, x0: float, add_level, scale: float, q: QuadratureSpec,
+               name: str) -> EvalResult:
+    """The level loop both transforms share.
+
+    x0 is the centre node (t = 0, weight pi/2); add_level(raw, level) adds
+    the nodes new at `level` to the raw sum and returns it with the number
+    of evaluations spent.  The level's estimate is raw * h * scale.
+    """
+    raw = _check(f(x0), x0) * (0.5 * math.pi)
+    evaluations = 1
+
+    prev = None
+    for level in range(q.max_levels + 1):
+        raw, spent = add_level(raw, level)
+        evaluations += spent
+        result = raw * (0.5 ** level * scale)
+        if prev is not None:
             err = abs(result - prev)
-            if err <= q.tolerance_for(result):
+            # comparing successive levels only from level 2 on guards against
+            # a coincidentally tiny first increment being mistaken for
+            # convergence
+            if level >= 2 and err <= q.tolerance_for(result):
                 return make_result(result, err, evaluations, q)
         prev = result
-    err = abs(result - prev) if prev is not None else abs(result)
     raise NonConvergence(
-        f"exp-sinh failed to reach tolerance after {q.max_levels} levels "
+        f"{name} failed to reach tolerance after {q.max_levels} levels "
         f"(last increment {err:.3e})", best=result, err_estimate=err)

@@ -95,13 +95,10 @@ def _completed_series(s: complex, lam: complex, q: QuadratureSpec) -> EvalResult
     for n in range(1, q.max_terms + 1):
         shifted = lamc + (n * n) * math.pi
         if real_case:
-            z = 2.0 * math.sqrt(lamc.real * shifted.real)
             coef = 2.0 * power_real_base(lamc.real / shifted.real, 0.25 * s)
-            k = bessel_k(nu, z, q)
         else:
-            z = 2.0 * cmath.sqrt(lamc * shifted)
             coef = 2.0 * cmath.exp(0.25 * s * cmath.log(lamc / shifted))
-            k = bessel_k_complex_arg(nu, z, q)
+        k = bessel_k_complex_arg(nu, 2.0 * cmath.sqrt(lamc * shifted), q)
         term = coef * k.value
         total += term
         err += abs(coef) * k.err_estimate
@@ -286,32 +283,36 @@ def zeta_exp_bessel_series(s: complex, lam: complex,
                         representation="bessel-series")
 
 
-def boundary_i1(s: complex, lam, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
-    """(1/2) int_0^1 e^{-lam(x+1/x)} x^((s-3)/2) dx."""
-    s = complex(s)
-    lam_r = _require_positive_real(lam, "boundary_i1")
+def _damped_edge(lam_r: float, weight: float, p: complex,
+                 p_minus: complex | None = None):
+    """The (0,1) edge integrand x -> weight e^{-lam_r (x + 1/x)} x^p.
 
+    With p_minus given, x^p becomes x^p - x^p_minus (both edge terms).
+    """
     def f(x: float) -> complex:
         damp = lam_r * (x + 1.0 / x)
         if damp > 745.0:
             return 0.0
-        return 0.5 * math.exp(-damp) * power_real_base(x, 0.5 * (s - 3.0))
+        power = power_real_base(x, p)
+        if p_minus is not None:
+            power = power - power_real_base(x, p_minus)
+        return weight * math.exp(-damp) * power
 
-    return integrate(f, (0.0, 1.0), q)
+    return f
+
+
+def boundary_i1(s: complex, lam, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
+    """(1/2) int_0^1 e^{-lam(x+1/x)} x^((s-3)/2) dx."""
+    s = complex(s)
+    lam_r = _require_positive_real(lam, "boundary_i1")
+    return integrate(_damped_edge(lam_r, 0.5, 0.5 * (s - 3.0)), (0.0, 1.0), q)
 
 
 def boundary_i2(s: complex, lam, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     """-(1/2) int_0^1 e^{-lam(x+1/x)} x^((s-2)/2) dx."""
     s = complex(s)
     lam_r = _require_positive_real(lam, "boundary_i2")
-
-    def f(x: float) -> complex:
-        damp = lam_r * (x + 1.0 / x)
-        if damp > 745.0:
-            return 0.0
-        return -0.5 * math.exp(-damp) * power_real_base(x, 0.5 * (s - 2.0))
-
-    return integrate(f, (0.0, 1.0), q)
+    return integrate(_damped_edge(lam_r, -0.5, 0.5 * (s - 2.0)), (0.0, 1.0), q)
 
 
 def zeta_exp_boundary_form(s: complex, lam,
@@ -319,18 +320,12 @@ def zeta_exp_boundary_form(s: complex, lam,
     """Boundary form of completed(s; lam): two (0,1) integrals plus S(s) + S(1-s).
 
     The split makes the s <-> 1-s symmetry visible term by term, which is
-    exactly what makes it a useful independent route.
+    exactly what makes it a useful independent route.  As for the ray
+    quadrature, the result is converged only when every piece is.
     """
     s = complex(s)
     lam_r = _require_positive_real(lam, "zeta_exp_boundary_form")
-
-    def edge(x: float) -> complex:
-        damp = lam_r * (x + 1.0 / x)
-        if damp > 745.0:
-            return 0.0
-        w = math.exp(-damp)
-        return 0.5 * w * (power_real_base(x, 0.5 * (s - 3.0))
-                          - power_real_base(x, 0.5 * (s - 2.0)))
+    edge = _damped_edge(lam_r, 0.5, 0.5 * (s - 3.0), 0.5 * (s - 2.0))
 
     def bulk(x: float) -> complex:
         damp = lam_r * (x + 1.0 / x)
@@ -352,6 +347,8 @@ def zeta_exp_boundary_form(s: complex, lam,
     evals = (p_edge.evaluations + p_bulk.evaluations
              + s_here.evaluations + s_mirror.evaluations)
     completed = make_result(value, err, evals, q)
+    if not all(p.converged for p in (p_edge, p_bulk, s_here, s_mirror)):
+        completed = replace(completed, converged=False)
     return RegZetaValue(s=s, completed=completed,
                         bare=_bare_from_completed(s, completed.value),
                         representation="boundary-form")

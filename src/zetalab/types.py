@@ -1,7 +1,6 @@
 """Core value types: quadrature configuration, evaluation results, brackets.
 
-Everything here is immutable; computations never mutate shared state, which
-is what lets grid runs parallelize without locks.
+Everything here is immutable; computations never mutate shared state.
 """
 
 from __future__ import annotations

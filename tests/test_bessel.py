@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import besselk_ref
 from zetalab.bessel import (
     bessel_k,
     bessel_k_complex_arg,
@@ -41,6 +42,20 @@ def test_real_order_keeps_relative_accuracy_far_below_abs_tol(nu, z, ref):
     r = bessel_k(nu, z)
     assert r.converged
     assert abs(r.value - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("fn, nu, z, evaluations", [
+    (bessel_k, 0.3, 1.0, 45),            # real order: cosh route, relative test
+    (bessel_k, 0.25 + 15.0j, 1.0, 815),  # shifted contour
+    (bessel_k, 0.25 - 15.0j, 1.0, 815),  # shifted contour through the conjugate
+    (bessel_k_complex_arg, 0.7, 1.5 + 0.8j, 78),
+])
+def test_cost_pinned(fn, nu, z, evaluations):
+    r = fn(nu, z)
+    ref = besselk_ref(nu, z)
+    assert r.converged
+    assert r.evaluations == evaluations
+    assert abs(r.value - ref) <= 1e-13 * abs(ref)
 
 
 def test_complex_argument_route():
@@ -108,3 +123,12 @@ def test_nonconvergence_carries_best():
     with pytest.raises(NonConvergence) as exc:
         bessel_k(0.5, 2.0, q)
     assert exc.value.best == pytest.approx(0.11993777196806145, rel=1e-3)
+
+
+@pytest.mark.parametrize("nu", [0.5, 0.3 + 15.0j])
+def test_nonconvergence_reports_last_increment(nu):
+    # cosh route and shifted contour: one halving is not enough, and the
+    # error carries the change it made
+    with pytest.raises(NonConvergence) as exc:
+        bessel_k(nu, 2.0, QuadratureSpec(max_levels=1))
+    assert exc.value.err_estimate > 0.0

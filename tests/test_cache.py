@@ -1,8 +1,12 @@
 """Content-addressed cache: keying, hit/miss behavior, resolution order."""
 
+import math
 import os
 
+import pytest
+
 from zetalab.cache import cache_key, get_or_compute, resolve_cache_dir
+from zetalab.errors import DomainError
 
 
 def test_key_is_stable_and_sensitive():
@@ -55,6 +59,16 @@ def test_corrupt_entry_is_recomputed(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{ not json")
     assert get_or_compute(d, key, lambda: {"ok": True}) == {"ok": True}
+
+
+def test_unserializable_record_leaves_nothing_behind(tmp_path):
+    # dumps_record rejects NaN after the temp file exists; the write must
+    # remove it and store no entry
+    d = str(tmp_path / "cache")
+    key = cache_key("eval:nan", {}, {})
+    with pytest.raises(DomainError):
+        get_or_compute(d, key, lambda: {"value": math.nan})
+    assert os.listdir(d) == []
 
 
 def test_resolve_cache_dir(monkeypatch):

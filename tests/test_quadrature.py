@@ -6,7 +6,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import besselk_ref
 from zetalab.errors import DomainError, NonConvergence, NonFiniteIntegrand
+from zetalab.gammafn import power_real_base
 from zetalab.quadrature import integrate
 from zetalab.types import QuadratureSpec
 
@@ -131,6 +133,37 @@ def test_nonconvergence_carries_best_value():
     # the partial answer is still in the right neighborhood
     assert exc.value.best is not None
     assert abs(exc.value.best - 1.0) < 0.1
+
+
+def test_finite_nonconvergence_carries_best_value():
+    q = QuadratureSpec(max_levels=1)
+    with pytest.raises(NonConvergence) as exc:
+        integrate(lambda x: math.exp(-x), (0.0, 1.0), q)
+    assert exc.value.best is not None
+    assert abs(exc.value.best - (1.0 - math.exp(-1.0))) < 0.1
+    # the last increment, not 0: here it bounds the error of the best value
+    assert exc.value.err_estimate >= abs(exc.value.best - (1.0 - math.exp(-1.0))) > 0.0
+
+
+def test_cost_pinned_finite():
+    # int_0^1 e^{-x} x^{-1/2} dx = sqrt(pi) erf(1); the count pins the
+    # tanh-sinh node schedule and the level at which it accepts
+    r = integrate(lambda x: math.exp(-x) / math.sqrt(x), (0.0, 1.0))
+    assert r.converged
+    assert r.evaluations == 195
+    assert abs(r.value - math.sqrt(math.pi) * math.erf(1.0)) <= 1e-14
+
+
+def test_cost_pinned_half_line():
+    # Laplace pair: int_0^inf x^{nu-1} e^{-b/x - g x} dx
+    #   = 2 (b/g)^{nu/2} K_nu(2 sqrt(b g)), referee from mpmath
+    nu, b, g = 0.3 + 0.5j, 0.7, 1.3
+    r = integrate(lambda x: power_real_base(x, nu - 1.0) * math.exp(-b / x - g * x),
+                  (0.0, math.inf))
+    ref = 2.0 * (b / g) ** (nu / 2.0) * besselk_ref(nu, 2.0 * math.sqrt(b * g))
+    assert r.converged
+    assert r.evaluations == 433
+    assert abs(r.value - ref) <= 1e-13 * abs(ref)
 
 
 def test_tolerance_respected_loose():

@@ -364,3 +364,15 @@ def test_quadrature_converged_when_every_piece_is():
     assert abs(routed.completed.value - ref) <= 1e-13 * abs(ref)
     assert routed.completed.err_estimate > QuadratureSpec().abs_tol
     assert routed.completed.converged
+
+
+def test_boundary_form_not_converged_when_a_piece_is_not():
+    # at Im s = 150 both series pieces report converged=False and the (0,1)
+    # integrals lose e^{pi |t| / 4} to cancellation: the returned
+    # 2.6e-18 - 1.0e-17i is nowhere near the fixture's -2.04e-51
+    row = next(r for r in HIGH_T_FIXTURE["completed"] if r["lam"] == 1.0)
+    s = complex(row["s_re"], row["s_im"])
+    ref = complex(row["completed_re"], row["completed_im"])
+    r = zeta_exp_boundary_form(s, row["lam"])
+    assert abs(r.completed.value - ref) > abs(ref)
+    assert r.completed.converged is False
