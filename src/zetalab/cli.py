@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import sys
 import time
@@ -133,28 +134,25 @@ def _point_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _quad_from(args) -> QuadratureSpec:
-    q = DEFAULT_QUAD
-    changes = {}
-    if args.abs_tol is not None:
-        changes["abs_tol"] = args.abs_tol
-    if args.rel_tol is not None:
-        changes["rel_tol"] = args.rel_tol
-    if args.max_terms is not None:
-        changes["max_terms"] = args.max_terms
-    return dataclasses.replace(q, **changes) if changes else q
+    changes = {name: value for name in ("abs_tol", "rel_tol", "max_terms")
+               if (value := getattr(args, name)) is not None}
+    return dataclasses.replace(DEFAULT_QUAD, **changes) if changes else DEFAULT_QUAD
 
 
-def _quad_obj(q: QuadratureSpec) -> dict:
-    return {"abs_tol": q.abs_tol, "rel_tol": q.rel_tol,
-            "series_tail_tol": q.series_tail_tol,
-            "max_levels": q.max_levels, "max_terms": q.max_terms}
+def _reader(ns, parsed: bool = False):
+    """get(name, parse[, default]): the value of flag --name in namespace ns.
 
-
-def _need(args, name: str, parse, flag: str | None = None):
-    raw = getattr(args, name)
-    if raw is None:
-        raise DomainError(f"--{flag or name} is required for this selector")
-    return parse(raw)
+    An absent flag gives the default, or a DomainError when there is none.
+    With parsed=True the namespace holds values that are parsed already.
+    """
+    def get(name: str, parse, *default):
+        raw = getattr(ns, "lam" if name == "lambda" else name)
+        if raw is None:
+            if default:
+                return default[0]
+            raise DomainError(f"--{name} is required for this selector")
+        return raw if parsed else parse(raw)
+    return get
 
 
 def _float(text) -> float:
@@ -164,12 +162,19 @@ def _float(text) -> float:
     return z.real
 
 
+def _list_parts(text) -> list[str]:
+    parts = [part for part in str(text).split(",") if part != ""]
+    if not parts:
+        raise DomainError(f"expected at least one value, got {text!r}")
+    return parts
+
+
 def _float_list(text: str) -> list[float]:
-    return [_float(part) for part in str(text).split(",") if part != ""]
+    return [_float(part) for part in _list_parts(text)]
 
 
 def _complex_list(text: str) -> list[complex]:
-    return [parse_complex(part) for part in str(text).split(",") if part != ""]
+    return [parse_complex(part) for part in _list_parts(text)]
 
 
 def _axis(text: str) -> list[float]:
@@ -187,164 +192,19 @@ def _axis(text: str) -> list[float]:
     return _float_list(text)
 
 
-# ---------------------------------------------------------------------------
-# eval
-# ---------------------------------------------------------------------------
-
-
-def _build_cutoff(args, default_kind: str | None = None) -> CutoffSpec:
-    kind = args.cutoff or default_kind or "none"
-    if kind == "none":
-        return NoCutoff()
-    if kind == "exp":
-        return ExpSymmetric(lam=_need(args, "lam", parse_complex, "lambda"))
-    if kind == "exp-alpha":
-        return ExpAlpha(lam=_need(args, "lam", _float, "lambda"),
-                        alpha=_need(args, "alpha", _float))
-    if kind == "two-param":
-        return TwoParam(lam1=_need(args, "lambda1", parse_complex),
-                        lam2=_need(args, "lambda2", parse_complex))
-    if kind == "two-param-nu":
-        return TwoParamNu(lam1=_need(args, "lambda1", parse_complex),
-                          lam2=_need(args, "lambda2", parse_complex),
-                          nu=_need(args, "nu", _float))
-    raise DomainError(f"unknown cutoff kind {kind!r} for evaluation")
-
-
-def _eval_zeta(args, q):
-    s = _need(args, "s", parse_complex)
-    return zeta_analytic(s, q), {"s": s}
-
-
-def _eval_zeta_reg(args, q):
-    s = _need(args, "s", parse_complex)
-    cutoff = _build_cutoff(args, default_kind="exp" if args.lam else "none")
-    rz = zeta_regularized(s, cutoff, q)
-    res = EvalResult(value=rz.bare,
-                     err_estimate=rz.completed.err_estimate,
-                     evaluations=rz.completed.evaluations,
-                     converged=rz.completed.converged)
-    return res, {"s": s, "cutoff": cutoff.kind_name,
-                 "representation": rz.representation}
-
-
-def _eval_bessel_k(args, q):
-    nu = _need(args, "nu", parse_complex)
-    z = _need(args, "z", _float)
-    return bessel_k(nu, z, q), {"nu": nu, "z": z}
-
-
-def _eval_theta(args, q):
-    v = _need(args, "v", _float)
-    return big_theta(v, q), {"v": v}
-
-
-def _eval_theta3(args, q):
-    z = _need(args, "z", parse_complex)
-    nome = _need(args, "nome", parse_complex)
-    return jacobi_theta3(z, nome, q), {"z": z, "nome": nome}
-
-
-def _eval_psi(args, q):
-    x = _need(args, "x", _float)
-    return psi(x, q), {"x": x}
-
-
-def _eval_smooth_f(args, q):
-    s = _need(args, "s", parse_complex)
-    lam = parse_complex(args.lam) if args.lam is not None else 0.0
-    return smooth_F(s, lam, q), {"s": s, "lambda": lam}
-
-
-def _eval_hardy_z(args, q):
-    t = _need(args, "t", _float)
-    return hardy_z(t, q), {"t": t}
-
-
-def _eval_xi(args, q):
-    s = _need(args, "s", parse_complex)
-    return xi_entire(s, q), {"s": s}
-
-
-def _eval_xi_lambda(args, q):
-    s = _need(args, "s", parse_complex)
-    lam = _need(args, "lam", _float, "lambda")
-    return xi_lambda(s, lam, q), {"s": s, "lambda": lam}
-
-
-def _eval_omega(args, q):
-    s = _need(args, "s", parse_complex)
-    lam = _need(args, "lam", _float, "lambda")
-    return omega(s, lam, q), {"s": s, "lambda": lam}
-
-
-def _eval_heat_kernel(args, q):
-    t = _need(args, "t", _float)
-    r = _need(args, "r", _float)
-    d = _need(args, "d", _float)
-    val = heat_kernel_rd(t, r, d)
-    return (EvalResult(value=complex(val), err_estimate=0.0, evaluations=0,
-                       converged=True), {"t": t, "r": r, "d": d})
-
-
-def _eval_heat_kernel_h3(args, q):
-    t = _need(args, "t", _float)
-    rho = _need(args, "rho", _float)
-    val = heat_kernel_h3(t, rho)
-    return (EvalResult(value=complex(val), err_estimate=0.0, evaluations=0,
-                       converged=True), {"t": t, "rho": rho})
-
-
-def _eval_heat_kernel_hd(args, q):
-    t = _need(args, "t", _float)
-    rho = _need(args, "rho", _float)
-    d = _need(args, "d", _float)
-    if d != int(d):
-        raise DomainError("--d must be an odd integer >= 3 here")
-    val = heat_kernel_hyperbolic_odd(t, rho, int(d))
-    return (EvalResult(value=complex(val), err_estimate=0.0, evaluations=0,
-                       converged=True), {"t": t, "rho": rho, "d": d})
-
-
-def _eval_resolvent(args, q):
-    alpha = _need(args, "alpha", parse_complex)
-    r = _need(args, "r", _float)
-    d = _need(args, "d", parse_complex)
-    return resolvent_rd_bessel(alpha, r, d, q), {"alpha": alpha, "r": r, "d": d}
-
-
-def _eval_resolvent_quad(args, q):
-    alpha = _need(args, "alpha", parse_complex)
-    r = _need(args, "r", _float)
-    d = _need(args, "d", _float)
-    return resolvent_rd_quad(alpha, r, d, q), {"alpha": alpha, "r": r, "d": d}
-
-
-def _eval_laplace_h3(args, q):
-    alpha = _need(args, "alpha", parse_complex)
-    rho = _need(args, "rho", _float)
-    return laplace_hyperbolic(alpha, rho, q), {"alpha": alpha, "rho": rho}
-
-
-_EVAL_FNS = {
-    "zeta": _eval_zeta,
-    "zeta-reg": _eval_zeta_reg,
-    "bessel-k": _eval_bessel_k,
-    "theta": _eval_theta,
-    "theta3": _eval_theta3,
-    "psi": _eval_psi,
-    "smooth-f": _eval_smooth_f,
-    "hardy-z": _eval_hardy_z,
-    "xi": _eval_xi,
-    "xi-lambda": _eval_xi_lambda,
-    "omega": _eval_omega,
-    "heat-kernel": _eval_heat_kernel,
-    "heat-kernel-h3": _eval_heat_kernel_h3,
-    "heat-kernel-hd": _eval_heat_kernel_hd,
-    "resolvent": _eval_resolvent,
-    "resolvent-quad": _eval_resolvent_quad,
-    "laplace-h3": _eval_laplace_h3,
-}
+def _emit(args, q: QuadratureSpec, header: list[str], rows: list[list],
+          doc: dict, **meta) -> None:
+    """Write rows as CSV or doc plus its meta block as JSON, per --format."""
+    if args.format == "csv":
+        text = csv_text(header, rows)
+    else:
+        text = dumps_record({**doc, "meta": {
+            "version": __version__, "quadrature": dataclasses.asdict(q), **meta}})
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _echo(value):
@@ -353,26 +213,144 @@ def _echo(value):
     return value
 
 
+# ---------------------------------------------------------------------------
+# cutoffs
+# ---------------------------------------------------------------------------
+
+
+def _custom_h(name: str, lam: float):
+    """h(x) of the generic-h test cutoffs; both are *declared* symmetric."""
+    if name == "custom:log-symmetric":
+        def h(x: float) -> float:
+            u = math.log(x)
+            w = lam * u * u
+            return math.exp(-w) if w <= 745.0 else 0.0
+        return h
+    # deliberately weighted toward 1/x, so the verifier's spot-check is what
+    # must catch it
+    def h(x: float) -> float:
+        w = lam * (x + 2.0 / x)
+        return math.exp(-w) if w <= 745.0 else 0.0
+    return h
+
+
+_CUSTOM_CUTOFFS = ("custom:log-symmetric", "custom:asymmetric")
+
+
+def _cutoff_from(get, kind: str, lam: float | None = None) -> CutoffSpec:
+    """The cutoff named kind, its parameters read through get.
+
+    eval leaves lam to --lambda (complex for exp, real for exp-alpha) and may
+    name none; verify generic-h passes its real --lambda (default 1) as lam
+    and may name a custom: test cutoff.
+    """
+    if kind == "exp":
+        return ExpSymmetric(lam=get("lambda", parse_complex) if lam is None else lam)
+    if kind == "exp-alpha":
+        return ExpAlpha(lam=get("lambda", _float) if lam is None else lam,
+                        alpha=get("alpha", _float))
+    if kind in ("two-param", "two-param-nu"):
+        lam1, lam2 = get("lambda1", parse_complex), get("lambda2", parse_complex)
+        if kind == "two-param":
+            return TwoParam(lam1=lam1, lam2=lam2)
+        return TwoParamNu(lam1=lam1, lam2=lam2, nu=get("nu", _float))
+    if kind == "none" and lam is None:
+        return NoCutoff()
+    if kind in _CUSTOM_CUTOFFS and lam is not None:
+        return CustomCutoff(fn=_custom_h(kind, lam), declared_symmetric=True,
+                            label=kind)
+    raise DomainError(f"unknown cutoff {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# eval
+# ---------------------------------------------------------------------------
+
+
+def _zeta_reg(get, q, s):
+    kind = get("cutoff", str, None) or ("exp" if get("lambda", str, None)
+                                        else "none")
+    cutoff = _cutoff_from(get, kind)
+    rz = zeta_regularized(s, cutoff, q)
+    res = EvalResult(value=rz.bare,
+                     err_estimate=rz.completed.err_estimate,
+                     evaluations=rz.completed.evaluations,
+                     converged=rz.completed.converged)
+    return res, {"cutoff": cutoff.kind_name, "representation": rz.representation}
+
+
+def _odd_order(d: float) -> int:
+    if d != int(d):
+        raise DomainError("--d must be an odd integer >= 3 here")
+    return int(d)
+
+
+_S = ("s", parse_complex)
+_LAMBDA = ("lambda", _float)
+
+# selector -> (inputs, call).  An input is (name, parser) or (name, parser,
+# default): flag --name, echoed under "input" as name.  call(get, q, *values)
+# gets the inputs in order and returns an EvalResult, a float (exact closed
+# forms), or (EvalResult, extra echo fields).  Calls name their library
+# function inside the lambda, so it is looked up when the call runs.
+_EVAL_FNS = {
+    "zeta": ((_S,), lambda _, q, s: zeta_analytic(s, q)),
+    "zeta-reg": ((_S,), _zeta_reg),
+    "bessel-k": ((("nu", parse_complex), ("z", _float)),
+                 lambda _, q, nu, z: bessel_k(nu, z, q)),
+    "theta": ((("v", _float),), lambda _, q, v: big_theta(v, q)),
+    "theta3": ((("z", parse_complex), ("nome", parse_complex)),
+               lambda _, q, z, nome: jacobi_theta3(z, nome, q)),
+    "psi": ((("x", _float),), lambda _, q, x: psi(x, q)),
+    "smooth-f": ((_S, ("lambda", parse_complex, 0.0)),
+                 lambda _, q, s, lam: smooth_F(s, lam, q)),
+    "hardy-z": ((("t", _float),), lambda _, q, t: hardy_z(t, q)),
+    "xi": ((_S,), lambda _, q, s: xi_entire(s, q)),
+    "xi-lambda": ((_S, _LAMBDA), lambda _, q, s, lam: xi_lambda(s, lam, q)),
+    "omega": ((_S, _LAMBDA), lambda _, q, s, lam: omega(s, lam, q)),
+    "heat-kernel": ((("t", _float), ("r", _float), ("d", _float)),
+                    lambda _, q, t, r, d: heat_kernel_rd(t, r, d)),
+    "heat-kernel-h3": ((("t", _float), ("rho", _float)),
+                       lambda _, q, t, rho: heat_kernel_h3(t, rho)),
+    "heat-kernel-hd": ((("t", _float), ("rho", _float), ("d", _float)),
+                       lambda _, q, t, rho, d: heat_kernel_hyperbolic_odd(
+                           t, rho, _odd_order(d))),
+    "resolvent": ((("alpha", parse_complex), ("r", _float), ("d", parse_complex)),
+                  lambda _, q, alpha, r, d: resolvent_rd_bessel(alpha, r, d, q)),
+    "resolvent-quad": ((("alpha", parse_complex), ("r", _float), ("d", _float)),
+                       lambda _, q, alpha, r, d: resolvent_rd_quad(alpha, r, d, q)),
+    "laplace-h3": ((("alpha", parse_complex), ("rho", _float)),
+                   lambda _, q, alpha, rho: laplace_hyperbolic(alpha, rho, q)),
+}
+
+
+def _evaluate(fn: str, get, q: QuadratureSpec) -> tuple[EvalResult, dict]:
+    """Read selector fn's inputs through get and call it: (result, echo)."""
+    inputs, call = _EVAL_FNS[fn]
+    values = {name: get(name, *spec) for name, *spec in inputs}
+    out = call(get, q, *values.values())
+    result, extra = out if isinstance(out, tuple) else (out, {})
+    if not isinstance(result, EvalResult):
+        result = EvalResult(value=complex(result), err_estimate=0.0,
+                            evaluations=0, converged=True)
+    return result, {**values, **extra}
+
+
 def _cmd_eval(args) -> int:
     q = _quad_from(args)
     t0 = time.perf_counter()
-    result, inputs = _EVAL_FNS[args.fn](args, q)
+    result, inputs = _evaluate(args.fn, _reader(args), q)
     wall_ms = (time.perf_counter() - t0) * 1e3
+    value = complex(result.value)
     record = {
         "input": {"fn": args.fn, **{k: _echo(v) for k, v in inputs.items()}},
-        "value": complex_to_obj(result.value),
+        "value": complex_to_obj(value),
         "err_estimate": result.err_estimate,
         "converged": result.converged,
-        "meta": {"version": __version__, "wall_ms": wall_ms,
-                 "quadrature": _quad_obj(q)},
     }
-    if args.format == "csv":
-        header = ["fn", "value_re", "value_im", "err_estimate", "converged"]
-        row = [args.fn, complex(result.value).real, complex(result.value).imag,
-               result.err_estimate, result.converged]
-        _write_out(args, csv_text(header, [row]))
-    else:
-        _write_out(args, dumps_record(record))
+    _emit(args, q, ["fn", "value_re", "value_im", "err_estimate", "converged"],
+          [[args.fn, value.real, value.imag, result.err_estimate,
+            result.converged]], record, wall_ms=wall_ms)
     return EXIT_OK
 
 
@@ -380,62 +358,34 @@ def _cmd_eval(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-
-def _named_custom(name: str, lam: float) -> CutoffSpec:
-    if name == "custom:log-symmetric":
-        def h(x: float, _l=lam) -> float:
-            u = math.log(x)
-            w = _l * u * u
-            return math.exp(-w) if w <= 745.0 else 0.0
-        return CustomCutoff(fn=h, declared_symmetric=True, label=name)
-    if name == "custom:asymmetric":
-        # deliberately weighted toward 1/x but still *declared* symmetric,
-        # so the verifier's spot-check is what must catch it
-        def h(x: float, _l=lam) -> float:
-            w = _l * (x + 2.0 / x)
-            return math.exp(-w) if w <= 745.0 else 0.0
-        return CustomCutoff(fn=h, declared_symmetric=True, label=name)
-    raise DomainError(f"unknown custom cutoff {name!r}")
+# kind -> its parameters, each (params key, flag, list parser); every
+# combination is checked, the first parameter outermost.  generic-h takes
+# one cutoff instead (_verify_param_sets).
+_VERIFY_PARAMS = {
+    "riemann-classic": (),
+    "exp-symmetric": (("lam", "lambda", _complex_list),),
+    "quarter-alpha-single-k": (("lam", "lambda", _float_list),),
+    "exp-alpha": (("lam", "lambda", _float_list),
+                  ("alpha", "alpha", _float_list)),
+    "two-param": (("lam1", "lambda1", _complex_list),
+                  ("lam2", "lambda2", _complex_list)),
+}
 
 
 def _verify_param_sets(args) -> list[dict]:
-    kind = FunctionalEqKind(args.kind)
-    if kind is FunctionalEqKind.RIEMANN_CLASSIC:
-        return [{}]
-    if kind is FunctionalEqKind.EXP_SYMMETRIC:
-        lams = _complex_list(_need(args, "lam", str, "lambda"))
-        return [{"lam": lam} for lam in lams]
-    if kind is FunctionalEqKind.QUARTER_ALPHA_SINGLE_K:
-        lams = _float_list(_need(args, "lam", str, "lambda"))
-        return [{"lam": lam} for lam in lams]
-    if kind is FunctionalEqKind.EXP_ALPHA:
-        lams = _float_list(_need(args, "lam", str, "lambda"))
-        alphas = _float_list(_need(args, "alpha", str))
-        return [{"lam": lam, "alpha": a} for lam in lams for a in alphas]
-    if kind is FunctionalEqKind.TWO_PARAM:
-        l1s = _complex_list(_need(args, "lambda1", str))
-        l2s = _complex_list(_need(args, "lambda2", str))
-        return [{"lam1": a, "lam2": b} for a in l1s for b in l2s]
-    # generic-h
-    name = _need(args, "cutoff", str)
-    lam = _float(args.lam) if args.lam is not None else 1.0
-    if name.startswith("custom:"):
-        return [{"cutoff": _named_custom(name, lam)}]
-    if name == "exp":
-        return [{"cutoff": ExpSymmetric(lam=lam)}]
-    if name == "exp-alpha":
-        return [{"cutoff": ExpAlpha(lam=lam, alpha=_need(args, "alpha", _float))}]
-    if name == "two-param":
-        return [{"cutoff": TwoParam(lam1=parse_complex(_need(args, "lambda1", str)),
-                                    lam2=parse_complex(_need(args, "lambda2", str)))}]
-    if name == "two-param-nu":
-        return [{"cutoff": TwoParamNu(lam1=parse_complex(_need(args, "lambda1", str)),
-                                      lam2=parse_complex(_need(args, "lambda2", str)),
-                                      nu=_need(args, "nu", _float))}]
-    raise DomainError(f"unknown cutoff {name!r} for generic-h")
+    get = _reader(args)
+    if args.kind == FunctionalEqKind.GENERIC_H.value:
+        name = get("cutoff", str)
+        return [{"cutoff": _cutoff_from(get, name, get("lambda", _float, 1.0))}]
+    params = _VERIFY_PARAMS[args.kind]
+    keys = [key for key, _, _ in params]
+    lists = [get(flag, parse) for _, flag, parse in params]
+    return [dict(zip(keys, combo)) for combo in itertools.product(*lists)]
 
 
 def _cmd_verify(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise DomainError(f"--threshold must be finite, got {args.threshold!r}")
     q = _quad_from(args)
     kind = FunctionalEqKind(args.kind)
     if args.s is not None:
@@ -457,18 +407,13 @@ def _cmd_verify(args) -> int:
                 "abs_residual": report.abs_residual,
                 "rel_residual": report.rel_residual,
             })
-    if args.format == "csv":
-        header = ["kind", "s_re", "s_im", "lhs_re", "lhs_im", "rhs_re",
-                  "rhs_im", "abs_residual", "rel_residual"]
-        rows = [[r["kind"], r["s"]["re"], r["s"]["im"], r["lhs"]["re"],
-                 r["lhs"]["im"], r["rhs"]["re"], r["rhs"]["im"],
-                 r["abs_residual"], r["rel_residual"]] for r in records]
-        _write_out(args, csv_text(header, rows))
-    else:
-        doc = {"records": records, "max_rel_residual": worst,
-               "threshold": args.threshold,
-               "meta": {"version": __version__, "quadrature": _quad_obj(q)}}
-        _write_out(args, dumps_record(doc))
+    header = ["kind", "s_re", "s_im", "lhs_re", "lhs_im", "rhs_re",
+              "rhs_im", "abs_residual", "rel_residual"]
+    rows = [[r["kind"], r["s"]["re"], r["s"]["im"], r["lhs"]["re"],
+             r["lhs"]["im"], r["rhs"]["re"], r["rhs"]["im"],
+             r["abs_residual"], r["rel_residual"]] for r in records]
+    _emit(args, q, header, rows, {"records": records, "max_rel_residual": worst,
+                                  "threshold": args.threshold})
     print(f"verify {kind.value}: {len(records)} checks, "
           f"max rel residual {worst:.3e}", file=sys.stderr)
     return EXIT_OK if worst < args.threshold else EXIT_NUMERIC
@@ -486,18 +431,11 @@ def _cmd_scan(args) -> int:
     t_lo, t_hi = _float(parts[0]), _float(parts[1])
     q = _quad_from(args)
     brackets = find_zeros(t_lo, t_hi, args.step, q)
-    rows = []
-    for b in brackets:
-        absz = abs(hardy_z(b.refined_t, q).value)
-        rows.append((b.t_lo, b.t_hi, b.refined_t, absz))
-    if args.format == "csv":
-        header = ["t_lo", "t_hi", "refined_t", "|Z(refined_t)|"]
-        _write_out(args, csv_text(header, [list(r) for r in rows]))
-    else:
-        doc = {"records": [{"t_lo": a, "t_hi": b, "refined_t": c, "abs_z": d}
-                           for a, b, c, d in rows],
-               "meta": {"version": __version__, "quadrature": _quad_obj(q)}}
-        _write_out(args, dumps_record(doc))
+    rows = [[b.t_lo, b.t_hi, b.refined_t, abs(hardy_z(b.refined_t, q).value)]
+            for b in brackets]
+    _emit(args, q, ["t_lo", "t_hi", "refined_t", "|Z(refined_t)|"], rows,
+          {"records": [{"t_lo": a, "t_hi": b, "refined_t": c, "abs_z": d}
+                       for a, b, c, d in rows]})
     print(f"scan [{t_lo}, {t_hi}] step {args.step}: {len(rows)} sign changes",
           file=sys.stderr)
     return EXIT_OK
@@ -507,25 +445,9 @@ def _cmd_scan(args) -> int:
 # grid
 # ---------------------------------------------------------------------------
 
+# eval selectors a grid can tabulate over s = sigma + i t and --lambda;
+# zeta-reg takes the exp-symmetric cutoff
 _GRID_FNS = ("zeta", "zeta-reg", "omega", "xi-lambda")
-
-
-def _grid_value(fn: str, sigma: float, t: float, lam: float | None,
-                q: QuadratureSpec) -> tuple[complex, float]:
-    s = complex(sigma, t)
-    if fn == "zeta":
-        r = zeta_analytic(s, q)
-        return r.value, r.err_estimate
-    if lam is None:
-        raise DomainError(f"--lambda is required for grid --fn {fn}")
-    if fn == "zeta-reg":
-        rz = zeta_regularized(s, ExpSymmetric(lam), q)
-        return rz.bare, rz.completed.err_estimate
-    if fn == "omega":
-        r = omega(s, lam, q)
-        return r.value, r.err_estimate
-    r = xi_lambda(s, lam, q)
-    return r.value, r.err_estimate
 
 
 def _cmd_grid(args) -> int:
@@ -537,7 +459,7 @@ def _cmd_grid(args) -> int:
     points = sorted((sig, t, lam if lam is not None else -math.inf)
                     for sig in sigmas for t in ts for lam in lams)
     cache_dir = resolve_cache_dir(args.cache_dir)
-    quad_obj = _quad_obj(q)
+    quad_obj = dataclasses.asdict(q)
 
     def run_point(point) -> dict:
         sigma, t, lam_key = point
@@ -548,42 +470,24 @@ def _cmd_grid(args) -> int:
         key = cache_key(args.fn, params, quad_obj)
 
         def compute() -> dict:
-            value, err = _grid_value(args.fn, sigma, t, lam, q)
-            return {**params, "value": complex_to_obj(value),
-                    "err_estimate": err}
+            values = argparse.Namespace(s=complex(sigma, t), lam=lam, cutoff="exp")
+            result, _ = _evaluate(args.fn, _reader(values, parsed=True), q)
+            return {**params, "value": complex_to_obj(result.value),
+                    "err_estimate": result.err_estimate}
 
         return get_or_compute(cache_dir, key, compute)
 
     results = [run_point(p) for p in points]
-
-    header = ["sigma", "t"] + (["lambda"] if with_lambda else []) + \
-        ["value_re", "value_im", "err_estimate"]
-    rows = []
-    for rec in results:
-        row = [rec["sigma"], rec["t"]]
-        if with_lambda:
-            row.append(rec["lambda"])
-        row.extend([rec["value"]["re"], rec["value"]["im"],
-                    rec["err_estimate"]])
-        rows.append(row)
-    if args.format == "csv":
-        _write_out(args, csv_text(header, rows))
-    else:
-        doc = {"records": results,
-               "meta": {"version": __version__, "quadrature": quad_obj}}
-        _write_out(args, dumps_record(doc))
+    lam_col = ["lambda"] if with_lambda else []
+    rows = [[rec["sigma"], rec["t"], *(rec[c] for c in lam_col),
+             rec["value"]["re"], rec["value"]["im"], rec["err_estimate"]]
+            for rec in results]
+    _emit(args, q, ["sigma", "t", *lam_col, "value_re", "value_im",
+                    "err_estimate"], rows, {"records": results})
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-
-
-def _write_out(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 _COMMANDS = {"eval": _cmd_eval, "verify": _cmd_verify, "scan": _cmd_scan,

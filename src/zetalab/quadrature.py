@@ -10,25 +10,28 @@ Node/weight tables are canonical (interval-independent) and cached per level;
 the mapping onto (a, b) happens at evaluation time. Nodes are generated so
 that the distance to the nearer endpoint is computed from exponentials
 directly — never as 1 - tanh(u) — which is what keeps integrands like
-t^{s/2-1} honest down to distances ~1e-290 from the endpoint.
+t^{s/2-1} honest down to distances ~1e-154 from the endpoint.
 
-The node tables stop at u = (pi/2)sinh(t) ~ 350 (tanh-sinh), which bounds the
-usable endpoint singularity: x^p needs the transformed tail e^{-2(1+p)u} to
-die before the cap, so p should stay above roughly -0.95. Everything this
-package integrates has p >= -1/2.
+The tanh-sinh table stops at u = (pi/2)sinh(t) ~ 177.4, where the weight's
+sech^2(u) underflows to 0; nodes beyond it would only cost evaluations. That
+bounds the usable endpoint singularity: x^p needs the transformed tail
+e^{-2(1+p)u} to die before the cap, so p should stay above roughly -0.9.
+Everything this package integrates has p >= -1/2.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 from .errors import DomainError, NonConvergence, NonFiniteIntegrand
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result
 
 # Caps on u = (pi/2)sinh(t) keep every exp() call inside double range:
-# tanh-sinh evaluates exp(2u), exp-sinh evaluates exp(u).
-_U_CAP_TS = 350.0
+# tanh-sinh evaluates exp(2u), exp-sinh evaluates exp(u).  Past its cap the
+# tanh-sinh weight 4e^{2u}/(e^{2u}+1)^2 overflows its denominator to 0.
+_U_CAP_TS = 0.25 * math.log(sys.float_info.max)
 _U_CAP_ES = 690.0
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,25 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from zetalab import cli
+from zetalab.bessel import bessel_k
 from zetalab.cli import main
 from zetalab.cutoffs import ExpSymmetric
-from zetalab.regularized import zeta_regularized
+from zetalab.diffusion import (heat_kernel_h3, heat_kernel_hyperbolic_odd,
+                               heat_kernel_rd, laplace_hyperbolic,
+                               resolvent_rd_bessel, resolvent_rd_quad)
+from zetalab.regularized import omega, smooth_F, xi_lambda, zeta_regularized
 from zetalab.records import dumps_record
+from zetalab.theta import big_theta, jacobi_theta3, psi
+from zetalab.types import EvalResult
+from zetalab.zeta_classic import hardy_z, xi_entire, zeta_analytic
 
 
 def run_cli(capsys, *argv):
@@ -294,3 +304,142 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _zeta_reg_ref():
+    rz = zeta_regularized(0.5 + 14j, ExpSymmetric(0.5 + 0j))
+    return rz.bare, rz.completed.err_estimate
+
+
+def _exact(value):
+    return complex(value), 0.0
+
+
+def _pair(r):
+    return r.value, r.err_estimate
+
+
+# selector -> (flags, echoed input keys besides fn, direct library call giving
+# (value, err_estimate)); the direct call takes the values as the CLI parses
+# them (complex where the table parses a complex)
+EVAL_CASES = {
+    "zeta": (["--s", "0.5+14.1i"], {"s"},
+             lambda: _pair(zeta_analytic(0.5 + 14.1j))),
+    "zeta-reg": (["--s", "0.5+14i", "--lambda", "0.5"],
+                 {"s", "cutoff", "representation"}, _zeta_reg_ref),
+    "bessel-k": (["--nu", "0.3+2i", "--z", "1"], {"nu", "z"},
+                 lambda: _pair(bessel_k(0.3 + 2j, 1.0))),
+    "theta": (["--v", "1.3"], {"v"}, lambda: _pair(big_theta(1.3))),
+    "theta3": (["--z", "0.2+0.1i", "--nome", "0.3"], {"z", "nome"},
+               lambda: _pair(jacobi_theta3(0.2 + 0.1j, 0.3 + 0j))),
+    "psi": (["--x", "0.7"], {"x"}, lambda: _pair(psi(0.7))),
+    "smooth-f": (["--s", "0.3+2i", "--lambda", "0.4"], {"s", "lambda"},
+                 lambda: _pair(smooth_F(0.3 + 2j, 0.4 + 0j))),
+    "hardy-z": (["--t", "20"], {"t"}, lambda: _pair(hardy_z(20.0))),
+    "xi": (["--s", "0.3+4i"], {"s"}, lambda: _pair(xi_entire(0.3 + 4j))),
+    "xi-lambda": (["--s", "0.3+4i", "--lambda", "0.6"], {"s", "lambda"},
+                  lambda: _pair(xi_lambda(0.3 + 4j, 0.6))),
+    "omega": (["--s", "0.3+4i", "--lambda", "0.6"], {"s", "lambda"},
+              lambda: _pair(omega(0.3 + 4j, 0.6))),
+    "heat-kernel": (["--t", "0.7", "--r", "1.1", "--d", "3"], {"t", "r", "d"},
+                    lambda: _exact(heat_kernel_rd(0.7, 1.1, 3.0))),
+    "heat-kernel-h3": (["--t", "0.7", "--rho", "1.1"], {"t", "rho"},
+                       lambda: _exact(heat_kernel_h3(0.7, 1.1))),
+    "heat-kernel-hd": (["--t", "0.7", "--rho", "1.1", "--d", "5"],
+                       {"t", "rho", "d"},
+                       lambda: _exact(heat_kernel_hyperbolic_odd(0.7, 1.1, 5))),
+    "resolvent": (["--alpha", "1.5+0.2i", "--r", "0.8", "--d", "3"],
+                  {"alpha", "r", "d"},
+                  lambda: _pair(resolvent_rd_bessel(1.5 + 0.2j, 0.8, 3 + 0j))),
+    "resolvent-quad": (["--alpha", "1.5+0.2i", "--r", "0.8", "--d", "3"],
+                       {"alpha", "r", "d"},
+                       lambda: _pair(resolvent_rd_quad(1.5 + 0.2j, 0.8, 3.0))),
+    "laplace-h3": (["--alpha", "1.5+0.2i", "--rho", "0.8"], {"alpha", "rho"},
+                   lambda: _pair(laplace_hyperbolic(1.5 + 0.2j, 0.8))),
+}
+
+
+def test_every_eval_selector_has_a_case():
+    assert set(EVAL_CASES) == set(cli._EVAL_FNS)
+
+
+@pytest.mark.parametrize("fn", sorted(cli._EVAL_FNS))
+def test_eval_selector_matches_its_library_call(capsys, fn):
+    flags, keys, direct = EVAL_CASES[fn]
+    code, out, _ = run_cli(capsys, "eval", "--fn", fn, *flags)
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc["input"]) == {"fn"} | keys
+    value, err = direct()
+    assert doc["value"] == {"re": complex(value).real, "im": complex(value).imag}
+    assert doc["err_estimate"] == err
+    inputs, _ = cli._EVAL_FNS[fn]
+    required = [name for name, *spec in inputs if len(spec) == 1]
+    assert required
+    for name in required:
+        i = flags.index(f"--{name}")
+        code, out, err_text = run_cli(capsys, "eval", "--fn", fn,
+                                      *flags[:i], *flags[i + 2:])
+        assert code == 1 and out == ""
+        assert f"--{name} is required" in err_text
+
+
+def test_eval_and_grid_look_up_the_library_function_when_called(capsys,
+                                                                  monkeypatch):
+    # perfbench/tracer.py counts calls by rebinding zetalab.cli's globals, so
+    # the table must not hold the function objects it saw at import
+    calls = []
+
+    def stub(s, lam, q):
+        calls.append((s, lam))
+        return EvalResult(value=1 + 2j, err_estimate=0.0, evaluations=1,
+                          converged=True)
+
+    monkeypatch.setattr(cli, "omega", stub)
+    code, out, _ = run_cli(capsys, "eval", "--fn", "omega", "--s", "0.3",
+                           "--lambda", "0.5")
+    assert code == 0
+    assert json.loads(out)["value"] == {"re": 1.0, "im": 2.0}
+    code, out, _ = run_cli(capsys, "grid", "--fn", "omega", "--sigma", "0.3",
+                           "--t", "0,1", "--lambda", "0.5", "--cache-dir", "",
+                           "--format", "csv")
+    assert code == 0
+    assert calls == [(0.3 + 0j, 0.5), (0.3 + 0j, 0.5), (0.3 + 1j, 0.5)]
+    assert out.split("\n")[1] == "0.29999999999999999,0,0.5,1,2,0"
+
+
+def test_readme_lists_the_eval_selectors():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    listed = re.search(r"Eval functions:(.*?)\.\s", readme, re.S).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == list(cli._EVAL_FNS)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--kind", "exp-alpha", "--lambda", ",", "--alpha", "0.5"),
+    ("verify", "--kind", "exp-alpha", "--lambda", "0.5", "--alpha", ","),
+    ("verify", "--kind", "two-param", "--lambda1", ",", "--lambda2", "0.7"),
+    ("verify", "--kind", "exp-symmetric", "--lambda", ","),
+    ("verify", "--kind", "quarter-alpha-single-k", "--lambda", ""),
+    ("grid", "--fn", "zeta", "--sigma", "2", "--t", ","),
+    ("grid", "--fn", "omega", "--sigma", "0.5", "--t", "1", "--lambda", ","),
+])
+def test_empty_list_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "at least one value" in err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_verify_non_finite_threshold_exits_1_before_computing(
+        capsys, monkeypatch, threshold):
+    def no_verify(*args):
+        raise AssertionError("verify ran")
+
+    monkeypatch.setattr(cli, "verify", no_verify)
+    code, out, err = run_cli(capsys, "verify", "--kind", "riemann-classic",
+                             "--s", "0.4", f"--threshold={threshold}")
+    assert code == 1
+    assert out == ""
+    assert "--threshold must be finite" in err
