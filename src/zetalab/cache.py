@@ -8,7 +8,6 @@ cache directory either see a complete entry or none at all.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -24,6 +23,7 @@ def cache_key(selector: str, params: dict, quadrature: dict) -> str:
         {"selector": selector, "params": params, "quadrature": quadrature,
          "version": __version__},
         sort_keys=True, separators=(",", ":"), allow_nan=False)
+    import hashlib  # here, not at the top: it loads OpenSSL, and only grid hashes
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

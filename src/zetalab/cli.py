@@ -90,9 +90,9 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--alpha", default=None,
                           help="comma-separated alpha values")
     p_verify.add_argument("--cutoff", default=None,
-                          help="generic-h cutoff: exp | two-param | "
-                               "two-param-nu | custom:log-symmetric | "
-                               "custom:asymmetric")
+                          help="generic-h cutoff: exp | exp-alpha | "
+                               "two-param | two-param-nu | "
+                               "custom:log-symmetric | custom:asymmetric")
     p_verify.add_argument("--nu", default=None, type=float)
     p_verify.add_argument("--threshold", type=float, default=1e-8,
                           help="relative residual for exit 0 (default 1e-8)")

@@ -137,15 +137,15 @@ def heat_kernel_hyperbolic_odd(t: float, rho: float, d: int) -> float:
     if not rho > 0.0:
         raise DomainError(f"heat_kernel_hyperbolic_odd needs rho > 0, got {rho!r}")
     m = (d - 1) // 2
+    expo = -m * m * t - rho * rho / (4.0 * t)
+    if expo < -745.0:
+        return 0.0  # before the ladder, whose cost grows with d
     sh = math.sinh(rho)
     ch = math.cosh(rho)
     acc = 0.0
     for (a, b, e, f), c in _ladder_terms(m).items():
         acc += (c * math.pow(rho, a) * math.pow(t, -b)
                 * math.pow(sh, -e) * math.pow(ch, f))
-    expo = -m * m * t - rho * rho / (4.0 * t)
-    if expo < -745.0:
-        return 0.0
     pref = math.pow(-1.0, m) * math.pow(2.0 * math.pi, -m) / math.sqrt(_FOUR_PI * t)
     return pref * acc * math.exp(expo)
 

@@ -328,6 +328,8 @@ def rs_coefficient_tables(degree: int = 120, cut: float = 1e-20) -> list:
 RS_T_MIN = 2 * math.pi
 # indices n of the zeros the refinement test pins, at heights 14, 1000, 5000
 RS_ZERO_INDICES = (1, 649, 4519)
+# Lehmer's pair near t = 7005.08: two zeros 0.038 apart, one grid step of 0.05
+LEHMER_PAIR_INDICES = (6709, 6710)
 
 
 def regenerate_riemann_siegel(n_points: int = 500, seed: int = 20261018) -> dict:
@@ -344,7 +346,8 @@ def regenerate_riemann_siegel(n_points: int = 500, seed: int = 20261018) -> dict
         points.append([t, hardy_z_ref(t)])
     return {"coefficients": rs_coefficient_tables(),
             "z": points,
-            "zeros": [[n, zero_ref(n)] for n in RS_ZERO_INDICES]}
+            "zeros": [[n, zero_ref(n)] for n in RS_ZERO_INDICES],
+            "lehmer_pair": [[n, zero_ref(n)] for n in LEHMER_PAIR_INDICES]}
 
 
 # (lam, s) above the height where the package's Bessel series broke down

@@ -1,5 +1,6 @@
 """CLI integration: schemas, exit codes, determinism, cache, round-trips."""
 
+import argparse
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from zetalab.cutoffs import ExpSymmetric
 from zetalab.diffusion import (heat_kernel_h3, heat_kernel_hyperbolic_odd,
                                heat_kernel_rd, laplace_hyperbolic,
                                resolvent_rd_bessel, resolvent_rd_quad)
+from zetalab.errors import DomainError
 from zetalab.regularized import omega, smooth_F, xi_lambda, zeta_regularized
 from zetalab.records import dumps_record
 from zetalab.theta import big_theta, jacobi_theta3, psi
@@ -443,3 +445,29 @@ def test_verify_non_finite_threshold_exits_1_before_computing(
     assert code == 1
     assert out == ""
     assert "--threshold must be finite" in err
+
+
+def _help_of(parser, command, flag):
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return next(a for a in sub._actions if flag in a.option_strings).help
+
+
+def test_verify_cutoff_help_names_every_kind_generic_h_accepts():
+    parser = cli.build_parser()
+    listed = _help_of(parser, "verify", "--cutoff").split(":", 1)[1]
+    named = {k.strip() for k in listed.split("|")}
+    # every name eval --cutoff knows, plus the custom test cutoffs
+    candidates = ({k.strip() for k in _help_of(parser, "eval", "--cutoff").split("|")}
+                  | set(cli._CUSTOM_CUTOFFS))
+    values = {"alpha": "0.9", "lambda1": "0.5", "lambda2": "0.7", "nu": "1.2"}
+
+    def accepted(kind):
+        get = cli._reader(argparse.Namespace(lam=None, **values))
+        try:
+            cli._cutoff_from(get, kind, 1.0)
+        except DomainError:
+            return False
+        return True
+
+    assert {k for k in candidates if accepted(k)} == named

@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from zetalab import diffusion
 from zetalab.diffusion import (
     euclidean_identification_residual,
     heat_kernel_h3,
@@ -109,6 +110,13 @@ def test_ladder_frozen_values():
     assert heat_kernel_hyperbolic_odd(0.7, 1.1, 5) == pytest.approx(
         0.00016716437678228156, rel=1e-13
     )
+
+
+def test_ladder_underflow_returns_zero_without_building_the_ladder():
+    # exp(-m^2 t - rho^2/4t) underflows at m = 60; the ladder there took 0.36 s
+    top = max(diffusion._TERM_CACHE)
+    assert heat_kernel_hyperbolic_odd(1.0, 1.0, 121) == 0.0
+    assert max(diffusion._TERM_CACHE) == top
 
 
 def test_ladder_domain():

@@ -8,6 +8,7 @@ digits); the analytic route under test is the theta-integral / EM hybrid.
 import json
 import math
 import pathlib
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +16,12 @@ from hypothesis import given, strategies as st
 import zetalab.zeta_classic as zeta_classic
 from oracles import zero_count_ref
 from zetalab.errors import DomainError, PoleError
+from zetalab.gammafn import power_real_base
 from zetalab.zeta_classic import (
     _RS_COEFFS,
     _RS_T_MIN,
+    _dirichlet_sum,
+    _euler_maclaurin,
     _rs_bound,
     _z_riemann_siegel,
     approx_functional_sum,
@@ -269,3 +273,81 @@ def test_find_zeros_spends_few_hardy_z_calls_per_zero(monkeypatch):
     # 101 grid points plus 23 steps a zero
     assert len(brackets) == 4
     assert len(calls) <= 8 * len(brackets)
+
+
+def _bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+def _power_loop(n_top, w):
+    total = 0j
+    for n in range(1, n_top + 1):
+        total += power_real_base(n, w)
+    return total
+
+
+def test_dirichlet_sum_and_euler_maclaurin_are_bit_equal_to_a_power_loop(
+        monkeypatch):
+    # a fresh log table, grown out of order: N = 466, then 16 and 32, then 7516
+    monkeypatch.setattr(zeta_classic, "_LOG_N", array("d", [0.0]))
+    largest = 0
+    for t in (300.0, 0.0, 11.0, 5000.0):
+        n_cut = 16 + int(1.5 * t)
+        largest = max(largest, n_cut)
+        for sigma in (-1.5, 0.5, 2.0):
+            s = complex(sigma, t)
+            assert _bits(_dirichlet_sum(n_cut, -s)) == _bits(_power_loop(n_cut, -s))
+            fast = _euler_maclaurin(s, zeta_classic.DEFAULT_QUAD)
+            with monkeypatch.context() as m:
+                m.setattr(zeta_classic, "_dirichlet_sum", _power_loop)
+                slow = _euler_maclaurin(s, zeta_classic.DEFAULT_QUAD)
+            assert _bits(fast.value) == _bits(slow.value)
+            assert fast.err_estimate == slow.err_estimate
+        assert len(zeta_classic._LOG_N) == largest + 1
+
+
+def test_approx_functional_sum_is_bit_equal_to_a_power_loop(monkeypatch):
+    s = complex(0.3, 200.0)
+    x = 3.0
+    y = 200.0 / (2.0 * math.pi) / x
+    fast = approx_functional_sum(s, x, y)
+    monkeypatch.setattr(zeta_classic, "_dirichlet_sum", _power_loop)
+    assert _bits(fast.value) == _bits(approx_functional_sum(s, x, y).value)
+
+
+@pytest.mark.parametrize("t_min", [1000.0, 2000.0])
+def test_find_zeros_spends_three_hardy_z_calls_per_zero_above_1000(
+        monkeypatch, t_min):
+    calls = []
+
+    def counted(t, q=zeta_classic.DEFAULT_QUAD):
+        calls.append(t)
+        return hardy_z(t, q)
+
+    monkeypatch.setattr(zeta_classic, "hardy_z", counted)
+    brackets = find_zeros(t_min, t_min + 5.0, 0.05)
+    # the two bracket ends, then Illinois steps on certified Riemann-Siegel
+    # values until one lands inside the bound
+    assert len(brackets) == zero_count_ref(t_min + 5.0) - zero_count_ref(t_min)
+    assert len(calls) <= 3 * len(brackets)
+
+
+def test_refinement_stays_within_1e8_when_riemann_siegel_errs_by_its_bound(
+        monkeypatch):
+    # push every Riemann-Siegel value 0.9 bound toward zero: a sign taken
+    # only where |Z_RS| clears the bound stays right, any other would not
+    def pushed(t):
+        z = _z_riemann_siegel(t)
+        return z - math.copysign(0.9 * _rs_bound(t), z)
+
+    monkeypatch.setattr(zeta_classic, "_z_riemann_siegel", pushed)
+    for _, zero in RS_FIXTURE["zeros"]:
+        near = [b for b in find_zeros(zero - 0.3, zero + 0.3, 0.05)
+                if b.t_lo <= zero <= b.t_hi]
+        assert len(near) == 1
+        assert abs(near[0].refined_t - zero) <= 1e-8
+    lehmer = find_zeros(7005.0, 7005.2, 0.01)
+    assert len(lehmer) == len(RS_FIXTURE["lehmer_pair"]) == 2
+    for b, (_, zero) in zip(lehmer, RS_FIXTURE["lehmer_pair"]):
+        assert b.t_lo <= zero <= b.t_hi
+        assert abs(b.refined_t - zero) <= 1e-8
