@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .bessel import bessel_k_complex_arg
+from .bessel import bessel_k_complex_arg, laplace_pair_integral
 from .cutoffs import TwoParam
 from .errors import DomainError
 from .gammafn import gamma_complex, power_real_base
@@ -200,33 +200,19 @@ def laplace_hyperbolic(alpha: complex, rho: float,
 # ---------------------------------------------------------------------------
 
 
-def _power_time_integral(p: float, alpha: float, c: float,
-                         q: QuadratureSpec) -> EvalResult:
+def _time_integral(p: float, alpha: float, c: float, q: QuadratureSpec) -> complex:
     """int_0^inf t^(-p) exp(-(alpha t + c/4t)) dt for positive alpha, c."""
-
-    def f(t: float) -> float:
-        w = alpha * t + 0.25 * c / t
-        if w > 745.0:
-            return 0.0
-        return math.exp(-w) * power_real_base(t, -p).real
-
-    return integrate(f, (0.0, math.inf), q)
+    return laplace_pair_integral(1.0 - p, 0.25 * c, alpha, q).value
 
 
-def _shifted_series(p: float, alpha: float, r: float,
-                    q: QuadratureSpec) -> tuple[complex, float, int]:
+def _shifted_series(p: float, alpha: float, r: float, q: QuadratureSpec) -> complex:
     """sum over integer n of the t-integral with r^2 shifted to r^2 + 4 pi n^2."""
-    base = _power_time_integral(p, alpha, r * r, q)
-    total = base.value
-    err = base.err_estimate
-    evals = base.evaluations
+    total = _time_integral(p, alpha, r * r, q)
     for n in range(1, q.max_terms + 1):
-        piece = _power_time_integral(p, alpha, r * r + 4.0 * math.pi * n * n, q)
-        total += 2.0 * piece.value
-        err += 2.0 * piece.err_estimate
-        evals += piece.evaluations
-        if abs(piece.value) < 0.5 * q.series_tail_tol * max(abs(total), 1e-30):
-            return total, err + 2.0 * abs(piece.value), evals
+        piece = _time_integral(p, alpha, r * r + 4.0 * math.pi * n * n, q)
+        total += 2.0 * piece
+        if abs(piece) < 0.5 * q.series_tail_tol * max(abs(total), 1e-30):
+            return total
     raise DomainError("shifted-series truncation failed to settle; alpha may be "
                       "too small for the tail rule")
 
@@ -259,10 +245,10 @@ def euclidean_identification_residual(d: float, alpha: float, r: float,
         bare = completed * power_real_base(math.pi, 0.5 * s) / g
         lhs = power_real_base(math.pi, -0.5 * s) * g * bare
 
-    t1 = _power_time_integral(0.5 * d, alpha, r * r, q).value
-    t2 = _power_time_integral(2.0 - 0.5 * d, alpha, r * r, q).value
-    t3, _, _ = _shifted_series(0.5 * (d + 1.0), alpha, r, q)
-    t4, _, _ = _shifted_series(2.0 - 0.5 * d, alpha, r, q)
+    t1 = _time_integral(0.5 * d, alpha, r * r, q)
+    t2 = _time_integral(2.0 - 0.5 * d, alpha, r * r, q)
+    t3 = _shifted_series(0.5 * (d + 1.0), alpha, r, q)
+    t4 = _shifted_series(2.0 - 0.5 * d, alpha, r, q)
     rhs = -0.25 * t1 - 0.25 * t2 + 0.25 * t3 + 0.25 * t4
     return abs(lhs - rhs) / abs(lhs)
 
@@ -278,7 +264,7 @@ def hyperbolic_identification_residual(alpha: float, rho: float,
         raise DomainError(
             f"needs rho > 0 (the sinh normalization degenerates as rho -> 0), "
             f"got {rho!r}")
-    lhs = -0.25 * _power_time_integral(1.5, 1.0 + alpha, rho * rho, q).value
+    lhs = -0.25 * _time_integral(1.5, 1.0 + alpha, rho * rho, q)
     transform = laplace_hyperbolic(alpha, rho, q).value
     rhs = -0.25 * math.pow(_FOUR_PI, 1.5) * (math.sinh(rho) / rho) * transform
     return abs(lhs - rhs) / abs(lhs)

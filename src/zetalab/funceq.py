@@ -1,7 +1,12 @@
 """Functional-equation verification across all supported cutoff families.
 
-Each kind pairs a left- and right-hand side that an identity says are
-equal; verify() computes both numerically and reports the residual.
+Each generalized kind checks side(1 - s) = side(s), where for a cutoff
+with h(x) = h(1/x), side(u) = completed(u; h) plus the boundary term
+(1/2) int_0^inf h(x) x^(u/2 - 1) dx.  The kinds differ only in its form:
+exp-symmetric K_{u/2}(2 lam), exp-alpha (1/alpha) K_{u/(2 alpha)}(2 lam),
+two-param the closed-form K pair, generic-h the quadrature itself.
+riemann-classic compares the completed classical zeta at s and 1 - s, and
+quarter-alpha-single-k the alpha = 1/4 difference with its single-K form.
 Residuals are *reported*, never asserted here — deciding whether a
 residual is acceptable belongs to callers (and the CLI exit-code layer).
 """
@@ -13,12 +18,13 @@ import math
 from enum import Enum
 
 from .bessel import bessel_k, bessel_k_complex_arg
-from .cutoffs import (CutoffSpec, ExpAlpha, ExpSymmetric, TwoParam,
-                      cutoff_value, ensure_symmetric_for_fe)
+from .cutoffs import (CutoffSpec, ExpAlpha, TwoParam, cutoff_value,
+                      ensure_symmetric_for_fe)
 from .errors import DomainError, PoleError
 from .gammafn import gamma_complex, power_real_base
 from .quadrature import integrate
-from .regularized import _completed_exp, _completed_quadrature
+from .regularized import (_completed_exp, _completed_quadrature,
+                          _require_positive_real)
 from .types import DEFAULT_QUAD, FunctionalEqReport, QuadratureSpec, build_report
 from .zeta_classic import zeta_analytic
 
@@ -49,7 +55,6 @@ def _completed_classic(s: complex, q: QuadratureSpec) -> complex:
 def _half_integral_quad(cutoff: CutoffSpec, nu: complex,
                         q: QuadratureSpec) -> complex:
     """(1/2) int_0^inf h(x) x^(nu - 1) dx by exp-sinh quadrature."""
-    nu = complex(nu)
 
     def f(x: float) -> complex:
         hv = cutoff_value(cutoff, x)
@@ -67,7 +72,6 @@ def _half_integral_two_param(nu: complex, lam1: complex, lam2: complex,
     Each exponential piece is a Laplace-pair integral, so the whole thing
     collapses onto a single K with the lambda-ratio powers attached.
     """
-    nu = complex(nu)
     l1, l2 = complex(lam1), complex(lam2)
     k = bessel_k_complex_arg(nu, 2.0 * cmath.sqrt(l1 * l2), q).value
     ratio = cmath.exp(0.5 * nu * cmath.log(l2 / l1))
@@ -85,80 +89,72 @@ def _decay_gate(cutoff: CutoffSpec, s: complex, q: QuadratureSpec) -> None:
     # the exponent sets at s and 1 - s coincide, so two probes suffice
     p_small = min(0.5 * (sigma - 3.0), -0.5 * (sigma + 2.0))
     p_large = max(0.5 * (sigma - 2.0), -0.5 * (sigma + 1.0))
-    for x in _GATE_SMALL_X:
-        if abs(cutoff_value(cutoff, x)) * math.pow(x, p_small) >= q.abs_tol:
+    for end, probes, p in (("0", _GATE_SMALL_X, p_small),
+                           ("infinity", _GATE_LARGE_X, p_large)):
+        for x in probes:
+            if abs(cutoff_value(cutoff, x)) * math.pow(x, p) >= q.abs_tol:
+                raise DomainError(
+                    f"cutoff {cutoff.kind_name} does not decay fast enough at "
+                    f"{end} for s = {s}; the half-integrals would diverge")
+
+
+def _need(kind: FunctionalEqKind, params: dict, key: str):
+    if key not in params:
+        raise DomainError(f"{kind.value} verify needs parameter {key!r}")
+    return params[key]
+
+
+def _side(kind: FunctionalEqKind, s: complex, params: dict, q: QuadratureSpec):
+    """Run kind's checks at s and return its side(u) (module docstring).
+
+    riemann-classic has no cutoff; its side is the completed classical zeta.
+    """
+    if kind is FunctionalEqKind.RIEMANN_CLASSIC:
+        if abs(s) <= 1e-12 or abs(s - 1.0) <= 1e-12:
+            raise PoleError("the completed classical form has poles at s = 0 and "
+                            "s = 1; pick s away from them")
+        return lambda u: _completed_classic(u, q)
+    if kind is FunctionalEqKind.EXP_SYMMETRIC:
+        # _completed_exp, which runs first, rejects Re lam <= 0
+        lam = complex(_need(kind, params, "lam"))
+        return lambda u: (_completed_exp(u, lam, q)[0].value
+                          + bessel_k_complex_arg(0.5 * u, 2.0 * lam, q).value)
+    if kind is FunctionalEqKind.EXP_ALPHA:
+        lam, alpha = _need(kind, params, "lam"), _need(kind, params, "alpha")
+        if not alpha > 0.0:
             raise DomainError(
-                f"cutoff {cutoff.kind_name} does not decay fast enough at 0 "
-                f"for s = {s}; the half-integrals would diverge")
-    for x in _GATE_LARGE_X:
-        if abs(cutoff_value(cutoff, x)) * math.pow(x, p_large) >= q.abs_tol:
-            raise DomainError(
-                f"cutoff {cutoff.kind_name} does not decay fast enough at "
-                f"infinity for s = {s}; the half-integrals would diverge")
+                f"exp-alpha verify needs alpha > 0 (the K reduction uses u = "
+                f"x^alpha increasing), got {alpha!r}")
+        cutoff = ExpAlpha(lam=float(lam), alpha=float(alpha))
+        z = 2.0 * cutoff.lam
+        inv_a = 1.0 / alpha
+        return lambda u: (_completed_quadrature(u, cutoff, q).value
+                          + inv_a * bessel_k(u * 0.5 * inv_a, z, q).value)
+    if kind is FunctionalEqKind.TWO_PARAM:
+        lam1, lam2 = _need(kind, params, "lam1"), _need(kind, params, "lam2")
+        cutoff = TwoParam(lam1=lam1, lam2=lam2)
+        return lambda u: (_completed_quadrature(u, cutoff, q).value
+                          + _half_integral_two_param(0.5 * u, lam1, lam2, q))
+    if kind is FunctionalEqKind.GENERIC_H:
+        cutoff = _need(kind, params, "cutoff")
+        if not isinstance(cutoff, CutoffSpec):
+            raise DomainError("generic-h verify needs a CutoffSpec under 'cutoff'")
+        ensure_symmetric_for_fe(cutoff)
+        _decay_gate(cutoff, s, q)
+        return lambda u: (_completed_quadrature(u, cutoff, q).value
+                          + _half_integral_quad(cutoff, 0.5 * u, q))
+    raise DomainError(f"unknown functional-equation kind {kind!r}")
 
 
-def _verify_riemann_classic(s: complex, q: QuadratureSpec) -> tuple:
-    if abs(s) <= 1e-12 or abs(s - 1.0) <= 1e-12:
-        raise PoleError("the completed classical form has poles at s = 0 and "
-                        "s = 1; pick s away from them")
-    return _completed_classic(s, q), _completed_classic(1.0 - s, q)
-
-
-def _verify_exp_symmetric(s: complex, lam: complex, q: QuadratureSpec) -> tuple:
-    lamc = complex(lam)
-    if not lamc.real > 0.0:
-        raise DomainError(f"exp-symmetric verify needs Re lam > 0, got {lam!r}")
-    z = 2.0 * lamc
-    lhs = (_completed_exp(1.0 - s, lamc, q)[0].value
-           + bessel_k_complex_arg(0.5 * (1.0 - s), z, q).value)
-    rhs = (_completed_exp(s, lamc, q)[0].value
-           + bessel_k_complex_arg(0.5 * s, z, q).value)
-    return lhs, rhs
-
-
-def _verify_exp_alpha(s: complex, lam: float, alpha: float,
-                      q: QuadratureSpec) -> tuple:
-    if not alpha > 0.0:
-        raise DomainError(
-            f"exp-alpha verify needs alpha > 0 (the K reduction uses u = "
-            f"x^alpha increasing), got {alpha!r}")
-    cutoff = ExpAlpha(lam=float(lam), alpha=float(alpha))
-    z = 2.0 * float(lam)
-    inv_a = 1.0 / alpha
-    lhs = (_completed_quadrature(1.0 - s, cutoff, q).value
-           + inv_a * bessel_k((1.0 - s) * 0.5 * inv_a, z, q).value)
-    rhs = (_completed_quadrature(s, cutoff, q).value
-           + inv_a * bessel_k(s * 0.5 * inv_a, z, q).value)
-    return lhs, rhs
-
-
-def _verify_generic_h(s: complex, cutoff: CutoffSpec, q: QuadratureSpec) -> tuple:
-    ensure_symmetric_for_fe(cutoff)
-    _decay_gate(cutoff, s, q)
-    lhs = (_completed_quadrature(1.0 - s, cutoff, q).value
-           + _half_integral_quad(cutoff, 0.5 * (1.0 - s), q))
-    rhs = (_completed_quadrature(s, cutoff, q).value
-           + _half_integral_quad(cutoff, 0.5 * s, q))
-    return lhs, rhs
-
-
-def _verify_two_param(s: complex, lam1: complex, lam2: complex,
-                      q: QuadratureSpec) -> tuple:
-    cutoff = TwoParam(lam1=lam1, lam2=lam2)
-    lhs = (_completed_quadrature(1.0 - s, cutoff, q).value
-           + _half_integral_two_param(0.5 * (1.0 - s), lam1, lam2, q))
-    rhs = (_completed_quadrature(s, cutoff, q).value
-           + _half_integral_two_param(0.5 * s, lam1, lam2, q))
-    return lhs, rhs
-
-
-def _quarter_alpha_sides(s: complex, lam: float, q: QuadratureSpec):
-    cutoff = ExpAlpha(lam=float(lam), alpha=0.25)
+def _quarter_alpha_sides(s: complex, lam, q: QuadratureSpec):
+    """(completed(1-s) - completed(s), (1-2s) K_{1-2s}(2 lam) / lam) at alpha = 1/4."""
+    lam = _require_positive_real(lam, "the quarter-alpha reduction")
+    cutoff = ExpAlpha(lam=lam, alpha=0.25)
     lhs = (_completed_quadrature(1.0 - s, cutoff, q).value
            - _completed_quadrature(s, cutoff, q).value)
     order = 1.0 - 2.0 * s
-    k = bessel_k(order, 2.0 * float(lam), q).value
-    return lhs, order * k / float(lam)
+    k = bessel_k(order, 2.0 * lam, q).value
+    return lhs, order * k / lam
 
 
 def quarter_alpha_residual(s: complex, lam,
@@ -169,11 +165,7 @@ def quarter_alpha_residual(s: complex, lam,
     -4*(1-2s)/lam * K form). Exactly one of the two prefactors closes the
     identity; keeping both lets the caller record which.
     """
-    s = complex(s)
-    lamc = complex(lam)
-    if lamc.imag != 0.0 or not lamc.real > 0.0:
-        raise DomainError(f"quarter_alpha_residual needs real lam > 0, got {lam!r}")
-    lhs, base = _quarter_alpha_sides(s, lamc.real, q)
+    lhs, base = _quarter_alpha_sides(complex(s), lam, q)
     return abs(lhs - 2.0 * base), abs(lhs - (-4.0) * base)
 
 
@@ -188,37 +180,20 @@ def verify(kind: FunctionalEqKind, s: complex, params: dict | None = None,
       quarter-alpha-single-k: lam (> 0)
       two-param:       lam1, lam2 (Re > 0, complex ok)
       generic-h:       cutoff (a CutoffSpec; must be symmetric and decaying)
+
+    The generalized kinds report lhs = side(1 - s), rhs = side(s); the
+    riemann-classic record keeps lhs = completed(s).
     """
     s = complex(s)
     params = dict(params or {})
-
-    def need(key):
-        if key not in params:
-            raise DomainError(f"{kind.value} verify needs parameter {key!r}")
-        return params[key]
-
-    if kind is FunctionalEqKind.RIEMANN_CLASSIC:
-        lhs, rhs = _verify_riemann_classic(s, q)
-    elif kind is FunctionalEqKind.EXP_SYMMETRIC:
-        lhs, rhs = _verify_exp_symmetric(s, need("lam"), q)
-    elif kind is FunctionalEqKind.EXP_ALPHA:
-        lhs, rhs = _verify_exp_alpha(s, need("lam"), need("alpha"), q)
-    elif kind is FunctionalEqKind.QUARTER_ALPHA_SINGLE_K:
-        lamc = complex(need("lam"))
-        if lamc.imag != 0.0 or not lamc.real > 0.0:
-            raise DomainError(f"quarter-alpha verify needs real lam > 0, "
-                              f"got {params['lam']!r}")
-        sides = _quarter_alpha_sides(s, lamc.real, q)
-        lhs, rhs = sides[0], -4.0 * sides[1]
-    elif kind is FunctionalEqKind.TWO_PARAM:
-        lhs, rhs = _verify_two_param(s, need("lam1"), need("lam2"), q)
-    elif kind is FunctionalEqKind.GENERIC_H:
-        cutoff = need("cutoff")
-        if not isinstance(cutoff, CutoffSpec):
-            raise DomainError("generic-h verify needs a CutoffSpec under 'cutoff'")
-        lhs, rhs = _verify_generic_h(s, cutoff, q)
-    else:  # pragma: no cover - exhaustive over the enum
-        raise DomainError(f"unknown functional-equation kind {kind!r}")
+    if kind is FunctionalEqKind.QUARTER_ALPHA_SINGLE_K:
+        lhs, base = _quarter_alpha_sides(s, _need(kind, params, "lam"), q)
+        rhs = -4.0 * base
+    else:
+        side = _side(kind, s, params, q)
+        lhs, rhs = side(1.0 - s), side(s)
+        if kind is FunctionalEqKind.RIEMANN_CLASSIC:
+            lhs, rhs = rhs, lhs
 
     report_params = {k: (v.kind_name if isinstance(v, CutoffSpec) else v)
                      for k, v in params.items()}

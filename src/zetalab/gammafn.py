@@ -32,6 +32,10 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+# Past this |Im w|, cmath.sin(w) overflows (cosh passes the double range
+# near 710) although sin(w) Gamma(1 - w/pi) is of modest size.
+_SIN_OVERFLOW_IM = 700.0
+_LOG_HALF_I = cmath.log(0.5j)
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -46,6 +50,31 @@ def _lanczos_log(z: complex) -> complex:
         s += _LANCZOS_C[k] / (zz + k)
     t = zz + _LANCZOS_G + 0.5
     return _HALF_LOG_TWO_PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(s)
+
+
+def _log_sin(w: complex) -> complex:
+    """A logarithm of sin(w) that stays finite where sin(w) overflows.
+
+    For Im w >= 0, sin w = e^{-iw} (i/2) (1 - e^{2iw}) with |e^{2iw}| <= 1;
+    below the real axis it is the conjugate of the value at conj(w).  The
+    branch is whatever that sum gives, which is all exp() needs.
+    """
+    w = complex(w)
+    if w.imag < 0.0:
+        return _log_sin(w.conjugate()).conjugate()
+    return -1j * w + _LOG_HALF_I + cmath.log(1.0 - cmath.exp(2j * w))
+
+
+def _sin_pi_gamma_reflected(z: complex) -> complex:
+    """sin(pi z) Gamma(1 - z) for Re z < 0.5, the factor reflection needs.
+
+    cmath.sin(pi z) is used while it stays finite, so those values keep
+    every bit; past _SIN_OVERFLOW_IM the product goes through _log_sin.
+    """
+    w = math.pi * z
+    if abs(w.imag) > _SIN_OVERFLOW_IM:
+        return cmath.exp(_log_sin(w) + _lanczos_log(1.0 - z))
+    return cmath.sin(w) * cmath.exp(_lanczos_log(1.0 - z))
 
 
 def log_gamma_complex(z: complex) -> complex:
@@ -87,8 +116,7 @@ def gamma_complex(z: complex) -> complex:
         raise PoleError(f"gamma pole at z = {z!r}")
     if z.real >= 0.5:
         return cmath.exp(_lanczos_log(z))
-    sin_piz = cmath.sin(math.pi * z)
-    return math.pi / (sin_piz * cmath.exp(_lanczos_log(1.0 - z)))
+    return math.pi / _sin_pi_gamma_reflected(z)
 
 
 def rgamma(z: complex) -> complex:
@@ -98,7 +126,7 @@ def rgamma(z: complex) -> complex:
         return 0.0 + 0.0j
     if z.real >= 0.5:
         return cmath.exp(-_lanczos_log(z))
-    return cmath.sin(math.pi * z) * cmath.exp(_lanczos_log(1.0 - z)) / math.pi
+    return _sin_pi_gamma_reflected(z) / math.pi
 
 
 def power_real_base(x: float, w: complex) -> complex:

@@ -49,7 +49,8 @@ from .errors import DomainError, NonConvergence
 from .gammafn import power_real_base, rgamma
 from .quadrature import integrate
 from .theta import _psi_complex_remainder, _psi_raw
-from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, RegZetaValue, make_result
+from .types import (DEFAULT_QUAD, EvalResult, QuadratureSpec, RegZetaValue,
+                    make_result, sum_pieces)
 from .zeta_classic import zeta_series
 
 _MIN_SERIES_TERMS = 3
@@ -127,11 +128,7 @@ def _asymptote_integral(s: complex, lam: float, q: QuadratureSpec) -> EvalResult
     c_even = power_real_base(ratio, 0.25 * s)
     k_odd = bessel_k(0.5 * (s - 1.0), z, q)
     k_even = bessel_k(0.5 * s, z, q)
-    return EvalResult(value=c_odd * k_odd.value - c_even * k_even.value,
-                      err_estimate=abs(c_odd) * k_odd.err_estimate
-                      + abs(c_even) * k_even.err_estimate,
-                      evaluations=k_odd.evaluations + k_even.evaluations,
-                      converged=k_odd.converged and k_even.converged)
+    return sum_pieces([sum_pieces([k_odd], c_odd), sum_pieces([k_even], -c_even)])
 
 
 def _completed_quadrature(s: complex, cutoff: CutoffSpec, q: QuadratureSpec,
@@ -152,11 +149,10 @@ def _completed_quadrature(s: complex, cutoff: CutoffSpec, q: QuadratureSpec,
     multiplies the sum, so the quadrature accepts on the scale of what it
     integrates.
 
-    The result is the sum of separately accepted pieces: ``err_estimate`` is
-    the sum of their error estimates, and ``converged`` means that every
-    piece converged.  Testing the summed estimate against the spec's
-    tolerance again would fail values whose pieces each sat at the abs_tol
-    floor (s = 5+3i, lam = 1e-4: 1.2e-12 summed, value correct to 1e-15).
+    The result is the sum of separately accepted pieces (`sum_pieces`); a
+    fresh tolerance test on the summed estimate would fail values whose
+    pieces each sat at the abs_tol floor (s = 5+3i, lam = 1e-4: 1.2e-12
+    summed, value correct to 1e-15).
     """
     s = complex(s)
     half_exp = 0.5 * s - 1.0
@@ -171,12 +167,8 @@ def _completed_quadrature(s: complex, cutoff: CutoffSpec, q: QuadratureSpec,
                 return 0.0
             return ps * hv * power_real_base(x, half_exp)
 
-        lower = integrate(integrand, (0.0, 1.0), q)
-        upper = integrate(integrand, (1.0, math.inf), q)
-        return EvalResult(value=lower.value + upper.value,
-                          err_estimate=lower.err_estimate + upper.err_estimate,
-                          evaluations=lower.evaluations + upper.evaluations,
-                          converged=lower.converged and upper.converged)
+        return sum_pieces([integrate(integrand, (0.0, 1.0), q),
+                           integrate(integrand, (1.0, math.inf), q)])
 
     lam = _require_positive_real(cutoff.lam, "the ray route")
     rot = cmath.exp(1j * theta)
@@ -189,16 +181,10 @@ def _completed_quadrature(s: complex, cutoff: CutoffSpec, q: QuadratureSpec,
         return (_psi_complex_remainder(x, q.series_tail_tol, q.max_terms)
                 * hv * power_real_base(r, half_exp))
 
-    lower = integrate(ray_integrand, (0.0, 1.0), q)
-    upper = integrate(ray_integrand, (1.0, math.inf), q)
-    added = _asymptote_integral(s, lam, q)
-    factor = cmath.exp(0.5j * theta * s)
-    return EvalResult(
-        value=factor * (lower.value + upper.value) + added.value,
-        err_estimate=abs(factor) * (lower.err_estimate + upper.err_estimate)
-        + added.err_estimate,
-        evaluations=lower.evaluations + upper.evaluations + added.evaluations,
-        converged=lower.converged and upper.converged and added.converged)
+    ray = sum_pieces([integrate(ray_integrand, (0.0, 1.0), q),
+                      integrate(ray_integrand, (1.0, math.inf), q)],
+                     cmath.exp(0.5j * theta * s))
+    return sum_pieces([ray, _asymptote_integral(s, lam, q)])
 
 
 def _ray_angle(t: float) -> float:
@@ -236,9 +222,14 @@ def _completed_exp(s: complex, lam, q: QuadratureSpec) -> tuple[EvalResult, str]
     return _completed_series(s, lamc, q), "bessel-series"
 
 
-def _bare_from_completed(s: complex, completed: complex) -> complex:
-    # completed = pi^(-s/2) Gamma(s/2) zeta_h(s), so divide the prefactor out.
-    return completed * power_real_base(math.pi, 0.5 * s) * rgamma(0.5 * s)
+def _reg_value(s: complex, completed: EvalResult, route: str) -> RegZetaValue:
+    """The RegZetaValue of a completed value taken by `route`.
+
+    completed = pi^(-s/2) Gamma(s/2) zeta_h(s), so bare divides the prefactor out.
+    """
+    s = complex(s)
+    bare = completed.value * power_real_base(math.pi, 0.5 * s) * rgamma(0.5 * s)
+    return RegZetaValue(s=s, completed=completed, bare=bare, representation=route)
 
 
 def zeta_regularized(s: complex, cutoff: CutoffSpec,
@@ -253,20 +244,14 @@ def zeta_regularized(s: complex, cutoff: CutoffSpec,
     """
     s = complex(s)
     if isinstance(cutoff, ExpSymmetric):
-        completed, route = _completed_exp(s, cutoff.lam, q)
-        return RegZetaValue(s=s, completed=completed,
-                            bare=_bare_from_completed(s, completed.value),
-                            representation=route)
+        return _reg_value(s, *_completed_exp(s, cutoff.lam, q))
     if not cutoff.decaying and not s.real > 1.0:
         raise DomainError(
             f"a non-decaying cutoff ({cutoff.kind_name}) leaves the integral "
             f"divergent at 0 unless Re s > 1; got s = {s}")
     if isinstance(cutoff, NoCutoff) and not s.real > 1.0:
         raise DomainError(f"the undamped integral needs Re s > 1, got s = {s}")
-    completed = _completed_quadrature(s, cutoff, q)
-    return RegZetaValue(s=s, completed=completed,
-                        bare=_bare_from_completed(s, completed.value),
-                        representation="quadrature")
+    return _reg_value(s, _completed_quadrature(s, cutoff, q), "quadrature")
 
 
 def zeta_exp_bessel_series(s: complex, lam: complex,
@@ -276,11 +261,7 @@ def zeta_exp_bessel_series(s: complex, lam: complex,
     Always the series, whatever `zeta_regularized` would pick: the explicit
     cross-check of the routed value.
     """
-    s = complex(s)
-    completed = _completed_series(s, lam, q)
-    return RegZetaValue(s=s, completed=completed,
-                        bare=_bare_from_completed(s, completed.value),
-                        representation="bessel-series")
+    return _reg_value(s, _completed_series(s, lam, q), "bessel-series")
 
 
 def _damped_edge(lam_r: float, weight: float, p: complex,
@@ -321,7 +302,8 @@ def zeta_exp_boundary_form(s: complex, lam,
 
     The split makes the s <-> 1-s symmetry visible term by term, which is
     exactly what makes it a useful independent route.  As for the ray
-    quadrature, the result is converged only when every piece is.
+    quadrature, the result is converged only when every piece is; unlike
+    it, the summed estimate must also pass the spec's tolerance.
     """
     s = complex(s)
     lam_r = _require_positive_real(lam, "zeta_exp_boundary_form")
@@ -337,21 +319,14 @@ def zeta_exp_boundary_form(s: complex, lam,
         return -ps * math.exp(-damp) * (power_real_base(x, 0.5 * (s - 2.0))
                                         + power_real_base(x, -0.5 * (s + 1.0)))
 
-    p_edge = integrate(edge, (0.0, 1.0), q)
-    p_bulk = integrate(bulk, (0.0, 1.0), q)
-    s_here = _completed_series(s, lam_r, q)
-    s_mirror = _completed_series(1.0 - s, lam_r, q)
-    value = p_edge.value + p_bulk.value + s_here.value + s_mirror.value
-    err = (p_edge.err_estimate + p_bulk.err_estimate
-           + s_here.err_estimate + s_mirror.err_estimate)
-    evals = (p_edge.evaluations + p_bulk.evaluations
-             + s_here.evaluations + s_mirror.evaluations)
-    completed = make_result(value, err, evals, q)
-    if not all(p.converged for p in (p_edge, p_bulk, s_here, s_mirror)):
+    pieces = sum_pieces([integrate(edge, (0.0, 1.0), q),
+                         integrate(bulk, (0.0, 1.0), q),
+                         _completed_series(s, lam_r, q),
+                         _completed_series(1.0 - s, lam_r, q)])
+    completed = make_result(pieces.value, pieces.err_estimate, pieces.evaluations, q)
+    if not pieces.converged:
         completed = replace(completed, converged=False)
-    return RegZetaValue(s=s, completed=completed,
-                        bare=_bare_from_completed(s, completed.value),
-                        representation="boundary-form")
+    return _reg_value(s, completed, "boundary-form")
 
 
 def smooth_F(s: complex, lam, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:

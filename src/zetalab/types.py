@@ -56,9 +56,8 @@ class EvalResult:
     ``converged`` is only set when err_estimate <= max(abs_tol, rel_tol*|value|)
     for the spec the computation ran under; constructors go through
     :func:`make_result` to keep that invariant true by construction.  A sum
-    of separately accepted pieces (the completed integral's quadrature
-    pieces) is converged when every piece is, and its err_estimate is the
-    sum of theirs.
+    of separately accepted pieces follows a different rule, and
+    :func:`sum_pieces` is the one place that states it.
     """
 
     value: complex
@@ -81,6 +80,25 @@ def make_result(value: complex, err_estimate: float, evaluations: int,
     err = abs(err_estimate)
     return EvalResult(value=value, err_estimate=err, evaluations=evaluations,
                       converged=err <= q.tolerance_for(value))
+
+
+def sum_pieces(pieces, factor: complex | None = None) -> EvalResult:
+    """factor * (sum of pieces) for a list of separately accepted EvalResults.
+
+    Values and errors are summed, then scaled by factor (errors by |factor|);
+    evaluations are summed; converged only when every piece converged.  No
+    tolerance test on the sum: pieces each at the abs_tol floor would fail it.
+    """
+    first, *rest = pieces
+    value, err = first.value, first.err_estimate
+    for piece in rest:
+        value += piece.value
+        err += piece.err_estimate
+    if factor is not None:
+        value, err = factor * value, abs(factor) * err
+    return EvalResult(value=value, err_estimate=err,
+                      evaluations=sum(p.evaluations for p in pieces),
+                      converged=all(p.converged for p in pieces))
 
 
 @dataclass(frozen=True)

@@ -47,13 +47,15 @@ from array import array
 from itertools import islice
 
 from .errors import DomainError, PoleError
-from .gammafn import gamma_complex, log_gamma_complex, power_real_base, rgamma
+from .gammafn import _log_sin, log_gamma_complex, power_real_base, rgamma
 from .quadrature import integrate
 from .theta import _psi_raw
 from .types import (DEFAULT_QUAD, EvalResult, QuadratureSpec, ZeroBracket,
                     make_result)
 
 _LOG_PI = math.log(math.pi)
+_LOG_TWO = math.log(2.0)
+_LOG_TWO_PI = math.log(2.0 * math.pi)
 
 # B_{2k}/(2k)! for the Euler-Maclaurin tail
 _EM_COEFFS = (
@@ -246,6 +248,12 @@ def chi_factor(s: complex) -> complex:
     every integer except the positive even ones (where the formula is plainly
     finite). Some excluded points are removable in the limit, but keeping the
     rule uniform keeps the caller's obligations simple.
+
+    log chi is summed first and exponentiated once: cos(pi s / 2) and
+    1/Gamma(s) each overflow once pi |t| / 2 passes ~710, while chi stays of
+    modest size.  Re s < 1/2 reflects to
+    chi = (2 pi)^s sin(pi s / 2) Gamma(1 - s) / pi, so Lanczos always sees an
+    argument with real part >= 1/2.
     """
     s = complex(s)
     if s.imag == 0.0 and s.real == math.floor(s.real):
@@ -253,8 +261,14 @@ def chi_factor(s: complex) -> complex:
         if not (n > 0 and n % 2 == 0):
             raise PoleError(f"chi_factor rejects integer s = {n} "
                             "(Gamma pole or cos zero)")
-    return (power_real_base(2.0 * math.pi, s) * rgamma(s)
-            / (2.0 * cmath.cos(0.5 * math.pi * s)))
+    if s.real < 0.5:
+        log_chi = (_log_sin(0.5 * math.pi * s) + log_gamma_complex(1.0 - s)
+                   - _LOG_PI)
+    else:
+        # cos(pi s / 2) = sin(pi s / 2 + pi / 2)
+        log_chi = -(_log_sin(0.5 * math.pi * (s + 1.0)) + log_gamma_complex(s)
+                    + _LOG_TWO)
+    return cmath.exp(s * _LOG_TWO_PI + log_chi)
 
 
 def xi_entire(s: complex, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:

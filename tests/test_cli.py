@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import zeta_ref
 from zetalab import cli
 from zetalab.bessel import bessel_k
 from zetalab.cli import main
@@ -19,6 +20,7 @@ from zetalab.diffusion import (heat_kernel_h3, heat_kernel_hyperbolic_odd,
                                heat_kernel_rd, laplace_hyperbolic,
                                resolvent_rd_bessel, resolvent_rd_quad)
 from zetalab.errors import DomainError
+from zetalab.funceq import FunctionalEqKind
 from zetalab.regularized import omega, smooth_F, xi_lambda, zeta_regularized
 from zetalab.records import dumps_record
 from zetalab.theta import big_theta, jacobi_theta3, psi
@@ -55,6 +57,22 @@ def test_eval_pole_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--fn", "zeta", "--s", "1+0i")
     assert code == 2
     assert "error" in err
+
+
+def test_eval_zeta_reflected_high_t(capsys):
+    # Re s < -2 reflects through chi, whose factors overflow at t = 300
+    code, out, _ = run_cli(capsys, "eval", "--fn", "zeta", "--s=-3+300i")
+    assert code == 0
+    value = json.loads(out)["value"]
+    ref = zeta_ref(-3.0 + 300.0j)
+    assert abs(complex(value["re"], value["im"]) - ref) <= 1e-11 * abs(ref)
+
+
+def test_eval_zeta_reg_high_t_has_no_traceback(capsys):
+    # the bare value divides by Gamma(s/2) = Gamma(0.25 + 250i) through rgamma
+    code, _, _ = run_cli(capsys, "eval", "--fn", "zeta-reg", "--s", "0.5+500i",
+                         "--lambda", "0.5")
+    assert code in (0, 2)
 
 
 def test_eval_bad_complex_exits_1(capsys):
@@ -415,6 +433,17 @@ def test_readme_lists_the_eval_selectors():
         encoding="utf-8")
     listed = re.search(r"Eval functions:(.*?)\.\s", readme, re.S).group(1)
     assert re.findall(r"`([^`]+)`", listed) == list(cli._EVAL_FNS)
+
+
+def test_readme_lists_the_verify_kinds_and_generic_h_cutoffs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    kinds = re.search(r"Verify kinds:(.*?)\.\s", readme, re.S).group(1)
+    assert set(re.findall(r"`([^`]+)`", kinds)) == {k.value for k in FunctionalEqKind}
+    cutoffs = re.search(r"`generic-h` needs\s+`--cutoff`:(.*?);", readme, re.S).group(1)
+    helped = _help_of(cli.build_parser(), "verify", "--cutoff").split(":", 1)[1]
+    assert (set(re.findall(r"`([^`]+)`", cutoffs))
+            == {k.strip() for k in helped.split("|")})
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,9 @@ import pathlib
 
 import pytest
 
-from zetalab.cutoffs import CustomCutoff, ExpSymmetric, TwoParamNu
+from zetalab.bessel import bessel_k
+from zetalab.cutoffs import (CustomCutoff, ExpAlpha, ExpSymmetric, TwoParam,
+                             TwoParamNu, cutoff_value)
 from zetalab.errors import DomainError, PoleError, SymmetryViolation
 from zetalab.funceq import (
     STANDARD_S_GRID,
@@ -14,6 +16,10 @@ from zetalab.funceq import (
     quarter_alpha_residual,
     verify,
 )
+from zetalab.gammafn import gamma_complex, power_real_base
+from zetalab.quadrature import integrate
+from zetalab.regularized import zeta_regularized
+from zetalab.zeta_classic import zeta_analytic
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -149,3 +155,90 @@ def test_standard_grid_shape():
         for s in STANDARD_S_GRID
     )
     assert worst < 1e-8
+
+
+# Each generalized kind reports lhs = side(1 - s), rhs = side(s), with
+# side(u) = completed(u; h) + its boundary term at u/2.  The tests below
+# rebuild both sides from the public pieces and compare exactly, so a change
+# in how a side is assembled, or a swap of the two, fails them.  Parameters
+# are powers of two where the formula divides, so the paper's form and the
+# library's rounding agree bit for bit.
+
+PIN_S = 0.3 + 5.0j
+
+
+def _completed(u, cutoff):
+    return zeta_regularized(u, cutoff).completed.value
+
+
+def _assert_mirrored(kind, params, side):
+    r = verify(kind, PIN_S, params)
+    assert r.lhs == side(1.0 - PIN_S)
+    assert r.rhs == side(PIN_S)
+
+
+def test_exp_symmetric_sides_exact():
+    lam = 0.5
+    _assert_mirrored(FunctionalEqKind.EXP_SYMMETRIC, {"lam": lam},
+                     lambda u: _completed(u, ExpSymmetric(lam))
+                     + bessel_k(u / 2.0, 2.0 * lam).value)
+
+
+def test_exp_alpha_sides_exact():
+    lam, alpha = 0.5, 0.5
+    _assert_mirrored(FunctionalEqKind.EXP_ALPHA, {"lam": lam, "alpha": alpha},
+                     lambda u: _completed(u, ExpAlpha(lam, alpha))
+                     + bessel_k(u / (2.0 * alpha), 2.0 * lam).value / alpha)
+
+
+def test_two_param_sides_exact():
+    lam1, lam2 = 0.5, 2.0
+
+    def side(u):
+        ratio = power_real_base(lam2 / lam1, u / 4.0)
+        k = bessel_k(u / 2.0, 2.0 * math.sqrt(lam1 * lam2)).value
+        return (_completed(u, TwoParam(lam1, lam2))
+                + 0.5 * k * (ratio + 1.0 / ratio))
+
+    _assert_mirrored(FunctionalEqKind.TWO_PARAM, {"lam1": lam1, "lam2": lam2}, side)
+
+
+def _quadrature_side(h):
+    def side(u):
+        def f(x):
+            hv = cutoff_value(h, x)
+            return 0.5 * hv * power_real_base(x, u / 2.0 - 1.0) if hv else 0.0
+
+        return _completed(u, h) + integrate(f, (0.0, math.inf)).value
+
+    return side
+
+
+def test_generic_h_sides_exact_exp_alpha():
+    h = ExpAlpha(0.5, 1.5)
+    _assert_mirrored(FunctionalEqKind.GENERIC_H, {"cutoff": h}, _quadrature_side(h))
+
+
+def test_generic_h_sides_exact_custom():
+    h = CustomCutoff(fn=lambda x: math.exp(-(math.log(x) ** 2)), label="log-symmetric")
+    _assert_mirrored(FunctionalEqKind.GENERIC_H, {"cutoff": h}, _quadrature_side(h))
+
+
+def test_riemann_classic_sides_exact():
+    # the classical record keeps lhs = completed(s), rhs = completed(1 - s)
+    def completed(u):
+        return (power_real_base(math.pi, -u / 2.0) * gamma_complex(u / 2.0)
+                * zeta_analytic(u).value)
+
+    r = verify(FunctionalEqKind.RIEMANN_CLASSIC, PIN_S)
+    assert r.lhs == completed(PIN_S)
+    assert r.rhs == completed(1.0 - PIN_S)
+
+
+def test_quarter_alpha_sides_exact():
+    lam = 0.5
+    h = ExpAlpha(lam, 0.25)
+    order = 1.0 - 2.0 * PIN_S
+    r = verify(FunctionalEqKind.QUARTER_ALPHA_SINGLE_K, PIN_S, {"lam": lam})
+    assert r.lhs == _completed(1.0 - PIN_S, h) - _completed(PIN_S, h)
+    assert r.rhs == -4.0 * (order * bessel_k(order, 2.0 * lam).value / lam)

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from oracles import gamma_ref
 from zetalab.errors import DomainError, PoleError
 from zetalab.gammafn import (
     gamma_complex,
@@ -88,6 +89,14 @@ def test_rgamma_entire():
         assert rgamma(n) == 0.0
     for z in (3.0 + 0.0j, 0.4 - 2.0j, -1.5 + 0.25j):
         assert rgamma(z) * gamma_complex(z) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("z", [0.25 + 250.0j, -1.5 + 240.0j])
+def test_rgamma_past_sine_overflow(z):
+    # pi |Im z| > 710 overflows cmath.sin(pi z); 1/Gamma itself is finite
+    ref = 1.0 / gamma_ref(z)
+    assert abs(rgamma(z) - ref) <= 1e-11 * abs(ref)
+    assert abs(gamma_complex(z) * ref - 1.0) <= 1e-11
 
 
 def test_power_real_base():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import zetalab.zeta_classic as zeta_classic
-from oracles import zero_count_ref
+from oracles import chi_ref, zero_count_ref
 from zetalab.errors import DomainError, PoleError
 from zetalab.gammafn import power_real_base
 from zetalab.zeta_classic import (
@@ -122,6 +122,14 @@ def test_chi_integer_rejection():
             chi_factor(n)
     # positive even integers are fine: chi(2) = pi^2/6 / zeta(-1) = -2 pi^2
     assert chi_factor(2.0).real == pytest.approx(-2.0 * math.pi**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.3 + 227.0j, 0.7 + 453.0j, -3.0 + 300.0j,
+                               0.3 + 1000.0j, 0.7 - 600.0j])
+def test_chi_past_gamma_and_cosine_overflow(s):
+    # sin, cos and Gamma each leave the double range here; chi does not
+    ref = chi_ref(s)
+    assert abs(chi_factor(s) - ref) <= 1e-11 * abs(ref)
 
 
 def test_xi_special_values():
