@@ -1,5 +1,7 @@
 """Multiplicative cutoffs h(x; ...) inserted into the zeta integrals.
 
+A cutoff is its values: the package reads h only through `value(x)`, at
+finite x > 0 or, on the exp-symmetric ray, at complex x.
 Every theorem downstream assumes the inversion symmetry h(x) = h(1/x) and
 h -> 1 pointwise as the damping vanishes; the built-in kinds have the
 symmetry by construction, while Custom carries a declared flag that the
@@ -36,18 +38,6 @@ class CutoffSpec:
     def kind_name(self) -> str:
         return type(self).__name__
 
-    @property
-    def symmetric(self) -> bool:
-        return True
-
-    @property
-    def decaying(self) -> bool:
-        """True when h vanishes fast at both 0 and infinity."""
-        return True
-
-    def params(self) -> dict:
-        return {}
-
     def value(self, x: float) -> complex:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -55,10 +45,6 @@ class CutoffSpec:
 @dataclass(frozen=True)
 class NoCutoff(CutoffSpec):
     """h identically 1 (the classical, undamped integrals)."""
-
-    @property
-    def decaying(self) -> bool:
-        return False
 
     def value(self, x: float) -> complex:
         return 1.0 + 0.0j
@@ -73,9 +59,6 @@ class ExpSymmetric(CutoffSpec):
     def __post_init__(self) -> None:
         if not complex(self.lam).real > 0.0:
             raise DomainError(f"ExpSymmetric needs Re lam > 0, got {self.lam!r}")
-
-    def params(self) -> dict:
-        return {"lambda": complex(self.lam)}
 
     def value(self, x: float) -> complex:
         return _damped_exp(complex(self.lam) * (x + 1.0 / x))
@@ -93,9 +76,6 @@ class ExpAlpha(CutoffSpec):
             raise DomainError(f"ExpAlpha needs lam > 0, got {self.lam!r}")
         if self.alpha == 0.0:
             raise DomainError("ExpAlpha needs alpha != 0")
-
-    def params(self) -> dict:
-        return {"lambda": float(self.lam), "alpha": float(self.alpha)}
 
     def value(self, x: float) -> complex:
         try:
@@ -119,9 +99,6 @@ class TwoParam(CutoffSpec):
         for name, v in (("lam1", self.lam1), ("lam2", self.lam2)):
             if not complex(v).real > 0.0:
                 raise DomainError(f"TwoParam needs Re {name} > 0, got {v!r}")
-
-    def params(self) -> dict:
-        return {"lambda1": complex(self.lam1), "lambda2": complex(self.lam2)}
 
     def value(self, x: float) -> complex:
         l1, l2 = complex(self.lam1), complex(self.lam2)
@@ -148,10 +125,6 @@ class TwoParamNu(CutoffSpec):
         if self.nu == 0.0:
             raise DomainError("TwoParamNu needs nu != 0")
 
-    def params(self) -> dict:
-        return {"lambda1": complex(self.lam1), "lambda2": complex(self.lam2),
-                "nu": float(self.nu)}
-
     def value(self, x: float) -> complex:
         try:
             xa = math.pow(x, self.nu)
@@ -175,25 +148,13 @@ class CustomCutoff(CutoffSpec):
     fn: Callable[[float], complex]
     declared_symmetric: bool = True
     label: str = "custom"
-    decays: bool = True
-
-    @property
-    def symmetric(self) -> bool:
-        return self.declared_symmetric
-
-    @property
-    def decaying(self) -> bool:
-        return self.decays
-
-    def params(self) -> dict:
-        return {"label": self.label}
 
     def value(self, x: float) -> complex:
         return complex(self.fn(x))
 
 
 def cutoff_value(cutoff: CutoffSpec, x: float) -> complex:
-    """Evaluate h(x); the only public entry point used by the integrals."""
+    """Evaluate h(x) at finite x > 0; the checked entry for outside callers."""
     if not (x > 0.0 and math.isfinite(x)):
         raise DomainError(f"cutoff_value needs finite x > 0, got {x!r}")
     return cutoff.value(float(x))

@@ -18,8 +18,7 @@ import math
 from enum import Enum
 
 from .bessel import bessel_k, bessel_k_complex_arg
-from .cutoffs import (CutoffSpec, ExpAlpha, TwoParam, cutoff_value,
-                      ensure_symmetric_for_fe)
+from .cutoffs import CutoffSpec, ExpAlpha, TwoParam, ensure_symmetric_for_fe
 from .errors import DomainError, PoleError
 from .gammafn import gamma_complex, power_real_base
 from .quadrature import integrate
@@ -57,7 +56,7 @@ def _half_integral_quad(cutoff: CutoffSpec, nu: complex,
     """(1/2) int_0^inf h(x) x^(nu - 1) dx by exp-sinh quadrature."""
 
     def f(x: float) -> complex:
-        hv = cutoff_value(cutoff, x)
+        hv = cutoff.value(x)
         if hv == 0.0:
             return 0.0
         return 0.5 * hv * power_real_base(x, nu - 1.0)
@@ -92,7 +91,7 @@ def _decay_gate(cutoff: CutoffSpec, s: complex, q: QuadratureSpec) -> None:
     for end, probes, p in (("0", _GATE_SMALL_X, p_small),
                            ("infinity", _GATE_LARGE_X, p_large)):
         for x in probes:
-            if abs(cutoff_value(cutoff, x)) * math.pow(x, p) >= q.abs_tol:
+            if abs(cutoff.value(x)) * math.pow(x, p) >= q.abs_tol:
                 raise DomainError(
                     f"cutoff {cutoff.kind_name} does not decay fast enough at "
                     f"{end} for s = {s}; the half-integrals would diverge")

@@ -22,15 +22,6 @@ def format_float(x: float) -> str:
     return _FLOAT_FMT.format(float(x))
 
 
-def format_complex_cli(z: complex) -> str:
-    """a+bi / a-bi with no spaces; pure reals drop the imaginary part."""
-    z = complex(z)
-    if z.imag == 0.0:
-        return format_float(z.real)
-    sign = "+" if z.imag > 0 else "-"
-    return f"{format_float(z.real)}{sign}{format_float(abs(z.imag))}i"
-
-
 def parse_complex(text: str) -> complex:
     """Parse the CLI complex syntax: 2, -1.5, 0.5+14.1i, 2-3i, 1e-3+2e-4i."""
     raw = text.strip()
@@ -48,12 +39,6 @@ def parse_complex(text: str) -> complex:
 def complex_to_obj(z: complex) -> dict:
     z = complex(z)
     return {"re": z.real, "im": z.imag}
-
-
-def obj_to_complex(obj) -> complex:
-    if isinstance(obj, dict) and set(obj) == {"re", "im"}:
-        return complex(obj["re"], obj["im"])
-    raise DomainError(f"not a complex object: {obj!r}")
 
 
 def dumps_record(record: dict) -> str:

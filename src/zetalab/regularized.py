@@ -44,7 +44,7 @@ import math
 from dataclasses import replace
 
 from .bessel import bessel_k, bessel_k_complex_arg
-from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff, cutoff_value
+from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff
 from .errors import DomainError, NonConvergence
 from .gammafn import power_real_base, rgamma
 from .quadrature import integrate
@@ -159,7 +159,7 @@ def _completed_quadrature(s: complex, cutoff: CutoffSpec, q: QuadratureSpec,
 
     if theta is None:
         def integrand(x: float) -> complex:
-            hv = cutoff_value(cutoff, x)
+            hv = cutoff.value(x)
             if hv == 0.0:
                 return 0.0
             ps = _psi_raw(x, q.series_tail_tol, q.max_terms)
@@ -245,10 +245,6 @@ def zeta_regularized(s: complex, cutoff: CutoffSpec,
     s = complex(s)
     if isinstance(cutoff, ExpSymmetric):
         return _reg_value(s, *_completed_exp(s, cutoff.lam, q))
-    if not cutoff.decaying and not s.real > 1.0:
-        raise DomainError(
-            f"a non-decaying cutoff ({cutoff.kind_name}) leaves the integral "
-            f"divergent at 0 unless Re s > 1; got s = {s}")
     if isinstance(cutoff, NoCutoff) and not s.real > 1.0:
         raise DomainError(f"the undamped integral needs Re s > 1, got s = {s}")
     return _reg_value(s, _completed_quadrature(s, cutoff, q), "quadrature")

@@ -36,12 +36,18 @@ def _psi_direct(x: float, tail_tol: float, max_terms: int) -> tuple[float, float
     raise NonConvergence(f"psi series hit max_terms at x = {x!r}", best=total)
 
 
-def _psi_raw(x: float, tail_tol: float = 1e-16, max_terms: int = 10**6) -> float:
-    """Bare float psi(x) for integrands (no result wrapper)."""
+def _psi_parts(x: float, tail_tol: float, max_terms: int) -> tuple[float, float, int]:
+    """(psi(x), dropped tail, terms), through the modular flip below the cutover."""
     if x >= _MODULAR_CUTOVER:
-        return _psi_direct(x, tail_tol, max_terms)[0]
-    inv = _psi_direct(1.0 / x, tail_tol, max_terms)[0]
-    return -0.5 + (inv + 0.5) / math.sqrt(x)
+        return _psi_direct(x, tail_tol, max_terms)
+    total, dropped, terms = _psi_direct(1.0 / x, tail_tol, max_terms)
+    root = math.sqrt(x)
+    return -0.5 + (total + 0.5) / root, dropped / root, terms
+
+
+def _psi_raw(x: float, tail_tol: float, max_terms: int) -> float:
+    """Bare float psi(x) for integrands (no result wrapper)."""
+    return _psi_parts(x, tail_tol, max_terms)[0]
 
 
 def _psi_direct_complex(z: complex, tail_tol: float, max_terms: int) -> complex:
@@ -69,13 +75,12 @@ def _one_minus_exp(w: complex) -> complex:
                    math.exp(-a) * math.sin(b))
 
 
-def _psi_complex_remainder(z: complex, tail_tol: float = 1e-16,
-                           max_terms: int = 10**6) -> complex:
+def _psi_complex_remainder(z: complex, tail_tol: float, max_terms: int) -> complex:
     """psi(z) - G(z) for Re z > 0, where G(z) = (z^{-1/2} - 1) e^{-pi z} / 2.
 
     G is psi's small-z asymptote from the modular identity, damped so it
     also vanishes at infinity.  Inside the unit disc the same flip as in
-    `_psi_raw` gives psi - G = (z^{-1/2} - 1)(1 - e^{-pi z})/2
+    `_psi_parts` gives psi - G = (z^{-1/2} - 1)(1 - e^{-pi z})/2
     + z^{-1/2} psi(1/z), summed on 1/z, whose real part cos(arg z)/|z| is
     the larger; outside it the direct sum is used.  The principal square
     root is the right branch in the whole half-plane.
@@ -93,16 +98,9 @@ def psi(x: float, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     """psi(x) = sum_{n>=1} e^{-pi n^2 x} with truncation metadata."""
     if not (isinstance(x, (int, float)) and x > 0.0 and math.isfinite(x)):
         raise DomainError(f"psi needs finite x > 0, got {x!r}")
-    x = float(x)
-    if x >= _MODULAR_CUTOVER:
-        total, dropped, terms = _psi_direct(x, q.series_tail_tol, q.max_terms)
-        return EvalResult(value=complex(total), err_estimate=dropped,
-                          evaluations=terms, converged=True)
-    total, dropped, terms = _psi_direct(1.0 / x, q.series_tail_tol, q.max_terms)
-    scale = 1.0 / math.sqrt(x)
-    return EvalResult(value=complex(-0.5 + (total + 0.5) * scale),
-                      err_estimate=dropped * scale, evaluations=terms,
-                      converged=True)
+    total, dropped, terms = _psi_parts(float(x), q.series_tail_tol, q.max_terms)
+    return EvalResult(value=complex(total), err_estimate=dropped,
+                      evaluations=terms, converged=True)
 
 
 def big_theta(v: float, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:

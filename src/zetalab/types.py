@@ -69,10 +69,6 @@ class EvalResult:
         if self.err_estimate < 0:
             raise DomainError("err_estimate must be >= 0")
 
-    @property
-    def real(self) -> float:
-        return complex(self.value).real
-
 
 def make_result(value: complex, err_estimate: float, evaluations: int,
                 q: QuadratureSpec) -> EvalResult:

@@ -205,10 +205,9 @@ def _tail_integral(s: complex, q: QuadratureSpec) -> EvalResult:
     s = complex(s)
     a = 0.5 * (s - 2.0)
     b = -0.5 * (s + 1.0)
-    tail = q.series_tail_tol
 
     def f(x: float) -> complex:
-        p = _psi_raw(x, tail)
+        p = _psi_raw(x, q.series_tail_tol, q.max_terms)
         if p == 0.0:
             return 0.0
         return p * (power_real_base(x, a) + power_real_base(x, b))

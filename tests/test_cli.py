@@ -75,6 +75,16 @@ def test_eval_zeta_reg_high_t_has_no_traceback(capsys):
     assert code in (0, 2)
 
 
+@pytest.mark.parametrize("fn", ["zeta", "xi"])
+def test_max_terms_reaches_the_theta_tail(capsys, fn):
+    # at low t zeta and xi integrate psi, whose sum must stop at --max-terms
+    # as `eval --fn psi` does
+    code, _, err = run_cli(capsys, "eval", "--fn", fn, "--s", "0.5+3i",
+                           "--max-terms", "3")
+    assert code == 2
+    assert "psi series hit max_terms" in err
+
+
 def test_eval_bad_complex_exits_1(capsys):
     code, _, _ = run_cli(capsys, "eval", "--fn", "zeta", "--s", "abc")
     assert code == 1

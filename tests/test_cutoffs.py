@@ -1,4 +1,4 @@
-"""Cutoff kinds: symmetry, underflow safety, parameter echo, the FE gate."""
+"""Cutoff kinds: symmetry, underflow safety, domain checks, the FE gate."""
 
 import math
 
@@ -54,21 +54,7 @@ def test_underflow_is_zero_not_error():
 
 
 def test_no_cutoff():
-    h = NoCutoff()
-    assert not h.decaying
-    assert h.symmetric
-    assert cutoff_value(h, 17.3) == 1.0 + 0.0j
-
-
-def test_params_echo():
-    assert ExpSymmetric(lam=0.3).params() == {"lambda": (0.3 + 0j)}
-    assert ExpAlpha(lam=0.5, alpha=2.0).params() == {"lambda": 0.5, "alpha": 2.0}
-    assert TwoParam(lam1=1.0, lam2=0.7).params() == {
-        "lambda1": (1 + 0j),
-        "lambda2": (0.7 + 0j),
-    }
-    assert TwoParamNu(lam1=1.0, lam2=0.7, nu=2.0).params()["nu"] == 2.0
-    assert CustomCutoff(fn=lambda x: 1.0, label="flat").params() == {"label": "flat"}
+    assert cutoff_value(NoCutoff(), 17.3) == 1.0 + 0.0j
 
 
 def test_kind_names():

@@ -88,7 +88,7 @@ def test_no_cutoff_reduces_to_classical():
     r = zeta_regularized(2.0, NoCutoff())
     assert r.completed.value.real == pytest.approx(math.pi / 6.0, rel=1e-10)
     assert r.bare.real == pytest.approx(math.pi**2 / 6.0, rel=1e-10)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="undamped integral"):
         zeta_regularized(0.5, NoCutoff())
 
 
