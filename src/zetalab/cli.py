@@ -502,7 +502,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"zetalab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PoleError, NonConvergence, NonFiniteIntegrand) as exc:
+    except (PoleError, NonConvergence, NonFiniteIntegrand,
+            ArithmeticError) as exc:
+        # ArithmeticError: a float overflow the library did not foresee
         print(f"zetalab: error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except SymmetryViolation as exc:

@@ -101,9 +101,11 @@ def sum_pieces(pieces, factor: complex | None = None) -> EvalResult:
 class ZeroBracket:
     """A sign-change bracket for Hardy's Z and the zero refined inside it.
 
-    z_lo and z_hi are `hardy_z` values at the ends, of opposite signs;
-    refined_t is the midpoint of a sign-change bracket of `hardy_z` no wider
-    than 1e-8, found by Illinois (modified regula falsi) refinement.
+    z_lo and z_hi are `hardy_z` values at the ends, of opposite signs
+    (Riemann-Siegel in extra precision at t >= 100, Euler-Maclaurin below);
+    refined_t is the midpoint of a bracket no wider than 1e-8 whose ends
+    carry certified signs of Z, found by Illinois (modified regula falsi)
+    refinement.
     """
 
     t_lo: float

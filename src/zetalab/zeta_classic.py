@@ -23,16 +23,22 @@ costs seven digits at t = 40. double precision cannot buy that back, so for
 extended coefficient table keeps near machine accuracy there.
 
 On top of those: the chi factor of the asymmetric functional equation, the
-entire xi function, Hardy's Z with its gamma phase, the two-sum approximate
-functional equation, and a sign-scan zero finder on the critical line.
+entire xi function, Hardy's Z, the two-sum approximate functional equation,
+and a sign-scan zero finder on the critical line.
 
-The zero finder reads Z from the Riemann-Siegel formula (about
-sqrt(t / 2 pi) terms plus Gabcke's remainder series, against 16 + 1.5 t for
-Euler-Maclaurin) wherever |Z| clears the formula's error bound, so the sign
-it takes there is certified.  That holds for grid points and refinement
-steps alike; every other point, and both ends of every bracket, evaluate
-`hardy_z`.  The brackets are therefore those of an Euler-Maclaurin scan, and
-each refined zero lies between two points whose signs are certified.
+Hardy's Z comes from the Riemann-Siegel formula at |t| >= 100: about
+sqrt(t / 2 pi) terms plus Gabcke's remainder series C_0..C_12, against
+16 + 1.5 t terms for Euler-Maclaurin.  Its phases theta(t) - t log n, of
+size t log t, are carried in extra precision, so the value is good to
+~1e-15 up to t = 1e6 and carries a fitted bound of 2e-14..8e-14.  Below
+t = 100, `hardy_z` is e^{i theta} times `zeta_analytic`.
+
+The zero finder reads Z on its grid from a float Riemann-Siegel sum with
+C_0..C_4 wherever |Z| clears that sum's error bound, so the sign it takes
+there is certified.  That holds for grid points and refinement steps
+alike; every other point, and both ends of every bracket, evaluate
+`hardy_z`.  The brackets are therefore those of an all-`hardy_z` scan,
+and each refined zero lies between two points whose signs are certified.
 
 The Dirichlet sums of Euler-Maclaurin and of the two-sum value run over a
 table of log n kept for the life of the process, term for term the float
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from array import array
 from itertools import islice
 
@@ -56,6 +63,7 @@ from .types import (DEFAULT_QUAD, EvalResult, QuadratureSpec, ZeroBracket,
 _LOG_PI = math.log(math.pi)
 _LOG_TWO = math.log(2.0)
 _LOG_TWO_PI = math.log(2.0 * math.pi)
+_EPS = sys.float_info.epsilon
 
 # B_{2k}/(2k)! for the Euler-Maclaurin tail
 _EM_COEFFS = (
@@ -73,10 +81,11 @@ _EM_COEFFS = (
     -236364091.0 / 1693824136731743669452800000.0,
 )
 
-# Riemann-Siegel remainder coefficients C_0..C_4 (Gabcke 1979) as power
-# series in y = (p - 1/2)^2, p = frac(sqrt(t / 2 pi)); C_1 and C_3 carry one
-# more factor p - 1/2.  Written by tests/oracles.py:rs_coefficient_tables
-# from exact series arithmetic in mpmath; dropped terms are < 1e-20.
+# Riemann-Siegel remainder coefficients C_0..C_12 (Gabcke 1979) as power
+# series in y = (p - 1/2)^2, p = frac(sqrt(t / 2 pi)); the odd orders carry
+# one more factor p - 1/2.  Written by tests/oracles.py:rs_coefficient_tables
+# from Arias de Reyna's general recursion in exact series arithmetic in
+# mpmath; dropped terms are < 1e-20.
 _RS_COEFFS = (
     (0.3826834323650898, 1.7489618723100817, 2.118025207685496,
      -0.8707216670511481, -3.4733112243465167, -1.6626947308999325,
@@ -120,7 +129,82 @@ _RS_COEFFS = (
      -0.006126628379519262, 0.003077503129870841, 0.0011562478934088753,
      -0.00022775966758472127, -0.00014189637118181445,
      7.4648603079559195e-06, 1.2479701645409117e-05),
+    (0.00022686811845737363, 0.0011081246853718388, -0.016218579255550092,
+     0.052765034053987414, 0.02570880200903324, -0.38058660440806397,
+     0.22531987892642316, 1.0344573316495222, -0.5528257697050813,
+     -1.5287712641078073, 0.32828366427719585, 1.229110218540087,
+     0.040936939383115295, -0.558604047264202, -0.11241976368059116,
+     0.1521267771179559, 0.051737188455280386, -0.025612276897007284,
+     -0.012963672514046178, 0.0025455574818611633, 0.0021193319510877775,
+     -9.191391945156778e-05, -0.00024413466533855272, -1.3697982692283388e-05,
+     2.0620785033284237e-05),
+    (3.369099840108094e-05, -0.00048730387277374067, 0.0034913041151209494,
+     -0.010636181410824536, -0.007962052861482919, 0.1237587562368654,
+     -0.1849404122581205, -0.30393580239679546, 0.7612833126395632,
+     0.4067440568556812, -1.2301721808541708, -0.5117640855696522,
+     0.9962463615472547, 0.47056716161861106, -0.4414445866526114,
+     -0.25918493310535273, 0.11117688993542343, 0.08794868546608423,
+     -0.014803271886103406, -0.01961041509857541, 0.00031650099641031916,
+     0.0030274014208229155, 0.0002675580524826069, -0.0003349691662856058,
+     -5.891092180278285e-05, 2.6966371245797056e-05),
+    (6.612479918279905e-05, -0.00044670409577338735, 0.0010840232068089312,
+     0.005028543891765806, -0.03886148551530864, 0.07707956741410073,
+     0.06355969744063397, -0.4074596273039508, 0.1803375211195864,
+     0.8064302485606453, -0.5178358018314444, -0.9482271795820716,
+     0.4719558561190385, 0.7154101522815643, -0.19296662747432222,
+     -0.3455616621306974, 0.02925214982106185, 0.10909301099694024,
+     0.005308465692352872, -0.023293443630578295, -0.0035166634161813027,
+     0.0034648237370005506, 0.0008444826314873812, -0.00036395433452081826,
+     -0.00012779454521633608, 2.6456110344191184e-05),
+    (2.4197536136117965e-06, -1.611352277070405e-05, 0.0002171808253299485,
+     -0.0023441555503488335, 0.01155263179636765, -0.02392447916109697,
+     -0.015530804396368813, 0.16805457215955893, -0.20767893102427126,
+     -0.2705105627343296, 0.6603245174239842, 0.17484629360273835,
+     -0.9023846153142663, -0.09498217340106974, 0.7024752578716655,
+     0.09268759838045737, -0.3377367994776856, -0.06840303526873472,
+     0.10495507688894251, 0.029655264579902616, -0.021780178965591507,
+     -0.008154606200067588, 0.0030590899165112884, 0.001535812550622837,
+     -0.000282016450085498, -0.00020917807822471457),
+    (1.376824100605469e-05, -0.00010836427024418868, 0.0006961287408707673,
+     -0.002815328661230075, 0.00521128162812441, 0.007856763175787419,
+     -0.06487760215296878, 0.11518596547976107, 0.04895275610619873,
+     -0.3984619535620612, 0.238884035084224, 0.5548514525057807,
+     -0.5214374827560175, -0.4863022480161819, 0.4731537582420427,
+     0.31505728712887565, -0.2397340129568678, -0.150105308390526,
+     0.07418116204376772, 0.050921865966025714, -0.014388505816400662,
+     -0.012297668068340803, 0.0016481264748153632, 0.002157082055276683,
+     -6.29096020556182e-05, -0.0002815677670395356),
+    (-2.000102517333251e-07, 1.0991501782401885e-05, -0.00010166242807169727,
+     0.0003909897258050479, -0.00026736362667853134, -0.004837981715604847,
+     0.024729580718188874, -0.04929616638531094, -0.00011394985522762532,
+     0.18470186771797276, -0.25652183258970757, -0.15371365234913448,
+     0.5595524945513238, -0.05196110807521286, -0.6005581196365657,
+     0.14479016030901048, 0.4090776632630465, -0.08822689489109546,
+     -0.1905302290152115, 0.024797868560708102, 0.062285939893110834,
+     -0.0023942818571399543, -0.01457863465975384, -0.0006176319463115361,
+     0.002494689886531394, 0.00028004946780034576, -0.0003180982936548569),
+    (2.1165343104016636e-06, -6.113233459416969e-06, 4.152717215400545e-05,
+     -0.00038682933931457095, 0.002373048024098571, -0.008852454011086692,
+     0.01741345863882657, -0.0012712916000469617, -0.07959730639378094,
+     0.16172806405795673, -0.01942362458094586, -0.3359536895200065,
+     0.3105943953879576, 0.29298826246651916, -0.4667120515588451,
+     -0.1510551092580186, 0.3646663397372364, 0.06510534404067893,
+     -0.17966097155670455, -0.029006431991502955, 0.05990365712445804,
+     0.011315928354217483, -0.014047344741411295, -0.0032837592330288968,
+     0.002376938716065604, 0.0006894697578080203, -0.0002947034080790354),
+    (-1.5083686683859693e-07, 3.451523827064601e-06, -3.163079970682538e-05,
+     0.00018477881939289544, -0.0008212214504547484, 0.00262077286534659,
+     -0.00463460977680081, -0.002126094793297231, 0.035350140836666516,
+     -0.08330205498109723, 0.04769406016343327, 0.15220239667306243,
+     -0.290409771808611, 0.0006517184743767043, 0.4126162192056312,
+     -0.20005655691806104, -0.3219527992056398, 0.22097087961755799,
+     0.17426530948455465, -0.12489360707337975, -0.072144964159004,
+     0.04418908774924857, 0.023180684674380204, -0.010519719402930332,
+     -0.0057111087746711, 0.0017378207242639268, 0.0010746116648946275,
+     -0.00019882814169315202),
 )
+# The scan grid's float sum stops after C_4, under `_rs_bound`.
+_RS_COEFFS_GRID = _RS_COEFFS[:5]
 
 # The scan reads Riemann-Siegel signs from t >= 2 pi (a = sqrt(t / 2 pi) >= 1,
 # so the main sum has a term).  It costs 0.01-0.02 ms there against
@@ -132,6 +216,23 @@ _RS_T_MIN = 2.0 * math.pi
 # rounding in t log n (~7e-15 t measured), each taken 20 times over.
 _RS_TRUNC = 2e-3
 _RS_ROUND = 2e-13
+# hardy_z takes the Riemann-Siegel sum in extra precision at |t| >= this: the
+# lowest height where its bound falls below Euler-Maclaurin's measured error.
+_HARDY_RS_T_MIN = 100.0
+# Bound on that sum's error: ten times the first order left out, C_13 (at
+# most 1.9e-7, times a^(-13.5): 1.4e-15 at t = 100, as measured there), plus
+# rounding, at worst ~1e-16 a term of weight n^(-1/2) and so growing like
+# sqrt(N) = (t / 2 pi)^(1/4); 4e-15 is ten times the largest rounding error
+# measured against mpmath on [150, 1e6] (9e-16).
+_RS_DD_TRUNC = 2e-6
+_RS_DD_ROUND = 4e-15
+# (hi, lo) pairs: hi is the double nearest the constant, lo the one nearest
+# the rest.
+_INV_TWO_PI_DD = (0.15915494309189535, -9.839338337591243e-18)
+_LOG_TWO_PI_DD = (1.8378770664093456, -7.756588316134483e-17)
+_PI_8_DD = (0.39269908169872414, 1.5308084989341915e-17)
+# Dekker's splitting constant 2^27 + 1.
+_SPLITTER = 134217729.0
 # Width of the sign-change bracket the refinement leaves around each zero.
 _ZERO_TOL = 1e-8
 
@@ -140,9 +241,33 @@ _ZERO_TOL = 1e-8
 _EM_SIGMA_FLOOR = -2.0
 
 
-# _LOG_N[n] = log n (entry 0 unused), grown on demand by _dirichlet_sum; its
-# entries never change once written, so every caller may share it.
+# _LOG_N[n] = log n and _LOG_N_LO[n] = log n - _LOG_N[n] (entry 0 unused),
+# grown on demand by _log_table and _log_lo_table; their entries never change
+# once written, so every caller may share them.
 _LOG_N = array("d", [0.0])
+_LOG_N_LO = array("d", [0.0])
+
+
+def _log_table(n_top: int) -> array:
+    """_LOG_N, grown to hold log n for every n <= n_top."""
+    logs = _LOG_N
+    if len(logs) <= n_top:
+        logs.extend(map(math.log, range(len(logs), n_top + 1)))
+    return logs
+
+
+def _log_lo_table(n_top: int) -> array:
+    """_LOG_N_LO, grown to n_top: with _LOG_N it gives log n to ~1e-32."""
+    logs = _log_table(n_top)
+    lows = _LOG_N_LO
+    if len(lows) <= n_top:
+        # imported here, so that only a process which needs the table pays
+        # for decimal's import
+        from decimal import Context, Decimal
+        ctx = Context(prec=40)
+        lows.extend(float(ctx.subtract(ctx.ln(Decimal(n)), Decimal(logs[n])))
+                    for n in range(len(lows), n_top + 1))
+    return lows
 
 
 def _dirichlet_sum(n_top: int, w: complex) -> complex:
@@ -151,9 +276,7 @@ def _dirichlet_sum(n_top: int, w: complex) -> complex:
     Each term is exp(w log n), the same float operations as
     `power_real_base(n, w)`, so the sum is bit-equal to a loop over it.
     """
-    logs = _LOG_N
-    if len(logs) <= n_top:
-        logs.extend(map(math.log, range(len(logs), n_top + 1)))
+    logs = _log_table(n_top)
     exp = cmath.exp
     total = 0j
     for log_n in islice(logs, 1, n_top + 1):
@@ -230,8 +353,12 @@ def zeta_analytic(s: complex, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
             return _euler_maclaurin(s, q)
         dual = _euler_maclaurin(1.0 - s, q)
         chi = chi_factor(s)
-        return make_result(chi * dual.value, abs(chi) * dual.err_estimate,
-                           dual.evaluations, q)
+        value = chi * dual.value
+        # chi's phase is of size |t| log |t| and good to its rounding
+        t = abs(s.imag)
+        err = (abs(chi) * dual.err_estimate
+               + _EPS * t * math.log(t) * abs(value))
+        return make_result(value, err, dual.evaluations, q)
     tail = _tail_integral(s, q)
     pis = power_real_base(math.pi, 0.5 * s)
     value = pis * (rgamma(0.5 * s + 1.0) / (2.0 * (s - 1.0))
@@ -291,10 +418,18 @@ def riemann_siegel_theta(t: float) -> float:
 def hardy_z(t: float, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     """Hardy's Z(t) = e^{i theta(t)} zeta(1/2 + it).
 
-    Real-valued in exact arithmetic; the imaginary part is kept in the result
-    as an honest noise indicator. Z(0) = zeta(1/2) < 0 fixes the branch.
+    At |t| >= 100 by the Riemann-Siegel formula with its phases in extra
+    precision (`_hardy_z_rs`): a real value, the same at -t as at t since Z
+    is even, with err_estimate the bound `_hardy_rs_bound` (2.3e-14 at
+    t = 100, 8.0e-14 at 1e6).  Below that, e^{i theta} times
+    `zeta_analytic`; Z is real in exact arithmetic, and the imaginary part
+    is kept in the result as an honest noise indicator.  Z(0) = zeta(1/2) < 0
+    fixes the branch.
     """
     t = float(t)
+    if abs(t) >= _HARDY_RS_T_MIN:
+        value, terms = _hardy_z_rs(abs(t))
+        return make_result(complex(value), _hardy_rs_bound(abs(t)), terms, q)
     zv = zeta_analytic(0.5 + 1j * t, q)
     phase = cmath.exp(1j * riemann_siegel_theta(t))
     return EvalResult(value=phase * zv.value, err_estimate=zv.err_estimate,
@@ -344,11 +479,18 @@ def _z_riemann_siegel(t: float) -> float:
     main = 0.0
     for n in range(1, n_top + 1):
         main += math.cos(theta - t * math.log(n)) / math.sqrt(n)
-    x = a - n_top - 0.5
+    rem = _rs_remainder(a, a - n_top - 0.5, _RS_COEFFS_GRID)
+    if n_top % 2 == 0:
+        rem = -rem
+    return 2.0 * main + rem / math.sqrt(a)
+
+
+def _rs_remainder(a: float, x: float, orders) -> float:
+    """sum_k C_k(p) a^(-k) over the given rows of `_RS_COEFFS`, x = p - 1/2."""
     y = x * x
     rem = 0.0
     scale = 1.0
-    for k, coeffs in enumerate(_RS_COEFFS):
+    for k, coeffs in enumerate(orders):
         ck = 0.0
         for c in reversed(coeffs):
             ck = ck * y + c
@@ -356,14 +498,135 @@ def _z_riemann_siegel(t: float) -> float:
             ck *= x
         rem += ck * scale
         scale /= a
-    if n_top % 2 == 0:
-        rem = -rem
-    return 2.0 * main + rem / math.sqrt(a)
+    return rem
 
 
 def _rs_bound(t: float) -> float:
     """Error bound of `_z_riemann_siegel` at t >= 2 pi."""
     return _RS_TRUNC * (t / (2.0 * math.pi)) ** -2.75 + _RS_ROUND * t
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _split(a: float) -> tuple[float, float]:
+    """a = hi + lo with hi holding the top 26 bits (Veltkamp)."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _log_dd(x: float) -> tuple[float, float]:
+    """log x as hi + lo, good to ~2e-23 absolute, for finite x > 0.
+
+    x = m 2^e with 128 m within 1/2 of an integer j in [64, 128], so
+    log x = (e - 7) log 2 + log j + 2 atanh(u), u = (128 m - j) / (128 m + j)
+    and |u| < 1/255; log 2 and log j come from the (hi, lo) log table, u as
+    a pair from an exact product, and atanh's series runs to u^9.
+    """
+    lows = _log_lo_table(128)
+    logs = _LOG_N
+    m, e = math.frexp(x)
+    y = 128.0 * m
+    j = int(y + 0.5)
+    d = y - j
+    s, s_lo = _two_sum(y, float(j))
+    u = d / s
+    p, p_lo = _two_prod(u, s)
+    u_lo = ((d - p) - p_lo - u * s_lo) / s
+    u2 = u * u
+    tail = u * u2 * (1 / 3 + u2 * (1 / 5 + u2 * (1 / 7 + u2 / 9)))
+    k = float(e - 7)
+    hi, lo = _two_prod(k, logs[2])
+    hi, err = _two_sum(hi, logs[j])
+    lo += err
+    hi, err = _two_sum(hi, 2.0 * u)
+    lo += err + k * lows[2] + lows[j] + 2.0 * (u_lo + tail)
+    return _two_sum(hi, lo)
+
+
+def _theta_dd(t: float) -> tuple[float, float]:
+    """theta(t) as hi + lo for t >= 100, by its Stirling series.
+
+    theta = t/2 log(t / 2 pi) - t/2 - pi/8 + 1/(48 t) + 7/(5760 t^3)
+    + 31/(80640 t^5) + 127/(430080 t^7) + ...; the first term left out is
+    below 5e-22 at t = 100.  The head is formed as a pair, since theta is
+    3e4 at t = 1e4 and 6e6 at 1e6 and a float theta is off by its ulp.
+    """
+    lg, lg_lo = _log_dd(t)
+    lg, err = _two_sum(lg, -_LOG_TWO_PI_DD[0])
+    lg_lo += err - _LOG_TWO_PI_DD[1]
+    half = 0.5 * t
+    hi, lo = _two_prod(half, lg)
+    hi, err = _two_sum(hi, -half)
+    r = 1.0 / t
+    r2 = r * r
+    tail = r * (1 / 48 + r2 * (7 / 5760 + r2 * (31 / 80640
+                                                 + r2 * (127 / 430080))))
+    lo += err + half * lg_lo - _PI_8_DD[0] - _PI_8_DD[1] + tail
+    return _two_sum(hi, lo)
+
+
+def _hardy_z_rs(t: float) -> tuple[float, int]:
+    """Z(t) for t >= 100 within `_hardy_rs_bound(t)`, and the terms summed.
+
+    The Riemann-Siegel sum of `_z_riemann_siegel`, with each phase
+    theta(t) - t log n carried as a pair hi + lo: log n from `_LOG_N` and
+    `_LOG_N_LO`, t log n by Dekker's exact product, theta from `_theta_dd`,
+    and cos(hi + lo) = cos hi - lo sin hi, whose next term lo^2 / 2 is
+    below 2e-18 (|lo| < 2e-9 up to t = 1e6).  a = sqrt(t / 2 pi) gets one
+    Newton correction, so p - 1/2 is good to ~1e-16.  The terms, the
+    remainder through C_12 among them, are added exactly by fsum.
+    """
+    th, th_lo = _theta_dd(t)
+    sq, sq_lo = _two_prod(t, _INV_TWO_PI_DD[0])
+    sq_lo += t * _INV_TWO_PI_DD[1]
+    a = math.sqrt(sq)
+    aa, aa_lo = _two_prod(a, a)
+    a_lo = ((sq - aa) - aa_lo + sq_lo) / (2.0 * a)
+    n_top = int(a)
+    lows = _log_lo_table(n_top)
+    logs = _LOG_N
+    t_hi, t_lo = _split(t)
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+    terms = []
+    for n in range(1, n_top + 1):
+        h = logs[n]
+        c = _SPLITTER * h                   # _split and _two_prod, inline
+        h_hi = c - (c - h)
+        h_lo = h - h_hi
+        p = t * h
+        p_lo = (((t_hi * h_hi - p) + t_hi * h_lo + t_lo * h_hi) + t_lo * h_lo
+                + t * lows[n])
+        ph = th - p
+        v = ph - th
+        ph_lo = (th - (ph - v)) + (-p - v) + th_lo - p_lo
+        terms.append((cos(ph) - ph_lo * sin(ph)) / sqrt(n))
+    x = (a - n_top - 0.5) + a_lo
+    a += a_lo
+    rem = _rs_remainder(a, x, _RS_COEFFS)
+    if n_top % 2 == 0:
+        rem = -rem
+    terms.append(0.5 * rem / sqrt(a))
+    return 2.0 * math.fsum(terms), n_top + len(_RS_COEFFS)
+
+
+def _hardy_rs_bound(t: float) -> float:
+    """Error bound of `_hardy_z_rs` at t >= 100."""
+    x = t / (2.0 * math.pi)
+    return _RS_DD_TRUNC * x ** -6.75 + _RS_DD_ROUND * x ** 0.25
 
 
 def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -399,47 +662,44 @@ def find_zeros(t_min: float, t_max: float, step: float,
     """Zeros of Hardy's Z on [t_min, t_max]: sign scan on a grid, then refinement.
 
     The grid runs from t_min in steps of `step`, the last one clamped to
-    t_max.  At a point t >= 2 pi whose Riemann-Siegel value clears its
-    error bound, that value is taken; anywhere else Z comes from `hardy_z`
-    (Euler-Maclaurin above |t| = 10).  A sign change between two grid
-    points is re-checked with `hardy_z` at both ends, whose values become
-    z_lo and z_hi, and refined by the Illinois method on the same rule to a
-    sign-change bracket no wider than 1e-8, whose midpoint is refined_t.
-    The brackets are exactly those of a scan that evaluates `hardy_z` at
-    every grid point; above t = 1000 a zero costs about three `hardy_z`
-    calls, the two bracket ends and the step that lands inside the bound.
+    t_max.  A grid point t >= 2 pi takes the float Riemann-Siegel value
+    `_z_riemann_siegel` where it clears its bound `_rs_bound`, so its sign
+    is certified; anywhere else Z comes from `hardy_z`.  A sign change
+    between two grid points is re-checked with `hardy_z` at both ends, whose
+    values become z_lo and z_hi, and refined by the Illinois method on the
+    same rule to a sign-change bracket no wider than 1e-8, whose midpoint is
+    refined_t.  Each sign taken is certified or is `hardy_z`'s, so the
+    brackets are those of a scan that evaluates `hardy_z` at every grid
+    point.  Above t = 1000 a
+    zero costs about three `hardy_z` calls: the two bracket ends and the
+    step that lands inside the bound; above t = 100 those calls are the
+    Riemann-Siegel sum in extra precision.
     """
     if not t_min < t_max:
         raise DomainError(f"needs t_min < t_max, got [{t_min!r}, {t_max!r}]")
     if not (0.0 < step <= 1.0):
         raise DomainError(f"step must lie in (0, 1], got {step!r}")
 
-    def z_em(t: float) -> float:
-        return hardy_z(t, q).value.real
-
-    def z_certified(t: float) -> tuple[float, bool]:
-        """Z(t) with a certified sign, and whether it came from hardy_z."""
+    def z_sign(t: float) -> float:
+        """Z(t) with a certified sign."""
         if t >= _RS_T_MIN:
             z = _z_riemann_siegel(t)
             if abs(z) > _rs_bound(t):
-                return z, False
-        return z_em(t), True
+                return z
+        return hardy_z(t, q).value.real
 
     brackets: list[ZeroBracket] = []
     t_lo = float(t_min)
-    z_lo, em_lo = z_certified(t_lo)
+    s_lo = z_sign(t_lo)
     while t_lo < t_max:
         t_hi = min(t_lo + step, float(t_max))
-        z_hi, em_hi = z_certified(t_hi)
-        if z_lo * z_hi < 0.0:
-            if not em_lo:
-                z_lo, em_lo = z_em(t_lo), True
-            if not em_hi:
-                z_hi, em_hi = z_em(t_hi), True
+        s_hi = z_sign(t_hi)
+        if s_lo * s_hi < 0.0:
+            z_lo = hardy_z(t_lo, q).value.real
+            z_hi = hardy_z(t_hi, q).value.real
             if z_lo * z_hi < 0.0:
-                root = _illinois(lambda t: z_certified(t)[0],
-                                 t_lo, t_hi, z_lo, z_hi)
+                root = _illinois(z_sign, t_lo, t_hi, z_lo, z_hi)
                 brackets.append(ZeroBracket(t_lo=t_lo, t_hi=t_hi, z_lo=z_lo,
                                             z_hi=z_hi, refined_t=root))
-        t_lo, z_lo, em_lo = t_hi, z_hi, em_hi
+        t_lo, s_lo = t_hi, s_hi
     return brackets

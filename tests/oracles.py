@@ -7,10 +7,12 @@ constants in the test modules were produced by
     python3 tests/oracles.py
 
 which also regenerates tests/fixtures/*.json, so any suspicious number can
-be re-derived on demand.  The Euler-Maclaurin oracle `em_zeta` is written
-directly from the textbook remainder formula -- independently of both the
-package's quadrature route and of mpmath.zeta -- because the continuation
-checks need a reference that shares no code path with either side.
+be re-derived on demand; `python3 tests/oracles.py riemann_siegel` (any
+fixture names) rewrites only those fixtures.  The Euler-Maclaurin oracle
+`em_zeta` is written directly from the textbook remainder formula --
+independently of both the package's quadrature route and of mpmath.zeta --
+because the continuation checks need a reference that shares no code path
+with either side.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import os
 import random
 import re
+import sys
 
 import mpmath as mp
 
@@ -74,6 +77,19 @@ def hardy_z_ref(t) -> float:
 
 def siegel_theta_ref(t) -> float:
     return float(mp.siegeltheta(mp.mpf(t)))
+
+
+def pair_gap_ref(hi, lo, exact) -> float:
+    """(hi + lo) - exact, formed in mpmath: the error of a (hi, lo) pair."""
+    return float(mp.mpf(hi) + mp.mpf(lo) - exact)
+
+
+def siegel_theta_mp(t):
+    return mp.siegeltheta(mp.mpf(t))
+
+
+def log_mp(x):
+    return mp.log(mp.mpf(x))
 
 
 def zero_ref(n: int) -> float:
@@ -251,101 +267,140 @@ def omega_ref(s, lam) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Riemann-Siegel remainder coefficients (Gabcke 1979)
+# Riemann-Siegel remainder coefficients (Gabcke 1979; Arias de Reyna 2011)
 # ---------------------------------------------------------------------------
 
+# C_0..C_12: the first order left out, C_13, adds less than 2e-15 at t = 100
+RS_ORDERS = 13
 
-def _rs_psi_series(degree: int) -> list:
-    """Taylor coefficients in x of Psi(1/2 + x), Psi(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p.
 
-    Psi(1/2 + x) = -cos(2 pi x^2 - 5 pi/8) / cos(2 pi x); both sides are
-    expanded and divided as power series.  Psi is entire (every zero of the
-    denominator is a zero of the numerator), but the division recursion
-    grows rounding like 4^n, hence the 200 working digits.
+def _rs_f_series(degree: int) -> list:
+    """Taylor coefficients of F(z) = (e^{i pi (z^2/2 + 3/8)} - i sqrt2 cos(pi z / 2)) / (2 cos pi z).
+
+    F is even and entire (every zero of the denominator is a zero of the
+    numerator); the power-series division grows rounding like 4^n, hence
+    the extra working digits of the caller.
+    """
+    pi = mp.pi
+    e38 = mp.expjpi(mp.mpf(3) / 8)
+    num = [mp.mpc(0)] * (degree + 1)
+    den = [mp.mpf(0)] * (degree + 1)
+    for j in range(degree // 2 + 1):
+        num[2 * j] = (e38 * (0.5j * pi) ** j / mp.factorial(j)
+                      - 1j * mp.sqrt(2) * (-1) ** j * (pi / 2) ** (2 * j)
+                      / mp.factorial(2 * j))
+        den[2 * j] = 2 * (-1) ** j * pi ** (2 * j) / mp.factorial(2 * j)
+    out = []
+    for n in range(degree + 1):
+        acc = num[n] - sum(den[k] * out[n - k] for k in range(2, n + 1, 2))
+        out.append(acc / den[0])
+    return out
+
+
+def _rs_d_table(orders: int) -> dict:
+    """Arias de Reyna's d(n, k), n < orders, at sigma = 1/2.
+
+    The recursion of his part II, section 3.17, as mpmath 1.3.0 runs it in
+    functions/rszeta.py (Rzeta_simul, mu = 0); its (1 - 2 sigma) term
+    vanishes on the critical line.
+    """
+    d = {(0, 0): mp.mpf(1)}
+    for n in range(1, orders):
+        for k in range(3 * n // 2 + 1):
+            m = 3 * n - 2 * k
+            if m:
+                d[n, k] = (d.get((n - 1, k), 0) / (4 * m)
+                           - (m + 1) * d.get((n - 1, k - 2), 0))
+            else:
+                d[n, k] = -sum((-1) ** (k - r) * d[n, r] * mp.factorial(2 * k - 2 * r)
+                               / mp.factorial(k - r) for r in range(k))
+    return d
+
+
+def rs_coefficient_tables(orders: int = RS_ORDERS, degree: int = 160,
+                          cut: float = 1e-20) -> list:
+    """Gabcke's C_0..C_{orders-1} as power series in y = (p - 1/2)^2.
+
+    Arias de Reyna writes zeta(1/2 + it) as the main sum plus
+    (-1)^(N-1) a^(-1/2) e^(-i h(t)) sum_n T_n(z) a^(-n), with a = sqrt(t / 2 pi),
+    p = frac(a), z = 1 - 2p, h(t) = t/2 log(t / 2 pi) - t/2 - pi/8 and
+
+        T_n(z) = sum_k d(n, k) F^(3n - 2k)(z) / (pi^(2n - k) (2i)^k).
+
+    Z = 2 Re e^(i theta) zeta and theta = h + eps, eps(t) being the Stirling
+    tail sum_j (1 - 2^(1-2j)) |B_2j| / (4j (2j - 1) t^(2j-1)), so with
+    e^(i eps) = sum_j e_j a^(-j) (t = 2 pi a^2) the real remainder series has
+    C_n = 2 Re sum_j e_j T_(n-j).  C_n(p) = x^(n mod 2) sum_j c_j y^j with
+    x = p - 1/2; each series stops at the first term below `cut` on
+    |x| <= 1/2.  For n <= 4 this reproduces Gabcke's closed forms in the
+    derivatives of Psi(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p bit for bit.
     """
     with mp.workdps(200):
-        two_pi = 2 * mp.pi
-        c, s = mp.cos(5 * mp.pi / 8), mp.sin(5 * mp.pi / 8)
-        num = [mp.mpf(0)] * (degree + 1)
-        den = [mp.mpf(0)] * (degree + 1)
-        for j in range(degree // 2 + 1):
-            sign = (-1) ** j
-            den[2 * j] = sign * two_pi ** (2 * j) / mp.factorial(2 * j)
-            if 4 * j <= degree:
-                num[4 * j] += c * sign * two_pi ** (2 * j) / mp.factorial(2 * j)
-            if 4 * j + 2 <= degree:
-                num[4 * j + 2] += s * sign * two_pi ** (2 * j + 1) / mp.factorial(2 * j + 1)
-        out = []
-        for n in range(degree + 1):
-            acc = -num[n] - sum(den[k] * out[n - k] for k in range(1, n + 1))
-            out.append(acc / den[0])
-        return out
+        pi = mp.pi
+        f = _rs_f_series(degree)
+        d = _rs_d_table(orders)
 
-
-def rs_coefficient_tables(degree: int = 120, cut: float = 1e-20) -> list:
-    """C_0..C_4 of the Riemann-Siegel remainder as power series in y = (p - 1/2)^2.
-
-    C_k(p) = x^(k mod 2) * sum_j c_j y^j with x = p - 1/2 (C_0, C_2, C_4 are
-    even in x, C_1, C_3 odd).  Each series stops at the first term below
-    `cut` on |x| <= 1/2, the whole range of p = frac(sqrt(t / 2 pi)).
-    """
-    with mp.workdps(200):
-        psi = _rs_psi_series(degree)
-
-        def d(m):
-            out = psi
-            for _ in range(m):
-                out = [n * out[n] for n in range(1, len(out))]
+        def t_series(n):
+            out = [mp.mpc(0)] * (degree + 1)
+            for k in range(3 * n // 2 + 1):
+                m = 3 * n - 2 * k
+                w = d[n, k] / (pi ** (2 * n - k) * (2j) ** k)
+                for i in range(degree + 1 - m):
+                    # x^i coefficient of F^(m)(z) at z = -2x
+                    out[i] += w * mp.ff(i + m, m) * f[i + m] * (-2) ** i
             return out
 
-        pi2 = mp.pi ** 2
-        recipe = (
-            ((1, 0),),
-            ((-1 / (96 * pi2), 3),),
-            ((1 / (64 * pi2), 2), (1 / (18432 * pi2 ** 2), 6)),
-            ((-1 / (64 * pi2), 1), (-1 / (3840 * pi2 ** 2), 5),
-             (-1 / (5308416 * pi2 ** 3), 9)),
-            ((1 / (128 * pi2), 0), (mp.mpf(19) / (24576 * pi2 ** 2), 4),
-             (mp.mpf(11) / (5898240 * pi2 ** 3), 8),
-             (1 / (2038431744 * pi2 ** 4), 12)),
-        )
+        series_t = [t_series(n) for n in range(orders)]
+        eps = [mp.mpf(0)] * orders
+        for j in range(1, (orders + 1) // 4 + 1):
+            eps[4 * j - 2] = ((1 - mp.mpf(2) ** (1 - 2 * j)) * abs(mp.bernoulli(2 * j))
+                              / (4 * j * (2 * j - 1) * (2 * pi) ** (2 * j - 1)))
+        e = [mp.mpc(1)]
+        for n in range(1, orders):
+            e.append(1j * sum(k * eps[k] * e[n - k] for k in range(1, n + 1)) / n)
         tables = []
-        for k, parts in enumerate(recipe):
-            series = [mp.mpf(0)] * (degree + 1)
-            for coef, order in parts:
-                for n, v in enumerate(d(order)):
-                    series[n] += coef * v
+        for n in range(orders):
             row = []
-            for n in range(k % 2, degree + 1, 2):
-                if abs(series[n]) * mp.mpf(0.5) ** n < cut and n > 10:
+            for i in range(n % 2, degree + 1, 2):
+                c = 2 * mp.re(sum(e[j] * series_t[n - j][i] for j in range(n + 1)))
+                if abs(c) * mp.mpf(0.5) ** i < cut and i > 10:
                     break
-                row.append(float(series[n]))
+                row.append(float(c))
+            else:
+                raise ArithmeticError(f"C_{n} needs a series longer than {degree}")
             tables.append(row)
         return tables
 
 
 # lowest height where the scan uses the Riemann-Siegel sign (a >= 1, N >= 1)
 RS_T_MIN = 2 * math.pi
+# lowest height where hardy_z takes the Riemann-Siegel sum in extra precision
+RS_HARDY_T_MIN = 100.0
 # indices n of the zeros the refinement test pins, at heights 14, 1000, 5000
 RS_ZERO_INDICES = (1, 649, 4519)
 # Lehmer's pair near t = 7005.08: two zeros 0.038 apart, one grid step of 0.05
 LEHMER_PAIR_INDICES = (6709, 6710)
 
 
-def regenerate_riemann_siegel(n_points: int = 500, seed: int = 20261018) -> dict:
-    """Coefficient tables, Z(t) at seeded log-uniform t in [RS_T_MIN, 1e4], zeros.
+def regenerate_riemann_siegel(n_points: int = 500, n_high: int = 200,
+                              seed: int = 20261018) -> dict:
+    """Coefficient tables, Z(t) at seeded log-uniform heights, zeros.
 
-    mp.siegelz takes 5-70 ms a point at 30 digits, too slow to run live
-    over 500 points.
+    "z" holds n_points heights in [RS_T_MIN, 1e4] and "z_high" n_high more
+    in [RS_HARDY_T_MIN, 1e6], drawn after them from the same generator.
+    mp.siegelz takes 5-70 ms a point at 30 digits below 1e4 and up to
+    0.3 s near 1e6, too slow to run live.
     """
     rng = random.Random(seed)
-    lo, hi = math.log(RS_T_MIN), math.log(1e4)
-    points = []
-    for _ in range(n_points):
-        t = math.exp(rng.uniform(lo, hi))
-        points.append([t, hardy_z_ref(t)])
+
+    def draw(count, t_lo, t_hi):
+        lo, hi = math.log(t_lo), math.log(t_hi)
+        return [[t, hardy_z_ref(t)]
+                for t in (math.exp(rng.uniform(lo, hi)) for _ in range(count))]
+
     return {"coefficients": rs_coefficient_tables(),
-            "z": points,
+            "z": draw(n_points, RS_T_MIN, 1e4),
+            "z_high": draw(n_high, RS_HARDY_T_MIN, 1e6),
             "zeros": [[n, zero_ref(n)] for n in RS_ZERO_INDICES],
             "lehmer_pair": [[n, zero_ref(n)] for n in LEHMER_PAIR_INDICES]}
 
@@ -495,15 +550,18 @@ def regenerate_completed_exp_ray() -> dict:
                        "value_re": om.real, "value_im": om.imag}]}
 
 
-def main() -> None:
-    _write_fixture("quarter_alpha_verdict.json", regenerate_quarter_alpha())
-    _write_fixture("resolvent_ratio.json", regenerate_resolvent_ratio())
-    _write_fixture("approx_fe_constant.json", regenerate_approx_fe())
-    _write_fixture("completed_exp_ray.json", regenerate_completed_exp_ray())
-    _write_fixture("riemann_siegel.json", regenerate_riemann_siegel(),
-                   compact_rows=True)
-    _write_fixture("completed_exp_high_t.json", regenerate_completed_exp_high_t())
+# fixture file -> (generator, one list of numbers a line)
+FIXTURES = {
+    "quarter_alpha_verdict.json": (regenerate_quarter_alpha, False),
+    "resolvent_ratio.json": (regenerate_resolvent_ratio, False),
+    "approx_fe_constant.json": (regenerate_approx_fe, False),
+    "completed_exp_ray.json": (regenerate_completed_exp_ray, False),
+    "riemann_siegel.json": (regenerate_riemann_siegel, True),
+    "completed_exp_high_t.json": (regenerate_completed_exp_high_t, False),
+}
 
+
+def _print_frozen() -> None:
     frozen = [
         ("psi(1)", psi_ref(1.0)),
         ("big_theta(1)", big_theta_ref(1.0)),
@@ -542,5 +600,22 @@ def main() -> None:
         print(f"  {name} = {value!r}")
 
 
+def main(argv: list[str]) -> None:
+    """Rewrite the fixtures named in argv (file name, .json optional).
+
+    With no name, rewrite every fixture and print the frozen values.
+    """
+    names = [a if a.endswith(".json") else a + ".json" for a in argv]
+    unknown = [n for n in names if n not in FIXTURES]
+    if unknown:
+        raise SystemExit(f"unknown fixture {', '.join(unknown)}; "
+                         f"choose from {', '.join(FIXTURES)}")
+    for name in names or FIXTURES:
+        generate, compact_rows = FIXTURES[name]
+        _write_fixture(name, generate(), compact_rows=compact_rows)
+    if not names:
+        _print_frozen()
+
+
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

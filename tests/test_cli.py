@@ -75,6 +75,17 @@ def test_eval_zeta_reg_high_t_has_no_traceback(capsys):
     assert code in (0, 2)
 
 
+def test_eval_float_overflow_exits_2_without_traceback(capsys):
+    # 1/Gamma(0.25 + 500i) leaves the double range in the bare value; the
+    # OverflowError maps to the numeric exit code, not to a traceback
+    code, out, err = run_cli(capsys, "eval", "--fn", "zeta-reg",
+                             "--s", "0.5+1000i", "--cutoff", "exp-alpha",
+                             "--lambda", "0.5", "--alpha", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("zetalab: error: ")
+
+
 @pytest.mark.parametrize("fn", ["zeta", "xi"])
 def test_max_terms_reaches_the_theta_tail(capsys, fn):
     # at low t zeta and xi integrate psi, whose sum must stop at --max-terms

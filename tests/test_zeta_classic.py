@@ -5,6 +5,7 @@ independently in tests/oracles.py (and cross-checked against mpmath at 30
 digits); the analytic route under test is the theta-integral / EM hybrid.
 """
 
+import cmath
 import json
 import math
 import pathlib
@@ -14,14 +15,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 import zetalab.zeta_classic as zeta_classic
-from oracles import chi_ref, zero_count_ref
+from oracles import (chi_ref, hardy_z_ref, log_mp, pair_gap_ref,
+                     siegel_theta_mp, zero_count_ref, zeta_ref)
 from zetalab.errors import DomainError, PoleError
 from zetalab.gammafn import power_real_base
 from zetalab.zeta_classic import (
+    _HARDY_RS_T_MIN,
     _RS_COEFFS,
     _RS_T_MIN,
     _dirichlet_sum,
     _euler_maclaurin,
+    _hardy_rs_bound,
+    _hardy_z_rs,
     _rs_bound,
     _z_riemann_siegel,
     approx_functional_sum,
@@ -35,9 +40,13 @@ from zetalab.zeta_classic import (
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-# mpmath: Riemann-Siegel coefficient tables, siegelz at 500 seeded heights,
-# and three zeros (tests/oracles.py:regenerate_riemann_siegel)
+# mpmath: Riemann-Siegel coefficient tables C_0..C_12, siegelz at 500 seeded
+# heights in [2 pi, 1e4] and 200 in [100, 1e6], three zeros and Lehmer's pair
+# (tests/oracles.py:regenerate_riemann_siegel)
 RS_FIXTURE = json.loads((FIXTURES / "riemann_siegel.json").read_text())
+# every fixture height where hardy_z takes the extended Riemann-Siegel sum
+RS_HIGH = [(t, z) for t, z in RS_FIXTURE["z"] + RS_FIXTURE["z_high"]
+           if t >= _HARDY_RS_T_MIN]
 
 
 def test_series_exact():
@@ -104,6 +113,14 @@ def test_conjugate_symmetry():
     assert a == pytest.approx(b.conjugate(), rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [-2.5 + 1000.0j, -3.0 + 200.0j, -4.0 - 500.0j])
+def test_reflection_route_err_estimate_covers_chi_rounding(s):
+    # chi's phase is of size |t| log |t|: its rounding (4.9e-13 relative at
+    # -2.5 + 1000i) dwarfs Euler-Maclaurin's own estimate of 1e-19
+    r = zeta_analytic(s)
+    assert abs(r.value - zeta_ref(s)) <= r.err_estimate
+
+
 def test_chi_functional_equation():
     for s in (0.3 + 5.0j, 0.5 + 14.0j, -0.5 + 2.0j):
         lhs = zeta_analytic(s).value
@@ -154,6 +171,16 @@ def test_theta_phase():
     t = 14.134725141734695
     assert riemann_siegel_theta(t) == pytest.approx(-1.7286702466758372, rel=1e-12)
     assert riemann_siegel_theta(-t) == pytest.approx(1.7286702466758372, rel=1e-12)
+
+
+def test_extended_precision_theta_and_log_hold_to_their_pairs():
+    # a float theta is off by its ulp (the Lanczos one by 9.3e-10 at t = 1e6)
+    for t in (100.0, 1234.5, 98765.4, 999999.9):
+        hi, lo = zeta_classic._theta_dd(t)
+        assert abs(pair_gap_ref(hi, lo, siegel_theta_mp(t))) <= 2e-16
+    for x in (0.37, 100.0, 6.5e4, 1e12):
+        hi, lo = zeta_classic._log_dd(x)
+        assert abs(pair_gap_ref(hi, lo, log_mp(x))) <= 1e-22
 
 
 def test_hardy_z():
@@ -213,7 +240,7 @@ def test_find_zeros_domain():
 
 
 def test_riemann_siegel_coefficients_match_oracle_tables():
-    assert len(_RS_COEFFS) == len(RS_FIXTURE["coefficients"]) == 5
+    assert len(_RS_COEFFS) == len(RS_FIXTURE["coefficients"]) == 13
     for mine, ref in zip(_RS_COEFFS, RS_FIXTURE["coefficients"]):
         assert list(mine) == pytest.approx(ref, rel=1e-15, abs=1e-22)
 
@@ -228,16 +255,52 @@ def test_riemann_siegel_z_stays_well_inside_its_bound():
     assert worst <= 0.1
 
 
-def _hardy_z_sign_scan(t_min, t_max, step):
-    """(t_lo, t_hi, z_lo, z_hi) of every sign change of hardy_z on the grid."""
+def test_extended_riemann_siegel_keeps_a_tenfold_margin_on_its_bound():
+    assert len(RS_FIXTURE["z_high"]) >= 200
+    assert min(t for t, _ in RS_HIGH) >= _HARDY_RS_T_MIN
+    assert max(t for t, _ in RS_HIGH) <= 1e6
+    worst = max(abs(_hardy_z_rs(t)[0] - z) / _hardy_rs_bound(t)
+                for t, z in RS_HIGH)
+    assert worst <= 0.1
+
+
+def test_hardy_z_err_estimate_bounds_its_error_above_the_switch_height():
+    for t, z in RS_HIGH:
+        r = hardy_z(t)
+        assert r.value.imag == 0.0
+        assert abs(r.value.real - z) <= r.err_estimate <= 1e-13
+        assert r.converged
+
+
+def test_hardy_z_is_even_above_the_switch_height():
+    for t, _ in RS_HIGH[::10]:
+        assert hardy_z(-t) == hardy_z(t)
+
+
+def test_hardy_z_at_the_switch_height_agrees_with_mpmath():
+    below = hardy_z(math.nextafter(_HARDY_RS_T_MIN, 0.0))
+    above = hardy_z(_HARDY_RS_T_MIN)
+    ref = hardy_z_ref(_HARDY_RS_T_MIN)
+    assert abs(above.value.real - ref) <= above.err_estimate
+    assert abs(below.value.real - ref) <= 1e-13
+
+
+def _em_z(t):
+    """Z(t) from Euler-Maclaurin zeta and the Lanczos phase, no Riemann-Siegel."""
+    zeta = _euler_maclaurin(complex(0.5, t), zeta_classic.DEFAULT_QUAD).value
+    return (cmath.exp(1j * riemann_siegel_theta(t)) * zeta).real
+
+
+def _em_sign_scan(t_min, t_max, step):
+    """(t_lo, t_hi) of every sign change of _em_z on the grid."""
     out = []
     t_lo = float(t_min)
-    z_lo = hardy_z(t_lo).value.real
+    z_lo = _em_z(t_lo)
     while t_lo < t_max:
         t_hi = min(t_lo + step, float(t_max))
-        z_hi = hardy_z(t_hi).value.real
+        z_hi = _em_z(t_hi)
         if z_lo * z_hi < 0.0:
-            out.append((t_lo, t_hi, z_lo, z_hi))
+            out.append((t_lo, t_hi))
         t_lo, z_lo = t_hi, z_hi
     return out
 
@@ -245,9 +308,34 @@ def _hardy_z_sign_scan(t_min, t_max, step):
 @pytest.mark.parametrize("t_min", [10.0, 300.0, 1000.0, 4990.0])
 def test_find_zeros_brackets_equal_euler_maclaurin_scan(t_min):
     t_max = t_min + 5.0
-    got = [(b.t_lo, b.t_hi, b.z_lo, b.z_hi) for b in find_zeros(t_min, t_max, 0.05)]
-    assert got == _hardy_z_sign_scan(t_min, t_max, 0.05)
-    assert len(got) == zero_count_ref(t_max) - zero_count_ref(t_min)
+    brackets = find_zeros(t_min, t_max, 0.05)
+    assert [(b.t_lo, b.t_hi) for b in brackets] == _em_sign_scan(t_min, t_max, 0.05)
+    assert len(brackets) == zero_count_ref(t_max) - zero_count_ref(t_min)
+    # Euler-Maclaurin's err_estimate leaves its rounding out (1e-19 against
+    # 1e-13..1e-11 here), so the bracket values are held to mpmath: within
+    # hardy_z's bound above the switch height, and equal to the
+    # Euler-Maclaurin route below it, which is hardy_z's route there
+    for b in brackets:
+        for t, z in ((b.t_lo, b.z_lo), (b.t_hi, b.z_hi)):
+            if t >= _HARDY_RS_T_MIN:
+                assert abs(z - hardy_z_ref(t)) <= _hardy_rs_bound(t)
+            else:
+                assert z == _em_z(t)
+
+
+def test_find_zeros_above_the_switch_height_makes_no_euler_maclaurin_call(
+        monkeypatch):
+    calls = []
+
+    def counted(s, q):
+        calls.append(s)
+        return _euler_maclaurin(s, q)
+
+    monkeypatch.setattr(zeta_classic, "_euler_maclaurin", counted)
+    assert _HARDY_RS_T_MIN <= 1000.0
+    brackets = find_zeros(1000.0, 1005.0, 0.05)
+    assert len(brackets) == 4
+    assert calls == []
 
 
 def test_find_zeros_separates_lehmer_pair():
