@@ -35,6 +35,12 @@ def resolve_cache_dir(flag_value: str | None) -> str | None:
     return env or None
 
 
+def has_entry(cache_dir: str | None, key: str) -> bool:
+    """Whether cache_dir holds a file for key (it may still fail to read)."""
+    return cache_dir is not None and os.path.exists(
+        os.path.join(cache_dir, key + ".json"))
+
+
 def get_or_compute(cache_dir: str | None, key: str, compute) -> dict:
     """Return the cached record for key, computing and storing on miss.
 

@@ -4,12 +4,19 @@ Exit codes: 0 success, 1 usage / bad parameters, 2 numerical failure
 (poles, non-convergence, verification above threshold), 3 symmetry
 violation, 4 I/O failure.  All machine output goes to stdout (or --out);
 progress and summaries go to stderr.
+
+grid takes omega, xi-lambda and zeta-reg a (t, lambda) row at a time: the
+row's first cache miss computes every point of the row that the cache does
+not hold in one call, whose completed values share a quadrature pass.  Each
+point still goes through the cache under its own key, with the record an
+`eval` of it would print.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import math
 import sys
@@ -17,7 +24,7 @@ import time
 
 from . import __version__
 from .bessel import bessel_k
-from .cache import cache_key, get_or_compute, resolve_cache_dir
+from .cache import cache_key, get_or_compute, has_entry, resolve_cache_dir
 from .cutoffs import (CustomCutoff, CutoffSpec, ExpAlpha, ExpSymmetric,
                       NoCutoff, TwoParam, TwoParamNu)
 from .diffusion import (heat_kernel_h3, heat_kernel_hyperbolic_odd,
@@ -27,7 +34,8 @@ from .errors import (DomainError, NonConvergence, NonFiniteIntegrand,
                      PoleError, SymmetryViolation)
 from .funceq import STANDARD_S_GRID, FunctionalEqKind, verify
 from .records import (complex_to_obj, csv_text, dumps_record, parse_complex)
-from .regularized import omega, smooth_F, xi_lambda, zeta_regularized
+from .regularized import (_omega_row, _xi_lambda_row, _zeta_regularized_row,
+                          omega, smooth_F, xi_lambda)
 from .theta import big_theta, jacobi_theta3, psi
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec
 from .zeta_classic import find_zeros, hardy_z, xi_entire, zeta_analytic
@@ -267,16 +275,20 @@ def _cutoff_from(get, kind: str, lam: float | None = None) -> CutoffSpec:
 # ---------------------------------------------------------------------------
 
 
-def _zeta_reg(get, q, s):
+def _zeta_reg_row(get, q, s_row):
+    """zeta-reg at each s of s_row (sharing Im s): (EvalResult, echo) pairs.
+
+    The record carries the bare value with the completed value's estimate.
+    """
     kind = get("cutoff", str, None) or ("exp" if get("lambda", str, None)
                                         else "none")
     cutoff = _cutoff_from(get, kind)
-    rz = zeta_regularized(s, cutoff, q)
-    res = EvalResult(value=rz.bare,
-                     err_estimate=rz.completed.err_estimate,
-                     evaluations=rz.completed.evaluations,
-                     converged=rz.completed.converged)
-    return res, {"cutoff": cutoff.kind_name, "representation": rz.representation}
+    return [(EvalResult(value=rz.bare,
+                        err_estimate=rz.completed.err_estimate,
+                        evaluations=rz.completed.evaluations,
+                        converged=rz.completed.converged),
+             {"cutoff": cutoff.kind_name, "representation": rz.representation})
+            for rz in _zeta_regularized_row(s_row, cutoff, q)]
 
 
 def _odd_order(d: float) -> int:
@@ -295,7 +307,7 @@ _LAMBDA = ("lambda", _float)
 # function inside the lambda, so it is looked up when the call runs.
 _EVAL_FNS = {
     "zeta": ((_S,), lambda _, q, s: zeta_analytic(s, q)),
-    "zeta-reg": ((_S,), _zeta_reg),
+    "zeta-reg": ((_S,), lambda get, q, s: _zeta_reg_row(get, q, [s])[0]),
     "bessel-k": ((("nu", parse_complex), ("z", _float)),
                  lambda _, q, nu, z: bessel_k(nu, z, q)),
     "theta": ((("v", _float),), lambda _, q, v: big_theta(v, q)),
@@ -449,6 +461,16 @@ def _cmd_scan(args) -> int:
 # zeta-reg takes the exp-symmetric cutoff
 _GRID_FNS = ("zeta", "zeta-reg", "omega", "xi-lambda")
 
+# grid selector -> row call: call(get, q, s_row) gives the EvalResults of the
+# selector at the s of one (t, lambda) row, whose completed values share one
+# quadrature pass (or run the Bessel series one s at a time).  Looked up
+# when called, as _EVAL_FNS is.
+_GRID_ROWS = {
+    "zeta-reg": lambda get, q, s_row: [r for r, _ in _zeta_reg_row(get, q, s_row)],
+    "omega": lambda get, q, s_row: _omega_row(s_row, get(*_LAMBDA), q),
+    "xi-lambda": lambda get, q, s_row: _xi_lambda_row(s_row, get(*_LAMBDA), q),
+}
+
 
 def _cmd_grid(args) -> int:
     q = _quad_from(args)
@@ -460,30 +482,55 @@ def _cmd_grid(args) -> int:
                     for sig in sigmas for t in ts for lam in lams)
     cache_dir = resolve_cache_dir(args.cache_dir)
     quad_obj = dataclasses.asdict(q)
+    row_call = _GRID_ROWS.get(args.fn)
+    rows: dict = {}             # (t, lam key) -> its points, sigma ascending
+    for point in points:
+        rows.setdefault(point[1:], []).append(point)
+    from_rows: dict = {}        # point -> EvalResult of a row call, until used
+
+    def params_of(point) -> dict:
+        sigma, t, lam_key = point
+        params = {"sigma": sigma, "t": t}
+        if lam_key != -math.inf:
+            params["lambda"] = lam_key
+        return params
+
+    keys = {point: cache_key(args.fn, params_of(point), quad_obj)
+            for point in points}
+
+    def evaluate(point) -> EvalResult:
+        sigma, t, lam_key = point
+        values = argparse.Namespace(
+            s=complex(sigma, t), lam=None if lam_key == -math.inf else lam_key,
+            cutoff="exp")
+        get = _reader(values, parsed=True)
+        if row_call is None:
+            return _evaluate(args.fn, get, q)[0]
+        if point not in from_rows:
+            # the row's first miss: this point and the row's later points
+            # that the cache does not hold, in one call
+            row = rows[point[1:]]
+            batch = [p for p in row[row.index(point):] if p == point
+                     or not (p in from_rows or has_entry(cache_dir, keys[p]))]
+            from_rows.update(zip(batch, row_call(
+                get, q, [complex(p[0], p[1]) for p in batch])))
+        return from_rows.pop(point)
 
     def run_point(point) -> dict:
-        sigma, t, lam_key = point
-        lam = None if lam_key == -math.inf else lam_key
-        params = {"sigma": sigma, "t": t}
-        if lam is not None:
-            params["lambda"] = lam
-        key = cache_key(args.fn, params, quad_obj)
-
         def compute() -> dict:
-            values = argparse.Namespace(s=complex(sigma, t), lam=lam, cutoff="exp")
-            result, _ = _evaluate(args.fn, _reader(values, parsed=True), q)
-            return {**params, "value": complex_to_obj(result.value),
+            result = evaluate(point)
+            return {**params_of(point), "value": complex_to_obj(result.value),
                     "err_estimate": result.err_estimate}
 
-        return get_or_compute(cache_dir, key, compute)
+        return get_or_compute(cache_dir, keys[point], compute)
 
     results = [run_point(p) for p in points]
     lam_col = ["lambda"] if with_lambda else []
-    rows = [[rec["sigma"], rec["t"], *(rec[c] for c in lam_col),
-             rec["value"]["re"], rec["value"]["im"], rec["err_estimate"]]
-            for rec in results]
+    rows_out = [[rec["sigma"], rec["t"], *(rec[c] for c in lam_col),
+                 rec["value"]["re"], rec["value"]["im"], rec["err_estimate"]]
+                for rec in results]
     _emit(args, q, ["sigma", "t", *lam_col, "value_re", "value_im",
-                    "err_estimate"], rows, {"records": results})
+                    "err_estimate"], rows_out, {"records": results})
     return EXIT_OK
 
 
@@ -494,9 +541,15 @@ _COMMANDS = {"eval": _cmd_eval, "verify": _cmd_verify, "scan": _cmd_scan,
              "grid": _cmd_grid}
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once a process; it prints usage, help and version
+    to the sys.stdout and sys.stderr current when it prints."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except DomainError as exc:

@@ -233,8 +233,8 @@ def euclidean_identification_residual(d: float, alpha: float, r: float,
     if not r > 0.0:
         raise DomainError(f"needs r > 0, got {r!r}")
     s = 2.0 - d
-    completed = _completed_quadrature(s, TwoParam(lam1=alpha, lam2=0.25 * r * r),
-                                      q).value
+    completed = _completed_quadrature([s], TwoParam(lam1=alpha, lam2=0.25 * r * r),
+                                      q)[0].value
     if limit_free:
         lhs = completed
     else:

@@ -7,6 +7,9 @@ exp-symmetric K_{u/2}(2 lam), exp-alpha (1/alpha) K_{u/(2 alpha)}(2 lam),
 two-param the closed-form K pair, generic-h the quadrature itself.
 riemann-classic compares the completed classical zeta at s and 1 - s, and
 quarter-alpha-single-k the alpha = 1/4 difference with its single-K form.
+For exp-alpha, two-param, generic-h and quarter-alpha-single-k the
+completed values at 1 - s and s come from one quadrature pass per piece,
+which gives each the bits a pass of its own gives.
 Residuals are *reported*, never asserted here — deciding whether a
 residual is acceptable belongs to callers (and the CLI exit-code layer).
 """
@@ -21,7 +24,7 @@ from .bessel import bessel_k, bessel_k_complex_arg
 from .cutoffs import CutoffSpec, ExpAlpha, TwoParam, ensure_symmetric_for_fe
 from .errors import DomainError, PoleError
 from .gammafn import gamma_complex, power_real_base
-from .quadrature import integrate
+from .quadrature import integrate_powers
 from .regularized import (_completed_exp, _completed_quadrature,
                           _require_positive_real)
 from .types import DEFAULT_QUAD, FunctionalEqReport, QuadratureSpec, build_report
@@ -51,17 +54,18 @@ def _completed_classic(s: complex, q: QuadratureSpec) -> complex:
             * zeta_analytic(s, q).value)
 
 
-def _half_integral_quad(cutoff: CutoffSpec, nu: complex,
-                        q: QuadratureSpec) -> complex:
-    """(1/2) int_0^inf h(x) x^(nu - 1) dx by exp-sinh quadrature."""
+def _half_integrals_quad(cutoff: CutoffSpec, nus,
+                         q: QuadratureSpec) -> list[complex]:
+    """[(1/2) int_0^inf h(x) x^(nu - 1) dx for nu in nus], in one exp-sinh pass."""
 
-    def f(x: float) -> complex:
+    def base(x: float) -> complex:
         hv = cutoff.value(x)
         if hv == 0.0:
             return 0.0
-        return 0.5 * hv * power_real_base(x, nu - 1.0)
+        return 0.5 * hv
 
-    return integrate(f, (0.0, math.inf), q).value
+    return [r.value for r in
+            integrate_powers(base, [nu - 1.0 for nu in nus], (0.0, math.inf), q)]
 
 
 def _half_integral_two_param(nu: complex, lam1: complex, lam2: complex,
@@ -103,21 +107,27 @@ def _need(kind: FunctionalEqKind, params: dict, key: str):
     return params[key]
 
 
-def _side(kind: FunctionalEqKind, s: complex, params: dict, q: QuadratureSpec):
-    """Run kind's checks at s and return its side(u) (module docstring).
+def _sides(kind: FunctionalEqKind, s: complex, params: dict, q: QuadratureSpec):
+    """Run kind's checks at s and return sides(us) = [side(u) for u in us]
+    (module docstring).
 
     riemann-classic has no cutoff; its side is the completed classical zeta.
+    exp-alpha, two-param and generic-h take the completed values of all us
+    from one `_completed_quadrature` call, and generic-h its half-integrals
+    from one more pass.  exp-symmetric goes one u at a time: at 1 - s and s
+    its ray turns to opposite sides, or the Bessel series serves it.
     """
     if kind is FunctionalEqKind.RIEMANN_CLASSIC:
         if abs(s) <= 1e-12 or abs(s - 1.0) <= 1e-12:
             raise PoleError("the completed classical form has poles at s = 0 and "
                             "s = 1; pick s away from them")
-        return lambda u: _completed_classic(u, q)
+        return lambda us: [_completed_classic(u, q) for u in us]
     if kind is FunctionalEqKind.EXP_SYMMETRIC:
         # _completed_exp, which runs first, rejects Re lam <= 0
         lam = complex(_need(kind, params, "lam"))
-        return lambda u: (_completed_exp(u, lam, q)[0].value
-                          + bessel_k_complex_arg(0.5 * u, 2.0 * lam, q).value)
+        return lambda us: [_completed_exp([u], lam, q)[0][0].value
+                           + bessel_k_complex_arg(0.5 * u, 2.0 * lam, q).value
+                           for u in us]
     if kind is FunctionalEqKind.EXP_ALPHA:
         lam, alpha = _need(kind, params, "lam"), _need(kind, params, "alpha")
         if not alpha > 0.0:
@@ -127,21 +137,22 @@ def _side(kind: FunctionalEqKind, s: complex, params: dict, q: QuadratureSpec):
         cutoff = ExpAlpha(lam=float(lam), alpha=float(alpha))
         z = 2.0 * cutoff.lam
         inv_a = 1.0 / alpha
-        return lambda u: (_completed_quadrature(u, cutoff, q).value
-                          + inv_a * bessel_k(u * 0.5 * inv_a, z, q).value)
+        return lambda us: [c.value + inv_a * bessel_k(u * 0.5 * inv_a, z, q).value
+                           for u, c in zip(us, _completed_quadrature(us, cutoff, q))]
     if kind is FunctionalEqKind.TWO_PARAM:
         lam1, lam2 = _need(kind, params, "lam1"), _need(kind, params, "lam2")
         cutoff = TwoParam(lam1=lam1, lam2=lam2)
-        return lambda u: (_completed_quadrature(u, cutoff, q).value
-                          + _half_integral_two_param(0.5 * u, lam1, lam2, q))
+        return lambda us: [c.value + _half_integral_two_param(0.5 * u, lam1, lam2, q)
+                           for u, c in zip(us, _completed_quadrature(us, cutoff, q))]
     if kind is FunctionalEqKind.GENERIC_H:
         cutoff = _need(kind, params, "cutoff")
         if not isinstance(cutoff, CutoffSpec):
             raise DomainError("generic-h verify needs a CutoffSpec under 'cutoff'")
         ensure_symmetric_for_fe(cutoff)
         _decay_gate(cutoff, s, q)
-        return lambda u: (_completed_quadrature(u, cutoff, q).value
-                          + _half_integral_quad(cutoff, 0.5 * u, q))
+        return lambda us: [c.value + half for c, half in zip(
+            _completed_quadrature(us, cutoff, q),
+            _half_integrals_quad(cutoff, [0.5 * u for u in us], q))]
     raise DomainError(f"unknown functional-equation kind {kind!r}")
 
 
@@ -149,8 +160,8 @@ def _quarter_alpha_sides(s: complex, lam, q: QuadratureSpec):
     """(completed(1-s) - completed(s), (1-2s) K_{1-2s}(2 lam) / lam) at alpha = 1/4."""
     lam = _require_positive_real(lam, "the quarter-alpha reduction")
     cutoff = ExpAlpha(lam=lam, alpha=0.25)
-    lhs = (_completed_quadrature(1.0 - s, cutoff, q).value
-           - _completed_quadrature(s, cutoff, q).value)
+    reflected, direct = _completed_quadrature([1.0 - s, s], cutoff, q)
+    lhs = reflected.value - direct.value
     order = 1.0 - 2.0 * s
     k = bessel_k(order, 2.0 * lam, q).value
     return lhs, order * k / lam
@@ -189,8 +200,7 @@ def verify(kind: FunctionalEqKind, s: complex, params: dict | None = None,
         lhs, base = _quarter_alpha_sides(s, _need(kind, params, "lam"), q)
         rhs = -4.0 * base
     else:
-        side = _side(kind, s, params, q)
-        lhs, rhs = side(1.0 - s), side(s)
+        lhs, rhs = _sides(kind, s, params, q)([1.0 - s, s])
         if kind is FunctionalEqKind.RIEMANN_CLASSIC:
             lhs, rhs = rhs, lhs
 

@@ -28,6 +28,14 @@ evaluations where the ray takes ~6k.  Above these lam the series is the
 cheaper one; the thresholds are where the two timings cross (CHANGES.md
 has the table).
 
+Every quadrature route evaluates a row at a time: the s values that share
+a cutoff and a contour -- both sides of a functional equation, the sigma
+values of a grid row at one (t, lam) -- take their completed values from
+one `integrate_powers` pass per piece, since only x^(s/2-1) changes with s.
+Each value is bit-identical to a pass of its own.  `_completed_exp`,
+`_zeta_regularized_row`, `_xi_lambda_row` and `_omega_row` are the row
+forms; the public functions are their one-s case.
+
 Why a ray: on the real axis the integral is of size ~e^{-pi |t| / 4}
 while its integrand is of order one, so it loses about e^{pi |t| / 4} to
 cancellation (2e-9 relative at t = 20).  The integrand is analytic for
@@ -47,7 +55,7 @@ from .bessel import bessel_k, bessel_k_complex_arg
 from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff
 from .errors import DomainError, NonConvergence
 from .gammafn import power_real_base, rgamma
-from .quadrature import integrate
+from .quadrature import integrate, integrate_powers
 from .theta import _psi_complex_remainder, _psi_raw
 from .types import (DEFAULT_QUAD, EvalResult, QuadratureSpec, RegZetaValue,
                     make_result, sum_pieces)
@@ -131,9 +139,14 @@ def _asymptote_integral(s: complex, lam: float, q: QuadratureSpec) -> EvalResult
     return sum_pieces([sum_pieces([k_odd], c_odd), sum_pieces([k_even], -c_even)])
 
 
-def _completed_quadrature(s: complex, cutoff: CutoffSpec, q: QuadratureSpec,
-                          theta: float | None = None) -> EvalResult:
-    """completed(s; h) by tanh-sinh on (0,1) plus exp-sinh on (1,inf).
+def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
+                          theta: float | None = None) -> list[EvalResult]:
+    """[completed(s; h) for s in s_values], by tanh-sinh on (0,1) plus exp-sinh
+    on (1,inf).
+
+    The values share one pass per piece (`integrate_powers`): psi h is
+    evaluated once a node and only x^(s/2-1) changes with s, so each value
+    is bit for bit what a pass of its own gives.
 
     theta = None integrates psi h x^(s/2-1) along the real axis, for any
     cutoff.  A float theta, |theta| < pi/2, is the exp-symmetric ray route
@@ -149,42 +162,47 @@ def _completed_quadrature(s: complex, cutoff: CutoffSpec, q: QuadratureSpec,
     multiplies the sum, so the quadrature accepts on the scale of what it
     integrates.
 
-    The result is the sum of separately accepted pieces (`sum_pieces`); a
+    Each result is the sum of separately accepted pieces (`sum_pieces`); a
     fresh tolerance test on the summed estimate would fail values whose
     pieces each sat at the abs_tol floor (s = 5+3i, lam = 1e-4: 1.2e-12
     summed, value correct to 1e-15).
     """
-    s = complex(s)
-    half_exp = 0.5 * s - 1.0
+    s_values = [complex(s) for s in s_values]
+    half_exps = [0.5 * s - 1.0 for s in s_values]
 
     if theta is None:
-        def integrand(x: float) -> complex:
+        def base(x: float) -> complex:
             hv = cutoff.value(x)
             if hv == 0.0:
                 return 0.0
             ps = _psi_raw(x, q.series_tail_tol, q.max_terms)
             if ps == 0.0:
                 return 0.0
-            return ps * hv * power_real_base(x, half_exp)
+            return ps * hv
 
-        return sum_pieces([integrate(integrand, (0.0, 1.0), q),
-                           integrate(integrand, (1.0, math.inf), q)])
+        return [sum_pieces([lower, upper]) for lower, upper in
+                _both_pieces(base, half_exps, q)]
 
     lam = _require_positive_real(cutoff.lam, "the ray route")
     rot = cmath.exp(1j * theta)
 
-    def ray_integrand(r: float) -> complex:
+    def ray_base(r: float) -> complex:
         x = r * rot
         hv = cutoff.value(x)
         if hv == 0.0:
             return 0.0
-        return (_psi_complex_remainder(x, q.series_tail_tol, q.max_terms)
-                * hv * power_real_base(r, half_exp))
+        return _psi_complex_remainder(x, q.series_tail_tol, q.max_terms) * hv
 
-    ray = sum_pieces([integrate(ray_integrand, (0.0, 1.0), q),
-                      integrate(ray_integrand, (1.0, math.inf), q)],
-                     cmath.exp(0.5j * theta * s))
-    return sum_pieces([ray, _asymptote_integral(s, lam, q)])
+    return [sum_pieces([sum_pieces([lower, upper], cmath.exp(0.5j * theta * s)),
+                        _asymptote_integral(s, lam, q)])
+            for s, (lower, upper) in zip(s_values,
+                                         _both_pieces(ray_base, half_exps, q))]
+
+
+def _both_pieces(base, exponents, q: QuadratureSpec):
+    """(piece on (0,1), piece on (1,inf)) of base(x) x^w, for each w."""
+    return zip(integrate_powers(base, exponents, (0.0, 1.0), q),
+               integrate_powers(base, exponents, (1.0, math.inf), q))
 
 
 def _ray_angle(t: float) -> float:
@@ -201,25 +219,29 @@ def _ray_angle(t: float) -> float:
     return math.copysign(0.5 * math.pi - delta, t)
 
 
-def _completed_exp(s: complex, lam, q: QuadratureSpec) -> tuple[EvalResult, str]:
-    """completed(s; e^{-lam(x+1/x)}) by its cheaper route, with the route name.
+def _completed_exp(s_row, lam, q: QuadratureSpec) -> tuple[list[EvalResult], str]:
+    """completed(s; e^{-lam(x+1/x)}) for each s of s_row by the cheaper route,
+    with the route name.
 
-    Real lam > 0 below the measured crossover (module docstring), or at any
-    real lam once |Im s| > 100, takes the ray quadrature; complex lam and
-    everything else takes the Bessel series.
+    The s of a row share Im s, so they share the route: real lam > 0 below
+    the measured crossover (module docstring), or at any real lam once
+    |Im s| > 100, takes the ray quadrature, as one batch; complex lam and
+    everything else takes the Bessel series, one s at a time.
     """
-    s = complex(s)
+    s_row = [complex(s) for s in s_row]
     lamc = complex(lam)
     if not lamc.real > 0.0:
         raise DomainError(f"exp-symmetric completed value needs Re lam > 0, "
                           f"got {lam!r}")
-    t = s.imag
+    t = s_row[0].imag
+    if any(s.imag != t for s in s_row):
+        raise DomainError("the s of one row must share Im s")
     crossover = _RAY_LAM_LOW_T if 0.0 < abs(t) <= _RAY_LOW_T else _RAY_LAM
     if lamc.imag == 0.0 and (lamc.real < crossover or abs(t) > _SERIES_MAX_T):
         theta = _ray_angle(t) if t != 0.0 else None
-        return (_completed_quadrature(s, ExpSymmetric(lamc.real), q, theta),
+        return (_completed_quadrature(s_row, ExpSymmetric(lamc.real), q, theta),
                 "quadrature")
-    return _completed_series(s, lamc, q), "bessel-series"
+    return [_completed_series(s, lamc, q) for s in s_row], "bessel-series"
 
 
 def _reg_value(s: complex, completed: EvalResult, route: str) -> RegZetaValue:
@@ -232,6 +254,22 @@ def _reg_value(s: complex, completed: EvalResult, route: str) -> RegZetaValue:
     return RegZetaValue(s=s, completed=completed, bare=bare, representation=route)
 
 
+def _zeta_regularized_row(s_row, cutoff: CutoffSpec,
+                          q: QuadratureSpec) -> list[RegZetaValue]:
+    """`zeta_regularized` at each s of s_row, which share Im s when the
+    cutoff is ExpSymmetric; the completed values come from one row call."""
+    s_row = [complex(s) for s in s_row]
+    if isinstance(cutoff, ExpSymmetric):
+        completed, route = _completed_exp(s_row, cutoff.lam, q)
+    else:
+        for s in s_row:
+            if isinstance(cutoff, NoCutoff) and not s.real > 1.0:
+                raise DomainError(
+                    f"the undamped integral needs Re s > 1, got s = {s}")
+        completed, route = _completed_quadrature(s_row, cutoff, q), "quadrature"
+    return [_reg_value(s, c, route) for s, c in zip(s_row, completed)]
+
+
 def zeta_regularized(s: complex, cutoff: CutoffSpec,
                      q: QuadratureSpec = DEFAULT_QUAD) -> RegZetaValue:
     """Cutoff-damped zeta value, returned as completed + bare pair.
@@ -242,12 +280,7 @@ def zeta_regularized(s: complex, cutoff: CutoffSpec,
     directly along the real axis.
     With no cutoff the defining integral only converges for Re s > 1.
     """
-    s = complex(s)
-    if isinstance(cutoff, ExpSymmetric):
-        return _reg_value(s, *_completed_exp(s, cutoff.lam, q))
-    if isinstance(cutoff, NoCutoff) and not s.real > 1.0:
-        raise DomainError(f"the undamped integral needs Re s > 1, got s = {s}")
-    return _reg_value(s, _completed_quadrature(s, cutoff, q), "quadrature")
+    return _zeta_regularized_row([s], cutoff, q)[0]
 
 
 def zeta_exp_bessel_series(s: complex, lam: complex,
@@ -423,22 +456,50 @@ def pde_residual_F(s: complex, lam, h_step: float,
     return abs(deriv + math.pi * coupled)
 
 
+def _xi_lambda_row(s_row, lam, q: QuadratureSpec) -> list[EvalResult]:
+    """`xi_lambda` at each s of s_row (sharing Im s), from one row call."""
+    s_row = [complex(s) for s in s_row]
+    lam_r = _require_positive_real(lam, "xi_lambda")
+    # xi vanishes at s = 0, 1, where no completed value is needed
+    needed = [s for s in s_row if 0.5 * s * (s - 1.0) != 0.0]
+    completed = dict(zip(needed, _completed_exp(needed, lam_r, q)[0]
+                         if needed else ()))
+    results = []
+    for s in s_row:
+        pref = 0.5 * s * (s - 1.0)
+        if pref == 0.0:
+            results.append(EvalResult(value=0.0 + 0.0j, err_estimate=0.0,
+                                      evaluations=0, converged=True))
+            continue
+        c = completed[s]
+        if s.imag == 0.0:
+            # everything on the real-s path is real arithmetic; keep it exact
+            value = complex(pref.real * c.value.real)
+        else:
+            value = pref * c.value
+        results.append(make_result(value, abs(pref) * c.err_estimate,
+                                   c.evaluations, q))
+    return results
+
+
 def xi_lambda(s: complex, lam, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     """xi(s, lam) = (1/2) s (s-1) completed(s; lam), entire in s, zero at s = 0, 1."""
-    s = complex(s)
-    lam_r = _require_positive_real(lam, "xi_lambda")
-    pref = 0.5 * s * (s - 1.0)
-    if pref == 0.0:
-        return EvalResult(value=0.0 + 0.0j, err_estimate=0.0, evaluations=0,
-                          converged=True)
-    completed = _completed_exp(s, lam_r, q)[0]
-    if s.imag == 0.0:
-        # everything on the real-s path is real arithmetic; keep it exact
-        value = complex(pref.real * completed.value.real)
-    else:
-        value = pref * completed.value
-    return make_result(value, abs(pref) * completed.err_estimate,
-                       completed.evaluations, q)
+    return _xi_lambda_row([s], lam, q)[0]
+
+
+def _omega_row(s_row, lam, q: QuadratureSpec) -> list[EvalResult]:
+    """`omega` at each s of s_row (sharing Im s), from one row call."""
+    s_row = [complex(s) for s in s_row]
+    lam_r = _require_positive_real(lam, "omega")
+    results = []
+    for s, completed in zip(s_row, _completed_exp(s_row, lam_r, q)[0]):
+        k = bessel_k(0.5 * s, 2.0 * lam_r, q)
+        pref = 0.5 * s * (s - 1.0)
+        value = pref * (completed.value + k.value)
+        err = abs(pref) * (completed.err_estimate + k.err_estimate)
+        results.append(make_result(value, err, completed.evaluations
+                                   + k.evaluations, q))
+    return results
 
 
 def omega(s: complex, lam, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
@@ -447,14 +508,7 @@ def omega(s: complex, lam, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     Adding the single Bessel term symmetrizes the completed value exactly:
     Omega(s, lam) = Omega(1-s, lam).
     """
-    s = complex(s)
-    lam_r = _require_positive_real(lam, "omega")
-    completed = _completed_exp(s, lam_r, q)[0]
-    k = bessel_k(0.5 * s, 2.0 * lam_r, q)
-    pref = 0.5 * s * (s - 1.0)
-    value = pref * (completed.value + k.value)
-    err = abs(pref) * (completed.err_estimate + k.err_estimate)
-    return make_result(value, err, completed.evaluations + k.evaluations, q)
+    return _omega_row([s], lam, q)[0]
 
 
 def omega_symmetry_residual(s: complex, lam,

@@ -53,7 +53,7 @@ import sys
 from array import array
 from itertools import islice
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, NonConvergence, PoleError
 from .gammafn import _log_sin, log_gamma_complex, power_real_base, rgamma
 from .quadrature import integrate
 from .theta import _psi_raw
@@ -270,6 +270,21 @@ def _log_lo_table(n_top: int) -> array:
     return lows
 
 
+def _term_budget(count: float, q: QuadratureSpec, route: str,
+                 fixed: int = 0) -> int:
+    """fixed + floor(count), the terms a sum at this height takes, if
+    q.max_terms allows that many; NonConvergence otherwise.
+
+    Called before a sum runs or a log table grows, so that a height no
+    route can serve fails at once instead of filling memory.
+    """
+    if not count < q.max_terms - fixed + 1:  # nan and inf included
+        raise NonConvergence(
+            f"{route} needs {fixed + count:.4g} terms at this height, more "
+            f"than max_terms = {q.max_terms}")
+    return fixed + int(count)
+
+
 def _dirichlet_sum(n_top: int, w: complex) -> complex:
     """sum_{n=1}^{n_top} n^w for complex w, summed in order of n.
 
@@ -286,7 +301,7 @@ def _dirichlet_sum(n_top: int, w: complex) -> complex:
 
 def _euler_maclaurin(s: complex, q: QuadratureSpec) -> EvalResult:
     """zeta(s) by direct sum to N ~ |Im s| plus Bernoulli corrections."""
-    n_cut = 16 + int(1.5 * abs(s.imag))
+    n_cut = _term_budget(1.5 * abs(s.imag), q, "Euler-Maclaurin", fixed=16)
     total = _dirichlet_sum(n_cut, -s)
 
     ninv = power_real_base(n_cut, -s)
@@ -344,6 +359,8 @@ def zeta_analytic(s: complex, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     Theta-integral continuation near the real axis; Euler-Maclaurin once
     |Im s| > 10 (see the module docstring for why the integral route cannot
     hold its accuracy there), reflecting through chi when Re s is far left.
+    Euler-Maclaurin takes 16 + 1.5 |Im s| terms, and raises NonConvergence
+    when that is more than q.max_terms.
     """
     s = complex(s)
     if abs(s - 1.0) <= 1e-12:
@@ -424,10 +441,12 @@ def hardy_z(t: float, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     t = 100, 8.0e-14 at 1e6).  Below that, e^{i theta} times
     `zeta_analytic`; Z is real in exact arithmetic, and the imaginary part
     is kept in the result as an honest noise indicator.  Z(0) = zeta(1/2) < 0
-    fixes the branch.
+    fixes the branch.  Either route raises NonConvergence, before it sums,
+    where it would need more than q.max_terms terms (`_term_budget`).
     """
     t = float(t)
     if abs(t) >= _HARDY_RS_T_MIN:
+        _term_budget(_rs_length(abs(t)), q, "Riemann-Siegel")
         value, terms = _hardy_z_rs(abs(t))
         return make_result(complex(value), _hardy_rs_bound(abs(t)), terms, q)
     zv = zeta_analytic(0.5 + 1j * t, q)
@@ -456,14 +475,21 @@ def approx_functional_sum(s: complex, x: float, y: float,
     if abs(x * y - t / (2.0 * math.pi)) > 1e-9:
         raise DomainError(f"x*y must equal Im s / 2 pi, got x*y = {x * y!r}")
 
-    total = _dirichlet_sum(int(math.floor(x)), -s)
-    dual = _dirichlet_sum(int(math.floor(y)), s - 1.0)
+    n_x = _term_budget(x, q, "the two-sum")
+    n_y = _term_budget(y, q, "the two-sum")
+    total = _dirichlet_sum(n_x, -s)
+    dual = _dirichlet_sum(n_y, s - 1.0)
     value = total + chi_factor(s) * dual
 
     reference = zeta_analytic(s, q)
     err = abs(value - reference.value)
-    evals = int(math.floor(x)) + int(math.floor(y)) + reference.evaluations
+    evals = n_x + n_y + reference.evaluations
     return make_result(value, err, evals, q)
+
+
+def _rs_length(t: float) -> float:
+    """sqrt(t / 2 pi): the Riemann-Siegel sum at t has its floor as terms."""
+    return math.sqrt(t / (2.0 * math.pi))
 
 
 def _z_riemann_siegel(t: float) -> float:
@@ -473,7 +499,7 @@ def _z_riemann_siegel(t: float) -> float:
     (-1)^(N-1) a^(-1/2) sum_{k <= 4} C_k(p) a^(-k), a = sqrt(t / 2 pi),
     N = floor(a), p = a - N.  Its error is below `_rs_bound(t)`.
     """
-    a = math.sqrt(t / (2.0 * math.pi))
+    a = _rs_length(t)
     n_top = int(a)
     theta = riemann_siegel_theta(t)
     main = 0.0
@@ -674,11 +700,20 @@ def find_zeros(t_min: float, t_max: float, step: float,
     zero costs about three `hardy_z` calls: the two bracket ends and the
     step that lands inside the bound; above t = 100 those calls are the
     Riemann-Siegel sum in extra precision.
+
+    Raises DomainError when step does not move t at t_max, and
+    NonConvergence when the Riemann-Siegel sum at t_max would need more
+    than q.max_terms terms.
     """
     if not t_min < t_max:
         raise DomainError(f"needs t_min < t_max, got [{t_min!r}, {t_max!r}]")
     if not (0.0 < step <= 1.0):
         raise DomainError(f"step must lie in (0, 1], got {step!r}")
+    if not step > math.ulp(t_max):
+        # t + step == t somewhere on the grid, which would never end
+        raise DomainError(f"step {step!r} does not move t at t_max = {t_max!r}")
+    if t_max >= _RS_T_MIN:
+        _term_budget(_rs_length(t_max), q, "Riemann-Siegel")
 
     def z_sign(t: float) -> float:
         """Z(t) with a certified sign."""

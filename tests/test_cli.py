@@ -1,6 +1,8 @@
 """CLI integration: schemas, exit codes, determinism, cache, round-trips."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -347,6 +349,45 @@ def test_version_flag():
     assert exc.value.code == 0
 
 
+_WALL_MS = re.compile(r',\n\s*"wall_ms": [^\n]*\n')
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, _WALL_MS.sub("\n", out.getvalue()), err.getvalue()
+
+
+def _fresh_interpreter(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("ZETALAB_CACHE_DIR", None)
+    done = subprocess.run([sys.executable, "-m", "zetalab.cli", *argv],
+                          capture_output=True, env=env, text=True)
+    return done.returncode, _WALL_MS.sub("\n", done.stdout), done.stderr
+
+
+def test_one_parser_serves_every_call_of_a_process():
+    # the parser is built once; what a call prints, to the streams current
+    # at that call, is what a fresh interpreter prints
+    jobs = (["eval", "--fn", "zeta", "--s", "0.5+3i"],
+            ["verify", "--kind", "exp-symmetric", "--s", "0.3+5i",
+             "--lambda", "0.5"],
+            ["scan", "--t", "14:15"],
+            ["grid", "--fn", "zeta", "--sigma", "0.5", "--t", "14:15:0.5",
+             "--format", "csv", "--cache-dir", ""],
+            ["eval", "--fn", "no-such-fn"],
+            ["--version"],
+            ["eval", "--fn", "zeta", "--s", "0.5+3i"])
+    assert cli._parser() is cli._parser()
+    got = [_in_process(argv) for argv in jobs]
+    assert [code for code, _, _ in got] == [0, 0, 0, 0, 1, 0, 0]
+    assert got == [_fresh_interpreter(argv) for argv in jobs]
+
+
 def _zeta_reg_ref():
     rz = zeta_regularized(0.5 + 14j, ExpSymmetric(0.5 + 0j))
     return rz.bare, rz.completed.err_estimate
@@ -428,7 +469,8 @@ def test_eval_selector_matches_its_library_call(capsys, fn):
 def test_eval_and_grid_look_up_the_library_function_when_called(capsys,
                                                                   monkeypatch):
     # perfbench/tracer.py counts calls by rebinding zetalab.cli's globals, so
-    # the table must not hold the function objects it saw at import
+    # the tables must not hold the function objects they saw at import; eval
+    # calls omega, grid the row form that serves a (t, lambda) row at once
     calls = []
 
     def stub(s, lam, q):
@@ -437,6 +479,8 @@ def test_eval_and_grid_look_up_the_library_function_when_called(capsys,
                           converged=True)
 
     monkeypatch.setattr(cli, "omega", stub)
+    monkeypatch.setattr(cli, "_omega_row",
+                        lambda s_row, lam, q: [stub(s, lam, q) for s in s_row])
     code, out, _ = run_cli(capsys, "eval", "--fn", "omega", "--s", "0.3",
                            "--lambda", "0.5")
     assert code == 0
@@ -521,3 +565,37 @@ def test_verify_cutoff_help_names_every_kind_generic_h_accepts():
         return True
 
     assert {k for k in candidates if accepted(k)} == named
+
+
+@pytest.mark.parametrize("fn", ["omega", "xi-lambda", "zeta-reg"])
+def test_grid_rows_equal_per_point_eval(tmp_path, capsys, fn):
+    # rows of three sigma: (t, lam) = (5, 0.01) and (5, 0.05) on the ray,
+    # (0, 0.01) on the real axis, the rest on the Bessel series
+    routes = {}
+    for t, lam in ((5.0, 0.01), (0.0, 0.01), (0.0, 0.5)):
+        code, out, _ = run_cli(capsys, "eval", "--fn", "zeta-reg", "--s",
+                               f"0.4+{t}i", "--lambda", str(lam))
+        routes[t, lam] = json.loads(out)["input"]["representation"]
+    assert routes == {(5.0, 0.01): "quadrature", (0.0, 0.01): "quadrature",
+                      (0.0, 0.5): "bessel-series"}
+    grid = ("grid", "--fn", fn, "--sigma", "0.2:0.6:0.2", "--t", "0,5",
+            "--lambda", "0.01,0.05,0.5")
+    code, out, _ = run_cli(capsys, *grid, "--cache-dir", "")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == 18
+    for rec in records:
+        code, one, _ = run_cli(capsys, "eval", "--fn", fn, "--s",
+                               f"{rec['sigma']}+{rec['t']}i",
+                               "--lambda", str(rec["lambda"]))
+        assert code == 0
+        doc = json.loads(one)
+        assert (rec["value"], rec["err_estimate"]) == (doc["value"],
+                                                       doc["err_estimate"])
+    # a row the cache holds in part computes the rest, to the same bytes
+    cache = str(tmp_path / "cache")
+    run_cli(capsys, "grid", "--fn", fn, "--sigma", "0.2,0.6", "--t", "0,5",
+            "--lambda", "0.01,0.05,0.5", "--cache-dir", cache)
+    code, again, _ = run_cli(capsys, *grid, "--cache-dir", cache)
+    assert code == 0
+    assert json.loads(again)["records"] == records

@@ -13,11 +13,13 @@ from zetalab.errors import DomainError, PoleError, SymmetryViolation
 from zetalab.funceq import (
     STANDARD_S_GRID,
     FunctionalEqKind,
+    _sides,
     quarter_alpha_residual,
     verify,
 )
 from zetalab.gammafn import gamma_complex, power_real_base
 from zetalab.quadrature import integrate
+from zetalab.types import DEFAULT_QUAD
 from zetalab.regularized import zeta_regularized
 from zetalab.zeta_classic import zeta_analytic
 
@@ -222,6 +224,29 @@ def test_generic_h_sides_exact_exp_alpha():
 def test_generic_h_sides_exact_custom():
     h = CustomCutoff(fn=lambda x: math.exp(-(math.log(x) ** 2)), label="log-symmetric")
     _assert_mirrored(FunctionalEqKind.GENERIC_H, {"cutoff": h}, _quadrature_side(h))
+
+
+# The batched kinds take the completed values at 1 - s and s from one
+# quadrature pass; each side must still be what one s at a time gives.
+_BATCHED = [(FunctionalEqKind.EXP_ALPHA, {"lam": 0.7, "alpha": 1.3}),
+            (FunctionalEqKind.TWO_PARAM, {"lam1": 0.4 + 0.2j, "lam2": 1.1}),
+            (FunctionalEqKind.GENERIC_H, {"cutoff": TwoParamNu(0.6, 1.4, 0.8)}),
+            (FunctionalEqKind.GENERIC_H, {"cutoff": ExpAlpha(0.5, 1.5)})]
+
+
+@pytest.mark.parametrize("s", [0.7, 0.1 + 14.0j, 0.9 - 3.0j])
+@pytest.mark.parametrize("kind, params", _BATCHED)
+def test_batched_sides_equal_one_s_at_a_time(kind, params, s):
+    r = verify(kind, s, params)
+    sides = _sides(kind, s, params, DEFAULT_QUAD)
+    assert (r.lhs, r.rhs) == (sides([1.0 - s])[0], sides([s])[0])
+
+
+@pytest.mark.parametrize("s", [0.7, 0.1 + 14.0j, 0.9 - 3.0j])
+def test_batched_quarter_alpha_equals_one_s_at_a_time(s):
+    h = ExpAlpha(0.5, 0.25)
+    r = verify(FunctionalEqKind.QUARTER_ALPHA_SINGLE_K, s, {"lam": 0.5})
+    assert r.lhs == _completed(1.0 - s, h) - _completed(s, h)
 
 
 def test_riemann_classic_sides_exact():

@@ -330,7 +330,7 @@ def test_route_rule_keeps_series_where_it_is_cheaper():
 
 def test_ray_route_needs_real_lambda():
     with pytest.raises(DomainError):
-        _completed_quadrature(0.5 + 9.0j, ExpSymmetric(0.1 + 0.1j),
+        _completed_quadrature([0.5 + 9.0j], ExpSymmetric(0.1 + 0.1j),
                               QuadratureSpec(), theta=1.0)
     with pytest.raises(DomainError):
         xi_lambda(0.5 + 9.0j, 0.0)

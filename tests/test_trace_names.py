@@ -1,11 +1,14 @@
 """The per-layer tracer of perfbench/ rebinds package names by string.
 
 A rename or deletion in the package would leave `perfbench/run.py --trace 1`
-failing at install time; this pins every name it wraps.
+failing at install time; this pins every name it wraps, and runs the tracer
+in-process over a few jobs, as the traced benchmark pass does.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 _TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -25,3 +28,47 @@ def test_every_traced_name_is_a_callable_of_the_package():
     missing = [f"{mod}.{attr}" for mod, attr in entries
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert missing == []
+
+
+# one strip-default verify, one grid job with a ray row (t = 5, lam = 0.01),
+# one scan; the batched quadrature must show under completed_quadrature
+_TRACED_JOBS = (
+    ["verify", "--kind", "exp-alpha", "--s-grid", "strip-default",
+     "--lambda", "0.5", "--alpha", "0.5"],
+    ["grid", "--fn", "omega", "--sigma", "0.2:0.6:0.2", "--t", "5",
+     "--lambda", "0.01", "--cache-dir", ""],
+    ["scan", "--t", "100:102"],
+)
+
+
+def _traced_pass(tracer_module):
+    """Per job: (exit code, {metric: (calls, evals)}) under a fresh Tracer."""
+    cli = importlib.import_module("zetalab.cli")
+    results = []
+    for argv in _TRACED_JOBS:
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(list(argv))
+        finally:
+            tracer.uninstall()
+        totals = tracer.totals()
+        counts = {key: (calls, evals)
+                  for key, (calls, evals, _) in totals["agg"].items()}
+        results.append((code, counts, totals["scalars"]))
+    return results
+
+
+def test_trace_runs_in_process_and_repeats_its_counts():
+    tracer_module = _load_tracer()
+    first = _traced_pass(tracer_module)
+    second = _traced_pass(tracer_module)
+    assert [code for code, _, _ in first] == [0, 0, 0]
+    assert first == second
+    verify_counts, grid_counts, scan_counts = (c for _, c, _ in first)
+    for counts in (verify_counts, grid_counts):
+        assert counts["regularized.completed_quadrature"][0] > 0
+    assert "regularized.completed_quadrature" not in scan_counts
+    assert scan_counts["zeta_classic.hardy_z"][0] > 0

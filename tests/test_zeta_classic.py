@@ -8,7 +8,10 @@ digits); the analytic route under test is the theta-integral / EM hybrid.
 import cmath
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from array import array
 
 import pytest
@@ -17,8 +20,9 @@ from hypothesis import given, strategies as st
 import zetalab.zeta_classic as zeta_classic
 from oracles import (chi_ref, hardy_z_ref, log_mp, pair_gap_ref,
                      siegel_theta_mp, zero_count_ref, zeta_ref)
-from zetalab.errors import DomainError, PoleError
+from zetalab.errors import DomainError, NonConvergence, PoleError
 from zetalab.gammafn import power_real_base
+from zetalab.types import QuadratureSpec
 from zetalab.zeta_classic import (
     _HARDY_RS_T_MIN,
     _RS_COEFFS,
@@ -447,3 +451,46 @@ def test_refinement_stays_within_1e8_when_riemann_siegel_errs_by_its_bound(
     for b, (_, zero) in zip(lehmer, RS_FIXTURE["lehmer_pair"]):
         assert b.t_lo <= zero <= b.t_hi
         assert abs(b.refined_t - zero) <= 1e-8
+
+
+def test_term_budget_refuses_a_height_before_a_table_grows(monkeypatch):
+    # each route's term count is checked against max_terms first, so the
+    # shared log tables stay as they were; max_terms moves the ceiling
+    monkeypatch.setattr(zeta_classic, "_LOG_N", array("d", [0.0]))
+    monkeypatch.setattr(zeta_classic, "_LOG_N_LO", array("d", [0.0]))
+    # Euler-Maclaurin takes 16 + 1.5 |t| terms: 1516 at t = 1000
+    with pytest.raises(NonConvergence, match="Euler-Maclaurin"):
+        zeta_analytic(0.5 + 1000.0j, QuadratureSpec(max_terms=1515))
+    # Riemann-Siegel takes floor(sqrt(t / 2 pi)) terms: 126 at t = 1e5
+    with pytest.raises(NonConvergence, match="Riemann-Siegel"):
+        hardy_z(1e5, QuadratureSpec(max_terms=125))
+    with pytest.raises(NonConvergence, match="Riemann-Siegel"):
+        find_zeros(1e5, 1e5 + 0.2, 0.05, QuadratureSpec(max_terms=125))
+    with pytest.raises(NonConvergence, match="two-sum"):
+        approx_functional_sum(0.5 + 2000.0j * math.pi, 1000.0, 1.0,
+                              QuadratureSpec(max_terms=999))
+    assert len(zeta_classic._LOG_N) == 1 and len(zeta_classic._LOG_N_LO) == 1
+    assert zeta_analytic(0.5 + 1000.0j, QuadratureSpec(max_terms=1516)).converged
+    assert hardy_z(1e5, QuadratureSpec(max_terms=126)).converged
+
+
+def test_find_zeros_refuses_a_step_that_does_not_move_t():
+    with pytest.raises(DomainError):
+        find_zeros(1e17, 1e17 + 32.0, 0.05)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--fn", "hardy-z", "--t", "1e13"],
+    ["eval", "--fn", "hardy-z", "--t", "1e300"],
+    ["eval", "--fn", "zeta", "--s", "0.5+1e9i"],
+    ["scan", "--t", "1e17:100000000000000032"],
+])
+def test_heights_no_route_can_serve_fail_fast(argv):
+    # each of these ran until killed, its log table growing, before the
+    # term budget; a fresh interpreter keeps a regression from eating memory
+    env = {**os.environ,
+           "PYTHONPATH": str(pathlib.Path(zeta_classic.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "zetalab.cli", *argv],
+                          capture_output=True, env=env, timeout=2.0)
+    assert done.returncode in (1, 2)
+    assert done.stderr.startswith(b"zetalab: error: ")
