@@ -112,7 +112,7 @@ def build_parser() -> _Parser:
 
     p_grid = sub.add_parser("grid", parents=[common],
                             help="tabulate a function over a parameter grid")
-    p_grid.add_argument("--fn", required=True, choices=sorted(_GRID_FNS))
+    p_grid.add_argument("--fn", required=True, choices=sorted(_GRID_ROWS))
     p_grid.add_argument("--sigma", required=True,
                         help="LO:HI:STEP or comma-separated values")
     p_grid.add_argument("--t", required=True,
@@ -457,15 +457,13 @@ def _cmd_scan(args) -> int:
 # grid
 # ---------------------------------------------------------------------------
 
-# eval selectors a grid can tabulate over s = sigma + i t and --lambda;
-# zeta-reg takes the exp-symmetric cutoff
-_GRID_FNS = ("zeta", "zeta-reg", "omega", "xi-lambda")
-
-# grid selector -> row call: call(get, q, s_row) gives the EvalResults of the
-# selector at the s of one (t, lambda) row, whose completed values share one
-# quadrature pass (or run the Bessel series one s at a time).  Looked up
-# when called, as _EVAL_FNS is.
+# eval selectors a grid can tabulate over s = sigma + i t and --lambda ->
+# row call: call(get, q, s_row) gives the EvalResults of the selector at the
+# s of one (t, lambda) row.  The damped selectors' completed values share one
+# quadrature pass (or run the Bessel series one s at a time); zeta-reg takes
+# the exp-symmetric cutoff.  Looked up when called, as _EVAL_FNS is.
 _GRID_ROWS = {
+    "zeta": lambda _, q, s_row: [zeta_analytic(s, q) for s in s_row],
     "zeta-reg": lambda get, q, s_row: [r for r, _ in _zeta_reg_row(get, q, s_row)],
     "omega": lambda get, q, s_row: _omega_row(s_row, get(*_LAMBDA), q),
     "xi-lambda": lambda get, q, s_row: _xi_lambda_row(s_row, get(*_LAMBDA), q),
@@ -482,7 +480,7 @@ def _cmd_grid(args) -> int:
                     for sig in sigmas for t in ts for lam in lams)
     cache_dir = resolve_cache_dir(args.cache_dir)
     quad_obj = dataclasses.asdict(q)
-    row_call = _GRID_ROWS.get(args.fn)
+    row_call = _GRID_ROWS[args.fn]
     rows: dict = {}             # (t, lam key) -> its points, sigma ascending
     for point in points:
         rows.setdefault(point[1:], []).append(point)
@@ -504,8 +502,6 @@ def _cmd_grid(args) -> int:
             s=complex(sigma, t), lam=None if lam_key == -math.inf else lam_key,
             cutoff="exp")
         get = _reader(values, parsed=True)
-        if row_call is None:
-            return _evaluate(args.fn, get, q)[0]
         if point not in from_rows:
             # the row's first miss: this point and the row's later points
             # that the cache does not hold, in one call

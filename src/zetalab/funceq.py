@@ -8,8 +8,8 @@ two-param the closed-form K pair, generic-h the quadrature itself.
 riemann-classic compares the completed classical zeta at s and 1 - s, and
 quarter-alpha-single-k the alpha = 1/4 difference with its single-K form.
 For exp-alpha, two-param, generic-h and quarter-alpha-single-k the
-completed values at 1 - s and s come from one quadrature pass per piece,
-which gives each the bits a pass of its own gives.
+completed values at 1 - s and s come from one exp-sinh pass over
+(0, inf), which gives each the bits a pass of its own gives.
 Residuals are *reported*, never asserted here — deciding whether a
 residual is acceptable belongs to callers (and the CLI exit-code layer).
 """
@@ -65,7 +65,7 @@ def _half_integrals_quad(cutoff: CutoffSpec, nus,
         return 0.5 * hv
 
     return [r.value for r in
-            integrate_powers(base, [nu - 1.0 for nu in nus], (0.0, math.inf), q)]
+            integrate_powers(base, [nu - 1.0 for nu in nus], q)]
 
 
 def _half_integral_two_param(nu: complex, lam1: complex, lam2: complex,

@@ -19,11 +19,11 @@ e^{-2(1+p)u} to die before the cap, so p should stay above roughly -0.9.
 Everything this package integrates has p >= -1/2.
 
 One level loop (`_de_levels`) carries any number of integrals over the same
-nodes.  `integrate` runs one; `integrate_powers` runs the K Mellin-type
-integrals int base(x) x^{w_k} dx that share a base -- completed values at s
-and 1 - s, or at the sigma values of a grid row -- evaluating base and
-log x once a node.  Each component is accepted at its own level by the same
-rule, so its result is bit-identical to a pass of its own.
+nodes.  `integrate` runs one; `integrate_powers` runs the K Mellin integrals
+int_0^inf base(x) x^{w_k} dx that share a base -- completed values at s and
+1 - s, or at the sigma values of a grid row -- in one exp-sinh pass, taking
+base and log x once a node.  Each component is accepted at its own level by
+the same rule, so its result is bit-identical to a pass of its own.
 """
 
 from __future__ import annotations
@@ -174,9 +174,8 @@ def integrate(f: Callable[[float], complex], domain: tuple[float, float],
 
 
 def integrate_powers(base: Callable[[float], complex], exponents,
-                     domain: tuple[float, float],
                      q: QuadratureSpec = DEFAULT_QUAD) -> list[EvalResult]:
-    """[integral of base(x) x^w over `domain` for w in exponents], in one pass.
+    """[integral of base(x) x^w over (0, inf) for w in exponents], in one pass.
 
     Every component sees the same nodes, so base and log x are evaluated
     once a node and each component adds base(x) * exp(w log x) -- the float
@@ -187,12 +186,10 @@ def integrate_powers(base: Callable[[float], complex], exponents,
     x -> base(x) * power_real_base(x, w).  A base that is 0 at a node skips
     the node for every component, as those integrands' early returns do.
 
-    Needs a >= 0 (x^w is taken on x > 0).  Raises as `integrate` does; when
-    components fail to converge, NonConvergence carries the best value and
-    last increment of the first of them.
+    Raises as `integrate` does; when components fail to converge,
+    NonConvergence carries the best value and last increment of the first
+    of them.
     """
-    if not float(domain[0]) >= 0.0:
-        raise DomainError(f"integrate_powers needs a >= 0, got {domain!r}")
     # (component, w, w is complex): power_real_base's two branches
     powers = []
     for k, w in enumerate(exponents):
@@ -225,7 +222,7 @@ def integrate_powers(base: Callable[[float], complex], exponents,
                     raws[k] += _check(fx, x) * weight
         return evaluations
 
-    return _de_levels(start, add, len(powers), _transform(domain), q)
+    return _de_levels(start, add, len(powers), _transform((0.0, math.inf)), q)
 
 
 def _de_levels(start, add, n: int, transform, q: QuadratureSpec) -> list[EvalResult]:

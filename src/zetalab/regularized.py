@@ -31,10 +31,10 @@ has the table).
 Every quadrature route evaluates a row at a time: the s values that share
 a cutoff and a contour -- both sides of a functional equation, the sigma
 values of a grid row at one (t, lam) -- take their completed values from
-one `integrate_powers` pass per piece, since only x^(s/2-1) changes with s.
-Each value is bit-identical to a pass of its own.  `_completed_exp`,
-`_zeta_regularized_row`, `_xi_lambda_row` and `_omega_row` are the row
-forms; the public functions are their one-s case.
+one `integrate_powers` pass over (0, inf), since only x^(s/2-1) changes
+with s.  Each value is bit-identical to a pass of its own.
+`_completed_exp`, `_zeta_regularized_row`, `_xi_lambda_row` and
+`_omega_row` are the row forms; the public functions are their one-s case.
 
 Why a ray: on the real axis the integral is of size ~e^{-pi |t| / 4}
 while its integrand is of order one, so it loses about e^{pi |t| / 4} to
@@ -141,12 +141,11 @@ def _asymptote_integral(s: complex, lam: float, q: QuadratureSpec) -> EvalResult
 
 def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
                           theta: float | None = None) -> list[EvalResult]:
-    """[completed(s; h) for s in s_values], by tanh-sinh on (0,1) plus exp-sinh
-    on (1,inf).
+    """[completed(s; h) for s in s_values], by one exp-sinh pass over (0,inf).
 
-    The values share one pass per piece (`integrate_powers`): psi h is
-    evaluated once a node and only x^(s/2-1) changes with s, so each value
-    is bit for bit what a pass of its own gives.
+    The values share that pass (`integrate_powers`): psi h is evaluated once
+    a node and only x^(s/2-1) changes with s, so each value is bit for bit
+    what a pass of its own gives.
 
     theta = None integrates psi h x^(s/2-1) along the real axis, for any
     cutoff.  A float theta, |theta| < pi/2, is the exp-symmetric ray route
@@ -160,12 +159,8 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
     x^(s/2-1) dx = r^(s/2-1) e^{i theta s/2} dr; the constant factor
     e^{i theta s/2}, of size e^{-theta t/2}, stays out of the integrand and
     multiplies the sum, so the quadrature accepts on the scale of what it
-    integrates.
-
-    Each result is the sum of separately accepted pieces (`sum_pieces`); a
-    fresh tolerance test on the summed estimate would fail values whose
-    pieces each sat at the abs_tol floor (s = 5+3i, lam = 1e-4: 1.2e-12
-    summed, value correct to 1e-15).
+    integrates.  The ray value is the rotated pass plus the closed form,
+    summed by `sum_pieces`, which asks no fresh tolerance test of the sum.
     """
     s_values = [complex(s) for s in s_values]
     half_exps = [0.5 * s - 1.0 for s in s_values]
@@ -180,8 +175,7 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
                 return 0.0
             return ps * hv
 
-        return [sum_pieces([lower, upper]) for lower, upper in
-                _both_pieces(base, half_exps, q)]
+        return integrate_powers(base, half_exps, q)
 
     lam = _require_positive_real(cutoff.lam, "the ray route")
     rot = cmath.exp(1j * theta)
@@ -193,16 +187,9 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
             return 0.0
         return _psi_complex_remainder(x, q.series_tail_tol, q.max_terms) * hv
 
-    return [sum_pieces([sum_pieces([lower, upper], cmath.exp(0.5j * theta * s)),
+    return [sum_pieces([sum_pieces([ray], cmath.exp(0.5j * theta * s)),
                         _asymptote_integral(s, lam, q)])
-            for s, (lower, upper) in zip(s_values,
-                                         _both_pieces(ray_base, half_exps, q))]
-
-
-def _both_pieces(base, exponents, q: QuadratureSpec):
-    """(piece on (0,1), piece on (1,inf)) of base(x) x^w, for each w."""
-    return zip(integrate_powers(base, exponents, (0.0, 1.0), q),
-               integrate_powers(base, exponents, (1.0, math.inf), q))
+            for s, ray in zip(s_values, integrate_powers(ray_base, half_exps, q))]
 
 
 def _ray_angle(t: float) -> float:

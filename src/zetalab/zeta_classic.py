@@ -299,6 +299,18 @@ def _dirichlet_sum(n_top: int, w: complex) -> complex:
     return total
 
 
+def _sum_rounding(n_top: int, s: complex) -> float:
+    """eps |t| sqrt(sum_{n=2}^{n_top} (n^-sigma log n)^2), the rounding of
+    `_dirichlet_sum(n_top, -s)` that `_euler_maclaurin` adds to its last
+    Bernoulli term: each phase t log n is off by about eps t log n, and the
+    terms' errors add like a random walk.
+    """
+    m, squares = -2.0 * s.real, 0.0
+    for log_n in islice(_log_table(n_top), 2, n_top + 1):
+        squares += math.exp(m * log_n) * log_n * log_n
+    return _EPS * abs(s.imag) * math.sqrt(squares)
+
+
 def _euler_maclaurin(s: complex, q: QuadratureSpec) -> EvalResult:
     """zeta(s) by direct sum to N ~ |Im s| plus Bernoulli corrections."""
     n_cut = _term_budget(1.5 * abs(s.imag), q, "Euler-Maclaurin", fixed=16)
@@ -323,7 +335,8 @@ def _euler_maclaurin(s: complex, q: QuadratureSpec) -> EvalResult:
         err = new_err
         if new_err < 1e-18 * abs(total):
             break
-    return make_result(total, err, n_cut + len(_EM_COEFFS), q)
+    return make_result(total, err + _sum_rounding(n_cut, s),
+                       n_cut + len(_EM_COEFFS), q)
 
 
 def zeta_series(s: complex, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
@@ -502,9 +515,10 @@ def _z_riemann_siegel(t: float) -> float:
     a = _rs_length(t)
     n_top = int(a)
     theta = riemann_siegel_theta(t)
+    logs = _log_table(n_top)
     main = 0.0
     for n in range(1, n_top + 1):
-        main += math.cos(theta - t * math.log(n)) / math.sqrt(n)
+        main += math.cos(theta - t * logs[n]) / math.sqrt(n)
     rem = _rs_remainder(a, a - n_top - 0.5, _RS_COEFFS_GRID)
     if n_top % 2 == 0:
         rem = -rem

@@ -567,7 +567,7 @@ def test_verify_cutoff_help_names_every_kind_generic_h_accepts():
     assert {k for k in candidates if accepted(k)} == named
 
 
-@pytest.mark.parametrize("fn", ["omega", "xi-lambda", "zeta-reg"])
+@pytest.mark.parametrize("fn", ["omega", "xi-lambda", "zeta-reg", "zeta"])
 def test_grid_rows_equal_per_point_eval(tmp_path, capsys, fn):
     # rows of three sigma: (t, lam) = (5, 0.01) and (5, 0.05) on the ray,
     # (0, 0.01) on the real axis, the rest on the Bessel series

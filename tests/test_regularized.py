@@ -7,12 +7,13 @@ Frozen numbers come from mpmath reference integrations at 30 digits
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import pytest
 
-from oracles import completed_exp_ref
+from oracles import completed_alpha_ref, completed_exp_ref, zeta_ref
 from zetalab.bessel import bessel_k
-from zetalab.cutoffs import CustomCutoff, ExpSymmetric, NoCutoff, TwoParam
+from zetalab.cutoffs import CustomCutoff, ExpAlpha, ExpSymmetric, NoCutoff, TwoParam
 from zetalab.errors import DomainError, NonConvergence
 from zetalab.funceq import FunctionalEqKind, verify
 from zetalab.regularized import (
@@ -29,7 +30,7 @@ from zetalab.regularized import (
     zeta_exp_boundary_form,
     zeta_regularized,
 )
-from zetalab.types import QuadratureSpec
+from zetalab.types import EvalResult, QuadratureSpec, make_result, sum_pieces
 from zetalab.zeta_classic import zeta_series
 
 
@@ -90,6 +91,24 @@ def test_no_cutoff_reduces_to_classical():
     assert r.bare.real == pytest.approx(math.pi**2 / 6.0, rel=1e-10)
     with pytest.raises(DomainError, match="undamped integral"):
         zeta_regularized(0.5, NoCutoff())
+
+
+# live mpmath checks of the real-axis route (about 0.3 s a point): symmetry
+# residuals cannot see an error that both sides of an identity share
+@pytest.mark.parametrize("s, lam, alpha", [
+    (0.3 + 5.0j, 0.5, 0.5), (0.7 + 10.0j, 1.2, 1.5), (0.5, 0.1, 0.3),
+    (0.9 - 3.0j, 2.0, 1.0), (0.1 + 8.0j, 0.25, 0.75), (0.5 + 10.0j, 0.05, 1.2)])
+def test_real_axis_completed_matches_oracle(s, lam, alpha):
+    r = zeta_regularized(s, ExpAlpha(lam, alpha))
+    assert r.representation == "quadrature"
+    ref = completed_alpha_ref(s, lam, alpha)
+    assert abs(r.completed.value - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("s", [1.2, 2.0, 1.5 + 3.0j, 3.0 + 10.0j])
+def test_undamped_bare_value_matches_oracle(s):
+    ref = zeta_ref(s)
+    assert abs(zeta_regularized(s, NoCutoff()).bare - ref) <= 1e-12 * abs(ref)
 
 
 def test_small_lambda_recovery_law():
@@ -356,14 +375,30 @@ def test_high_t_takes_the_ray_and_the_series_owns_up(row):
 
 
 def test_quadrature_converged_when_every_piece_is():
-    # each piece accepted at the abs_tol floor; their summed estimate is above it
     s, lam = 5.0 + 3.0j, 1e-4
     routed = zeta_regularized(s, ExpSymmetric(lam))
     assert routed.representation == "quadrature"
     ref = completed_exp_ref(s, lam)
     assert abs(routed.completed.value - ref) <= 1e-13 * abs(ref)
-    assert routed.completed.err_estimate > QuadratureSpec().abs_tol
     assert routed.completed.converged
+
+
+def test_sum_pieces_converged_when_every_piece_is():
+    q = QuadratureSpec()
+    # each piece accepted at the abs_tol floor; their summed estimate is above it
+    a = make_result(1e-3, 0.8 * q.abs_tol, 10, q)
+    b = make_result(-2e-3j, 0.9 * q.abs_tol, 20, q)
+    assert a.converged and b.converged
+    err = a.err_estimate + b.err_estimate
+    total = sum_pieces([a, b])
+    assert total.err_estimate > q.tolerance_for(total.value)
+    assert total == EvalResult(value=1e-3 - 2e-3j, err_estimate=err,
+                               evaluations=30, converged=True)
+    unsettled = replace(b, converged=False)
+    assert sum_pieces([a, unsettled]).converged is False
+    assert sum_pieces([a, b], -2.0j) == EvalResult(
+        value=-2.0j * (1e-3 - 2e-3j), err_estimate=2.0 * err, evaluations=30,
+        converged=True)
 
 
 def test_boundary_form_not_converged_when_a_piece_is_not():
