@@ -1,50 +1,72 @@
-"""Modified Bessel function of the second kind, two independent routes.
+"""Modified Bessel function of the second kind: one dispatch, three routes.
 
-Production route: the cosh-transform integral
+`_cosh_route` is the dispatch behind `bessel_k` and `bessel_k_complex_arg`:
 
-    K_nu(z) = integral_0^inf exp(-z cosh t) cosh(nu t) dt,   Re z > 0,
+* Ascending series, for complex order (Im nu != 0) at |z| <= _SERIES_Z = 2:
 
-summed by a halving trapezoid rule. The integrand is even and decays like
-exp(-(z/2) e^t), so the untransformed trapezoid already converges
-geometrically; no endpoint treatment is needed.
+      K_nu(z) = (1/2) [Gamma(nu) (z/2)^-nu 0F1(;1-nu;z^2/4)
+                       + Gamma(-nu) (z/2)^nu 0F1(;1+nu;z^2/4)]
 
-Orders with Im nu != 0 make that integrand oscillate, and for |Im nu|
-large against z the value is exponentially smaller than the integrand's
-envelope -- the real axis then loses the answer to cancellation long
-before double precision runs out of digits. For those orders (real z
-only) the same integral is taken in its two-sided form
-(1/2) integral over R of exp(-z cosh u + nu u) du and the contour is
-shifted to Im u = theta, with theta picked so the path passes near the
-saddle sinh u = i Im(nu)/z. The exp(-Im(nu) theta) smallness comes out
-of the integral as an honest prefactor instead of being assembled from
-cancelling oscillations, so the trapezoid keeps relative accuracy; as
-Im nu -> 0 the shifted contour degenerates back to the real axis.
+  (DLMF 10.27.4 with 10.25.2; Temme, J. Comput. Phys. 19 (1975)).  About
+  10-30 terms give ~1e-14 relative where the trapezoids below need
+  400-1,100 evaluations, and it serves complex z as well as real z.  Its
+  err_estimate carries the cancellation between the two parts; when it
+  misses rel_tol (near a zero of K, say) the call falls through to the
+  trapezoid the next two items name.
+
+* Cosh-route trapezoid, for real order and for complex order at
+  |z| > _SERIES_Z with complex z:
+
+      K_nu(z) = integral_0^inf exp(-z cosh t) cosh(nu t) dt,   Re z > 0,
+
+  summed by a halving trapezoid rule.  The integrand is even and decays
+  like exp(-(z/2) e^t), so the untransformed trapezoid already converges
+  geometrically; no endpoint treatment is needed.  Real order and real z
+  accept on relative error (~1e-16 in ~40 evaluations); complex z accepts
+  on the spec's tolerance_for, whose absolute floor can pass a value far
+  below it with few correct digits when Im nu is large.
+
+* Shifted contour, for complex order at real z > _SERIES_Z.  Orders with
+  Im nu != 0 make the cosh integrand oscillate, and for |Im nu| large
+  against z the value is exponentially smaller than the integrand's
+  envelope.  The integral is taken in its two-sided form
+  (1/2) integral over R of exp(-z cosh u + nu u) du on the contour
+  Im u = theta, with theta picked so the path passes near the saddle
+  sinh u = i Im(nu)/z.  The exp(-Im(nu) theta) smallness comes out of the
+  integral as an honest prefactor instead of being assembled from
+  cancelling oscillations, so the trapezoid keeps relative accuracy.
 
 Cross-check route: the two-sided Laplace integral
 
     integral_0^inf x^{nu-1} exp(-beta/x - gamma x) dx
         = 2 (beta/gamma)^{nu/2} K_nu(2 sqrt(beta gamma)),
 
-evaluated with the generic exp-sinh engine. Tests hold the two routes against
-each other; neither is derived from the other.
+evaluated with the generic exp-sinh engine. Tests hold the routes against
+each other; none is derived from another.
 
-The symmetry K_nu = K_{-nu} is automatic (cosh is even in nu). The true
-three-term recurrence is K_{nu-1}(z) - K_{nu+1}(z) = -(2 nu / z) K_nu(z);
-`recurrence_residual` measures exactly that combination.
+The symmetry K_nu = K_{-nu} holds on every route (cosh is even in nu, and
+the series is symmetric in its two parts). The true three-term recurrence
+is K_{nu-1}(z) - K_{nu+1}(z) = -(2 nu / z) K_nu(z); `recurrence_residual`
+measures exactly that combination.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import replace
 
 from .errors import DomainError, NonConvergence
-from .gammafn import power_real_base
+from .gammafn import gamma_complex, power_real_base
 from .quadrature import integrate
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result
 
 _TAIL_STOP = 1e-19
+# Complex orders at |z| <= _SERIES_Z try the ascending series first: there
+# z^2/4 <= 1, so its terms fall like 1/(k!)^2 and ~20 of them serve.
+_SERIES_Z = 2.0
+_EPS = sys.float_info.epsilon
 
 
 def _tail_sum(f, h: float, stride: int, sign: int) -> tuple[complex, int]:
@@ -133,9 +155,70 @@ def _shifted_route(nu: complex, z: float, q: QuadratureSpec) -> EvalResult:
     return _halving_trapezoid(f, False, True, q, "contour")
 
 
+def _series_route(nu: complex, z: complex,
+                  q: QuadratureSpec) -> EvalResult | None:
+    """K_nu(z) by the ascending series, or None when its estimate misses rel_tol.
+
+    K_nu = (1/2) [Gamma(nu) (z/2)^-nu 0F1(;1-nu;z^2/4)
+                  + Gamma(-nu) (z/2)^nu 0F1(;1+nu;z^2/4)]
+    (DLMF 10.27.4 with 10.25.2), each 0F1 term the previous one times
+    (z^2/4) / (k (a+k-1)).  A part's relative error is Gamma's, which grows
+    with |nu| through the phase of its exponential, plus the power's
+    eps |nu log(z/2)|, plus the rounding of the 0F1 sum.  For Gamma's the
+    estimate takes 2 eps (4 + |nu| (1 + log(1 + |nu|))), at least 1.3 times
+    the error measured at 800 orders with Re nu in [-3, 3] and
+    0.05 <= |Im nu| <= 40.  err_estimate is each part's magnitude times
+    its relative error, so cancellation between the parts shows up in it.
+    A part beyond the double range returns None too.  `evaluations` counts
+    both sums' terms.
+    """
+    w = 0.25 * z * z
+    log_half = cmath.log(0.5 * z)
+    value = 0j
+    err = 0.0
+    terms = 0
+    for order in (nu, -nu):
+        a = 1.0 - order
+        term = total = 1.0 + 0j
+        size = 1.0
+        k = 0
+        # past k = |Re nu| + 1 the ratio of terms only shrinks
+        while k <= abs(order.real) + 1.0 or abs(term) > q.series_tail_tol * abs(total):
+            k += 1
+            term *= w / (k * (a + (k - 1)))
+            total += term
+            size += abs(term)
+        terms += k + 1
+        expo = -order * log_half
+        try:
+            power = cmath.exp(expo)
+            gamma = gamma_complex(order)
+        except OverflowError:       # a part past the double range
+            return None
+        rel = _EPS * (2.0 * (4.0 + abs(order) * (1.0 + math.log1p(abs(order))))
+                      + 2.0 * (1.0 + abs(expo)))
+        # an underflowed Gamma is known only to the spacing of denormals
+        err += abs(power) * (abs(gamma) * (rel * abs(total) + _EPS * k * size
+                                           + abs(term))
+                             + math.ulp(0.0) * abs(total))
+        value += gamma * power * total
+    value *= 0.5
+    err *= 0.5
+    if not err <= q.rel_tol * abs(value):
+        return None
+    return make_result(value, err, terms, q)
+
+
 def _cosh_route(nu: complex, z: complex, q: QuadratureSpec) -> EvalResult:
+    """The one Bessel dispatch: ascending series for complex order at
+    |z| <= _SERIES_Z when it meets rel_tol, else the shifted contour (real
+    z, complex order) or the cosh-route trapezoid."""
     nu = complex(nu)
     z = complex(z)
+    if nu.imag != 0.0 and abs(z) <= _SERIES_Z:
+        series = _series_route(nu, z, q)
+        if series is not None:
+            return series
     if z.imag == 0.0 and nu.imag != 0.0:
         if nu.imag < 0.0:
             inner = _shifted_route(nu.conjugate(), z.real, q)
@@ -180,9 +263,12 @@ def bessel_k_complex_arg(nu: complex, z: complex,
                          q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     """Internal-use K_nu(z) for complex z with Re z > 0.
 
-    The Bessel series for complex cutoff parameters needs this; it is not part
-    of the advertised contract (which stops at z > 0) but shares the same
-    convergent cosh-route integral.
+    The Bessel series for complex cutoff parameters needs this; it is not
+    part of the advertised contract (which stops at z > 0) but shares the
+    dispatch of `bessel_k`.  Complex order at |z| <= _SERIES_Z takes the
+    ascending series, relative to ~1e-14; above that, and for a series
+    estimate that misses rel_tol, complex z takes the cosh-route trapezoid,
+    which accepts on tolerance_for's absolute floor.
     """
     z = complex(z)
     if not z.real > 0.0:

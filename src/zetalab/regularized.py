@@ -12,10 +12,10 @@ exercises heavily.
 
 `zeta_regularized`, `omega`, `xi_lambda` and the exp-symmetric functional
 equation take that value from `_completed_exp`, which picks the cheaper of
-two routes by a constant rule on (lam, |Im s|):
+two routes by one constant, _RAY_LAM = 0.5:
 
-* ray quadrature for real lam < 0.1 when 0 < |t| <= 12, for real
-  lam < 0.02 otherwise, and for every real lam once |t| > 100 (t = Im s);
+* ray quadrature for real lam < 0.5, and for every real lam once
+  |t| > 100 (t = Im s);
 * the Bessel series everywhere else, complex lam included.
 
 Past |t| = 100 the series stops too early and is wrong (0.56-1.0 relative
@@ -24,9 +24,12 @@ so there it reports converged=False.
 
 The series needs about 18.4 / sqrt(pi lam) terms, each a Bessel K, so its
 cost grows like lam^(-1/2): at lam = 1e-4, s = 0.4 + 20i it takes ~174k
-evaluations where the ray takes ~6k.  Above these lam the series is the
-cheaper one; the thresholds are where the two timings cross (CHANGES.md
-has the table).
+evaluations where the ray takes ~6k.  Its first terms have
+z = 2 sqrt(lam (lam + n^2 pi)) <= 2 below lam ~ 0.29 and take
+`bessel`'s ascending series, the rest its shifted contour.  Timed on that
+K, the ray is the cheaper route for one s up to lam ~ 0.6 and for rows
+of two or three s (a grid row) up to lam ~ 1.4; 0.5 serves both
+(CHANGES.md has the table).
 
 Every quadrature route evaluates a row at a time: the s values that share
 a cutoff and a contour -- both sides of a functional equation, the sigma
@@ -64,11 +67,9 @@ from .zeta_classic import zeta_series
 _MIN_SERIES_TERMS = 3
 
 # Route rule for the exp-symmetric completed value at real lam > 0: the ray
-# quadrature below lam = _RAY_LAM_LOW_T when 0 < |Im s| <= _RAY_LOW_T and
-# below _RAY_LAM otherwise, the Bessel series above (measured crossover).
-_RAY_LAM = 0.02
-_RAY_LAM_LOW_T = 0.1
-_RAY_LOW_T = 12.0
+# quadrature below lam = _RAY_LAM, the Bessel series above (measured
+# crossover, CHANGES.md).
+_RAY_LAM = 0.5
 # Above this |Im s| the Bessel series is not trusted, and real lam takes the ray.
 _SERIES_MAX_T = 100.0
 # c in the ray margin delta = c / (|t|/2): the conditioning loss is ~e^c;
@@ -210,10 +211,11 @@ def _completed_exp(s_row, lam, q: QuadratureSpec) -> tuple[list[EvalResult], str
     """completed(s; e^{-lam(x+1/x)}) for each s of s_row by the cheaper route,
     with the route name.
 
-    The s of a row share Im s, so they share the route: real lam > 0 below
-    the measured crossover (module docstring), or at any real lam once
-    |Im s| > 100, takes the ray quadrature, as one batch; complex lam and
-    everything else takes the Bessel series, one s at a time.
+    The s of a row share Im s, so they share the route: real lam below
+    _RAY_LAM = 0.5 (the measured crossover, module docstring), or any real
+    lam once |Im s| > 100, takes the ray quadrature, as one batch (the
+    real axis at Im s = 0); complex lam and everything else takes the
+    Bessel series, one s at a time.
     """
     s_row = [complex(s) for s in s_row]
     lamc = complex(lam)
@@ -223,8 +225,7 @@ def _completed_exp(s_row, lam, q: QuadratureSpec) -> tuple[list[EvalResult], str
     t = s_row[0].imag
     if any(s.imag != t for s in s_row):
         raise DomainError("the s of one row must share Im s")
-    crossover = _RAY_LAM_LOW_T if 0.0 < abs(t) <= _RAY_LOW_T else _RAY_LAM
-    if lamc.imag == 0.0 and (lamc.real < crossover or abs(t) > _SERIES_MAX_T):
+    if lamc.imag == 0.0 and (lamc.real < _RAY_LAM or abs(t) > _SERIES_MAX_T):
         theta = _ray_angle(t) if t != 0.0 else None
         return (_completed_quadrature(s_row, ExpSymmetric(lamc.real), q, theta),
                 "quadrature")

@@ -17,6 +17,7 @@ with either side.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -550,6 +551,35 @@ def regenerate_completed_exp_ray() -> dict:
                        "value_re": om.real, "value_im": om.imag}]}
 
 
+# item 9 of ROADMAP.md: 4.2e-4 relative on the cosh-route trapezoid
+BESSEL_SERIES_WORST = (complex(-2.99, -27.97), complex(0.270, 0.077))
+
+
+def regenerate_bessel_series(n_points: int = 80, seed: int = 14) -> dict:
+    """mpmath K_nu(z) at 40 digits where complex orders take the ascending series.
+
+    Re nu in [-3, 3], |Im nu| log-uniform in [0.05, 40] with either sign,
+    |z| <= 2 (uniform in the disc's area), |arg z| <= 1.2, every other
+    point on the real axis; plus BESSEL_SERIES_WORST.
+    """
+    rng = random.Random(seed)
+    points = []
+    for i in range(n_points):
+        b = math.exp(rng.uniform(math.log(0.05), math.log(40.0)))
+        nu = complex(rng.uniform(-3.0, 3.0), rng.choice((-1.0, 1.0)) * b)
+        r = max(2.0 * math.sqrt(rng.random()), 1e-3)
+        z = complex(r) if i % 2 == 0 else cmath.rect(r, rng.uniform(-1.2, 1.2))
+        points.append((nu, z))
+    points.append(BESSEL_SERIES_WORST)
+    rows = []
+    with mp.workdps(40):
+        for nu, z in points:
+            k = complex(mp.besselk(mp.mpc(nu), mp.mpc(z)))
+            rows.append({"nu_re": nu.real, "nu_im": nu.imag, "z_re": z.real,
+                         "z_im": z.imag, "k_re": k.real, "k_im": k.imag})
+    return {"points": rows}
+
+
 # fixture file -> (generator, one list of numbers a line)
 FIXTURES = {
     "quarter_alpha_verdict.json": (regenerate_quarter_alpha, False),
@@ -558,6 +588,7 @@ FIXTURES = {
     "completed_exp_ray.json": (regenerate_completed_exp_ray, False),
     "riemann_siegel.json": (regenerate_riemann_siegel, True),
     "completed_exp_high_t.json": (regenerate_completed_exp_high_t, False),
+    "bessel_k_series.json": (regenerate_bessel_series, False),
 }
 
 

@@ -1,12 +1,16 @@
 """K_nu tests: closed forms, the nu-symmetry, recurrence, and the two routes."""
 
+import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import besselk_ref
 from zetalab.bessel import (
+    _SERIES_Z,
+    _shifted_route,
     bessel_k,
     bessel_k_complex_arg,
     bessel_k_from_laplace,
@@ -16,7 +20,7 @@ from zetalab.bessel import (
 )
 from zetalab.errors import DomainError, NonConvergence
 from zetalab.gammafn import gamma_complex, power_real_base
-from zetalab.types import QuadratureSpec
+from zetalab.types import DEFAULT_QUAD, QuadratureSpec
 
 
 def test_half_order_closed_form():
@@ -46,8 +50,10 @@ def test_real_order_keeps_relative_accuracy_far_below_abs_tol(nu, z, ref):
 
 @pytest.mark.parametrize("fn, nu, z, evaluations", [
     (bessel_k, 0.3, 1.0, 45),            # real order: cosh route, relative test
-    (bessel_k, 0.25 + 15.0j, 1.0, 815),  # shifted contour
-    (bessel_k, 0.25 - 15.0j, 1.0, 815),  # shifted contour through the conjugate
+    (bessel_k, 0.25 + 15.0j, 3.0, 673),  # shifted contour (z above _SERIES_Z)
+    (bessel_k, 0.25 - 15.0j, 3.0, 673),  # shifted contour through the conjugate
+    (bessel_k, 0.25 + 15.0j, 1.0, 16),   # ascending series: its term count
+    (bessel_k_complex_arg, 0.7 + 3.0j, 1.5 + 0.8j, 23),  # series, complex z
     (bessel_k_complex_arg, 0.7, 1.5 + 0.8j, 78),
 ])
 def test_cost_pinned(fn, nu, z, evaluations):
@@ -127,8 +133,38 @@ def test_nonconvergence_carries_best():
 
 @pytest.mark.parametrize("nu", [0.5, 0.3 + 15.0j])
 def test_nonconvergence_reports_last_increment(nu):
-    # cosh route and shifted contour: one halving is not enough, and the
-    # error carries the change it made
+    # cosh route and shifted contour (z above _SERIES_Z, so no series): one
+    # halving is not enough, and the error carries the change it made
     with pytest.raises(NonConvergence) as exc:
-        bessel_k(nu, 2.0, QuadratureSpec(max_levels=1))
+        bessel_k(nu, 3.0, QuadratureSpec(max_levels=1))
     assert exc.value.err_estimate > 0.0
+
+
+# mpmath K_nu(z) at 40 digits, complex order, |z| <= _SERIES_Z
+SERIES_FIXTURE = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "bessel_k_series.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "row", SERIES_FIXTURE["points"],
+    ids=lambda r: f"nu={r['nu_re']:.3g}{r['nu_im']:+.3g}i,z={r['z_re']:.3g}{r['z_im']:+.3g}i")
+def test_series_route_meets_its_estimate_and_rel_tol(row):
+    nu = complex(row["nu_re"], row["nu_im"])
+    z = complex(row["z_re"], row["z_im"])
+    ref = complex(row["k_re"], row["k_im"])
+    assert abs(z) <= _SERIES_Z
+    r = bessel_k(nu, z.real) if z.imag == 0.0 else bessel_k_complex_arg(nu, z)
+    assert r.converged
+    assert r.evaluations < 100  # the series served it, not a trapezoid
+    err = abs(r.value - ref)
+    assert err <= r.err_estimate
+    assert err <= 1e-12 * abs(ref)
+
+
+def test_series_falls_through_to_the_trapezoid():
+    # K_{10i}(x) has a zero near x = 0.6448; at 0.645 the two series parts
+    # cancel to 1e-10 of their size and the estimate misses rel_tol, so the
+    # call returns the shifted contour's value bit for bit
+    r = bessel_k(10.0j, 0.645)
+    assert r == _shifted_route(10.0j, 0.645, DEFAULT_QUAD)
+    assert r.evaluations > 100

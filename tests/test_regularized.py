@@ -336,10 +336,13 @@ def test_omega_keeps_relative_accuracy_at_large_lambda():
 
 
 def test_route_rule_keeps_series_where_it_is_cheaper():
+    # one constant: real lam below _RAY_LAM = 0.5 takes the ray at any height
     assert zeta_regularized(0.5 + 14.0j, ExpSymmetric(0.5)).representation == (
         "bessel-series")
-    assert zeta_regularized(0.5 + 14.0j, ExpSymmetric(0.02)).representation == (
+    assert zeta_regularized(0.5 + 3.0j, ExpSymmetric(0.5)).representation == (
         "bessel-series")
+    assert zeta_regularized(0.5 + 14.0j, ExpSymmetric(0.4)).representation == (
+        "quadrature")
     assert zeta_regularized(0.5 + 3.0j, ExpSymmetric(0.02)).representation == (
         "quadrature")
     # complex lam has no ray route

@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 from array import array
+from decimal import Context, Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -516,3 +517,34 @@ def test_heights_no_route_can_serve_fail_fast(argv):
                           capture_output=True, env=env, timeout=2.0)
     assert done.returncode in (1, 2)
     assert done.stderr.startswith(b"zetalab: error: ")
+
+
+def test_log_low_words_match_decimal():
+    # the double-double low words against 40-digit decimal logarithms: every
+    # n <= 2e4 from the table, and seeded n <= 1e7 built by the same
+    # recurrence through a memo of the smaller n each one needs
+    ctx = Context(prec=40)
+
+    def decimal_lo(n):
+        return float(ctx.subtract(ctx.ln(Decimal(n)), Decimal(math.log(n))))
+
+    table = zeta_classic._log_lo_table(20000)
+    assert max(abs(table[n] - decimal_lo(n)) for n in range(1, 20001)) <= 1e-30
+
+    class Logs:
+        __getitem__ = staticmethod(math.log)
+
+    memo = {}
+
+    class Lows:
+        def __getitem__(self, m):
+            if m not in memo:
+                a = zeta_classic._smallest_factors(m, m)[0]
+                memo[m] = zeta_classic._log_lo(m, a, Logs(), self)
+            return memo[m]
+
+    rng = random.Random(20261018)
+    lows = Lows()
+    for n in [rng.randrange(2, 10**7) for _ in range(200)]:
+        assert abs(lows[n] - decimal_lo(n)) <= 1e-30
+    assert all(memo[m] == table[m] for m in memo if m <= 20000)
