@@ -1,4 +1,4 @@
-"""K_nu tests: closed forms, the nu-symmetry, recurrence, and the two routes."""
+"""K_nu tests: closed forms, the nu-symmetry, recurrence, and each route of the dispatch."""
 
 import json
 import math
@@ -163,8 +163,8 @@ def test_series_route_meets_its_estimate_and_rel_tol(row):
 
 def test_series_falls_through_to_the_trapezoid():
     # K_{10i}(x) has a zero near x = 0.6448; at 0.645 the two series parts
-    # cancel to 1e-10 of their size and the estimate misses rel_tol, so the
-    # call returns the shifted contour's value bit for bit
+    # cancel to 0.6% of their size, the estimate (8e-12 relative) misses
+    # rel_tol, and the call returns the shifted contour's value bit for bit
     r = bessel_k(10.0j, 0.645)
     assert r == _shifted_route(10.0j, 0.645, DEFAULT_QUAD)
     assert r.evaluations > 100
