@@ -1,22 +1,28 @@
 """Double-exponential (tanh-sinh / exp-sinh) adaptive quadrature.
 
-One engine serves every integral in the package: finite intervals map through
-tanh-sinh, half-lines through exp-sinh. Both transforms push the integrand's
-endpoint behavior into double-exponentially decaying tails, so analytic
-integrands converge at roughly digits-doubling-per-level, and integrable
-endpoint singularities (x^{p}, p > -1) cost nothing extra.
+One engine and one node table serve every integral in the package.  The
+table is exp-sinh's: for t = k h, y = e^u with u = (pi/2)sinh(t) and weight
+(pi/2)cosh(t) y, paired with 1/y and (pi/2)cosh(t)/y.  A half-line (a, inf)
+reads it as x = a + y.  A finite (a, b) reads it through
+x = a + (b - a) y/(1 + y); since y/(1 + y) = (1 + tanh(u/2))/2, that is a
+tanh-sinh rule in (pi/4)sinh(t) (Takahasi & Mori, Publ. RIMS 9, 1974), with
+weight 4w/(1 + y)^2 on the scale (b - a)/4.  Both transforms push the
+integrand's endpoint behavior into double-exponentially decaying tails, so
+analytic integrands converge at roughly digits-doubling-per-level, and
+integrable endpoint singularities (x^{p}, p > -1) cost nothing extra.
 
-Node/weight tables are canonical (interval-independent) and cached per level;
-the mapping onto (a, b) happens at evaluation time. Nodes are generated so
-that the distance to the nearer endpoint is computed from exponentials
-directly — never as 1 - tanh(u) — which is what keeps integrands like
-t^{s/2-1} honest down to distances ~1e-154 from the endpoint.
+The table is canonical (interval-independent) and cached per level; the
+mapping onto (a, b) happens at evaluation time.  A finite node is placed as
+a distance from its nearer end -- a + (b - a) y/(1 + y) for y <= 1,
+b - (b - a)/(1 + y) above -- never as a difference of nearly equal numbers,
+which is what keeps integrands like t^{s/2-1} honest down to distances
+~1e-300 from the endpoint.
 
-The tanh-sinh table stops at u = (pi/2)sinh(t) ~ 177.4, where the weight's
-sech^2(u) underflows to 0; nodes beyond it would only cost evaluations. That
-bounds the usable endpoint singularity: x^p needs the transformed tail
-e^{-2(1+p)u} to die before the cap, so p should stay above roughly -0.9.
-Everything this package integrates has p >= -1/2.
+The table stops at u = 690, where e^u is still inside double range.  That
+bounds the usable endpoint singularity on a finite interval: x^p needs the
+transformed tail e^{-(1+p)u} to die before the cap, so p should stay above
+about -0.95 (x^{-0.96} on (0, 1) still lands within 3e-13; x^{-0.97} does
+not converge).  Everything this package integrates has p >= -1/2.
 
 One level loop (`_de_levels`) carries any number of integrals over the same
 nodes.  `integrate` runs one; `integrate_powers` runs the K Mellin integrals
@@ -30,41 +36,27 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from typing import Callable
 
 from .errors import DomainError, NonConvergence, NonFiniteIntegrand
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result
 
-# Caps on u = (pi/2)sinh(t) keep every exp() call inside double range:
-# tanh-sinh evaluates exp(2u), exp-sinh evaluates exp(u).  Past its cap the
-# tanh-sinh weight 4e^{2u}/(e^{2u}+1)^2 overflows its denominator to 0.
-_U_CAP_TS = 0.25 * math.log(sys.float_info.max)
-_U_CAP_ES = 690.0
+# The cap on u = (pi/2)sinh(t) keeps exp(u) inside double range.
+_U_CAP = 690.0
 
-# ---------------------------------------------------------------------------
-# canonical node tables
-# ---------------------------------------------------------------------------
-
-# level -> list of (sm, w) for t = k*h > 0 on the tanh-sinh transform, where
-# sm = 1 - tanh(u) = 2/(e^{2u}+1) is the distance to the endpoint on the
-# canonical (-1, 1) interval and w = (pi/2)cosh(t) sech^2(u).
-_TANH_SINH_CACHE: dict[int, list[tuple[float, float]]] = {}
-
-# level -> list of (offset, w) on exp-sinh: for each t = k*h > 0 the pair
-# (x, (pi/2)cosh(t)*x) and then (1/x, (pi/2)cosh(t)/x), x = e^u.  The nodes
-# on (a, inf) are a + offset, so the table serves a = 0 as it stands.
+# level -> list of (y, w) for the positive t = k*h new at that level: the
+# pair (y, (pi/2)cosh(t)*y) and then (1/y, (pi/2)cosh(t)/y), y = e^u.  The
+# nodes on (a, inf) are a + y, so the table serves a = 0 as it stands.
 _EXP_SINH_CACHE: dict[int, list[tuple[float, float]]] = {}
 
 
-def _level_nodes(cache: dict, level: int, u_cap: float, node) -> list[tuple]:
-    """Positive-t nodes new at `level` (odd multiples of h, except level 0).
+def _level_nodes(level: int) -> list[tuple[float, float]]:
+    """Positive-t rows new at `level` (odd multiples of h, except level 0).
 
-    node(t, u) turns t and u = (pi/2)sinh(t) into the rows the transform
-    stores; the table stops at t = 7 or where u passes u_cap.
+    The table stops at t = 7 or where u passes _U_CAP.
     """
     try:
-        return cache[level]
+        return _EXP_SINH_CACHE[level]
     except KeyError:
         pass
     h = 0.5 ** level
@@ -72,26 +64,14 @@ def _level_nodes(cache: dict, level: int, u_cap: float, node) -> list[tuple]:
     for k in range(1, int(7.0 / h) + 1, 1 if level == 0 else 2):
         t = k * h
         u = 0.5 * math.pi * math.sinh(t)
-        if u > u_cap:
+        if u > _U_CAP:
             break
-        nodes.extend(node(t, u))
-    cache[level] = nodes
+        y = math.exp(u)
+        c = 0.5 * math.pi * math.cosh(t)
+        nodes.append((y, c * y))
+        nodes.append((1.0 / y, c / y))
+    _EXP_SINH_CACHE[level] = nodes
     return nodes
-
-
-def _tanh_sinh_node(t: float, u: float) -> tuple[tuple[float, float]]:
-    e2u = math.exp(2.0 * u)
-    sm = 2.0 / (e2u + 1.0)
-    # sech^2(u) = 4 e^{2u} / (e^{2u}+1)^2 == sm * (1 - sm/2) * 2 ... just
-    # compute it from e2u directly to stay stable for large u.
-    sech2 = 4.0 * e2u / ((e2u + 1.0) * (e2u + 1.0))
-    return (sm, 0.5 * math.pi * math.cosh(t) * sech2),
-
-
-def _exp_sinh_node(t: float, u: float) -> tuple[tuple[float, float], ...]:
-    x = math.exp(u)
-    c = 0.5 * math.pi * math.cosh(t)
-    return (x, c * x), (1.0 / x, c / x)
 
 
 # ---------------------------------------------------------------------------
@@ -125,32 +105,32 @@ def _transform(domain: tuple[float, float]):
 
     if math.isinf(b):
         def half_line(level):
-            table = _level_nodes(_EXP_SINH_CACHE, level, _U_CAP_ES,
-                                 _exp_sinh_node)
+            table = _level_nodes(level)
             if a == 0.0:
                 return table
-            return ((a + offset, w) for offset, w in table)
+            return ((a + y, w) for y, w in table)
 
         return a + 1.0, 1.0, "exp-sinh", half_line
 
-    half = 0.5 * (b - a)
+    width = b - a
 
     def finite(level):
-        for sm, w in _level_nodes(_TANH_SINH_CACHE, level, _U_CAP_TS,
-                                  _tanh_sinh_node):
-            d = half * sm  # distance to either endpoint
-            if d == 0.0:
-                continue
-            yield a + d, w
-            yield b - d, w
+        for y, w in _level_nodes(level):
+            r = 1.0 + y
+            # each node measured from its nearer end; (1 + y)^2 could overflow
+            x = a + width * y / r if y <= 1.0 else b - width / r
+            yield x, 4.0 * (w / r) / r
 
-    return a + half, half, "tanh-sinh", finite
+    return a + 0.5 * width, 0.25 * width, "tanh-sinh", finite
 
 
 def integrate(f: Callable[[float], complex], domain: tuple[float, float],
               q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     """Integrate f over `domain` = (a, b), where b may be math.inf.
 
+    Both kinds of domain read the one exp-sinh table (module docstring): a
+    finite one through x = a + (b - a) y/(1 + y), which takes an endpoint
+    singularity x^p down to p of about -0.95, a half-line as x = a + y.
     Returns an EvalResult whose err_estimate is the last refinement increment.
     Raises DomainError for an empty/reversed interval, NonFiniteIntegrand if f
     produces nan/inf at a node, and NonConvergence if max_levels refinements

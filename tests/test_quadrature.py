@@ -26,7 +26,8 @@ def test_shifted_interval():
 
 
 def test_endpoint_singularity_integrable():
-    # x^(-1/2) on (0,1): the whole point of tanh-sinh
+    # x^(-1/2) on (0,1): the map to the exp-sinh nodes sends the singular
+    # end into a double-exponentially decaying tail
     r = integrate(lambda x: 1.0 / math.sqrt(x), (0.0, 1.0))
     assert r.value == pytest.approx(2.0, abs=1e-12)
 
@@ -147,10 +148,11 @@ def test_finite_nonconvergence_carries_best_value():
 
 def test_cost_pinned_finite():
     # int_0^1 e^{-x} x^{-1/2} dx = sqrt(pi) erf(1); the count pins the
-    # tanh-sinh node schedule and the level at which it accepts
+    # exp-sinh node schedule as the finite map reads it, and the level at
+    # which it accepts
     r = integrate(lambda x: math.exp(-x) / math.sqrt(x), (0.0, 1.0))
     assert r.converged
-    assert r.evaluations == 173
+    assert r.evaluations == 109
     assert abs(r.value - math.sqrt(math.pi) * math.erf(1.0)) <= 1e-14
 
 
@@ -174,10 +176,25 @@ def test_tolerance_respected_loose():
 
 
 def test_deep_endpoint_approach_is_finite():
-    # nodes come within ~1e-290 of the endpoint; x^(-0.9) must neither
+    # nodes come within ~1e-300 of the endpoint; x^(-0.9) must neither
     # overflow nor lose the mass sitting against the singularity
     r = integrate(lambda x: x ** -0.9, (0.0, 1.0))
     assert r.value == pytest.approx(10.0, rel=1e-9)
+
+
+def test_deep_approach_to_the_upper_end():
+    # the nodes above the centre are placed as b - (b - a)/(1 + y), so the
+    # singular end at b = 0 is approached as closely as a is
+    r = integrate(lambda x: (-x) ** -0.9, (-1.0, 0.0))
+    assert r.value == pytest.approx(10.0, rel=1e-9)
+
+
+def test_steeper_endpoint_singularity():
+    # x^(-0.95): the transformed tail e^{-0.05 u} is ~1e-15 by the table's
+    # cap u = 690
+    r = integrate(lambda x: x ** -0.95, (0.0, 1.0))
+    assert r.converged
+    assert r.value == pytest.approx(20.0, rel=1e-12)
 
 
 def test_zero_integrand_short_circuit():
