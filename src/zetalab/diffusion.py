@@ -14,7 +14,7 @@ import math
 
 from .bessel import bessel_k_complex_arg, laplace_pair_integral
 from .cutoffs import TwoParam
-from .errors import DomainError
+from .errors import DomainError, NonConvergence
 from .gammafn import gamma_complex, power_real_base
 from .quadrature import integrate
 from .regularized import _completed_quadrature
@@ -213,8 +213,9 @@ def _shifted_series(p: float, alpha: float, r: float, q: QuadratureSpec) -> comp
         total += 2.0 * piece
         if abs(piece) < 0.5 * q.series_tail_tol * max(abs(total), 1e-30):
             return total
-    raise DomainError("shifted-series truncation failed to settle; alpha may be "
-                      "too small for the tail rule")
+    raise NonConvergence(
+        f"shifted series did not settle within {q.max_terms} terms; alpha may be "
+        "too small for the tail rule", best=total, err_estimate=abs(piece))
 
 
 def euclidean_identification_residual(d: float, alpha: float, r: float,

@@ -1,28 +1,21 @@
 """Double-exponential (tanh-sinh / exp-sinh) adaptive quadrature.
 
 One engine and one node table serve every integral in the package.  The
-table is exp-sinh's: for t = k h, y = e^u with u = (pi/2)sinh(t) and weight
-(pi/2)cosh(t) y, paired with 1/y and (pi/2)cosh(t)/y.  A half-line (a, inf)
-reads it as x = a + y.  A finite (a, b) reads it through
-x = a + (b - a) y/(1 + y); since y/(1 + y) = (1 + tanh(u/2))/2, that is a
-tanh-sinh rule in (pi/4)sinh(t) (Takahasi & Mori, Publ. RIMS 9, 1974), with
-weight 4w/(1 + y)^2 on the scale (b - a)/4.  Both transforms push the
-integrand's endpoint behavior into double-exponentially decaying tails, so
-analytic integrands converge at roughly digits-doubling-per-level, and
-integrable endpoint singularities (x^{p}, p > -1) cost nothing extra.
+table is exp-sinh's, cached per level: y = e^u, u = (pi/2)sinh(t), with
+weight w = (pi/2)cosh(t) y, and its mirror 1/y.  A half-line (a, inf) reads
+it as x = a + y; a finite (a, b) as x = a + (b - a) y/(1 + y), weight
+4w/(1 + y)^2 on the scale (b - a)/4.  As y/(1 + y) = (1 + tanh(u/2))/2,
+that is a tanh-sinh rule in (pi/4)sinh(t) (Takahasi & Mori, Publ. RIMS 9,
+1974).  Both push the endpoint behavior into double-exponentially decaying
+tails: analytic integrands double their digits about every level, and
+endpoint singularities x^p (p > -1) cost nothing extra.
 
-The table is canonical (interval-independent) and cached per level; the
-mapping onto (a, b) happens at evaluation time.  A finite node is placed as
-a distance from its nearer end -- a + (b - a) y/(1 + y) for y <= 1,
-b - (b - a)/(1 + y) above -- never as a difference of nearly equal numbers,
-which is what keeps integrands like t^{s/2-1} honest down to distances
-~1e-300 from the endpoint.
-
-The table stops at u = 690, where e^u is still inside double range.  That
-bounds the usable endpoint singularity on a finite interval: x^p needs the
-transformed tail e^{-(1+p)u} to die before the cap, so p should stay above
-about -0.95 (x^{-0.96} on (0, 1) still lands within 3e-13; x^{-0.97} does
-not converge).  Everything this package integrates has p >= -1/2.
+A finite node is placed as a distance from its nearer end, never as a
+difference of nearly equal numbers, so integrands like t^{s/2-1} stay
+honest ~1e-300 from the end.  The table stops at u = 690, inside double
+range, so x^p needs its tail e^{-(1+p)u} to die by then: p above about
+-0.95 (x^{-0.96} on (0, 1) lands within 3e-13; x^{-0.97} does not
+converge).  Everything this package integrates has p >= -1/2.
 
 One level loop (`_de_levels`) carries any number of integrals over the same
 nodes.  `integrate` runs one; `integrate_powers` runs the K Mellin integrals
@@ -36,25 +29,21 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Callable
 
 from .errors import DomainError, NonConvergence, NonFiniteIntegrand
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result
 
-# The cap on u = (pi/2)sinh(t) keeps exp(u) inside double range.
+# level -> the (y, w) rows new at that level: (y, (pi/2)cosh(t) y), then
+# (1/y, (pi/2)cosh(t)/y), y = e^u, for u = (pi/2)sinh(t) up to _U_CAP, which
+# keeps e^u inside double range.
 _U_CAP = 690.0
-
-# level -> list of (y, w) for the positive t = k*h new at that level: the
-# pair (y, (pi/2)cosh(t)*y) and then (1/y, (pi/2)cosh(t)/y), y = e^u.  The
-# nodes on (a, inf) are a + y, so the table serves a = 0 as it stands.
 _EXP_SINH_CACHE: dict[int, list[tuple[float, float]]] = {}
 
 
 def _level_nodes(level: int) -> list[tuple[float, float]]:
-    """Positive-t rows new at `level` (odd multiples of h, except level 0).
-
-    The table stops at t = 7 or where u passes _U_CAP.
-    """
+    """Rows for the t > 0 new at `level` (odd multiples of h, except level 0), t <= 7."""
     try:
         return _EXP_SINH_CACHE[level]
     except KeyError:
@@ -79,6 +68,11 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 
 _CENTER_WEIGHT = 0.5 * math.pi
+
+# The reported error is at least _ROUNDING |value|, the rounding that an
+# increment of 0 hides: twice the worst |error| / (eps |value|), 4.54, at the
+# positive integrands of tests/fixtures/completed_exp_real_axis.json.
+_ROUNDING = 10.0 * sys.float_info.epsilon
 
 
 def _check(fx: complex, x: float) -> complex:
@@ -117,9 +111,10 @@ def _transform(domain: tuple[float, float]):
     def finite(level):
         for y, w in _level_nodes(level):
             r = 1.0 + y
-            # each node measured from its nearer end; (1 + y)^2 could overflow
-            x = a + width * y / r if y <= 1.0 else b - width / r
-            yield x, 4.0 * (w / r) / r
+            d = width * min(y, 1.0) / r  # distance to the nearer end
+            if d:  # else it underflowed, and the node would sit on the end
+                # 4w/(1 + y)^2, whose denominator could overflow
+                yield (a + d if y <= 1.0 else b - d), 4.0 * (w / r) / r
 
     return a + 0.5 * width, 0.25 * width, "tanh-sinh", finite
 
@@ -131,7 +126,8 @@ def integrate(f: Callable[[float], complex], domain: tuple[float, float],
     Both kinds of domain read the one exp-sinh table (module docstring): a
     finite one through x = a + (b - a) y/(1 + y), which takes an endpoint
     singularity x^p down to p of about -0.95, a half-line as x = a + y.
-    Returns an EvalResult whose err_estimate is the last refinement increment.
+    Returns an EvalResult whose err_estimate is the last refinement
+    increment, or the rounding floor _ROUNDING * |value| when that is larger.
     Raises DomainError for an empty/reversed interval, NonFiniteIntegrand if f
     produces nan/inf at a node, and NonConvergence if max_levels refinements
     do not reach tolerance.
@@ -212,7 +208,8 @@ def _de_levels(start, add, n: int, transform, q: QuadratureSpec) -> list[EvalRes
     active) adds the nodes of one level to raws[k] for each k in active and
     returns the number of evaluations spent.  Component k is accepted when
     its increment meets the tolerance (from level 2 on) and is then left
-    out of later levels.
+    out of later levels, reporting max(increment, _ROUNDING * |value|) as
+    its error.
     """
     x0, scale, name, points = transform
     raws = start(x0)
@@ -233,7 +230,8 @@ def _de_levels(start, add, n: int, transform, q: QuadratureSpec) -> list[EvalRes
                 # against a coincidentally tiny first increment being
                 # mistaken for convergence
                 if level >= 2 and err <= q.tolerance_for(result):
-                    results[k] = make_result(result, err, evaluations, q)
+                    results[k] = make_result(
+                        result, max(err, _ROUNDING * abs(result)), evaluations, q)
                     continue
             prev[k] = result
             still.append(k)

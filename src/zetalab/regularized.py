@@ -91,6 +91,15 @@ def _completed_series(s: complex, lam: complex, q: QuadratureSpec) -> EvalResult
     |term| < series_tail_tol * |partial sum| is honest up to |Im s| = 100.
     Above that height the sum settles on a wrong value (0.56-1.0 relative
     error at Im s = 150), and the result reports converged=False.
+
+    The cause is an early stop: while z_n = 2 sqrt(lam (lam + n^2 pi)) is
+    below about |s| = 2|nu|, the K terms oscillate instead of decaying.
+    Measured at s = 0.5 + 150i against tests/fixtures/completed_exp_high_t.json,
+    without that converged=False gate: a tail test that waits for
+    n >= |s/2| / (2 sqrt(pi lam)) still leaves the sum 7.9e-2 off at
+    lam = 0.05 and 8.2e-3 off at lam = 1, both with converged=True; waiting
+    for n >= |s/2| / sqrt(pi lam) brings it to 1.7e-14 and 1.5e-14, with
+    err_estimate 1.9e-13 and 4.5e-14 relative (ROADMAP item 7).
     """
     s = complex(s)
     lamc = complex(lam)

@@ -420,6 +420,20 @@ def regenerate_completed_exp_high_t() -> dict:
     return {"completed": rows}
 
 
+def regenerate_completed_exp_real_axis(n_points: int = 100, seed: int = 15) -> dict:
+    """completed_exp_series_ref at real s in [-1.5, 3], lam log-uniform in
+    [0.005, 0.5]: the real-axis quadrature's rows, where the integrand is
+    positive and the error is the rounding of its sum."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n_points):
+        s = rng.uniform(-1.5, 3.0)
+        lam = math.exp(rng.uniform(math.log(0.005), math.log(0.5)))
+        rows.append({"lam": lam, "s": s,
+                     "completed": completed_exp_series_ref(s, lam).real})
+    return {"completed": rows}
+
+
 # ---------------------------------------------------------------------------
 # diffusion oracles
 # ---------------------------------------------------------------------------
@@ -589,6 +603,7 @@ FIXTURES = {
     "riemann_siegel.json": (regenerate_riemann_siegel, True),
     "completed_exp_high_t.json": (regenerate_completed_exp_high_t, False),
     "bessel_k_series.json": (regenerate_bessel_series, False),
+    "completed_exp_real_axis.json": (regenerate_completed_exp_real_axis, False),
 }
 
 

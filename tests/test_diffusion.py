@@ -17,7 +17,8 @@ from zetalab.diffusion import (
     resolvent_rd_bessel,
     resolvent_rd_quad,
 )
-from zetalab.errors import DomainError, PoleError
+from zetalab.errors import DomainError, NonConvergence, PoleError
+from zetalab.types import QuadratureSpec
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -159,6 +160,19 @@ def test_euclidean_identification_pole():
         euclidean_identification_residual(2.0, 1.0, 1.0)
     # the pole sits in the printed prefactor, not the analytic content
     assert euclidean_identification_residual(2.0, 1.0, 1.0, limit_free=True) < 1e-8
+
+
+def test_shifted_series_out_of_terms_is_nonconvergence():
+    # a spent term budget is NonConvergence, carrying the partial sum and
+    # the last shifted term
+    q = QuadratureSpec(max_terms=2)
+    with pytest.raises(NonConvergence) as exc:
+        diffusion._shifted_series(2.0, 0.01, 1.0, q)
+    first, *shifted = (
+        diffusion._time_integral(2.0, 0.01, 1.0 + 4.0 * math.pi * n * n, q)
+        for n in (0, 1, 2))
+    assert exc.value.best == first + 2.0 * shifted[0] + 2.0 * shifted[1]
+    assert exc.value.err_estimate == abs(shifted[1]) > 0.0
 
 
 def test_hyperbolic_identification():

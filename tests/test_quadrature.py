@@ -189,6 +189,14 @@ def test_deep_approach_to_the_upper_end():
     assert r.value == pytest.approx(10.0, rel=1e-9)
 
 
+def test_tiny_interval_keeps_off_its_ends():
+    # on a width of 1e-40 the deepest distances underflow to 0; those nodes
+    # are skipped rather than evaluated on the singular end
+    w = 1e-40
+    r = integrate(lambda x: 1.0 / math.sqrt(x / w), (0.0, w))
+    assert r.value == pytest.approx(2.0 * w, rel=1e-12)
+
+
 def test_steeper_endpoint_singularity():
     # x^(-0.95): the transformed tail e^{-0.05 u} is ~1e-15 by the table's
     # cap u = 690

@@ -358,6 +358,28 @@ def test_ray_route_needs_real_lambda():
         xi_lambda(0.5 + 9.0j, 0.0)
 
 
+# mpmath Bessel-series values of completed(s; lam) at 100 seeded real s and
+# lam < 0.5, which take the real-axis quadrature
+REAL_AXIS_FIXTURE = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures"
+     / "completed_exp_real_axis.json").read_text())
+
+
+def test_real_axis_err_estimate_covers_the_rounding():
+    # the integrand is positive, so the error is the rounding of the sum; a
+    # last increment of 0 must not be reported as an exact value
+    short = []
+    for row in REAL_AXIS_FIXTURE["completed"]:
+        routed = zeta_regularized(row["s"], ExpSymmetric(row["lam"]))
+        assert routed.representation == "quadrature"
+        completed = routed.completed
+        assert completed.converged
+        if abs(completed.value - row["completed"]) > completed.err_estimate:
+            short.append((row, completed))
+    assert len(REAL_AXIS_FIXTURE["completed"]) >= 100
+    assert short == []
+
+
 # mpmath Bessel-series values of completed(s; lam) at Im s = 150
 HIGH_T_FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures" / "completed_exp_high_t.json").read_text())
