@@ -5,11 +5,11 @@ Exit codes: 0 success, 1 usage / bad parameters, 2 numerical failure
 violation, 4 I/O failure.  All machine output goes to stdout (or --out);
 progress and summaries go to stderr.
 
-grid takes omega, xi-lambda and zeta-reg a (t, lambda) row at a time: the
-row's first cache miss computes every point of the row that the cache does
-not hold in one call, whose completed values share a quadrature pass.  Each
-point still goes through the cache under its own key, with the record an
-`eval` of it would print.
+grid walks its (t, lambda) rows: the points of a row that the cache does
+not hold are computed in one call, whose completed values share a
+quadrature pass (omega, xi-lambda and zeta-reg).  Each point still goes
+through the cache under its own key, with the record an `eval` of it would
+print.
 """
 
 from __future__ import annotations
@@ -472,56 +472,37 @@ _GRID_ROWS = {
 
 def _cmd_grid(args) -> int:
     q = _quad_from(args)
-    sigmas = _axis(args.sigma)
-    ts = _axis(args.t)
-    lams = _float_list(args.lam) if args.lam is not None else [None]
-    with_lambda = lams != [None]
-    points = sorted((sig, t, lam if lam is not None else -math.inf)
-                    for sig in sigmas for t in ts for lam in lams)
+    sigmas, ts = sorted(_axis(args.sigma)), sorted(_axis(args.t))
+    lams = sorted(_float_list(args.lam)) if args.lam is not None else [None]
     cache_dir = resolve_cache_dir(args.cache_dir)
     quad_obj = dataclasses.asdict(q)
     row_call = _GRID_ROWS[args.fn]
-    rows: dict = {}             # (t, lam key) -> its points, sigma ascending
-    for point in points:
-        rows.setdefault(point[1:], []).append(point)
-    from_rows: dict = {}        # point -> EvalResult of a row call, until used
+    by_row = []                 # each (t, lambda) row's records, sigma ascending
+    for t, lam in itertools.product(ts, lams):
+        get = _reader(argparse.Namespace(lam=lam, cutoff="exp"), parsed=True)
+        lam_param = {} if lam is None else {"lambda": lam}
+        params = [{"sigma": sigma, "t": t, **lam_param} for sigma in sigmas]
+        keys = [cache_key(args.fn, p, quad_obj) for p in params]
+        missing = [i for i, key in enumerate(keys)
+                   if not has_entry(cache_dir, key)]
+        computed = {}           # index in sigmas -> EvalResult
+        if missing:
+            computed = dict(zip(missing, row_call(
+                get, q, [complex(sigmas[i], t) for i in missing])))
 
-    def params_of(point) -> dict:
-        sigma, t, lam_key = point
-        params = {"sigma": sigma, "t": t}
-        if lam_key != -math.inf:
-            params["lambda"] = lam_key
-        return params
-
-    keys = {point: cache_key(args.fn, params_of(point), quad_obj)
-            for point in points}
-
-    def evaluate(point) -> EvalResult:
-        sigma, t, lam_key = point
-        values = argparse.Namespace(
-            s=complex(sigma, t), lam=None if lam_key == -math.inf else lam_key,
-            cutoff="exp")
-        get = _reader(values, parsed=True)
-        if point not in from_rows:
-            # the row's first miss: this point and the row's later points
-            # that the cache does not hold, in one call
-            row = rows[point[1:]]
-            batch = [p for p in row[row.index(point):] if p == point
-                     or not (p in from_rows or has_entry(cache_dir, keys[p]))]
-            from_rows.update(zip(batch, row_call(
-                get, q, [complex(p[0], p[1]) for p in batch])))
-        return from_rows.pop(point)
-
-    def run_point(point) -> dict:
-        def compute() -> dict:
-            result = evaluate(point)
-            return {**params_of(point), "value": complex_to_obj(result.value),
+        def compute(i: int) -> dict:
+            # an entry that exists but does not read is computed on its own
+            result = (computed[i] if i in computed
+                      else row_call(get, q, [complex(sigmas[i], t)])[0])
+            return {**params[i], "value": complex_to_obj(result.value),
                     "err_estimate": result.err_estimate}
 
-        return get_or_compute(cache_dir, keys[point], compute)
-
-    results = [run_point(p) for p in points]
-    lam_col = ["lambda"] if with_lambda else []
+        by_row.append([
+            get_or_compute(cache_dir, key, functools.partial(compute, i))
+            for i, key in enumerate(keys)])
+    # sigma outermost, then t, then lambda: the sorted order of the points
+    results = [row[i] for i in range(len(sigmas)) for row in by_row]
+    lam_col = ["lambda"] if lams != [None] else []
     rows_out = [[rec["sigma"], rec["t"], *(rec[c] for c in lam_col),
                  rec["value"]["re"], rec["value"]["im"], rec["err_estimate"]]
                 for rec in results]

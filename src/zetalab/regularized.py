@@ -100,6 +100,15 @@ def _completed_series(s: complex, lam: complex, q: QuadratureSpec) -> EvalResult
     lam = 0.05 and 8.2e-3 off at lam = 1, both with converged=True; waiting
     for n >= |s/2| / sqrt(pi lam) brings it to 1.7e-14 and 1.5e-14, with
     err_estimate 1.9e-13 and 4.5e-14 relative (ROADMAP item 7).
+
+    That guard could replace the gate for real lam only.  At s = 0.5 + 150i,
+    lam = 0.5 + 0.2i the guarded sum returns 5.3e-19 + 1.0e-18i (estimate
+    1.4e-19) against 2.1e-50 + 1.4e-50i from mpmath: its K terms at order
+    0.25 + 75i and |z_n| in [2.8, 7.9] come back near 1e-16 against true
+    values near 1e-45, each converged=True.  Only the gate reports that
+    value as converged=False.  For real lam above |Im s| = 100 the ray is
+    also the cheaper route up to lam of about 1-2, so that clause of
+    _completed_exp is a cost rule as well.
     """
     s = complex(s)
     lamc = complex(lam)

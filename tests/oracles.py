@@ -635,6 +635,8 @@ def _print_frozen() -> None:
         ("omega(0.4, 1e-3)", omega_ref(0.4, 1e-3)),
         ("h3 kernel(1, 0.7) ladder", hyperbolic_kernel_ref(1.0, 0.7, 3)),
         ("h5 kernel(0.7, 1.1) ladder", hyperbolic_kernel_ref(0.7, 1.1, 5)),
+        ("h7 kernel(0.1, 0.2) ladder", hyperbolic_kernel_ref(0.1, 0.2, 7)),
+        ("h9 kernel(1.3, 2.5) ladder", hyperbolic_kernel_ref(1.3, 2.5, 9)),
         ("laplace_h3(1, 0.7) closed", laplace_h3_closed(1.0, 0.7)),
         ("besselk(0.5, 2)", besselk_ref(0.5, 2.0)),
         ("besselk(0.3+2j, 1)", besselk_ref(complex(0.3, 2.0), 1.0)),

@@ -139,6 +139,18 @@ def test_eval_zeta_reg_echoes_representation(capsys):
     assert doc["input"]["representation"] == "bessel-series"
 
 
+def test_eval_zeta_reg_without_lambda_is_the_undamped_value(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--fn", "zeta-reg", "--s", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"]["re"] == 1.6449340668482264  # pi^2/6 to the last bit
+    assert doc["input"]["cutoff"] == "NoCutoff"
+    assert doc["input"]["representation"] == "quadrature"
+    # the undamped integral converges only for Re s > 1
+    code, out, _ = run_cli(capsys, "eval", "--fn", "zeta-reg", "--s", "0.5+3i")
+    assert code == 1 and out == ""
+
+
 @pytest.mark.parametrize("lam, route", [("1e-4", "quadrature"),
                                         ("0.5", "bessel-series")])
 def test_eval_zeta_reg_echoes_the_route_taken(capsys, lam, route):
@@ -302,6 +314,46 @@ def test_grid_cache_roundtrip(tmp_path, capsys):
     code, second, _ = run_cli(capsys, *args)
     assert code == 0
     assert first == second  # cache-served rerun is byte-identical
+
+
+def test_grid_unreadable_cache_entry_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ("grid", "--fn", "omega", "--sigma", "0.3,0.7", "--t", "0,5",
+            "--lambda", "0.5", "--format", "csv")
+    code, cold, _ = run_cli(capsys, *args, "--cache-dir", "")
+    assert code == 0
+    run_cli(capsys, *args, "--cache-dir", str(cache))
+    entry = sorted(cache.iterdir())[1]
+    entry.write_text("{not json", encoding="utf-8")
+    code, again, _ = run_cli(capsys, *args, "--cache-dir", str(cache))
+    assert code == 0
+    assert again == cold
+    assert json.loads(entry.read_text(encoding="utf-8"))["sigma"] in (0.3, 0.7)
+
+
+def test_grid_replay_from_a_full_cache_makes_no_row_call(tmp_path, capsys,
+                                                         monkeypatch):
+    args = ("grid", "--fn", "xi-lambda", "--sigma", "0.2,0.6", "--t", "0,5",
+            "--lambda", "0.05,0.5", "--format", "csv",
+            "--cache-dir", str(tmp_path / "cache"))
+    code, first, _ = run_cli(capsys, *args)
+    assert code == 0
+
+    def no_call(get, q, s_row):
+        raise AssertionError(f"row call at {s_row}")
+
+    monkeypatch.setitem(cli._GRID_ROWS, "xi-lambda", no_call)
+    code, second, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert second == first
+
+
+@pytest.mark.parametrize("sigma", ["0:1", "1:0:0.1"])
+def test_grid_bad_axis_range_exits_1(capsys, sigma):
+    code, out, err = run_cli(capsys, "grid", "--fn", "zeta", "--sigma", sigma,
+                             "--t", "1")
+    assert code == 1 and out == ""
+    assert "axis range" in err
 
 
 def test_grid_cache_env_and_flag_priority(tmp_path, capsys, monkeypatch):

@@ -111,6 +111,13 @@ def test_ladder_frozen_values():
     assert heat_kernel_hyperbolic_odd(0.7, 1.1, 5) == pytest.approx(
         0.00016716437678228156, rel=1e-13
     )
+    # d = 7 is the first rung whose terms carry a power of cosh
+    assert heat_kernel_hyperbolic_odd(0.1, 0.2, 7) == pytest.approx(
+        0.19615927477538136, rel=1e-13
+    )
+    assert heat_kernel_hyperbolic_odd(1.3, 2.5, 9) == pytest.approx(
+        3.3748757162443493e-16, rel=1e-13
+    )
 
 
 def test_ladder_underflow_returns_zero_without_building_the_ladder():

@@ -17,6 +17,7 @@ from zetalab.cutoffs import CustomCutoff, ExpAlpha, ExpSymmetric, NoCutoff, TwoP
 from zetalab.errors import DomainError, NonConvergence
 from zetalab.funceq import FunctionalEqKind, verify
 from zetalab.regularized import (
+    _completed_exp,
     _completed_quadrature,
     abcd_terms,
     boundary_i1,
@@ -356,6 +357,11 @@ def test_ray_route_needs_real_lambda():
                               QuadratureSpec(), theta=1.0)
     with pytest.raises(DomainError):
         xi_lambda(0.5 + 9.0j, 0.0)
+
+
+def test_a_completed_row_shares_im_s():
+    with pytest.raises(DomainError, match="share Im s"):
+        _completed_exp([0.5 + 1.0j, 0.5 + 2.0j], 1.0, QuadratureSpec())
 
 
 # mpmath Bessel-series values of completed(s; lam) at 100 seeded real s and
