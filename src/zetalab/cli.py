@@ -472,8 +472,10 @@ _GRID_ROWS = {
 
 def _cmd_grid(args) -> int:
     q = _quad_from(args)
-    sigmas, ts = sorted(_axis(args.sigma)), sorted(_axis(args.t))
-    lams = sorted(_float_list(args.lam)) if args.lam is not None else [None]
+    # a value repeated on an axis is one point
+    sigmas, ts = sorted(set(_axis(args.sigma))), sorted(set(_axis(args.t)))
+    lams = ([None] if args.lam is None
+            else sorted(set(_float_list(args.lam))))
     cache_dir = resolve_cache_dir(args.cache_dir)
     quad_obj = dataclasses.asdict(q)
     row_call = _GRID_ROWS[args.fn]

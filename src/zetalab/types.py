@@ -102,7 +102,7 @@ class ZeroBracket:
     """A sign-change bracket for Hardy's Z and the zero refined inside it.
 
     z_lo and z_hi are `hardy_z` values at the ends, of opposite signs
-    (Riemann-Siegel in extra precision at t >= 100, Euler-Maclaurin below);
+    (Riemann-Siegel in fixed point at t >= 100, Euler-Maclaurin below);
     refined_t is the midpoint of a bracket no wider than 1e-8 whose ends
     carry certified signs of Z, found by Illinois (modified regula falsi)
     refinement.

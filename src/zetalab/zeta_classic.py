@@ -29,9 +29,10 @@ and a sign-scan zero finder on the critical line.
 Hardy's Z comes from the Riemann-Siegel formula at |t| >= 100: about
 sqrt(t / 2 pi) terms plus Gabcke's remainder series C_0..C_12, against
 16 + 1.5 t terms for Euler-Maclaurin.  Its phases theta(t) - t log n, of
-size t log t, are carried in extra precision, so the value is good to
-~1e-15 up to t = 1e6 and carries a fitted bound of 2e-14..8e-14.  Below
-t = 100, `hardy_z` is e^{i theta} times `zeta_analytic`.
+size t log t, are exact fixed-point integers reduced mod 2 pi, so the value
+is good to ~1e-15 at any height up to the term ceiling (measured to
+t = 1e12) and carries a fitted bound of 2e-14 at t = 100, 2.5e-12 at 1e12.
+Below t = 100, `hardy_z` is e^{i theta} times `zeta_analytic`.
 
 The zero finder reads Z on its grid from a float Riemann-Siegel sum with
 C_0..C_4 wherever |Z| clears that sum's error bound, so the sign it takes
@@ -216,23 +217,24 @@ _RS_T_MIN = 2.0 * math.pi
 # rounding in t log n (~7e-15 t measured), each taken 20 times over.
 _RS_TRUNC = 2e-3
 _RS_ROUND = 2e-13
-# hardy_z takes the Riemann-Siegel sum in extra precision at |t| >= this: the
-# lowest height where its bound falls below Euler-Maclaurin's measured error.
+# hardy_z takes the Riemann-Siegel sum with fixed-point phases at |t| >= this:
+# the lowest height where its bound falls below Euler-Maclaurin's measured
+# error.
 _HARDY_RS_T_MIN = 100.0
 # Bound on that sum's error: ten times the first order left out, C_13 (at
 # most 1.9e-7, times a^(-13.5): 1.4e-15 at t = 100, as measured there), plus
 # rounding, at worst ~1e-16 a term of weight n^(-1/2) and so growing like
 # sqrt(N) = (t / 2 pi)^(1/4); 4e-15 is ten times the largest rounding error
-# measured against mpmath on [150, 1e6] (9e-16).
-_RS_DD_TRUNC = 2e-6
-_RS_DD_ROUND = 4e-15
-# (hi, lo) pairs: hi is the double nearest the constant, lo the one nearest
-# the rest.
-_INV_TWO_PI_DD = (0.15915494309189535, -9.839338337591243e-18)
-_LOG_TWO_PI_DD = (1.8378770664093456, -7.756588316134483e-17)
-_PI_8_DD = (0.39269908169872414, 1.5308084989341915e-17)
-# Dekker's splitting constant 2^27 + 1.
-_SPLITTER = 134217729.0
+# measured against mpmath on [150, 1e6] when it was fitted (9e-16; 1.8e-15,
+# one ulp of |Z| = 8.2, with fixed-point phases).
+_RS_FIX_TRUNC = 2e-6
+_RS_FIX_ROUND = 4e-15
+# Fixed point: a phase at t = num / 2^k is an integer times
+# 2^-(_FIX_BITS + k).
+_FIX_BITS = 128
+# 2 pi and log(2 pi) times 2^_FIX_BITS, to the nearest integer.
+_TWO_PI_FIX = 2138057168129933495719360746323741566601
+_LOG_TWO_PI_FIX = 625397158267482887231032432550145572936
 # Width of the sign-change bracket the refinement leaves around each zero.
 _ZERO_TOL = 1e-8
 
@@ -241,13 +243,12 @@ _ZERO_TOL = 1e-8
 _EM_SIGMA_FLOOR = -2.0
 
 
-# _LOG_N[n] = log n and _LOG_N_LO[n] = log n - _LOG_N[n] (entry 0 unused),
-# grown on demand by _log_table and _log_lo_table; their entries never change
-# once written, so every caller may share them.
+# _LOG_N[n] = log n as a float and _LOG_FIX[n] = log n times 2^_FIX_BITS as
+# an integer (entry 0 unused), grown on demand by _log_table and
+# _log_fix_table; their entries never change once written, so every caller
+# may share them.
 _LOG_N = array("d", [0.0])
-_LOG_N_LO = array("d", [0.0])
-# fixed-point scale of `_log_step`'s integer series
-_LOG_STEP_BITS = 128
+_LOG_FIX = [0, 0]
 
 
 def _log_table(n_top: int) -> array:
@@ -258,71 +259,49 @@ def _log_table(n_top: int) -> array:
     return logs
 
 
-def _log_lo_table(n_top: int) -> array:
-    """_LOG_N_LO, grown to n_top: with _LOG_N it gives log n to ~1e-31.
+def _log_fix_table(n_top: int) -> list:
+    """_LOG_FIX, grown to hold log n for every n <= n_top.
 
-    Each low word comes from the pairs of smaller n in double-double:
-    log a + log(n/a) for a composite n with smallest prime factor a, and
-    log(n-1) + `_log_step(n)` for a prime.  Against 40-digit `decimal`
-    logarithms the worst low word for n <= 2e4 is off by 2e-31.
+    Entry n is entry n - 1 plus log(n / (n-1)) = 2 atanh(1 / d), d = 2n - 1,
+    its series summed in integers with each term floored once, so entries
+    run low by at most a few units of 2^-_FIX_BITS a step: 4.9e-33 at
+    n = 2^20.
     """
-    logs = _log_table(n_top)
-    lows = _LOG_N_LO
-    start = len(lows)
-    if start <= n_top:
-        for n, a in zip(range(start, n_top + 1), _smallest_factors(start, n_top)):
-            lows.append(_log_lo(n, a, logs, lows))
-    return lows
+    logs = _LOG_FIX
+    total = logs[-1]
+    for d in range(2 * len(logs) - 1, 2 * n_top, 2):
+        d2 = d * d
+        power = (2 << _FIX_BITS) // d       # 2 / d^(2i+1), scaled
+        k = 1
+        while power:
+            total += power // k
+            power //= d2
+            k += 2
+        logs.append(total)
+    return logs
 
 
-def _log_lo(n: int, a: int, logs, lows) -> float:
-    """log n - logs[n], with a the smallest prime factor of n (n for a prime),
-    from logs[m] and lows[m] of the m < n it needs."""
-    if a < n:
-        hi, err = _two_sum(logs[a], logs[n // a])
-        rest = lows[a] + lows[n // a]
-    elif n > 1:
-        step, step_lo = _log_step(n)
-        hi, err = _two_sum(logs[n - 1], step)
-        rest = lows[n - 1] + step_lo
-    else:
-        return 0.0                              # log 1
-    # hi and logs[n] are within an ulp of log n, so their difference is exact
-    return ((hi - logs[n]) + err) + rest
+def _log_fix(num: int, k: int) -> int:
+    """log(num / 2^k) times 2^_FIX_BITS for integers num >= 1 and k.
 
-
-def _smallest_factors(lo: int, hi: int) -> array:
-    """The smallest prime factor of each n in [lo, hi]; n itself for 1 and primes.
-
-    p runs downwards, so the smallest prime factor is written last; a
-    composite p marks only multiples that its own smallest factor rewrites.
+    num = m 2^e with m within 1/2 of an integer j in [64, 128], so
+    log num = e log 2 + log j + 2 atanh(u), u = (num - j 2^e) / (num + j 2^e):
+    |u| <= 1/255, so the integer series gains 16 bits a term.
     """
-    factors = array("l", range(lo, hi + 1))
-    for p in range(math.isqrt(hi), 1, -1):
-        first = max(p * p, -(-lo // p) * p)
-        if first <= hi:
-            factors[first - lo::p] = array("l", [p]) * ((hi - first) // p + 1)
-    return factors
-
-
-def _log_step(n: int) -> tuple[float, float]:
-    """log(n / (n-1)) = 2 atanh(1 / (2n-1)) as hi + lo for n >= 2.
-
-    The atanh series is summed in integers scaled by 2^_LOG_STEP_BITS, each
-    term floored once, so the pair is off by less than 1e-38.
-    """
-    d = 2 * n - 1
-    d2 = d * d
-    power = (2 << _LOG_STEP_BITS) // d      # 2 / d^(2k+1), scaled
-    total = 0
-    k = 1
+    logs = _log_fix_table(128)
+    e = max(num.bit_length() - 7, 0)
+    j = (num + ((1 << e) >> 1)) >> e
+    d, s = num - (j << e), num + (j << e)
+    u = (abs(d) << _FIX_BITS) // s
+    u2 = (u * u) >> _FIX_BITS
+    power = 2 * u                       # 2 |u|^(2i+1), scaled
+    series = 0
+    i = 1
     while power:
-        total += power // k
-        power //= d2
-        k += 2
-    hi = float(total)
-    return (math.ldexp(hi, -_LOG_STEP_BITS),
-            math.ldexp(float(total - int(hi)), -_LOG_STEP_BITS))
+        series += power // i
+        power = (power * u2) >> _FIX_BITS
+        i += 2
+    return (e - k) * logs[2] + logs[j] + (series if d >= 0 else -series)
 
 
 def _term_budget(count: float, q: QuadratureSpec, route: str,
@@ -503,14 +482,15 @@ def riemann_siegel_theta(t: float) -> float:
 def hardy_z(t: float, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     """Hardy's Z(t) = e^{i theta(t)} zeta(1/2 + it).
 
-    At |t| >= 100 by the Riemann-Siegel formula with its phases in extra
-    precision (`_hardy_z_rs`): a real value, the same at -t as at t since Z
+    At |t| >= 100 by the Riemann-Siegel formula with its phases in fixed
+    point (`_hardy_z_rs`): a real value, the same at -t as at t since Z
     is even, with err_estimate the bound `_hardy_rs_bound` (2.3e-14 at
-    t = 100, 8.0e-14 at 1e6).  Below that, e^{i theta} times
-    `zeta_analytic`; Z is real in exact arithmetic, and the imaginary part
-    is kept in the result as an honest noise indicator.  Z(0) = zeta(1/2) < 0
-    fixes the branch.  Either route raises NonConvergence, before it sums,
-    where it would need more than q.max_terms terms (`_term_budget`).
+    t = 100, 8.0e-14 at 1e6, 2.5e-12 at 1e12).  Below that, e^{i theta}
+    times `zeta_analytic`; Z is real in exact arithmetic, and the imaginary
+    part is kept in the result as an honest noise indicator.
+    Z(0) = zeta(1/2) < 0 fixes the branch.  Either route raises
+    NonConvergence, before it sums, where it would need more than
+    q.max_terms terms (`_term_budget`).
     """
     t = float(t)
     if abs(t) >= _HARDY_RS_T_MIN:
@@ -601,116 +581,54 @@ def _rs_bound(t: float) -> float:
     return _RS_TRUNC * (t / (2.0 * math.pi)) ** -2.75 + _RS_ROUND * t
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _split(a: float) -> tuple[float, float]:
-    """a = hi + lo with hi holding the top 26 bits (Veltkamp)."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker)."""
-    p = a * b
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _split(b)
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _log_dd(x: float) -> tuple[float, float]:
-    """log x as hi + lo, good to ~2e-23 absolute, for finite x > 0.
-
-    x = m 2^e with 128 m within 1/2 of an integer j in [64, 128], so
-    log x = (e - 7) log 2 + log j + 2 atanh(u), u = (128 m - j) / (128 m + j)
-    and |u| < 1/255; log 2 and log j come from the (hi, lo) log table, u as
-    a pair from an exact product, and atanh's series runs to u^9.
-    """
-    lows = _log_lo_table(128)
-    logs = _LOG_N
-    m, e = math.frexp(x)
-    y = 128.0 * m
-    j = int(y + 0.5)
-    d = y - j
-    s, s_lo = _two_sum(y, float(j))
-    u = d / s
-    p, p_lo = _two_prod(u, s)
-    u_lo = ((d - p) - p_lo - u * s_lo) / s
-    u2 = u * u
-    tail = u * u2 * (1 / 3 + u2 * (1 / 5 + u2 * (1 / 7 + u2 / 9)))
-    k = float(e - 7)
-    hi, lo = _two_prod(k, logs[2])
-    hi, err = _two_sum(hi, logs[j])
-    lo += err
-    hi, err = _two_sum(hi, 2.0 * u)
-    lo += err + k * lows[2] + lows[j] + 2.0 * (u_lo + tail)
-    return _two_sum(hi, lo)
-
-
-def _theta_dd(t: float) -> tuple[float, float]:
-    """theta(t) as hi + lo for t >= 100, by its Stirling series.
+def _theta_fix(num: int, k: int) -> int:
+    """theta(t) times 2^(_FIX_BITS + k) for t = num / 2^k >= 100.
 
     theta = t/2 log(t / 2 pi) - t/2 - pi/8 + 1/(48 t) + 7/(5760 t^3)
     + 31/(80640 t^5) + 127/(430080 t^7) + ...; the first term left out is
-    below 5e-22 at t = 100.  The head is formed as a pair, since theta is
-    3e4 at t = 1e4 and 6e6 at 1e6 and a float theta is off by its ulp.
+    below 5e-22 at t = 100.  Everything but that float tail (below 2.1e-4,
+    good to its rounding) is integer arithmetic on `_log_fix`.
     """
-    lg, lg_lo = _log_dd(t)
-    lg, err = _two_sum(lg, -_LOG_TWO_PI_DD[0])
-    lg_lo += err - _LOG_TWO_PI_DD[1]
-    half = 0.5 * t
-    hi, lo = _two_prod(half, lg)
-    hi, err = _two_sum(hi, -half)
-    r = 1.0 / t
+    r = 1.0 / math.ldexp(num, -k)
     r2 = r * r
     tail = r * (1 / 48 + r2 * (7 / 5760 + r2 * (31 / 80640
                                                  + r2 * (127 / 430080))))
-    lo += err + half * lg_lo - _PI_8_DD[0] - _PI_8_DD[1] + tail
-    return _two_sum(hi, lo)
+    return ((num * (_log_fix(num, k) - _LOG_TWO_PI_FIX) >> 1)
+            - (num << (_FIX_BITS - 1)) - ((_TWO_PI_FIX << k) >> 4)
+            + int(math.ldexp(tail, _FIX_BITS + k)))
 
 
 def _hardy_z_rs(t: float) -> tuple[float, int]:
     """Z(t) for t >= 100 within `_hardy_rs_bound(t)`, and the terms summed.
 
-    The Riemann-Siegel sum of `_z_riemann_siegel`, with each phase
-    theta(t) - t log n carried as a pair hi + lo: log n from `_LOG_N` and
-    `_LOG_N_LO`, t log n by Dekker's exact product, theta from `_theta_dd`,
-    and cos(hi + lo) = cos hi - lo sin hi, whose next term lo^2 / 2 is
-    below 2e-18 (|lo| < 2e-9 up to t = 1e6).  a = sqrt(t / 2 pi) gets one
-    Newton correction, so p - 1/2 is good to ~1e-16.  The terms, the
-    remainder through C_12 among them, are added exactly by fsum.
+    The Riemann-Siegel sum of `_z_riemann_siegel` in fixed point: t is
+    num / 2^k exactly, and each phase theta(t) - t log n is the integer
+    `_theta_fix` - num `_LOG_FIX[n]` at scale 2^-(_FIX_BITS + k), reduced
+    mod 2 pi.  Its top 53 bits are hi and the rest lo < 2^-50, so
+    cos(hi + lo) = cos hi - lo sin hi to within lo^2 / 2 < 1e-30 at any t.
+    a = sqrt(t / 2 pi) is an integer square root, so p - 1/2 is good to
+    its rounding.  The terms, the remainder through C_12 among them, are
+    added exactly by fsum.
     """
-    th, th_lo = _theta_dd(t)
-    sq, sq_lo = _two_prod(t, _INV_TWO_PI_DD[0])
-    sq_lo += t * _INV_TWO_PI_DD[1]
-    a = math.sqrt(sq)
-    aa, aa_lo = _two_prod(a, a)
-    a_lo = ((sq - aa) - aa_lo + sq_lo) / (2.0 * a)
-    n_top = int(a)
-    lows = _log_lo_table(n_top)
-    logs = _LOG_N
-    t_hi, t_lo = _split(t)
+    num, den = t.as_integer_ratio()
+    k = den.bit_length() - 1
+    scale = _FIX_BITS + k
+    a_fix = math.isqrt((num << (3 * _FIX_BITS - k)) // _TWO_PI_FIX)
+    n_top = a_fix >> _FIX_BITS
+    logs = _log_fix_table(n_top)
+    theta = _theta_fix(num, k)
+    two_pi = _TWO_PI_FIX << k
+    shift = scale - 50
+    mask = (1 << shift) - 1
+    hi_ulp, lo_ulp = math.ldexp(1.0, -50), math.ldexp(1.0, -scale)
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
     terms = []
     for n in range(1, n_top + 1):
-        h = logs[n]
-        c = _SPLITTER * h                   # _split and _two_prod, inline
-        h_hi = c - (c - h)
-        h_lo = h - h_hi
-        p = t * h
-        p_lo = (((t_hi * h_hi - p) + t_hi * h_lo + t_lo * h_hi) + t_lo * h_lo
-                + t * lows[n])
-        ph = th - p
-        v = ph - th
-        ph_lo = (th - (ph - v)) + (-p - v) + th_lo - p_lo
-        terms.append((cos(ph) - ph_lo * sin(ph)) / sqrt(n))
-    x = (a - n_top - 0.5) + a_lo
-    a += a_lo
+        phase = (theta - num * logs[n]) % two_pi
+        hi = (phase >> shift) * hi_ulp
+        terms.append((cos(hi) - (phase & mask) * lo_ulp * sin(hi)) / sqrt(n))
+    a = math.ldexp(a_fix, -_FIX_BITS)
+    x = math.ldexp(a_fix - ((2 * n_top + 1) << (_FIX_BITS - 1)), -_FIX_BITS)
     rem = _rs_remainder(a, x, _RS_COEFFS)
     if n_top % 2 == 0:
         rem = -rem
@@ -721,7 +639,7 @@ def _hardy_z_rs(t: float) -> tuple[float, int]:
 def _hardy_rs_bound(t: float) -> float:
     """Error bound of `_hardy_z_rs` at t >= 100."""
     x = t / (2.0 * math.pi)
-    return _RS_DD_TRUNC * x ** -6.75 + _RS_DD_ROUND * x ** 0.25
+    return _RS_FIX_TRUNC * x ** -6.75 + _RS_FIX_ROUND * x ** 0.25
 
 
 def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -765,10 +683,9 @@ def find_zeros(t_min: float, t_max: float, step: float,
     same rule to a sign-change bracket no wider than 1e-8, whose midpoint is
     refined_t.  Each sign taken is certified or is `hardy_z`'s, so the
     brackets are those of a scan that evaluates `hardy_z` at every grid
-    point.  Above t = 1000 a
-    zero costs about three `hardy_z` calls: the two bracket ends and the
-    step that lands inside the bound; above t = 100 those calls are the
-    Riemann-Siegel sum in extra precision.
+    point.  Above t = 1000 a zero costs about three `hardy_z` calls: the
+    two bracket ends and the step that lands inside the bound; above
+    t = 100 those calls are the Riemann-Siegel sum in fixed point.
 
     Raises DomainError when step does not move t at t_max, and
     NonConvergence when the Riemann-Siegel sum at t_max would need more

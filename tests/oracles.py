@@ -80,9 +80,11 @@ def siegel_theta_ref(t) -> float:
     return float(mp.siegeltheta(mp.mpf(t)))
 
 
-def pair_gap_ref(hi, lo, exact) -> float:
-    """(hi + lo) - exact, formed in mpmath: the error of a (hi, lo) pair."""
-    return float(mp.mpf(hi) + mp.mpf(lo) - exact)
+def fixed_gap_ref(value: int, bits: int, exact) -> float:
+    """value / 2^bits - exact(), formed in mpmath at 50 digits: the error of
+    a fixed-point number; exact() runs at those digits too."""
+    with mp.workdps(50):
+        return float(mp.mpf(value) / mp.mpf(2) ** bits - exact())
 
 
 def siegel_theta_mp(t):
@@ -91,6 +93,10 @@ def siegel_theta_mp(t):
 
 def log_mp(x):
     return mp.log(mp.mpf(x))
+
+
+def two_pi_mp():
+    return 2 * mp.pi
 
 
 def zero_ref(n: int) -> float:
@@ -406,6 +412,17 @@ def regenerate_riemann_siegel(n_points: int = 500, n_high: int = 200,
             "lehmer_pair": [[n, zero_ref(n)] for n in LEHMER_PAIR_INDICES]}
 
 
+# hardy_z heights far above riemann_siegel.json's 1e6
+HARDY_Z_EXTREME_T = (1e9, 1e10, 1e11, 1e12)
+
+
+def regenerate_hardy_z_extreme() -> dict:
+    """mp.siegelz at 35 digits at HARDY_Z_EXTREME_T (2.9 s at 1e12)."""
+    with mp.workdps(35):
+        return {"z": [[t, float(mp.siegelz(mp.mpf(t)))]
+                      for t in HARDY_Z_EXTREME_T]}
+
+
 # (lam, s) above the height where the package's Bessel series broke down
 HIGH_T_POINTS = ((0.05, complex(0.5, 150.0)), (1.0, complex(0.5, 150.0)))
 
@@ -601,6 +618,7 @@ FIXTURES = {
     "approx_fe_constant.json": (regenerate_approx_fe, False),
     "completed_exp_ray.json": (regenerate_completed_exp_ray, False),
     "riemann_siegel.json": (regenerate_riemann_siegel, True),
+    "hardy_z_extreme.json": (regenerate_hardy_z_extreme, True),
     "completed_exp_high_t.json": (regenerate_completed_exp_high_t, False),
     "bessel_k_series.json": (regenerate_bessel_series, False),
     "completed_exp_real_axis.json": (regenerate_completed_exp_real_axis, False),

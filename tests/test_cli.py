@@ -348,6 +348,25 @@ def test_grid_replay_from_a_full_cache_makes_no_row_call(tmp_path, capsys,
     assert second == first
 
 
+def test_grid_repeated_axis_values_are_one_point(capsys, monkeypatch):
+    code, once, _ = run_cli(capsys, "grid", "--fn", "zeta", "--sigma", "0.5",
+                            "--t", "1", "--cache-dir", "")
+    assert code == 0
+    rows = []
+    row_call = cli._GRID_ROWS["zeta"]
+
+    def counted(get, q, s_row):
+        rows.append(s_row)
+        return row_call(get, q, s_row)
+
+    monkeypatch.setitem(cli._GRID_ROWS, "zeta", counted)
+    code, twice, _ = run_cli(capsys, "grid", "--fn", "zeta", "--sigma",
+                             "0.5,0.5", "--t", "1,1", "--cache-dir", "")
+    assert code == 0
+    assert twice == once
+    assert rows == [[complex(0.5, 1.0)]]
+
+
 @pytest.mark.parametrize("sigma", ["0:1", "1:0:0.1"])
 def test_grid_bad_axis_range_exits_1(capsys, sigma):
     code, out, err = run_cli(capsys, "grid", "--fn", "zeta", "--sigma", sigma,

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import zetalab.zeta_classic as zeta_classic
-from oracles import (chi_ref, hardy_z_ref, log_mp, pair_gap_ref,
-                     siegel_theta_mp, zero_count_ref, zeta_ref)
+from oracles import (chi_ref, fixed_gap_ref, hardy_z_ref, log_mp,
+                     siegel_theta_mp, two_pi_mp, zero_count_ref, zeta_ref)
 from zetalab.errors import DomainError, NonConvergence, PoleError
 from zetalab.gammafn import power_real_base
 from zetalab.types import QuadratureSpec
@@ -53,6 +53,10 @@ RS_FIXTURE = json.loads((FIXTURES / "riemann_siegel.json").read_text())
 # every fixture height where hardy_z takes the extended Riemann-Siegel sum
 RS_HIGH = [(t, z) for t, z in RS_FIXTURE["z"] + RS_FIXTURE["z_high"]
            if t >= _HARDY_RS_T_MIN]
+# mpmath siegelz at 35 digits at t = 1e9, 1e10, 1e11, 1e12
+# (tests/oracles.py:regenerate_hardy_z_extreme)
+Z_EXTREME = dict(
+    json.loads((FIXTURES / "hardy_z_extreme.json").read_text())["z"])
 
 
 def test_series_exact():
@@ -196,14 +200,39 @@ def test_theta_phase():
     assert riemann_siegel_theta(-t) == pytest.approx(1.7286702466758372, rel=1e-12)
 
 
-def test_extended_precision_theta_and_log_hold_to_their_pairs():
-    # a float theta is off by its ulp (the Lanczos one by 9.3e-10 at t = 1e6)
-    for t in (100.0, 1234.5, 98765.4, 999999.9):
-        hi, lo = zeta_classic._theta_dd(t)
-        assert abs(pair_gap_ref(hi, lo, siegel_theta_mp(t))) <= 2e-16
+def _fixed(x):
+    """x = num / 2^k exactly, as (num, k)."""
+    num, den = x.as_integer_ratio()
+    return num, den.bit_length() - 1
+
+
+def test_fixed_point_theta_log_and_two_pi_match_mpmath():
+    # a float theta is off by its ulp (the Lanczos one by 9.3e-10 at t = 1e6);
+    # 6.2e12 is near the default term ceiling of hardy_z
+    bits = zeta_classic._FIX_BITS
+    for t in (100.0, 1234.5, 98765.4, 999999.9, 6.2e12):
+        num, k = _fixed(t)
+        theta = zeta_classic._theta_fix(num, k)
+        assert abs(fixed_gap_ref(theta, bits + k,
+                                 lambda: siegel_theta_mp(t))) <= 2e-16
     for x in (0.37, 100.0, 6.5e4, 1e12):
-        hi, lo = zeta_classic._log_dd(x)
-        assert abs(pair_gap_ref(hi, lo, log_mp(x))) <= 1e-22
+        log = zeta_classic._log_fix(*_fixed(x))
+        assert abs(fixed_gap_ref(log, bits, lambda: log_mp(x))) <= 1e-22
+    # the constants are the integers nearest their values
+    assert abs(fixed_gap_ref(zeta_classic._TWO_PI_FIX, bits,
+                             two_pi_mp)) <= 2.0 ** -(bits + 1)
+    assert abs(fixed_gap_ref(zeta_classic._LOG_TWO_PI_FIX, bits,
+                             lambda: log_mp(two_pi_mp()))) <= 2.0 ** -(bits + 1)
+
+
+@pytest.mark.parametrize("t", [1e10, 1e11], ids=["1e10", "1e11"])
+def test_hardy_z_meets_its_estimate_far_above_one_million(t):
+    # 4e4 and 1.3e5 terms, where a phase of size t log t held in floats
+    # loses the estimate (a double-double one left 2.0e-10 at 1e10 against
+    # 8.0e-13).  1e12 is in the fixture but not run here: its 4e5-entry log
+    # table takes about 1 s to build.
+    r = hardy_z(t)
+    assert abs(r.value.real - Z_EXTREME[t]) <= r.err_estimate
 
 
 def test_hardy_z():
@@ -476,7 +505,7 @@ def test_term_budget_refuses_a_height_before_a_table_grows(monkeypatch):
     # each route's term count is checked against max_terms first, so the
     # shared log tables stay as they were; max_terms moves the ceiling
     monkeypatch.setattr(zeta_classic, "_LOG_N", array("d", [0.0]))
-    monkeypatch.setattr(zeta_classic, "_LOG_N_LO", array("d", [0.0]))
+    monkeypatch.setattr(zeta_classic, "_LOG_FIX", [0, 0])
     # Euler-Maclaurin takes 16 + 1.5 |t| terms: 1516 at t = 1000
     with pytest.raises(NonConvergence, match="Euler-Maclaurin"):
         zeta_analytic(0.5 + 1000.0j, QuadratureSpec(max_terms=1515))
@@ -488,7 +517,7 @@ def test_term_budget_refuses_a_height_before_a_table_grows(monkeypatch):
     with pytest.raises(NonConvergence, match="two-sum"):
         approx_functional_sum(0.5 + 2000.0j * math.pi, 1000.0, 1.0,
                               QuadratureSpec(max_terms=999))
-    assert len(zeta_classic._LOG_N) == 1 and len(zeta_classic._LOG_N_LO) == 1
+    assert len(zeta_classic._LOG_N) == 1 and len(zeta_classic._LOG_FIX) == 2
     # 1516 terms run; their rounding (err_estimate 2.5e-12) is above the
     # 1e-12 tolerance, so the value reports converged=False
     r = zeta_analytic(0.5 + 1000.0j, QuadratureSpec(max_terms=1516))
@@ -519,32 +548,21 @@ def test_heights_no_route_can_serve_fail_fast(argv):
     assert done.stderr.startswith(b"zetalab: error: ")
 
 
-def test_log_low_words_match_decimal():
-    # the double-double low words against 40-digit decimal logarithms: every
-    # n <= 2e4 from the table, and seeded n <= 1e7 built by the same
-    # recurrence through a memo of the smaller n each one needs
+def test_fixed_point_log_table_matches_decimal(monkeypatch):
+    # a table grown from scratch against 40-digit decimal logarithms: every
+    # n <= 2e4 (ln of each prime, sums of those for the composites), and 200
+    # seeded n <= 2^20, past the 1e6 terms of the default max_terms
+    monkeypatch.setattr(zeta_classic, "_LOG_FIX", [0, 0])
+    table = zeta_classic._log_fix_table(2 ** 20)
     ctx = Context(prec=40)
-
-    def decimal_lo(n):
-        return float(ctx.subtract(ctx.ln(Decimal(n)), Decimal(math.log(n))))
-
-    table = zeta_classic._log_lo_table(20000)
-    assert max(abs(table[n] - decimal_lo(n)) for n in range(1, 20001)) <= 1e-30
-
-    class Logs:
-        __getitem__ = staticmethod(math.log)
-
-    memo = {}
-
-    class Lows:
-        def __getitem__(self, m):
-            if m not in memo:
-                a = zeta_classic._smallest_factors(m, m)[0]
-                memo[m] = zeta_classic._log_lo(m, a, Logs(), self)
-            return memo[m]
-
+    unit = Decimal(2 ** zeta_classic._FIX_BITS)
+    ln = {1: Decimal(0)}
+    for n in range(2, 20001):
+        a = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+        ln[n] = ctx.ln(Decimal(n)) if a == n else ctx.add(ln[a], ln[n // a])
     rng = random.Random(20261018)
-    lows = Lows()
-    for n in [rng.randrange(2, 10**7) for _ in range(200)]:
-        assert abs(lows[n] - decimal_lo(n)) <= 1e-30
-    assert all(memo[m] == table[m] for m in memo if m <= 20000)
+    for _ in range(200):
+        n = rng.randrange(20001, 2 ** 20 + 1)
+        ln[n] = ctx.ln(Decimal(n))
+    assert max(abs(float(ctx.subtract(ctx.divide(Decimal(table[n]), unit), v)))
+               for n, v in ln.items()) <= 1e-30
