@@ -2,7 +2,8 @@
 
 One engine and one node table serve every integral in the package.  The
 table is exp-sinh's, cached per level: y = e^u, u = (pi/2)sinh(t), with
-weight w = (pi/2)cosh(t) y, and its mirror 1/y.  A half-line (a, inf) reads
+weight w = (pi/2)cosh(t) y, and its mirror 1/y; the centre t = 0 is level 0's
+first row, (1, pi/2), held once.  A half-line (a, inf) reads
 it as x = a + y; a finite (a, b) as x = a + (b - a) y/(1 + y), weight
 4w/(1 + y)^2 on the scale (b - a)/4.  As y/(1 + y) = (1 + tanh(u/2))/2,
 that is a tanh-sinh rule in (pi/4)sinh(t) (Takahasi & Mori, Publ. RIMS 9,
@@ -22,7 +23,9 @@ nodes.  `integrate` runs one; `integrate_powers` runs the K Mellin integrals
 int_0^inf base(x) x^{w_k} dx that share a base -- completed values at s and
 1 - s, or at the sigma values of a grid row -- in one exp-sinh pass, taking
 base and log x once a node.  Each component is accepted at its own level by
-the same rule, so its result is bit-identical to a pass of its own.
+the same rule, so its result is bit-identical to a pass of its own.  Every
+weight is finite and positive, so a nan or inf at any node leaves its level's
+sum non-finite: finiteness is tested once a level, on each active sum.
 """
 
 from __future__ import annotations
@@ -37,19 +40,19 @@ from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result
 
 # level -> the (y, w) rows new at that level: (y, (pi/2)cosh(t) y), then
 # (1/y, (pi/2)cosh(t)/y), y = e^u, for u = (pi/2)sinh(t) up to _U_CAP, which
-# keeps e^u inside double range.
+# keeps e^u inside double range; level 0 leads with the centre (1, pi/2).
 _U_CAP = 690.0
 _EXP_SINH_CACHE: dict[int, list[tuple[float, float]]] = {}
 
 
 def _level_nodes(level: int) -> list[tuple[float, float]]:
-    """Rows for the t > 0 new at `level` (odd multiples of h, except level 0), t <= 7."""
+    """Rows for the t <= 7 new at `level`: odd multiples of h (level 0: 0, 1, ...)."""
     try:
         return _EXP_SINH_CACHE[level]
     except KeyError:
         pass
     h = 0.5 ** level
-    nodes = []
+    nodes = [(1.0, 0.5 * math.pi)] if level == 0 else []
     for k in range(1, int(7.0 / h) + 1, 1 if level == 0 else 2):
         t = k * h
         u = 0.5 * math.pi * math.sinh(t)
@@ -67,29 +70,17 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
 # integration
 # ---------------------------------------------------------------------------
 
-_CENTER_WEIGHT = 0.5 * math.pi
-
 # The reported error is at least _ROUNDING |value|, the rounding that an
 # increment of 0 hides: twice the worst |error| / (eps |value|), 4.54, at the
 # positive integrands of tests/fixtures/completed_exp_real_axis.json.
 _ROUNDING = 10.0 * sys.float_info.epsilon
 
 
-def _check(fx: complex, x: float) -> complex:
-    if isinstance(fx, complex):
-        if math.isfinite(fx.real) and math.isfinite(fx.imag):
-            return fx
-    elif math.isfinite(fx):
-        return fx
-    raise NonFiniteIntegrand(f"integrand returned {fx!r} at x = {x!r}")
-
-
 def _transform(domain: tuple[float, float]):
-    """(x0, scale, name, points) for `domain`, after validating it.
+    """(scale, name, points) for `domain`, after validating it.
 
-    x0 is the centre node (t = 0, weight pi/2); points(level) yields the
-    (x, weight) pairs new at `level`, in the order the sums take them.  A
-    level's estimate is its raw sum * h * scale.
+    points(level) yields the (x, weight) pairs new at `level`, in the order
+    the sums take them.  A level's estimate is its raw sum * h * scale.
     """
     a, b = float(domain[0]), float(domain[1])
     if math.isinf(a) or math.isnan(a) or math.isnan(b):
@@ -104,7 +95,7 @@ def _transform(domain: tuple[float, float]):
                 return table
             return ((a + y, w) for y, w in table)
 
-        return a + 1.0, 1.0, "exp-sinh", half_line
+        return 1.0, "exp-sinh", half_line
 
     width = b - a
 
@@ -116,7 +107,7 @@ def _transform(domain: tuple[float, float]):
                 # 4w/(1 + y)^2, whose denominator could overflow
                 yield (a + d if y <= 1.0 else b - d), 4.0 * (w / r) / r
 
-    return a + 0.5 * width, 0.25 * width, "tanh-sinh", finite
+    return 0.25 * width, "tanh-sinh", finite
 
 
 def integrate(f: Callable[[float], complex], domain: tuple[float, float],
@@ -128,25 +119,21 @@ def integrate(f: Callable[[float], complex], domain: tuple[float, float],
     singularity x^p down to p of about -0.95, a half-line as x = a + y.
     Returns an EvalResult whose err_estimate is the last refinement
     increment, or the rounding floor _ROUNDING * |value| when that is larger.
-    Raises DomainError for an empty/reversed interval, NonFiniteIntegrand if f
-    produces nan/inf at a node, and NonConvergence if max_levels refinements
-    do not reach tolerance.
+    The sum starts at 0j, so the value is complex even when f is real.
+    Raises DomainError for an empty/reversed interval, NonFiniteIntegrand at
+    the end of a level in which f produced nan/inf at a node, and
+    NonConvergence if max_levels refinements do not reach tolerance.
     """
-    def start(x0):
-        return [_check(f(x0), x0) * _CENTER_WEIGHT]
-
     def add(points, raws, active):
         raw = raws[0]
         evaluations = 0
         for x, w in points:
-            fx = f(x)
+            raw += f(x) * w
             evaluations += 1
-            if fx != 0:
-                raw += _check(fx, x) * w
         raws[0] = raw
         return evaluations
 
-    return _de_levels(start, add, 1, _transform(domain), q)[0]
+    return _de_levels(add, 1, _transform(domain), q)[0]
 
 
 def integrate_powers(base: Callable[[float], complex], exponents,
@@ -175,14 +162,6 @@ def integrate_powers(base: Callable[[float], complex], exponents,
             powers.append((k, w.real if isinstance(w, complex) else float(w),
                            False))
 
-    def start(x0):
-        b = base(x0)
-        if b == 0:
-            return [_check(b, x0) * _CENTER_WEIGHT for _ in powers]
-        lx = math.log(x0)
-        return [_check(b * (cmath.exp(w * lx) if cx else math.exp(w * lx) + 0.0j),
-                       x0) * _CENTER_WEIGHT for _, w, cx in powers]
-
     def add(points, raws, active):
         live = [powers[k] for k in active]
         evaluations = 0
@@ -193,27 +172,26 @@ def integrate_powers(base: Callable[[float], complex], exponents,
                 continue
             lx = math.log(x)
             for k, w, cx in live:
-                fx = b * (cmath.exp(w * lx) if cx else math.exp(w * lx) + 0.0j)
-                if fx != 0:
-                    raws[k] += _check(fx, x) * weight
+                raws[k] += b * (cmath.exp(w * lx) if cx
+                                else math.exp(w * lx) + 0.0j) * weight
         return evaluations
 
-    return _de_levels(start, add, len(powers), _transform((0.0, math.inf)), q)
+    return _de_levels(add, len(powers), _transform((0.0, math.inf)), q)
 
 
-def _de_levels(start, add, n: int, transform, q: QuadratureSpec) -> list[EvalResult]:
+def _de_levels(add, n: int, transform, q: QuadratureSpec) -> list[EvalResult]:
     """The level loop every integral runs through, for n components at once.
 
-    start(x0) returns the n raw sums of the centre node; add(points, raws,
-    active) adds the nodes of one level to raws[k] for each k in active and
-    returns the number of evaluations spent.  Component k is accepted when
-    its increment meets the tolerance (from level 2 on) and is then left
-    out of later levels, reporting max(increment, _ROUNDING * |value|) as
-    its error.
+    The n raw sums start at 0j; add(points, raws, active) adds the nodes of
+    one level to raws[k] for each k in active and returns the number of
+    evaluations spent.  A non-finite active sum raises NonFiniteIntegrand at
+    the end of its level.  Component k is accepted when its increment meets
+    the tolerance (from level 2 on) and is then left out of later levels,
+    reporting max(increment, _ROUNDING * |value|) as its error.
     """
-    x0, scale, name, points = transform
-    raws = start(x0)
-    evaluations = 1
+    scale, name, points = transform
+    raws = [0j] * n
+    evaluations = 0
     results: list = [None] * n
     prev: list = [None] * n
     errs = [0.0] * n
@@ -223,6 +201,9 @@ def _de_levels(start, add, n: int, transform, q: QuadratureSpec) -> list[EvalRes
         h = 0.5 ** level * scale
         still = []
         for k in active:
+            if not cmath.isfinite(raws[k]):
+                raise NonFiniteIntegrand(
+                    f"integrand not finite at a {name} node of level {level}")
             result = raws[k] * h
             if prev[k] is not None:
                 err = errs[k] = abs(result - prev[k])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import besselk_ref
 from zetalab.errors import DomainError, NonConvergence, NonFiniteIntegrand
 from zetalab.gammafn import power_real_base
-from zetalab.quadrature import integrate, integrate_powers
+from zetalab.quadrature import _level_nodes, _transform, integrate, integrate_powers
 from zetalab.types import QuadratureSpec
 
 
@@ -125,6 +125,69 @@ def test_nonfinite_integrand_diagnosed():
         integrate(lambda x: float("nan"), (0.0, 1.0))
     with pytest.raises(NonFiniteIntegrand):
         integrate(lambda x: math.inf, (0.0, math.inf))
+
+
+def _xs(domain, level):
+    return [x for x, _ in _transform(domain)[2](level)]
+
+
+_HALF, _FINITE = (0.0, math.inf), (0.0, 3.0)
+_CLEAN = {_HALF: lambda x: cmath.exp(-x), _FINITE: lambda x: math.exp(-x) / math.sqrt(x)}
+
+# (domain, level, pick): the node pick(level's xs) is poisoned -- the centre,
+# the node nearest the finite end 0, and a tail node new at level 3
+_SITES = {
+    "half-line centre": (_HALF, 0, lambda xs: xs[0]),
+    "finite centre": (_FINITE, 0, lambda xs: xs[0]),
+    "half-line end": (_HALF, 0, min),
+    "finite end": (_FINITE, 0, min),
+    "half-line tail": (_HALF, 3, max),
+    "finite tail": (_FINITE, 3, min),
+}
+_BAD = [math.nan, math.inf, -math.inf, complex(0.0, math.nan)]
+
+
+def _poisoned(clean, domain, level, pick, bad):
+    target = pick(_xs(domain, level))
+    assert all(target not in _xs(domain, lv) for lv in range(level))
+    return lambda x: bad if x == target else clean(x)
+
+
+def test_the_centre_is_level_zeros_first_row_only():
+    assert _level_nodes(0)[0] == (1.0, 0.5 * math.pi)
+    assert [y for y, _ in _level_nodes(0)].count(1.0) == 1
+    assert all(y != 1.0 for lv in range(1, 13) for y, _ in _level_nodes(lv))
+    assert _xs(_HALF, 0)[0] == 1.0 and _xs(_FINITE, 0)[0] == 1.5
+
+
+@pytest.mark.parametrize("bad", _BAD, ids=repr)
+@pytest.mark.parametrize("site", list(_SITES))
+def test_one_nonfinite_node_raises_at_the_end_of_its_level(site, bad):
+    domain, level, pick = _SITES[site]
+    clean = _CLEAN[domain]
+    # the clean integrand reaches the poisoned node's level
+    assert integrate(clean, domain).evaluations >= sum(
+        len(_xs(domain, lv)) for lv in range(level + 1))
+    rule = "exp-sinh" if domain == _HALF else "tanh-sinh"
+    with pytest.raises(NonFiniteIntegrand, match=f"{rule} node of level {level}$"):
+        integrate(_poisoned(clean, domain, level, pick, bad), domain)
+    if domain == _HALF:
+        powers = (0.5, 0.25 + 1.0j)
+        assert min(r.evaluations for r in integrate_powers(_wavy, powers)) >= sum(
+            len(_xs(domain, lv)) for lv in range(level + 1))
+        with pytest.raises(NonFiniteIntegrand, match=f"level {level}$"):
+            integrate_powers(_poisoned(_wavy, domain, level, pick, bad), powers)
+
+
+def test_powers_raise_when_one_component_overflows():
+    # the base is finite, but near x = e^{-690} base * x^{-1.02} passes
+    # the double range while x^{-1.02} itself does not
+    def base(x):
+        return 1e100 * math.exp(-x)
+
+    assert integrate_powers(base, (0.5,))[0].converged
+    with pytest.raises(NonFiniteIntegrand):
+        integrate_powers(base, (0.5, -1.02))
 
 
 def test_nonconvergence_carries_best_value():
