@@ -24,12 +24,16 @@ _MODULAR_CUTOVER = 0.05
 
 
 def _psi_direct(x: float, tail_tol: float, max_terms: int) -> tuple[float, float, int]:
+    # The tail test is relative, as in _psi_direct_complex: psi(x) ~ e^{-pi x}
+    # keeps its digits at large x (an absolute test would drop n = 2 while it
+    # is 1e-12 of psi near x = 3, and psi itself past x = 11.7).  `<=` stops
+    # at once on a first term that underflowed to 0.
     total = 0.0
     n = 1
     while n <= max_terms:
         expo = -math.pi * n * n * x
         term = math.exp(expo) if expo > -745.0 else 0.0
-        if term < tail_tol * (total + 1.0):
+        if term <= tail_tol * total:
             return total, term, n
         total += term
         n += 1

@@ -31,7 +31,7 @@ sqrt(t / 2 pi) terms plus Gabcke's remainder series C_0..C_12, against
 16 + 1.5 t terms for Euler-Maclaurin.  Its phases theta(t) - t log n, of
 size t log t, are exact fixed-point integers reduced mod 2 pi, so the value
 is good to ~1e-15 at any height up to the term ceiling (measured to
-t = 1e12) and carries a fitted bound of 2e-14 at t = 100, 2.5e-12 at 1e12.
+t = 1e12) and carries a bound of about 2e-14 + 2.2e-15 |Z| at every height.
 Below t = 100, `hardy_z` is e^{i theta} times `zeta_analytic`.
 
 The zero finder reads Z on its grid from a float Riemann-Siegel sum with
@@ -221,14 +221,10 @@ _RS_ROUND = 2e-13
 # the lowest height where its bound falls below Euler-Maclaurin's measured
 # error.
 _HARDY_RS_T_MIN = 100.0
-# Bound on that sum's error: ten times the first order left out, C_13 (at
-# most 1.9e-7, times a^(-13.5): 1.4e-15 at t = 100, as measured there), plus
-# rounding, at worst ~1e-16 a term of weight n^(-1/2) and so growing like
-# sqrt(N) = (t / 2 pi)^(1/4); 4e-15 is ten times the largest rounding error
-# measured against mpmath on [150, 1e6] when it was fitted (9e-16; 1.8e-15,
-# one ulp of |Z| = 8.2, with fixed-point phases).
+# Bound on that sum's truncation: ten times the first order left out, C_13
+# (at most 1.9e-7, times a^(-13.5): 1.4e-15 at t = 100, as measured there);
+# `_hardy_rs_bound` adds the rounding.
 _RS_FIX_TRUNC = 2e-6
-_RS_FIX_ROUND = 4e-15
 # Fixed point: a phase at t = num / 2^k is an integer times
 # 2^-(_FIX_BITS + k).
 _FIX_BITS = 128
@@ -427,7 +423,11 @@ def zeta_analytic(s: complex, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     pis = power_real_base(math.pi, 0.5 * s)
     value = pis * (rgamma(0.5 * s + 1.0) / (2.0 * (s - 1.0))
                    + rgamma(0.5 * s) * tail.value)
-    err = abs(pis * rgamma(0.5 * s)) * tail.err_estimate
+    # plus the rounding of the prefactor pi^{s/2} / Gamma(s/2), Gamma's term
+    # as in bessel._series_route
+    half = abs(0.5 * s)
+    err = (abs(pis * rgamma(0.5 * s)) * tail.err_estimate
+           + 2.0 * _EPS * (4.0 + half * (1.0 + math.log1p(half))) * abs(value))
     return make_result(value, err, tail.evaluations, q)
 
 
@@ -484,10 +484,11 @@ def hardy_z(t: float, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
 
     At |t| >= 100 by the Riemann-Siegel formula with its phases in fixed
     point (`_hardy_z_rs`): a real value, the same at -t as at t since Z
-    is even, with err_estimate the bound `_hardy_rs_bound` (2.3e-14 at
-    t = 100, 8.0e-14 at 1e6, 2.5e-12 at 1e12).  Below that, e^{i theta}
-    times `zeta_analytic`; Z is real in exact arithmetic, and the imaginary
-    part is kept in the result as an honest noise indicator.
+    is even, with err_estimate the bound `_hardy_rs_bound` (2.2e-14 at
+    t = 100, 1.3e-14 at 1e6, 1.9e-14 at 1e12, each plus 2.2e-15 |Z|).
+    Below that, e^{i theta} times `zeta_analytic`; Z is real in exact
+    arithmetic, and the imaginary part is kept in the result as an honest
+    noise indicator.
     Z(0) = zeta(1/2) < 0 fixes the branch.  Either route raises
     NonConvergence, before it sums, where it would need more than
     q.max_terms terms (`_term_budget`).
@@ -496,7 +497,8 @@ def hardy_z(t: float, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     if abs(t) >= _HARDY_RS_T_MIN:
         _term_budget(_rs_length(abs(t)), q, "Riemann-Siegel")
         value, terms = _hardy_z_rs(abs(t))
-        return make_result(complex(value), _hardy_rs_bound(abs(t)), terms, q)
+        return make_result(complex(value), _hardy_rs_bound(abs(t), value),
+                           terms, q)
     zv = zeta_analytic(0.5 + 1j * t, q)
     phase = cmath.exp(1j * riemann_siegel_theta(t))
     return EvalResult(value=phase * zv.value, err_estimate=zv.err_estimate,
@@ -599,7 +601,7 @@ def _theta_fix(num: int, k: int) -> int:
 
 
 def _hardy_z_rs(t: float) -> tuple[float, int]:
-    """Z(t) for t >= 100 within `_hardy_rs_bound(t)`, and the terms summed.
+    """Z(t) for t >= 100 within `_hardy_rs_bound`, and the terms summed.
 
     The Riemann-Siegel sum of `_z_riemann_siegel` in fixed point: t is
     num / 2^k exactly, and each phase theta(t) - t log n is the integer
@@ -636,10 +638,19 @@ def _hardy_z_rs(t: float) -> tuple[float, int]:
     return 2.0 * math.fsum(terms), n_top + len(_RS_COEFFS)
 
 
-def _hardy_rs_bound(t: float) -> float:
-    """Error bound of `_hardy_z_rs` at t >= 100."""
+def _hardy_rs_bound(t: float, z: float) -> float:
+    """Error bound of `_hardy_z_rs` at t >= 100, where its value is z.
+
+    With exact phases the rounding no longer grows with t.  What rounds is
+    the exact fsum's one rounding to Z, an ulp of |Z| (at most eps |Z|,
+    taken ten times), and each term's cos and sin, an eps or so on weights
+    n^(-1/2) of random sign: sqrt(ln N) eps over the N terms, taken 24
+    times.  Against mpmath at the fixture heights and t = 1e9, 1e10, 1e11
+    the worst error / bound is 0.080, at t = 311 (6.0e-16 at |Z| = 0.036).
+    """
     x = t / (2.0 * math.pi)
-    return _RS_FIX_TRUNC * x ** -6.75 + _RS_FIX_ROUND * x ** 0.25
+    return (_RS_FIX_TRUNC * x ** -6.75
+            + _EPS * (10.0 * abs(z) + 24.0 * math.sqrt(0.5 * math.log(x))))
 
 
 def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:

@@ -50,6 +50,18 @@ def test_eval_zeta_json_schema(capsys):
     assert doc["meta"]["quadrature"]["abs_tol"] == 1e-12
 
 
+def test_eval_zeta_and_zeta_reg_on_the_real_axis_past_ten(capsys):
+    # psi's absolute tail test made zeta(20) raise NonConvergence (exit 2)
+    # and left zeta-reg(10) 4.5e-12 off
+    for fn, s in (("zeta", 20.0), ("zeta-reg", 10.0)):
+        code, out, _ = run_cli(capsys, "eval", "--fn", fn, "--s", str(s))
+        assert code == 0
+        doc = json.loads(out)
+        value = complex(doc["value"]["re"], doc["value"]["im"])
+        assert abs(value - zeta_ref(s)) <= 1e-14
+        assert doc["converged"] is True
+
+
 def test_eval_json_round_trips_canonically(capsys):
     _, out, _ = run_cli(capsys, "eval", "--fn", "theta", "--v", "1")
     assert dumps_record(json.loads(out)) == out

@@ -22,6 +22,14 @@ def test_psi_frozen():
     assert psi(0.02).value.real == pytest.approx(3.0355339059327376, rel=1e-14)
 
 
+@pytest.mark.parametrize("x", [12.0, 50.0, 200.0])
+def test_psi_keeps_its_digits_at_large_x(x):
+    # psi(x) = e^{-pi x} (1 + e^{-3 pi x} + ...): the first term to an ulp,
+    # where an absolute tail test returned 0
+    want = math.exp(-math.pi * x)
+    assert abs(psi(x).value.real - want) <= math.ulp(want)
+
+
 def test_big_theta_is_one_plus_two_psi():
     assert big_theta(1.0).value.real == pytest.approx(1.086434811213308, rel=1e-14)
     for v in (0.3, 1.7):

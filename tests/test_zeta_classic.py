@@ -23,7 +23,7 @@ import zetalab.zeta_classic as zeta_classic
 from oracles import (chi_ref, fixed_gap_ref, hardy_z_ref, log_mp,
                      siegel_theta_mp, two_pi_mp, zero_count_ref, zeta_ref)
 from zetalab.errors import DomainError, NonConvergence, PoleError
-from zetalab.gammafn import power_real_base
+from zetalab.gammafn import power_real_base, rgamma
 from zetalab.types import QuadratureSpec
 from zetalab.zeta_classic import (
     _HARDY_RS_T_MIN,
@@ -131,6 +131,28 @@ def test_reflection_route_err_estimate_covers_chi_rounding(s):
     assert abs(r.value - zeta_ref(s)) <= r.err_estimate
 
 
+def _theta_route_points():
+    rng = random.Random(20261019)
+    return [complex(rng.uniform(-2.0, 200.0), rng.uniform(-10.0, 10.0))
+            for _ in range(52)]
+
+
+@pytest.mark.parametrize("s", _theta_route_points())
+def test_theta_route_meets_its_estimate_far_right_of_the_strip(s):
+    # psi's relative tail test keeps psi(x) ~ e^{-pi x} past x = 11.7, where
+    # an absolute one flushed it to 0 and zeta(14) came out 4.1e-10 off; the
+    # estimate carries the rounding of pi^{s/2} / Gamma(s/2) (zeta(200):
+    # 5.4e-14 off against a tail-only 2.2e-15)
+    r = zeta_analytic(s)
+    assert abs(r.value - zeta_ref(s)) <= r.err_estimate
+    # converged wherever the prefactor |pi^{s/2} / Gamma(s/2)| keeps the
+    # tail integral's absolute floor, 1e-12, within the value's tolerance;
+    # beyond that the tail may accept on the floor, and the estimate reads
+    # the floor, not the error (an open item, ROADMAP item 2)
+    pref = abs(power_real_base(math.pi, 0.5 * s) * rgamma(0.5 * s))
+    assert r.converged or pref > abs(r.value)
+
+
 def _em_points():
     rng = random.Random(20261018)
     return ([-1.91 - 429.6j, -1.5 + 1000.0j, 0.5 + 300.0j, 0.5 + 4850.0j]
@@ -233,6 +255,9 @@ def test_hardy_z_meets_its_estimate_far_above_one_million(t):
     # table takes about 1 s to build.
     r = hardy_z(t)
     assert abs(r.value.real - Z_EXTREME[t]) <= r.err_estimate
+    # the estimate no longer grows with t: 1.8e-14 at 1e11, where the
+    # fitted (t / 2 pi)^(1/4) term read 1.4e-12, above the 1e-12 tolerance
+    assert r.converged
 
 
 def test_hardy_z():
@@ -311,7 +336,7 @@ def test_extended_riemann_siegel_keeps_a_tenfold_margin_on_its_bound():
     assert len(RS_FIXTURE["z_high"]) >= 200
     assert min(t for t, _ in RS_HIGH) >= _HARDY_RS_T_MIN
     assert max(t for t, _ in RS_HIGH) <= 1e6
-    worst = max(abs(_hardy_z_rs(t)[0] - z) / _hardy_rs_bound(t)
+    worst = max(abs(_hardy_z_rs(t)[0] - z) / _hardy_rs_bound(t, z)
                 for t, z in RS_HIGH)
     assert worst <= 0.1
 
@@ -370,7 +395,7 @@ def test_find_zeros_brackets_equal_euler_maclaurin_scan(t_min):
     for b in brackets:
         for t, z in ((b.t_lo, b.z_lo), (b.t_hi, b.z_hi)):
             if t >= _HARDY_RS_T_MIN:
-                assert abs(z - hardy_z_ref(t)) <= _hardy_rs_bound(t)
+                assert abs(z - hardy_z_ref(t)) <= _hardy_rs_bound(t, z)
             else:
                 assert z == _em_z(t)
 
