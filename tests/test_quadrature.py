@@ -132,7 +132,8 @@ def _xs(domain, level):
 
 
 _HALF, _FINITE = (0.0, math.inf), (0.0, 3.0)
-_CLEAN = {_HALF: lambda x: cmath.exp(-x), _FINITE: lambda x: math.exp(-x) / math.sqrt(x)}
+_CLEAN = {_HALF: lambda x: cmath.exp(-x),
+          _FINITE: lambda x: math.exp(-x) / math.sqrt(x)}
 
 # (domain, level, pick): the node pick(level's xs) is poisoned -- the centre,
 # the node nearest the finite end 0, and a tail node new at level 3

@@ -8,8 +8,7 @@ benchmark does, against a fresh temporary cache directory per workload (so
 grid replays read what their cold twins wrote).  The hash is taken over
 `worker.canonical_output(stdout)`, which drops meta.wall_ms.  Run it in two
 checkouts and `diff` the files: a change that should not move any printed
-byte shows no line.  Name workloads after the options to run only those.
-Nothing is written under perfbench/.
+byte shows no line.  Nothing is written under perfbench/.
 """
 
 from __future__ import annotations
@@ -31,15 +30,10 @@ import workloads  # noqa: E402
 def main(argv: list[str]) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("workload", nargs="*",
-                        help=f"any of {', '.join(workloads.WORKLOADS)} (default: all)")
     args = parser.parse_args(argv)
-    unknown = set(args.workload) - set(workloads.WORKLOADS)
-    if unknown:
-        parser.error(f"unknown workload {', '.join(sorted(unknown))}")
     sys.path.insert(0, os.path.join(_ROOT, "src"))
     import zetalab.cli as cli
-    for name in args.workload or workloads.WORKLOADS:
+    for name in workloads.WORKLOADS:
         with tempfile.TemporaryDirectory(prefix="zetalab-outputs-") as cache:
             for index, job in enumerate(workloads.generate(name, args.seed)):
                 job_argv = [cache if a == workloads.CACHE_TOKEN else a
