@@ -6,6 +6,14 @@ Every theorem downstream assumes the inversion symmetry h(x) = h(1/x) and
 h -> 1 pointwise as the damping vanishes; the built-in kinds have the
 symmetry by construction, while Custom carries a declared flag that the
 functional-equation verifier spot-checks before trusting.
+
+Each kind also says where it vanishes: `log_reach()` is an L with
+value(x) == 0 exactly for |log x| > L (inf when there is no such L).  The
+exponential kinds cut exp(-w) to 0 once Re w > 745 (`_damped_exp`), and their
+Re w is at least rate * 2cosh(scale log x); L solves that for
+_ZERO_FLOOR = 745 * 1.001, so rounding in w cannot bring a node past L
+back inside.  The window is symmetric in log x because h(x) = h(1/x).
+`log_support(L)` turns L into the x interval the quadrature skips outside.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ from .errors import DomainError, SymmetryViolation
 
 _SPOT_CHECK_POINTS = (2.0, 5.0, 10.0)
 _SPOT_CHECK_TOL = 1e-12
+# value(x) is 0 past this exponent, with a margin over the 745 of _damped_exp
+_ZERO_FLOOR = 745.0 * 1.001
 
 
 def _damped_exp(w: complex) -> complex:
@@ -30,9 +40,29 @@ def _damped_exp(w: complex) -> complex:
     return cmath.exp(-w)
 
 
+def _log_reach(rate: float, scale: float = 1.0) -> float:
+    """L with rate * 2cosh(scale L) = _ZERO_FLOOR; inf unless rate > 0.
+
+    An exponent of at least rate * 2cosh(scale log x) is past the floor at
+    every |log x| > L.  When it is past it already at x = 1, L is 0.
+    """
+    if not rate > 0.0:
+        return math.inf
+    return math.acosh(max(1.0, _ZERO_FLOOR / (2.0 * rate))) / scale
+
+
+def log_support(reach: float) -> tuple[float, float]:
+    """(e^-L, e^L), the x interval where |log x| <= L = reach; (0, inf)
+    once it spans every positive float the quadrature reaches."""
+    if reach > 700.0:
+        return 0.0, math.inf
+    return math.exp(-reach), math.exp(reach)
+
+
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Base class; concrete kinds implement value()."""
+    """Base class; concrete kinds implement value() and, when they vanish
+    outside a window, log_reach()."""
 
     @property
     def kind_name(self) -> str:
@@ -40,6 +70,10 @@ class CutoffSpec:
 
     def value(self, x: float) -> complex:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def log_reach(self) -> float:
+        """L with value(x) == 0 exactly for |log x| > L; inf by default."""
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -62,6 +96,18 @@ class ExpSymmetric(CutoffSpec):
 
     def value(self, x: float) -> complex:
         return _damped_exp(complex(self.lam) * (x + 1.0 / x))
+
+    def log_reach(self, theta: float = 0.0) -> float:
+        """L with value(r e^{i theta}) == 0 exactly for |log r| > L.
+
+        Re(lam (x + 1/x)) = r Re(lam e^{i theta}) + Re(lam e^{-i theta}) / r,
+        at least the smaller of the two rates times 2cosh(log r); for real
+        lam both are lam cos(theta).
+        """
+        lam = complex(self.lam)
+        turn = complex(math.cos(theta), math.sin(theta))
+        return _log_reach(min((lam * turn).real,
+                              (lam * turn.conjugate()).real))
 
 
 @dataclass(frozen=True)
@@ -87,6 +133,9 @@ class ExpAlpha(CutoffSpec):
             return 0.0 + 0.0j
         return _damped_exp(complex(self.lam * (xa + 1.0 / xa)))
 
+    def log_reach(self) -> float:
+        return _log_reach(self.lam, abs(self.alpha))
+
 
 @dataclass(frozen=True)
 class TwoParam(CutoffSpec):
@@ -105,6 +154,9 @@ class TwoParam(CutoffSpec):
         inv = 1.0 / x
         return 0.5 * (_damped_exp(l1 * x + l2 * inv)
                       + _damped_exp(l2 * x + l1 * inv))
+
+    def log_reach(self) -> float:
+        return _log_reach(min(complex(self.lam1).real, complex(self.lam2).real))
 
 
 @dataclass(frozen=True)
@@ -135,6 +187,10 @@ class TwoParamNu(CutoffSpec):
         l1, l2 = complex(self.lam1), complex(self.lam2)
         return 0.5 * (_damped_exp(l1 * xa + l2 / xa)
                       + _damped_exp(l2 * xa + l1 / xa))
+
+    def log_reach(self) -> float:
+        return _log_reach(min(complex(self.lam1).real, complex(self.lam2).real),
+                          abs(self.nu))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ import math
 from enum import Enum
 
 from .bessel import bessel_k, bessel_k_complex_arg
-from .cutoffs import CutoffSpec, ExpAlpha, TwoParam, ensure_symmetric_for_fe
+from .cutoffs import (CutoffSpec, ExpAlpha, TwoParam, ensure_symmetric_for_fe,
+                      log_support)
 from .errors import DomainError, PoleError
 from .gammafn import gamma_complex, power_real_base
 from .quadrature import integrate_powers
@@ -56,7 +57,8 @@ def _completed_classic(s: complex, q: QuadratureSpec) -> complex:
 
 def _half_integrals_quad(cutoff: CutoffSpec, nus,
                          q: QuadratureSpec) -> list[complex]:
-    """[(1/2) int_0^inf h(x) x^(nu - 1) dx for nu in nus], in one exp-sinh pass."""
+    """[(1/2) int_0^inf h(x) x^(nu - 1) dx for nu in nus], in one exp-sinh
+    pass over the nodes inside h's window (`CutoffSpec.log_reach`)."""
 
     def base(x: float) -> complex:
         hv = cutoff.value(x)
@@ -65,7 +67,8 @@ def _half_integrals_quad(cutoff: CutoffSpec, nus,
         return 0.5 * hv
 
     return [r.value for r in
-            integrate_powers(base, [nu - 1.0 for nu in nus], q)]
+            integrate_powers(base, [nu - 1.0 for nu in nus], q,
+                             log_support(cutoff.log_reach()))]
 
 
 def _half_integral_two_param(nu: complex, lam1: complex, lam2: complex,

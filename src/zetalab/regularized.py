@@ -55,11 +55,11 @@ import math
 from dataclasses import replace
 
 from .bessel import bessel_k, bessel_k_complex_arg
-from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff
+from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff, log_support
 from .errors import DomainError, NonConvergence
 from .gammafn import power_real_base, rgamma
 from .quadrature import integrate, integrate_powers
-from .theta import _psi_complex_remainder, _psi_raw
+from .theta import PSI_REACH, _psi_complex_remainder, _psi_raw
 from .types import (DEFAULT_QUAD, EvalResult, QuadratureSpec, RegZetaValue,
                     make_result, sum_pieces)
 from .zeta_classic import zeta_series
@@ -158,6 +158,22 @@ def _asymptote_integral(s: complex, lam: float, q: QuadratureSpec) -> EvalResult
     return sum_pieces([sum_pieces([k_odd], c_odd), sum_pieces([k_even], -c_even)])
 
 
+def _quadrature_support(cutoff: CutoffSpec,
+                        theta: float | None = None) -> tuple[float, float]:
+    """(lo, hi) outside which `_completed_quadrature`'s integrand is exactly
+    0: the cutoff's window, cut at psi's reach (`theta.PSI_REACH`).
+
+    On the ray x = r e^{i theta} both are read in r: the window is
+    `ExpSymmetric.log_reach(theta)`'s and psi - G vanishes once
+    r cos(theta) > PSI_REACH.
+    """
+    if theta is None:
+        lo, hi = log_support(cutoff.log_reach())
+        return lo, min(hi, PSI_REACH)
+    lo, hi = log_support(cutoff.log_reach(theta))
+    return lo, min(hi, PSI_REACH / math.cos(theta))
+
+
 def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
                           theta: float | None = None) -> list[EvalResult]:
     """[completed(s; h) for s in s_values], by one exp-sinh pass over (0,inf).
@@ -180,6 +196,7 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
     multiplies the sum, so the quadrature accepts on the scale of what it
     integrates.  The ray value is the rotated pass plus the closed form,
     summed by `sum_pieces`, which asks no fresh tolerance test of the sum.
+    Both walks skip the nodes outside `_quadrature_support`.
     """
     s_values = [complex(s) for s in s_values]
     half_exps = [0.5 * s - 1.0 for s in s_values]
@@ -194,7 +211,7 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
                 return 0.0
             return ps * hv
 
-        return integrate_powers(base, half_exps, q)
+        return integrate_powers(base, half_exps, q, _quadrature_support(cutoff))
 
     lam = _require_positive_real(cutoff.lam, "the ray route")
     rot = cmath.exp(1j * theta)
@@ -208,7 +225,8 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
 
     return [sum_pieces([sum_pieces([ray], cmath.exp(0.5j * theta * s)),
                         _asymptote_integral(s, lam, q)])
-            for s, ray in zip(s_values, integrate_powers(ray_base, half_exps, q))]
+            for s, ray in zip(s_values, integrate_powers(
+                ray_base, half_exps, q, _quadrature_support(cutoff, theta)))]
 
 
 def _ray_angle(t: float) -> float:
@@ -303,7 +321,8 @@ def _damped_edge(lam_r: float, weight: float, p: complex,
                  p_minus: complex | None = None):
     """The (0,1) edge integrand x -> weight e^{-lam_r (x + 1/x)} x^p.
 
-    With p_minus given, x^p becomes x^p - x^p_minus (both edge terms).
+    With p_minus given, x^p becomes x^p - x^p_minus (both edge terms).  It
+    is 0 outside `_edge_support(lam_r)`.
     """
     def f(x: float) -> complex:
         damp = lam_r * (x + 1.0 / x)
@@ -317,18 +336,26 @@ def _damped_edge(lam_r: float, weight: float, p: complex,
     return f
 
 
+def _edge_support(lam_r: float) -> tuple[float, float]:
+    """(lo, 1): the edge and bulk integrands cut e^{-lam_r (x + 1/x)} to 0
+    past 745 as `ExpSymmetric` does, so they are 0 below its window."""
+    return log_support(ExpSymmetric(lam_r).log_reach())[0], 1.0
+
+
 def boundary_i1(s: complex, lam, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     """(1/2) int_0^1 e^{-lam(x+1/x)} x^((s-3)/2) dx."""
     s = complex(s)
     lam_r = _require_positive_real(lam, "boundary_i1")
-    return integrate(_damped_edge(lam_r, 0.5, 0.5 * (s - 3.0)), (0.0, 1.0), q)
+    return integrate(_damped_edge(lam_r, 0.5, 0.5 * (s - 3.0)), (0.0, 1.0), q,
+                     _edge_support(lam_r))
 
 
 def boundary_i2(s: complex, lam, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     """-(1/2) int_0^1 e^{-lam(x+1/x)} x^((s-2)/2) dx."""
     s = complex(s)
     lam_r = _require_positive_real(lam, "boundary_i2")
-    return integrate(_damped_edge(lam_r, -0.5, 0.5 * (s - 2.0)), (0.0, 1.0), q)
+    return integrate(_damped_edge(lam_r, -0.5, 0.5 * (s - 2.0)), (0.0, 1.0), q,
+                     _edge_support(lam_r))
 
 
 def zeta_exp_boundary_form(s: complex, lam,
@@ -354,8 +381,9 @@ def zeta_exp_boundary_form(s: complex, lam,
         return -ps * math.exp(-damp) * (power_real_base(x, 0.5 * (s - 2.0))
                                         + power_real_base(x, -0.5 * (s + 1.0)))
 
-    pieces = sum_pieces([integrate(edge, (0.0, 1.0), q),
-                         integrate(bulk, (0.0, 1.0), q),
+    support = _edge_support(lam_r)
+    pieces = sum_pieces([integrate(edge, (0.0, 1.0), q, support),
+                         integrate(bulk, (0.0, 1.0), q, support),
                          _completed_series(s, lam_r, q),
                          _completed_series(1.0 - s, lam_r, q)])
     completed = make_result(pieces.value, pieces.err_estimate, pieces.evaluations, q)

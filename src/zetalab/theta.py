@@ -21,6 +21,11 @@ from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec
 # Below this point the direct series needs > ~70 terms and the modular
 # identity needs 1; the exact cutover value only trades constants.
 _MODULAR_CUTOVER = 0.05
+# psi(x) is exactly 0 for x > PSI_REACH: its first term e^{-pi x} is cut to 0
+# once pi x passes 745 (`_psi_direct`), and 745.2 leaves room for rounding.
+# On the ray, `_psi_complex_remainder(z)` is exactly 0 for Re z > PSI_REACH,
+# where cmath.exp(-pi z) underflows (below e^{-745.13}).
+PSI_REACH = 745.2 / math.pi
 
 
 def _psi_direct(x: float, tail_tol: float, max_terms: int) -> tuple[float, float, int]:

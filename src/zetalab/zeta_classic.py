@@ -20,7 +20,10 @@ extracting bare zeta from it divides by Gamma(s/2) ~ e^{-pi|t|/4}: the 1e-18
 absolute noise in 1/(s(s-1)) + I(s) is amplified by e^{pi|t|/4}, which already
 costs seven digits at t = 40. double precision cannot buy that back, so for
 |Im s| > 10 `zeta_analytic` switches to the Euler-Maclaurin sum, which the
-extended coefficient table keeps near machine accuracy there.
+extended coefficient table keeps near machine accuracy there.  It takes the
+same sum for Re s >= 1, where the sum is both cheaper and closer (zeta(20):
+exact in 0.02 ms against 3.3e-15 in 0.7 ms) and x^{(s-2)/2} in the theta
+integral overflows from s = 290 on.
 
 On top of those: the chi factor of the asymmetric functional equation, the
 entire xi function, Hardy's Z, the two-sum approximate functional equation,
@@ -57,7 +60,7 @@ from itertools import islice
 from .errors import DomainError, NonConvergence, PoleError
 from .gammafn import _log_sin, log_gamma_complex, power_real_base, rgamma
 from .quadrature import integrate
-from .theta import _psi_raw
+from .theta import PSI_REACH, _psi_raw
 from .types import (DEFAULT_QUAD, EvalResult, QuadratureSpec, ZeroBracket,
                     make_result)
 
@@ -365,7 +368,10 @@ def _euler_maclaurin(s: complex, q: QuadratureSpec) -> EvalResult:
         err = new_err
         if new_err < 1e-18 * abs(total):
             break
-    return make_result(total, err + _sum_rounding(n_cut, s),
+    # floored at 10 eps |value|: at 128 points with Re s in [1, 1000] the
+    # error reached 5.2 eps |zeta| where the terms alone read less
+    return make_result(total, max(err + _sum_rounding(n_cut, s),
+                                  10.0 * _EPS * abs(total)),
                        n_cut + len(_EM_COEFFS), q)
 
 
@@ -381,7 +387,8 @@ def _tail_integral(s: complex, q: QuadratureSpec) -> EvalResult:
     """I(s) = integral_1^inf psi(x) (x^{(s-2)/2} + x^{-(s+1)/2}) dx.
 
     Manifestly symmetric under s -> 1-s; decays like e^{-pi x}, so the
-    half-line engine sees an entire, rapidly vanishing integrand.
+    half-line engine sees an entire, rapidly vanishing integrand, exactly 0
+    past psi's reach, where its nodes are skipped.
     """
     s = complex(s)
     a = 0.5 * (s - 2.0)
@@ -393,32 +400,12 @@ def _tail_integral(s: complex, q: QuadratureSpec) -> EvalResult:
             return 0.0
         return p * (power_real_base(x, a) + power_real_base(x, b))
 
-    return integrate(f, (1.0, math.inf), q)
+    return integrate(f, (1.0, math.inf), q, (1.0, PSI_REACH))
 
 
-def zeta_analytic(s: complex, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
-    """zeta(s) everywhere except the pole.
-
-    Theta-integral continuation near the real axis; Euler-Maclaurin once
-    |Im s| > 10 (see the module docstring for why the integral route cannot
-    hold its accuracy there), reflecting through chi when Re s is far left.
-    Euler-Maclaurin takes 16 + 1.5 |Im s| terms, and raises NonConvergence
-    when that is more than q.max_terms.
-    """
-    s = complex(s)
-    if abs(s - 1.0) <= 1e-12:
-        raise PoleError("zeta has its only pole at s = 1")
-    if abs(s.imag) > 10.0:
-        if s.real >= _EM_SIGMA_FLOOR:
-            return _euler_maclaurin(s, q)
-        dual = _euler_maclaurin(1.0 - s, q)
-        chi = chi_factor(s)
-        value = chi * dual.value
-        # chi's phase is of size |t| log |t| and good to its rounding
-        t = abs(s.imag)
-        err = (abs(chi) * dual.err_estimate
-               + _EPS * t * math.log(t) * abs(value))
-        return make_result(value, err, dual.evaluations, q)
+def _theta_route(s: complex, q: QuadratureSpec) -> EvalResult:
+    """zeta(s) from the theta integral, with the prefactor's rounding in
+    its estimate; `zeta_analytic` takes it for Re s < 1, |Im s| <= 10."""
     tail = _tail_integral(s, q)
     pis = power_real_base(math.pi, 0.5 * s)
     value = pis * (rgamma(0.5 * s + 1.0) / (2.0 * (s - 1.0))
@@ -429,6 +416,33 @@ def zeta_analytic(s: complex, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     err = (abs(pis * rgamma(0.5 * s)) * tail.err_estimate
            + 2.0 * _EPS * (4.0 + half * (1.0 + math.log1p(half))) * abs(value))
     return make_result(value, err, tail.evaluations, q)
+
+
+def zeta_analytic(s: complex, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
+    """zeta(s) everywhere except the pole.
+
+    Theta-integral continuation near the real axis left of Re s = 1;
+    Euler-Maclaurin for Re s >= 1 and once |Im s| > 10 (see the module
+    docstring for why the integral route cannot hold its accuracy there),
+    reflecting through chi when Re s is far left.  Euler-Maclaurin takes
+    16 + 1.5 |Im s| terms, and raises NonConvergence when that is more
+    than q.max_terms.
+    """
+    s = complex(s)
+    if abs(s - 1.0) <= 1e-12:
+        raise PoleError("zeta has its only pole at s = 1")
+    if s.real >= 1.0 or abs(s.imag) > 10.0:
+        if s.real >= _EM_SIGMA_FLOOR:
+            return _euler_maclaurin(s, q)
+        dual = _euler_maclaurin(1.0 - s, q)
+        chi = chi_factor(s)
+        value = chi * dual.value
+        # chi's phase is of size |t| log |t| and good to its rounding
+        t = abs(s.imag)
+        err = (abs(chi) * dual.err_estimate
+               + _EPS * t * math.log(t) * abs(value))
+        return make_result(value, err, dual.evaluations, q)
+    return _theta_route(s, q)
 
 
 def chi_factor(s: complex) -> complex:

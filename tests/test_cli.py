@@ -62,6 +62,18 @@ def test_eval_zeta_and_zeta_reg_on_the_real_axis_past_ten(capsys):
         assert doc["converged"] is True
 
 
+@pytest.mark.parametrize("s", ["290", "1000"])
+def test_eval_zeta_far_right_takes_the_sum(s, capsys):
+    # the theta route's x^{(s-2)/2} overflowed from s = 290 on (exit 2);
+    # Re s >= 1 now takes Euler-Maclaurin
+    code, out, _ = run_cli(capsys, "eval", "--fn", "zeta", "--s", s)
+    assert code == 0
+    doc = json.loads(out)
+    value = complex(doc["value"]["re"], doc["value"]["im"])
+    assert abs(value - zeta_ref(float(s))) <= 1e-15
+    assert doc["converged"] is True
+
+
 def test_eval_json_round_trips_canonically(capsys):
     _, out, _ = run_cli(capsys, "eval", "--fn", "theta", "--v", "1")
     assert dumps_record(json.loads(out)) == out

@@ -142,8 +142,9 @@ def test_theta_route_meets_its_estimate_far_right_of_the_strip(s):
     # psi's relative tail test keeps psi(x) ~ e^{-pi x} past x = 11.7, where
     # an absolute one flushed it to 0 and zeta(14) came out 4.1e-10 off; the
     # estimate carries the rounding of pi^{s/2} / Gamma(s/2) (zeta(200):
-    # 5.4e-14 off against a tail-only 2.2e-15)
-    r = zeta_analytic(s)
+    # 5.4e-14 off against a tail-only 2.2e-15).  zeta_analytic takes this
+    # route only left of Re s = 1; it is called directly here
+    r = zeta_classic._theta_route(s, QuadratureSpec())
     assert abs(r.value - zeta_ref(s)) <= r.err_estimate
     # converged wherever the prefactor |pi^{s/2} / Gamma(s/2)| keeps the
     # tail integral's absolute floor, 1e-12, within the value's tolerance;
@@ -152,6 +153,28 @@ def test_theta_route_meets_its_estimate_far_right_of_the_strip(s):
     # 1.2e-15): the tail's tolerance is not yet divided by the prefactor
     pref = abs(power_real_base(math.pi, 0.5 * s) * rgamma(0.5 * s))
     assert r.converged or pref > abs(r.value)
+
+
+def _right_of_one_points():
+    # the theta points right of Re s = 1, seeded points with Re s in
+    # [1, 1000] and |t| <= 10, and points next to the pole
+    rng = random.Random(20261020)
+    return ([s for s in _theta_route_points() if s.real >= 1.0]
+            + [complex(rng.uniform(1.0, 1000.0), rng.uniform(-10.0, 10.0))
+               for _ in range(24)]
+            + [complex(1.0 + rng.uniform(0.0, 1e-3), rng.uniform(-1e-3, 1e-3))
+               for _ in range(8)])
+
+
+@pytest.mark.parametrize("s", _right_of_one_points())
+def test_euler_maclaurin_meets_its_estimate_right_of_one(s):
+    # Re s >= 1 takes Euler-Maclaurin; its estimate is floored at
+    # 10 eps |value|, since the terms alone read below the error at most
+    # of these points
+    r = zeta_analytic(s)
+    assert r.evaluations == 16 + len(zeta_classic._EM_COEFFS) + int(1.5 * abs(s.imag))
+    assert abs(r.value - zeta_ref(s)) <= r.err_estimate
+    assert r.converged
 
 
 def _em_points():
