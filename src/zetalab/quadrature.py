@@ -33,8 +33,7 @@ evaluated nor counted, and the rest keep their order.  Adding 0 to a sum
 changes no bit of it (up to the sign of a zero sum), so value and estimate
 are those of the full walk; only `evaluations` falls.  The exponential
 cutoffs vanish outside a window in log x and psi past x = 237 (`cutoffs`,
-`theta`), and these tails held about two thirds of the nodes the
-Mellin integrals walked.
+`theta`): most of the table's far tails.
 """
 
 from __future__ import annotations

@@ -167,11 +167,9 @@ def _quadrature_support(cutoff: CutoffSpec,
     `ExpSymmetric.log_reach(theta)`'s and psi - G vanishes once
     r cos(theta) > PSI_REACH.
     """
-    if theta is None:
-        lo, hi = log_support(cutoff.log_reach())
-        return lo, min(hi, PSI_REACH)
-    lo, hi = log_support(cutoff.log_reach(theta))
-    return lo, min(hi, PSI_REACH / math.cos(theta))
+    reach = cutoff.log_reach() if theta is None else cutoff.log_reach(theta)
+    lo, hi = log_support(reach)
+    return lo, min(hi, PSI_REACH / math.cos(theta or 0.0))
 
 
 def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,

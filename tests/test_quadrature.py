@@ -274,6 +274,37 @@ def test_zero_integrand_short_circuit():
     assert r.value == 0.0
 
 
+@pytest.mark.parametrize("domain, support", [
+    ((0.0, 1.0), (1e-3, 0.75)),
+    ((2.0, math.inf), (2.5, 6.0)),
+    ((0.0, math.inf), (0.5, 3.0)),
+])
+def test_support_skips_only_the_zero_nodes(domain, support):
+    # a smooth bump, exactly 0 outside [lo, hi]: the nodes there are not
+    # evaluated, and value and estimate keep every bit of the full walk
+    lo, hi = support
+    seen = []
+
+    def bump(x):
+        seen.append(x)
+        return math.exp(-1.0 / ((x - lo) * (hi - x))) if lo < x < hi else 0.0
+
+    full = integrate(bump, domain)
+    seen.clear()
+    cut = integrate(bump, domain, support=support)
+    assert all(lo <= x <= hi for x in seen)
+    assert cut.evaluations == len(seen) < full.evaluations
+    assert (cut.value, cut.err_estimate, cut.converged) == (
+        full.value, full.err_estimate, full.converged)
+    if domain == (0.0, math.inf):
+        seen.clear()
+        batch = integrate_powers(bump, [0.5, 1.5j], support=support)
+        assert all(lo <= x <= hi for x in seen)
+        for got, want in zip(batch, integrate_powers(bump, [0.5, 1.5j])):
+            assert (got.value, got.err_estimate) == (want.value, want.err_estimate)
+            assert got.evaluations < want.evaluations
+
+
 # ---------------------------------------------------------------------------
 # integrate_powers: K integrals of base(x) x^w over (0, inf) on one set of nodes
 # ---------------------------------------------------------------------------

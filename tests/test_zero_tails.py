@@ -60,6 +60,15 @@ def test_exp_symmetric_is_zero_outside_its_window_on_the_ray(lam, t):
                                log_support(cutoff.log_reach(theta)))
 
 
+@pytest.mark.parametrize("theta", [0.6, -0.6])
+def test_complex_lam_window_on_a_ray_takes_the_smaller_rate(theta):
+    # Re(lam e^{i theta}) and Re(lam e^{-i theta}) differ: 0.19 and 0.30
+    cutoff = ExpSymmetric(0.3 + 0.2j)
+    rot = complex(math.cos(theta), math.sin(theta))
+    _assert_zero_where_skipped(lambda r: cutoff.value(r * rot),
+                               log_support(cutoff.log_reach(theta)))
+
+
 def test_the_window_narrows_with_the_ray_angle():
     # Re lam becomes lam cos(theta): at t = 150 the ray is 3 degrees off
     # the imaginary axis and the window is far wider than on the real axis
