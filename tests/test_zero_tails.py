@@ -69,7 +69,7 @@ def test_complex_lam_window_on_a_ray_takes_the_smaller_rate(theta):
                                log_support(cutoff.log_reach(theta)))
 
 
-def test_the_window_narrows_with_the_ray_angle():
+def test_the_window_widens_as_the_ray_turns():
     # Re lam becomes lam cos(theta): at t = 150 the ray is 3 degrees off
     # the imaginary axis and the window is far wider than on the real axis
     cutoff = ExpSymmetric(0.3)
