@@ -97,17 +97,8 @@ class ExpSymmetric(CutoffSpec):
     def value(self, x: float) -> complex:
         return _damped_exp(complex(self.lam) * (x + 1.0 / x))
 
-    def log_reach(self, theta: float = 0.0) -> float:
-        """L with value(r e^{i theta}) == 0 exactly for |log r| > L.
-
-        Re(lam (x + 1/x)) = r Re(lam e^{i theta}) + Re(lam e^{-i theta}) / r,
-        at least the smaller of the two rates times 2cosh(log r); for real
-        lam both are lam cos(theta).
-        """
-        lam = complex(self.lam)
-        turn = complex(math.cos(theta), math.sin(theta))
-        return _log_reach(min((lam * turn).real,
-                              (lam * turn.conjugate()).real))
+    def log_reach(self) -> float:
+        return _log_reach(complex(self.lam).real)
 
 
 @dataclass(frozen=True)

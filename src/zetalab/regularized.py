@@ -163,13 +163,18 @@ def _quadrature_support(cutoff: CutoffSpec,
     """(lo, hi) outside which `_completed_quadrature`'s integrand is exactly
     0: the cutoff's window, cut at psi's reach (`theta.PSI_REACH`).
 
-    On the ray x = r e^{i theta} both are read in r: the window is
-    `ExpSymmetric.log_reach(theta)`'s and psi - G vanishes once
+    On the ray x = r e^{i theta} (real lam) both are read in r:
+    Re(lam (x + 1/x)) = lam cos(theta) (r + 1/r), so the window is that of
+    ExpSymmetric(lam cos(theta)), and psi - G vanishes once
     r cos(theta) > PSI_REACH.
     """
-    reach = cutoff.log_reach() if theta is None else cutoff.log_reach(theta)
-    lo, hi = log_support(reach)
-    return lo, min(hi, PSI_REACH / math.cos(theta or 0.0))
+    if theta is None:
+        window, cos = cutoff, 1.0
+    else:
+        cos = math.cos(theta)
+        window = ExpSymmetric(cutoff.lam * cos)
+    lo, hi = log_support(window.log_reach())
+    return lo, min(hi, PSI_REACH / cos)
 
 
 def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,

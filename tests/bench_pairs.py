@@ -4,9 +4,10 @@
     python3 tests/bench_pairs.py --parent ../old --change . \\
         --workload damped-grid --pairs 10 --seed 20261017
 
-runs `perfbench/run.py --trace 0` in each checkout for every pair, the
-parent first in even pairs and the change first in odd ones (a side that
-always runs second can read a few percent low on a busy host).  It prints
+runs `perfbench/run.py --trace 0` in each checkout for every pair, for
+the `run_seconds` that the change's BENCHMARK.json sets, the parent first
+in even pairs and the change first in odd ones (a side that always runs
+second can read a few percent low on a busy host).  It prints
 each run's end-to-end metrics, then for every metric of `BENCHMARK.json`
 the two medians, the parent's quartiles, the ratio change / parent and the
 number of pairs the change won.  It exits 1 if any run exits non-zero or
@@ -24,7 +25,7 @@ import subprocess
 import sys
 
 
-def _run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def _run(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -52,18 +53,18 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=38.0)
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
+        bench = json.load(fh)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     ok = True
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            report = _run(sides[side], args.workload, args.seed, args.seconds)
+            report = _run(sides[side], args.workload, args.seed, seconds)
             runs[side].append(report)
             good = report["exit"] == 0 and report.get("correct") is True
             ok = ok and good
@@ -73,7 +74,7 @@ def main(argv: list[str]) -> int:
                   f"correct {report.get('correct')} {values}", flush=True)
 
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds:g} s runs")
+          f"{seconds:g} s runs")
     print(f"{'metric':<16} {'parent':>10} {'quartiles':>21} {'change':>10} "
           f"{'ratio':>7} wins")
     for m in metrics:
