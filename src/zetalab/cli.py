@@ -81,7 +81,10 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", parents=[common],
                             help="evaluate one function at one point")
     p_eval.add_argument("--fn", required=True, choices=sorted(_EVAL_FNS))
-    _point_flags(p_eval)
+    _value_flags(p_eval, [name for inputs, _ in _EVAL_FNS.values()
+                          for name, *_ in inputs],
+                 {"s": "complex, e.g. 0.5+14.1i",
+                  "cutoff": " | ".join(_EVAL_CUTOFFS)})
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="check a functional equation")
@@ -91,19 +94,13 @@ def build_parser() -> _Parser:
                           help="single s (use --s=-1+2i for negatives)")
     p_verify.add_argument("--s-grid", default=None, choices=("strip-default",),
                           help="named s grid (default when --s is absent)")
-    p_verify.add_argument("--lambda", dest="lam", default=None,
-                          help="comma-separated lambda values")
-    p_verify.add_argument("--lambda1", default=None)
-    p_verify.add_argument("--lambda2", default=None)
-    p_verify.add_argument("--alpha", default=None,
-                          help="comma-separated alpha values")
-    p_verify.add_argument("--cutoff", default=None,
-                          help="generic-h cutoff: exp | exp-alpha | "
-                               "two-param | two-param-nu | "
-                               "custom:log-symmetric | custom:asymmetric")
-    p_verify.add_argument("--nu", default=None, type=float)
     p_verify.add_argument("--threshold", type=float, default=1e-8,
                           help="relative residual for exit 0 (default 1e-8)")
+    _value_flags(p_verify, [flag for params in _VERIFY_PARAMS.values()
+                            for _, flag, _ in params],
+                 {"lambda": "comma-separated lambda values",
+                  "alpha": "comma-separated alpha values",
+                  "cutoff": "generic-h cutoff: " + " | ".join(_VERIFY_CUTOFFS)})
 
     p_scan = sub.add_parser("scan", parents=[common],
                             help="bracket Hardy-Z sign changes")
@@ -122,23 +119,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _point_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--s", default=None, help="complex, e.g. 0.5+14.1i")
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--lambda1", default=None)
-    p.add_argument("--lambda2", default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--nu", default=None)
-    p.add_argument("--z", default=None)
-    p.add_argument("--nome", default=None)
-    p.add_argument("--t", default=None)
-    p.add_argument("--r", default=None)
-    p.add_argument("--rho", default=None)
-    p.add_argument("--d", default=None)
-    p.add_argument("--v", default=None)
-    p.add_argument("--x", default=None)
-    p.add_argument("--cutoff", default=None,
-                   help="none | exp | exp-alpha | two-param | two-param-nu")
+def _dest(flag: str) -> str:
+    """The namespace attribute of --flag; --lambda is stored as lam."""
+    return "lam" if flag == "lambda" else flag
+
+
+def _value_flags(p: argparse.ArgumentParser, names, helps: dict) -> None:
+    """An optional flag --name, read as text, for each of names and each
+    flag `_cutoff_from` reads, in sorted order, with its text in helps."""
+    for name in sorted({*names, *_CUTOFF_FLAGS}):
+        p.add_argument(f"--{name}", dest=_dest(name), help=helps.get(name))
 
 
 def _quad_from(args) -> QuadratureSpec:
@@ -147,19 +137,18 @@ def _quad_from(args) -> QuadratureSpec:
     return dataclasses.replace(DEFAULT_QUAD, **changes) if changes else DEFAULT_QUAD
 
 
-def _reader(ns, parsed: bool = False):
-    """get(name, parse[, default]): the value of flag --name in namespace ns.
+def _reader(ns):
+    """get(name, parse[, default]): flag --name of namespace ns, parsed.
 
     An absent flag gives the default, or a DomainError when there is none.
-    With parsed=True the namespace holds values that are parsed already.
     """
     def get(name: str, parse, *default):
-        raw = getattr(ns, "lam" if name == "lambda" else name)
+        raw = getattr(ns, _dest(name))
         if raw is None:
             if default:
                 return default[0]
             raise DomainError(f"--{name} is required for this selector")
-        return raw if parsed else parse(raw)
+        return parse(raw)
     return get
 
 
@@ -216,9 +205,21 @@ def _emit(args, q: QuadratureSpec, header: list[str], rows: list[list],
 
 
 def _echo(value):
+    """value with each complex in it, also inside dicts, as {"re", "im"}."""
+    if isinstance(value, dict):
+        return {k: _echo(v) for k, v in value.items()}
     if isinstance(value, complex):
         return complex_to_obj(value)
     return value
+
+
+def _csv_rows(header: list[str], records: list[dict]) -> list[list]:
+    """Each record's cells under header's names; the columns name_re and
+    name_im read the complex field name, echoed as {"re", "im"}."""
+    def cell(record: dict, column: str):
+        name, _, part = column.rpartition("_")
+        return record[name][part] if part in ("re", "im") else record[column]
+    return [[cell(record, column) for column in header] for record in records]
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +244,11 @@ def _custom_h(name: str, lam: float):
 
 
 _CUSTOM_CUTOFFS = ("custom:log-symmetric", "custom:asymmetric")
+# the kinds _cutoff_from builds for eval, and for verify generic-h
+_EVAL_CUTOFFS = ("none", "exp", "exp-alpha", "two-param", "two-param-nu")
+_VERIFY_CUTOFFS = (*_EVAL_CUTOFFS[1:], *_CUSTOM_CUTOFFS)
+# the flags _cutoff_from reads
+_CUTOFF_FLAGS = ("cutoff", "lambda", "lambda1", "lambda2", "alpha", "nu")
 
 
 def _cutoff_from(get, kind: str, lam: float | None = None) -> CutoffSpec:
@@ -252,22 +258,22 @@ def _cutoff_from(get, kind: str, lam: float | None = None) -> CutoffSpec:
     name none; verify generic-h passes its real --lambda (default 1) as lam
     and may name a custom: test cutoff.
     """
+    if kind not in (_EVAL_CUTOFFS if lam is None else _VERIFY_CUTOFFS):
+        raise DomainError(f"unknown cutoff {kind!r}")
+    if kind == "none":
+        return NoCutoff()
+    if kind in _CUSTOM_CUTOFFS:
+        return CustomCutoff(fn=_custom_h(kind, lam), declared_symmetric=True,
+                            label=kind)
     if kind == "exp":
         return ExpSymmetric(lam=get("lambda", parse_complex) if lam is None else lam)
     if kind == "exp-alpha":
         return ExpAlpha(lam=get("lambda", _float) if lam is None else lam,
                         alpha=get("alpha", _float))
-    if kind in ("two-param", "two-param-nu"):
-        lam1, lam2 = get("lambda1", parse_complex), get("lambda2", parse_complex)
-        if kind == "two-param":
-            return TwoParam(lam1=lam1, lam2=lam2)
-        return TwoParamNu(lam1=lam1, lam2=lam2, nu=get("nu", _float))
-    if kind == "none" and lam is None:
-        return NoCutoff()
-    if kind in _CUSTOM_CUTOFFS and lam is not None:
-        return CustomCutoff(fn=_custom_h(kind, lam), declared_symmetric=True,
-                            label=kind)
-    raise DomainError(f"unknown cutoff {kind!r}")
+    lam1, lam2 = get("lambda1", parse_complex), get("lambda2", parse_complex)
+    if kind == "two-param":
+        return TwoParam(lam1=lam1, lam2=lam2)
+    return TwoParamNu(lam1=lam1, lam2=lam2, nu=get("nu", _float))
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +281,11 @@ def _cutoff_from(get, kind: str, lam: float | None = None) -> CutoffSpec:
 # ---------------------------------------------------------------------------
 
 
-def _zeta_reg_row(get, q, s_row):
+def _zeta_reg_row(cutoff: CutoffSpec, q, s_row):
     """zeta-reg at each s of s_row (sharing Im s): (EvalResult, echo) pairs.
 
     The record carries the bare value with the completed value's estimate.
     """
-    kind = get("cutoff", str, None) or ("exp" if get("lambda", str, None)
-                                        else "none")
-    cutoff = _cutoff_from(get, kind)
     return [(EvalResult(value=rz.bare,
                         err_estimate=rz.completed.err_estimate,
                         evaluations=rz.completed.evaluations,
@@ -305,9 +308,13 @@ _LAMBDA = ("lambda", _float)
 # gets the inputs in order and returns an EvalResult, a float (exact closed
 # forms), or (EvalResult, extra echo fields).  Calls name their library
 # function inside the lambda, so it is looked up when the call runs.
+# zeta-reg's cutoff is --cutoff's kind; without it, none without --lambda
+# and exp with it.
 _EVAL_FNS = {
     "zeta": ((_S,), lambda _, q, s: zeta_analytic(s, q)),
-    "zeta-reg": ((_S,), lambda get, q, s: _zeta_reg_row(get, q, [s])[0]),
+    "zeta-reg": ((_S,), lambda get, q, s: _zeta_reg_row(_cutoff_from(
+        get, get("cutoff", str, None)
+        or ("exp" if get("lambda", str, None) else "none")), q, [s])[0]),
     "bessel-k": ((("nu", parse_complex), ("z", _float)),
                  lambda _, q, nu, z: bessel_k(nu, z, q)),
     "theta": ((("v", _float),), lambda _, q, v: big_theta(v, q)),
@@ -355,7 +362,7 @@ def _cmd_eval(args) -> int:
     wall_ms = (time.perf_counter() - t0) * 1e3
     value = complex(result.value)
     record = {
-        "input": {"fn": args.fn, **{k: _echo(v) for k, v in inputs.items()}},
+        "input": {"fn": args.fn, **_echo(inputs)},
         "value": complex_to_obj(value),
         "err_estimate": result.err_estimate,
         "converged": result.converged,
@@ -387,8 +394,8 @@ _VERIFY_PARAMS = {
 def _verify_param_sets(args) -> list[dict]:
     get = _reader(args)
     if args.kind == FunctionalEqKind.GENERIC_H.value:
-        name = get("cutoff", str)
-        return [{"cutoff": _cutoff_from(get, name, get("lambda", _float, 1.0))}]
+        return [{"cutoff": _cutoff_from(get, get("cutoff", str),
+                                        get("lambda", _float, 1.0))}]
     params = _VERIFY_PARAMS[args.kind]
     keys = [key for key, _, _ in params]
     lists = [get(flag, parse) for _, flag, parse in params]
@@ -400,32 +407,20 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"--threshold must be finite, got {args.threshold!r}")
     q = _quad_from(args)
     kind = FunctionalEqKind(args.kind)
-    if args.s is not None:
-        s_values = [parse_complex(args.s)]
-    else:
-        s_values = list(STANDARD_S_GRID)
+    s_values = ([parse_complex(args.s)] if args.s is not None
+                else list(STANDARD_S_GRID))
     records = []
     worst = 0.0
     for params in _verify_param_sets(args):
         for s in s_values:
             report = verify(kind, s, params, q)
             worst = max(worst, report.rel_residual)
-            records.append({
-                "kind": report.kind,
-                "s": complex_to_obj(report.s),
-                "params": {k: _echo(v) for k, v in report.params.items()},
-                "lhs": complex_to_obj(report.lhs),
-                "rhs": complex_to_obj(report.rhs),
-                "abs_residual": report.abs_residual,
-                "rel_residual": report.rel_residual,
-            })
+            records.append(_echo(dataclasses.asdict(report)))
     header = ["kind", "s_re", "s_im", "lhs_re", "lhs_im", "rhs_re",
               "rhs_im", "abs_residual", "rel_residual"]
-    rows = [[r["kind"], r["s"]["re"], r["s"]["im"], r["lhs"]["re"],
-             r["lhs"]["im"], r["rhs"]["re"], r["rhs"]["im"],
-             r["abs_residual"], r["rel_residual"]] for r in records]
-    _emit(args, q, header, rows, {"records": records, "max_rel_residual": worst,
-                                  "threshold": args.threshold})
+    _emit(args, q, header, _csv_rows(header, records),
+          {"records": records, "max_rel_residual": worst,
+           "threshold": args.threshold})
     print(f"verify {kind.value}: {len(records)} checks, "
           f"max rel residual {worst:.3e}", file=sys.stderr)
     return EXIT_OK if worst < args.threshold else EXIT_NUMERIC
@@ -458,15 +453,16 @@ def _cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 # eval selectors a grid can tabulate over s = sigma + i t and --lambda ->
-# row call: call(get, q, s_row) gives the EvalResults of the selector at the
+# row call: call(lam, q, s_row) gives the EvalResults of the selector at the
 # s of one (t, lambda) row.  The damped selectors' completed values share one
 # quadrature pass (or run the Bessel series one s at a time); zeta-reg takes
 # the exp-symmetric cutoff.  Looked up when called, as _EVAL_FNS is.
 _GRID_ROWS = {
     "zeta": lambda _, q, s_row: [zeta_analytic(s, q) for s in s_row],
-    "zeta-reg": lambda get, q, s_row: [r for r, _ in _zeta_reg_row(get, q, s_row)],
-    "omega": lambda get, q, s_row: _omega_row(s_row, get(*_LAMBDA), q),
-    "xi-lambda": lambda get, q, s_row: _xi_lambda_row(s_row, get(*_LAMBDA), q),
+    "zeta-reg": lambda lam, q, s_row: [
+        r for r, _ in _zeta_reg_row(ExpSymmetric(lam), q, s_row)],
+    "omega": lambda lam, q, s_row: _omega_row(s_row, lam, q),
+    "xi-lambda": lambda lam, q, s_row: _xi_lambda_row(s_row, lam, q),
 }
 
 
@@ -476,12 +472,13 @@ def _cmd_grid(args) -> int:
     sigmas, ts = sorted(set(_axis(args.sigma))), sorted(set(_axis(args.t)))
     lams = ([None] if args.lam is None
             else sorted(set(_float_list(args.lam))))
+    if lams == [None] and args.fn != "zeta":
+        raise DomainError("--lambda is required for this selector")
     cache_dir = resolve_cache_dir(args.cache_dir)
     quad_obj = dataclasses.asdict(q)
     row_call = _GRID_ROWS[args.fn]
     by_row = []                 # each (t, lambda) row's records, sigma ascending
     for t, lam in itertools.product(ts, lams):
-        get = _reader(argparse.Namespace(lam=lam, cutoff="exp"), parsed=True)
         lam_param = {} if lam is None else {"lambda": lam}
         params = [{"sigma": sigma, "t": t, **lam_param} for sigma in sigmas]
         keys = [cache_key(args.fn, p, quad_obj) for p in params]
@@ -490,12 +487,12 @@ def _cmd_grid(args) -> int:
         computed = {}           # index in sigmas -> EvalResult
         if missing:
             computed = dict(zip(missing, row_call(
-                get, q, [complex(sigmas[i], t) for i in missing])))
+                lam, q, [complex(sigmas[i], t) for i in missing])))
 
         def compute(i: int) -> dict:
             # an entry that exists but does not read is computed on its own
             result = (computed[i] if i in computed
-                      else row_call(get, q, [complex(sigmas[i], t)])[0])
+                      else row_call(lam, q, [complex(sigmas[i], t)])[0])
             return {**params[i], "value": complex_to_obj(result.value),
                     "err_estimate": result.err_estimate}
 
@@ -504,12 +501,9 @@ def _cmd_grid(args) -> int:
             for i, key in enumerate(keys)])
     # sigma outermost, then t, then lambda: the sorted order of the points
     results = [row[i] for i in range(len(sigmas)) for row in by_row]
-    lam_col = ["lambda"] if lams != [None] else []
-    rows_out = [[rec["sigma"], rec["t"], *(rec[c] for c in lam_col),
-                 rec["value"]["re"], rec["value"]["im"], rec["err_estimate"]]
-                for rec in results]
-    _emit(args, q, ["sigma", "t", *lam_col, "value_re", "value_im",
-                    "err_estimate"], rows_out, {"records": results})
+    header = ["sigma", "t", *(["lambda"] if lams != [None] else []),
+              "value_re", "value_im", "err_estimate"]
+    _emit(args, q, header, _csv_rows(header, results), {"records": results})
     return EXIT_OK
 
 

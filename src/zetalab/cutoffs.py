@@ -7,13 +7,13 @@ h -> 1 pointwise as the damping vanishes; the built-in kinds have the
 symmetry by construction, while Custom carries a declared flag that the
 functional-equation verifier spot-checks before trusting.
 
-Each kind also says where it vanishes: `log_reach()` is an L with
-value(x) == 0 exactly for |log x| > L (inf when there is no such L).  The
+Each kind also says where it vanishes: `support()` is the x interval
+(e^-L, e^L) with value(x) == 0 exactly for |log x| > L, or (0, inf) when
+there is no such L; the quadrature skips the nodes outside it.  The
 exponential kinds cut exp(-w) to 0 once Re w > 745 (`_damped_exp`), and their
 Re w is at least rate * 2cosh(scale log x); L solves that for
 _ZERO_FLOOR = 745 * 1.001, so rounding in w cannot bring a node past L
 back inside.  The window is symmetric in log x because h(x) = h(1/x).
-`log_support(L)` turns L into the x interval the quadrature skips outside.
 """
 
 from __future__ import annotations
@@ -40,20 +40,17 @@ def _damped_exp(w: complex) -> complex:
     return cmath.exp(-w)
 
 
-def _log_reach(rate: float, scale: float = 1.0) -> float:
-    """L with rate * 2cosh(scale L) = _ZERO_FLOOR; inf unless rate > 0.
+def _window(rate: float, scale: float = 1.0) -> tuple[float, float]:
+    """(e^-L, e^L) with rate * 2cosh(scale L) = _ZERO_FLOOR.
 
     An exponent of at least rate * 2cosh(scale log x) is past the floor at
-    every |log x| > L.  When it is past it already at x = 1, L is 0.
+    every |log x| > L.  When it is past it already at x = 1, L is 0.  The
+    window is (0, inf) unless rate > 0, and once L > 700 spans every
+    positive float the quadrature reaches.
     """
     if not rate > 0.0:
-        return math.inf
-    return math.acosh(max(1.0, _ZERO_FLOOR / (2.0 * rate))) / scale
-
-
-def log_support(reach: float) -> tuple[float, float]:
-    """(e^-L, e^L), the x interval where |log x| <= L = reach; (0, inf)
-    once it spans every positive float the quadrature reaches."""
+        return 0.0, math.inf
+    reach = math.acosh(max(1.0, _ZERO_FLOOR / (2.0 * rate))) / scale
     if reach > 700.0:
         return 0.0, math.inf
     return math.exp(-reach), math.exp(reach)
@@ -62,7 +59,7 @@ def log_support(reach: float) -> tuple[float, float]:
 @dataclass(frozen=True)
 class CutoffSpec:
     """Base class; concrete kinds implement value() and, when they vanish
-    outside a window, log_reach()."""
+    outside a window, support()."""
 
     @property
     def kind_name(self) -> str:
@@ -71,9 +68,9 @@ class CutoffSpec:
     def value(self, x: float) -> complex:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def log_reach(self) -> float:
-        """L with value(x) == 0 exactly for |log x| > L; inf by default."""
-        return math.inf
+    def support(self) -> tuple[float, float]:
+        """The x interval outside which value(x) == 0; (0, inf) by default."""
+        return 0.0, math.inf
 
 
 @dataclass(frozen=True)
@@ -97,8 +94,8 @@ class ExpSymmetric(CutoffSpec):
     def value(self, x: float) -> complex:
         return _damped_exp(complex(self.lam) * (x + 1.0 / x))
 
-    def log_reach(self) -> float:
-        return _log_reach(complex(self.lam).real)
+    def support(self) -> tuple[float, float]:
+        return _window(complex(self.lam).real)
 
 
 @dataclass(frozen=True)
@@ -124,8 +121,8 @@ class ExpAlpha(CutoffSpec):
             return 0.0 + 0.0j
         return _damped_exp(complex(self.lam * (xa + 1.0 / xa)))
 
-    def log_reach(self) -> float:
-        return _log_reach(self.lam, abs(self.alpha))
+    def support(self) -> tuple[float, float]:
+        return _window(self.lam, abs(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,8 @@ class TwoParam(CutoffSpec):
         return 0.5 * (_damped_exp(l1 * x + l2 * inv)
                       + _damped_exp(l2 * x + l1 * inv))
 
-    def log_reach(self) -> float:
-        return _log_reach(min(complex(self.lam1).real, complex(self.lam2).real))
+    def support(self) -> tuple[float, float]:
+        return _window(min(complex(self.lam1).real, complex(self.lam2).real))
 
 
 @dataclass(frozen=True)
@@ -179,8 +176,8 @@ class TwoParamNu(CutoffSpec):
         return 0.5 * (_damped_exp(l1 * xa + l2 / xa)
                       + _damped_exp(l2 * xa + l1 / xa))
 
-    def log_reach(self) -> float:
-        return _log_reach(min(complex(self.lam1).real, complex(self.lam2).real),
+    def support(self) -> tuple[float, float]:
+        return _window(min(complex(self.lam1).real, complex(self.lam2).real),
                           abs(self.nu))
 
 

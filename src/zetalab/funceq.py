@@ -21,8 +21,8 @@ import math
 from enum import Enum
 
 from .bessel import bessel_k, bessel_k_complex_arg
-from .cutoffs import (CutoffSpec, ExpAlpha, TwoParam, ensure_symmetric_for_fe,
-                      log_support)
+from .cutoffs import (CutoffSpec, ExpAlpha, ExpSymmetric, TwoParam,
+                      ensure_symmetric_for_fe)
 from .errors import DomainError, PoleError
 from .gammafn import gamma_complex, power_real_base
 from .quadrature import integrate_powers
@@ -58,17 +58,11 @@ def _completed_classic(s: complex, q: QuadratureSpec) -> complex:
 def _half_integrals_quad(cutoff: CutoffSpec, nus,
                          q: QuadratureSpec) -> list[complex]:
     """[(1/2) int_0^inf h(x) x^(nu - 1) dx for nu in nus], in one exp-sinh
-    pass over the nodes inside h's window (`CutoffSpec.log_reach`)."""
-
-    def base(x: float) -> complex:
-        hv = cutoff.value(x)
-        if hv == 0.0:
-            return 0.0
-        return 0.5 * hv
+    pass over the nodes inside h's window (`CutoffSpec.support`)."""
 
     return [r.value for r in
-            integrate_powers(base, [nu - 1.0 for nu in nus], q,
-                             log_support(cutoff.log_reach()))]
+            integrate_powers(lambda x: 0.5 * cutoff.value(x),
+                             [nu - 1.0 for nu in nus], q, cutoff.support())]
 
 
 def _half_integral_two_param(nu: complex, lam1: complex, lam2: complex,
@@ -126,8 +120,7 @@ def _sides(kind: FunctionalEqKind, s: complex, params: dict, q: QuadratureSpec):
                             "s = 1; pick s away from them")
         return lambda us: [_completed_classic(u, q) for u in us]
     if kind is FunctionalEqKind.EXP_SYMMETRIC:
-        # _completed_exp, which runs first, rejects Re lam <= 0
-        lam = complex(_need(kind, params, "lam"))
+        lam = ExpSymmetric(complex(_need(kind, params, "lam"))).lam
         return lambda us: [_completed_exp([u], lam, q)[0][0].value
                            + bessel_k_complex_arg(0.5 * u, 2.0 * lam, q).value
                            for u in us]

@@ -55,7 +55,7 @@ import math
 from dataclasses import replace
 
 from .bessel import bessel_k, bessel_k_complex_arg
-from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff, log_support
+from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff
 from .errors import DomainError, NonConvergence
 from .gammafn import power_real_base, rgamma
 from .quadrature import integrate, integrate_powers
@@ -173,7 +173,7 @@ def _quadrature_support(cutoff: CutoffSpec,
     else:
         cos = math.cos(theta)
         window = ExpSymmetric(cutoff.lam * cos)
-    lo, hi = log_support(window.log_reach())
+    lo, hi = window.support()
     return lo, min(hi, PSI_REACH / cos)
 
 
@@ -209,10 +209,7 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
             hv = cutoff.value(x)
             if hv == 0.0:
                 return 0.0
-            ps = _psi_raw(x, q.series_tail_tol, q.max_terms)
-            if ps == 0.0:
-                return 0.0
-            return ps * hv
+            return _psi_raw(x, q.series_tail_tol, q.max_terms) * hv
 
         return integrate_powers(base, half_exps, q, _quadrature_support(cutoff))
 
@@ -254,13 +251,10 @@ def _completed_exp(s_row, lam, q: QuadratureSpec) -> tuple[list[EvalResult], str
     _RAY_LAM = 0.5 (the measured crossover, module docstring), or any real
     lam once |Im s| > 100, takes the ray quadrature, as one batch (the
     real axis at Im s = 0); complex lam and everything else takes the
-    Bessel series, one s at a time.
+    Bessel series, one s at a time.  Callers have checked Re lam > 0.
     """
     s_row = [complex(s) for s in s_row]
     lamc = complex(lam)
-    if not lamc.real > 0.0:
-        raise DomainError(f"exp-symmetric completed value needs Re lam > 0, "
-                          f"got {lam!r}")
     t = s_row[0].imag
     if any(s.imag != t for s in s_row):
         raise DomainError("the s of one row must share Im s")
@@ -342,7 +336,7 @@ def _damped_edge(lam_r: float, weight: float, p: complex,
 def _edge_support(lam_r: float) -> tuple[float, float]:
     """(lo, 1): the edge and bulk integrands cut e^{-lam_r (x + 1/x)} to 0
     past 745 as `ExpSymmetric` does, so they are 0 below its window."""
-    return log_support(ExpSymmetric(lam_r).log_reach())[0], 1.0
+    return ExpSymmetric(lam_r).support()[0], 1.0
 
 
 def boundary_i1(s: complex, lam, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:

@@ -642,6 +642,58 @@ def _help_of(parser, command, flag):
     return next(a for a in sub._actions if flag in a.option_strings).help
 
 
+def _plain(*flags):
+    return {(f"--{flag}",): (flag, None) for flag in flags}
+
+
+# every option of each subcommand, frozen: option strings -> (dest, default).
+# The value flags are generated from the selector tables, so a table edit
+# that adds or drops a flag fails here.
+_COMMON_OPTIONS = {
+    ("-h", "--help"): ("help", argparse.SUPPRESS),
+    ("--abs-tol",): ("abs_tol", None), ("--rel-tol",): ("rel_tol", None),
+    ("--max-terms",): ("max_terms", None), ("--out",): ("out", None),
+    ("--format",): ("format", "json"), ("--cache-dir",): ("cache_dir", None),
+    ("--jobs",): ("jobs", 1),
+}
+_LAMBDA_OPTION = {("--lambda",): ("lam", None)}
+CLI_OPTIONS = {
+    "eval": {**_COMMON_OPTIONS, **_LAMBDA_OPTION,
+             **_plain("fn", "s", "lambda1", "lambda2", "alpha", "nu", "z",
+                      "nome", "t", "r", "rho", "d", "v", "x", "cutoff")},
+    "verify": {**_COMMON_OPTIONS, **_LAMBDA_OPTION,
+               ("--s-grid",): ("s_grid", None),
+               ("--threshold",): ("threshold", 1e-8),
+               **_plain("kind", "s", "lambda1", "lambda2", "alpha", "cutoff",
+                        "nu")},
+    "scan": {**_COMMON_OPTIONS, ("--step",): ("step", 0.05), **_plain("t")},
+    "grid": {**_COMMON_OPTIONS, **_LAMBDA_OPTION,
+             **_plain("fn", "sigma", "t")},
+}
+CLI_HELP = {
+    ("eval", "--s"): "complex, e.g. 0.5+14.1i",
+    ("eval", "--cutoff"): "none | exp | exp-alpha | two-param | two-param-nu",
+    ("verify", "--lambda"): "comma-separated lambda values",
+    ("verify", "--alpha"): "comma-separated alpha values",
+    ("verify", "--cutoff"): "generic-h cutoff: exp | exp-alpha | two-param | "
+                            "two-param-nu | custom:log-symmetric | "
+                            "custom:asymmetric",
+}
+
+
+def test_each_command_offers_exactly_its_options():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(CLI_OPTIONS)
+    for command, options in CLI_OPTIONS.items():
+        got = {tuple(a.option_strings): (a.dest, a.default)
+               for a in sub.choices[command]._actions}
+        assert got == options, command
+    for (command, flag), text in CLI_HELP.items():
+        assert _help_of(parser, command, flag) == text
+
+
 def test_verify_cutoff_help_names_every_kind_generic_h_accepts():
     parser = cli.build_parser()
     listed = _help_of(parser, "verify", "--cutoff").split(":", 1)[1]

@@ -11,7 +11,7 @@ import zetalab.regularized as regularized
 import zetalab.zeta_classic as zeta_classic
 from oracles import boundary_i1_ref
 from zetalab.cutoffs import (CustomCutoff, ExpAlpha, ExpSymmetric, NoCutoff,
-                             TwoParam, TwoParamNu, log_support)
+                             TwoParam, TwoParamNu)
 from zetalab.quadrature import _transform
 from zetalab.theta import PSI_REACH, _psi_complex_remainder, _psi_raw
 from zetalab.types import QuadratureSpec
@@ -47,7 +47,7 @@ _RAY_TS = (5.0, -14.0, 150.0)
 @pytest.mark.parametrize("lam", [1e-4, 0.3, 400.0])
 def test_exp_symmetric_is_zero_outside_its_window(lam):
     cutoff = ExpSymmetric(lam)
-    _assert_zero_where_skipped(cutoff.value, log_support(cutoff.log_reach()))
+    _assert_zero_where_skipped(cutoff.value, cutoff.support())
 
 
 @pytest.mark.parametrize("t", _RAY_TS)
@@ -57,9 +57,8 @@ def test_exp_symmetric_is_zero_outside_its_window_on_the_ray(lam, t):
     cutoff = ExpSymmetric(lam)
     theta = regularized._ray_angle(t)
     rot = complex(math.cos(theta), math.sin(theta))
-    window = ExpSymmetric(lam * math.cos(theta)).log_reach()
     _assert_zero_where_skipped(lambda r: cutoff.value(r * rot),
-                               log_support(window))
+                               ExpSymmetric(lam * math.cos(theta)).support())
 
 
 def test_the_window_widens_as_the_ray_turns():
@@ -67,31 +66,30 @@ def test_the_window_widens_as_the_ray_turns():
     # quadrature support is far wider than on the real axis
     cutoff = ExpSymmetric(0.3)
     lo = regularized._quadrature_support(cutoff, regularized._ray_angle(150.0))[0]
-    assert lo < math.exp(-(cutoff.log_reach() + 2.5))
+    assert lo < cutoff.support()[0] * math.exp(-2.5)
     # 2 lam past the floor: h vanishes everywhere, only x = 1 is kept
-    assert ExpSymmetric(400.0).log_reach() == 0.0
+    assert ExpSymmetric(400.0).support() == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 2.0, -0.5])
 def test_exp_alpha_is_zero_outside_its_window(alpha):
     cutoff = ExpAlpha(0.7, alpha)
-    _assert_zero_where_skipped(cutoff.value, log_support(cutoff.log_reach()))
+    _assert_zero_where_skipped(cutoff.value, cutoff.support())
 
 
 def test_two_param_is_zero_outside_its_window():
     cutoff = TwoParam(0.4 + 3.0j, 1.2)
-    _assert_zero_where_skipped(cutoff.value, log_support(cutoff.log_reach()))
+    _assert_zero_where_skipped(cutoff.value, cutoff.support())
 
 
 def test_two_param_nu_is_zero_outside_its_window():
     cutoff = TwoParamNu(0.9 - 0.5j, 0.2 + 1.0j, -0.6)
-    _assert_zero_where_skipped(cutoff.value, log_support(cutoff.log_reach()))
+    _assert_zero_where_skipped(cutoff.value, cutoff.support())
 
 
 def test_unbounded_kinds_reach_everywhere():
     for cutoff in (NoCutoff(), CustomCutoff(lambda x: 1.0)):
-        assert cutoff.log_reach() == math.inf
-        assert log_support(cutoff.log_reach()) == (0.0, math.inf)
+        assert cutoff.support() == (0.0, math.inf)
 
 
 def test_psi_is_zero_past_its_reach():
