@@ -84,15 +84,19 @@ def _decay_gate(cutoff: CutoffSpec, s: complex, q: QuadratureSpec) -> None:
     The probe exponents are the worst powers appearing on either side of
     the identity (at s and at 1 - s); if |h(x) x^p| is not already below
     abs_tol at the sample points, the tails cannot be truncated honestly.
+    The test reads log|h(x)| + p log x, since x^p alone leaves the double
+    range once |Re s| passes about 86; a probe where h(x) == 0 passes.
     """
     sigma = complex(s).real
     # the exponent sets at s and 1 - s coincide, so two probes suffice
     p_small = min(0.5 * (sigma - 3.0), -0.5 * (sigma + 2.0))
     p_large = max(0.5 * (sigma - 2.0), -0.5 * (sigma + 1.0))
+    log_tol = math.log(q.abs_tol)
     for end, probes, p in (("0", _GATE_SMALL_X, p_small),
                            ("infinity", _GATE_LARGE_X, p_large)):
         for x in probes:
-            if abs(cutoff.value(x)) * math.pow(x, p) >= q.abs_tol:
+            h = abs(cutoff.value(x))
+            if h != 0.0 and math.log(h) + p * math.log(x) >= log_tol:
                 raise DomainError(
                     f"cutoff {cutoff.kind_name} does not decay fast enough at "
                     f"{end} for s = {s}; the half-integrals would diverge")

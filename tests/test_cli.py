@@ -234,6 +234,21 @@ def test_verify_threshold_gates_exit(capsys):
     assert code == 2  # residual is tiny but nonzero; the gate is honest
 
 
+@pytest.mark.parametrize("s", ["90", "-95"])
+def test_verify_generic_h_far_from_the_strip(capsys, s):
+    # the decay gate's probe x^p alone would overflow at these s
+    code, out, _ = run_cli(capsys, "verify", "--kind", "generic-h", "--cutoff",
+                           "exp", "--lambda", "1", f"--s={s}")
+    assert code == 0
+    assert json.loads(out)["max_rel_residual"] < 1e-13
+
+
+def test_eval_xi_past_the_theta_route(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--fn", "xi", "--s", "300")
+    assert code == 0
+    assert json.loads(out)["converged"] is True
+
+
 def test_verify_asymmetric_cutoff_exits_3(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--kind", "generic-h", "--cutoff", "custom:asymmetric",

@@ -16,12 +16,14 @@ import sys
 from array import array
 from decimal import Context, Decimal
 
+import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
 import zetalab.zeta_classic as zeta_classic
 from oracles import (chi_ref, fixed_gap_ref, hardy_z_ref, log_mp,
-                     siegel_theta_mp, two_pi_mp, zero_count_ref, zeta_ref)
+                     siegel_theta_mp, two_pi_mp, xi_ref, zero_count_ref,
+                     zeta_ref)
 from zetalab.errors import DomainError, NonConvergence, PoleError
 from zetalab.gammafn import power_real_base, rgamma
 from zetalab.types import QuadratureSpec
@@ -226,6 +228,18 @@ def test_xi_special_values():
     assert xi_entire(0.0).value == pytest.approx(1.0, rel=1e-13)
     assert xi_entire(1.0).value == pytest.approx(1.0, rel=1e-13)
     assert xi_entire(0.5).value.real == pytest.approx(0.9942415563766283, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [300.0, 400.0, -299.0, 300.0 + 5.0j])
+def test_xi_past_the_overflow_of_the_theta_route(s):
+    # x^{(s-2)/2} overflows in I(s) here, so xi is read from its logarithm
+    with pytest.raises(OverflowError):
+        zeta_classic._tail_integral(s, QuadratureSpec())
+    r = xi_entire(s)
+    with mp.workdps(40):
+        ref = xi_ref(s)
+    assert r.converged
+    assert abs(r.value - ref) <= 2e-13 * abs(ref)
 
 
 @given(
