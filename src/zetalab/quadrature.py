@@ -41,9 +41,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Callable
 
 from .errors import DomainError, NonConvergence, NonFiniteIntegrand
+from .theta import _psi_raw
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result
 
 # level -> the (y, w) rows new at that level: (y, (pi/2)cosh(t) y), then
@@ -74,6 +77,74 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
     return nodes
 
 
+# (start, level) -> `_half_level` of the half-line (start, inf), for the
+# starts callers use: 0 (completed values) and 1 (Riemann's xi integral).
+_ROW_STARTS = (0.0, 1.0)
+_HALF_ROWS: dict[tuple[float, int], tuple[list, list, list]] = {}
+# (start, level, tail_tol, max_terms) -> `_psi_column`.  Both tables only
+# grow, and a race between grid threads only repeats work: every writer
+# stores the same value.
+_PSI_COLUMNS: dict[tuple, list] = {}
+
+
+def _half_level(a: float, level: int) -> tuple[list, list, list]:
+    """(rows, ups, downs) of `level` on the half-line (a, inf).
+
+    rows[i] = (x, w, log x), x = a + y, in `_level_nodes` order; ups holds
+    the x of the rows with y > 1 and downs those with y < 1, both ascending
+    (downs reverses their row order).  Cached for a in _ROW_STARTS; any
+    other start is built afresh, with log x None.
+    """
+    try:
+        return _HALF_ROWS[a, level]
+    except KeyError:
+        pass
+    cached = a in _ROW_STARTS
+    rows = []
+    for y, w in _level_nodes(level):
+        x = a + y
+        rows.append((x, w, math.log(x) if cached else None))
+    first = 1 if level == 0 else 0  # level 0 leads with the centre y = 1
+    ups = [row[0] for row in rows[first::2]]
+    downs = [row[0] for row in rows[first + 1::2]]
+    downs.reverse()
+    if cached:
+        _HALF_ROWS[a, level] = rows, ups, downs
+    return rows, ups, downs
+
+
+def _kept(level: int, rows: list, ups: list, downs: list,
+          lo: float, hi: float) -> list[int]:
+    """The indices of `_half_level` rows with lo <= x <= hi, ascending.
+
+    Past level 0's centre the rows alternate up (y > 1) and down (1/y),
+    and x is monotone along each direction, so each keeps one run of pairs,
+    found by bisection instead of a walk of the level.
+    """
+    if not lo <= hi:
+        return []
+    first = 1 if level == 0 else 0
+    n = len(ups)
+    up = range(first + 2 * bisect_left(ups, lo),
+               first + 2 * bisect_right(ups, hi), 2)
+    down = range(first + 2 * (n - bisect_right(downs, hi)) + 1,
+                 first + 2 * (n - bisect_left(downs, lo)), 2)
+    kept = sorted(chain(up, down))  # two ascending runs: one merge
+    if first and lo <= rows[0][0] <= hi:
+        kept.insert(0, 0)
+    return kept
+
+
+def _psi_column(a: float, level: int, q: QuadratureSpec) -> list:
+    """psi(x) at the rows of `level` on (a, inf), a in _ROW_STARTS, for q's
+    tail settings; None at a row that no walk has read yet."""
+    key = a, level, q.series_tail_tol, q.max_terms
+    column = _PSI_COLUMNS.get(key)
+    if column is None:
+        column = _PSI_COLUMNS[key] = [None] * len(_half_level(a, level)[0])
+    return column
+
+
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
@@ -87,9 +158,11 @@ _ROUNDING = 10.0 * sys.float_info.epsilon
 def _transform(domain: tuple[float, float], support=None):
     """(scale, name, points) for `domain`, after validating it.
 
-    points(level) yields the (x, weight) pairs new at `level` with
-    lo <= x <= hi for support = (lo, hi), in the order the sums take them.
-    A level's estimate is its raw sum * h * scale.
+    points(level) returns (rows, kept): rows[i] = (x, weight, log x) for the
+    nodes new at `level` (log x only on the cached half-line rows, else
+    None), and kept the indices i with lo <= x <= hi for support =
+    (lo, hi), in the order the sums take them.  A level's estimate is its
+    raw sum * h * scale.
     """
     a, b = float(domain[0]), float(domain[1])
     if math.isinf(a) or math.isnan(a) or math.isnan(b):
@@ -101,17 +174,16 @@ def _transform(domain: tuple[float, float], support=None):
 
     if math.isinf(b):
         def half_line(level):
-            table = _level_nodes(level)
-            if a != 0.0:
-                table = [(a + y, w) for y, w in table]
-            return table if whole else [(x, w) for x, w in table
-                                        if lo <= x <= hi]
+            rows, ups, downs = _half_level(a, level)
+            return rows, (range(len(rows)) if whole
+                          else _kept(level, rows, ups, downs, lo, hi))
 
         return 1.0, "exp-sinh", half_line
 
     width = b - a
 
     def finite(level):
+        rows = []
         for y, w in _level_nodes(level):
             r = 1.0 + y
             d = width * min(y, 1.0) / r  # distance to the nearer end
@@ -119,13 +191,15 @@ def _transform(domain: tuple[float, float], support=None):
                 x = a + d if y <= 1.0 else b - d
                 if whole or lo <= x <= hi:
                     # 4w/(1 + y)^2, whose denominator could overflow
-                    yield x, 4.0 * (w / r) / r
+                    rows.append((x, 4.0 * (w / r) / r, None))
+        return rows, range(len(rows))
 
     return 0.25 * width, "tanh-sinh", finite
 
 
-def integrate(f: Callable[[float], complex], domain: tuple[float, float],
-              q: QuadratureSpec = DEFAULT_QUAD, support=None) -> EvalResult:
+def integrate(f: Callable[..., complex], domain: tuple[float, float],
+              q: QuadratureSpec = DEFAULT_QUAD, support=None,
+              psi: bool = False) -> EvalResult:
     """Integrate f over `domain` = (a, b), where b may be math.inf.
 
     Both kinds of domain read the one exp-sinh table (module docstring): a
@@ -137,37 +211,61 @@ def integrate(f: Callable[[float], complex], domain: tuple[float, float],
     support = (lo, hi) promises f(x) == 0 exactly for x outside [lo, hi];
     those nodes are skipped (module docstring), which moves only
     `evaluations`.
-    Raises DomainError for an empty/reversed interval, NonFiniteIntegrand at
-    the end of a level in which f produced nan/inf at a node, and
-    NonConvergence if max_levels refinements do not reach tolerance.
+    psi=True, on a half-line from 0 or 1, calls f(x, log x, psi(x)), both
+    read from the node's row: psi(x) = theta._psi_raw(x, q.series_tail_tol,
+    q.max_terms) is computed once a node per process (`_psi_column`).
+    Raises DomainError for an empty/reversed interval (or psi=True on another
+    domain), NonFiniteIntegrand at the end of a level in which f produced
+    nan/inf at a node, and NonConvergence if max_levels refinements do not
+    reach tolerance.
     """
-    def add(points, raws, active):
-        raw = raws[0]
-        evaluations = 0
-        for x, w in points:
-            raw += f(x) * w
-            evaluations += 1
-        raws[0] = raw
-        return evaluations
+    scale, name, points = _transform(domain, support)
+    start = float(domain[0])
+    if psi and not (name == "exp-sinh" and start in _ROW_STARTS):
+        raise DomainError(f"psi rows are those of (0, inf) and (1, inf), "
+                          f"got {domain!r}")
+    tol, terms = q.series_tail_tol, q.max_terms
 
-    return _de_levels(add, 1, _transform(domain, support), q)[0]
+    def add(level, raws, active):
+        rows, kept = points(level)
+        raw = raws[0]
+        if psi:
+            column = _psi_column(start, level, q)
+            for i in kept:
+                x, w, lx = rows[i]
+                p = column[i]
+                if p is None:
+                    p = column[i] = _psi_raw(x, tol, terms)
+                raw += f(x, lx, p) * w
+        else:
+            for i in kept:
+                x, w, _ = rows[i]
+                raw += f(x) * w
+        raws[0] = raw
+        return len(kept)
+
+    return _de_levels(add, 1, scale, name, q)[0]
 
 
 def integrate_powers(base: Callable[[float], complex], exponents,
-                     q: QuadratureSpec = DEFAULT_QUAD,
-                     support=None) -> list[EvalResult]:
+                     q: QuadratureSpec = DEFAULT_QUAD, support=None,
+                     psi: bool = False) -> list[EvalResult]:
     """[integral of base(x) x^w over (0, inf) for w in exponents], in one pass.
 
-    Every component sees the same nodes, so base and log x are evaluated
-    once a node and each component adds base(x) * exp(w log x) -- the float
-    operations of `power_real_base`, in its order -- to its own sum.  A
-    component is accepted at its own level by `integrate`'s rule and leaves
-    the later levels, so each result equals, bit for bit in value,
-    err_estimate and evaluations, what `integrate` returns for
-    x -> base(x) * power_real_base(x, w).  A base that is 0 at a node skips
-    the node for every component, as those integrands' early returns do, and
-    support = (lo, hi), the interval outside which base is exactly 0, keeps
-    the nodes outside it from being evaluated or counted at all.
+    Every component sees the same nodes, so base is evaluated once a node,
+    log x is read from the node's row, and each component adds
+    base(x) * exp(w log x) -- the float operations of `power_real_base`, in
+    its order -- to its own sum.  A component is accepted at its own level
+    by `integrate`'s rule and leaves the later levels, so each result
+    equals, bit for bit in value, err_estimate and evaluations, what
+    `integrate` returns for x -> base(x) * power_real_base(x, w).  A base
+    that is 0 at a node skips the node for every component, as those
+    integrands' early returns do, and support = (lo, hi), the interval
+    outside which base is exactly 0, keeps the nodes outside it from being
+    evaluated or counted at all.
+    psi=True integrates psi(x) base(x) x^w instead: psi(x) is read from the
+    node's column as in `integrate`, only where base(x) != 0, and a node
+    where the product is 0 is skipped as well.
 
     Raises as `integrate` does; when components fail to converge,
     NonConvergence carries the best value and last increment of the first
@@ -181,35 +279,44 @@ def integrate_powers(base: Callable[[float], complex], exponents,
         else:
             powers.append((k, w.real if isinstance(w, complex) else float(w),
                            False))
+    scale, name, points = _transform((0.0, math.inf), support)
+    tol, terms = q.series_tail_tol, q.max_terms
 
-    def add(points, raws, active):
+    def add(level, raws, active):
+        rows, kept = points(level)
         live = [powers[k] for k in active]
-        evaluations = 0
-        for x, weight in points:
+        column = _psi_column(0.0, level, q) if psi else None
+        for i in kept:
+            x, weight, lx = rows[i]
             b = base(x)
-            evaluations += 1
             if b == 0:
                 continue
-            lx = math.log(x)
+            if psi:
+                p = column[i]
+                if p is None:
+                    p = column[i] = _psi_raw(x, tol, terms)
+                b = p * b
+                if b == 0:
+                    continue
             for k, w, cx in live:
                 raws[k] += b * (cmath.exp(w * lx) if cx
                                 else math.exp(w * lx) + 0.0j) * weight
-        return evaluations
+        return len(kept)
 
-    return _de_levels(add, len(powers), _transform((0.0, math.inf), support), q)
+    return _de_levels(add, len(powers), scale, name, q)
 
 
-def _de_levels(add, n: int, transform, q: QuadratureSpec) -> list[EvalResult]:
+def _de_levels(add, n: int, scale: float, name: str,
+               q: QuadratureSpec) -> list[EvalResult]:
     """The level loop every integral runs through, for n components at once.
 
-    The n raw sums start at 0j; add(points, raws, active) adds the nodes of
-    one level to raws[k] for each k in active and returns the number of
+    The n raw sums start at 0j; add(level, raws, active) adds the nodes of
+    `level` to raws[k] for each k in active and returns the number of
     evaluations spent.  A non-finite active sum raises NonFiniteIntegrand at
     the end of its level.  Component k is accepted when its increment meets
     the tolerance (from level 2 on) and is then left out of later levels,
     reporting max(increment, _ROUNDING * |value|) as its error.
     """
-    scale, name, points = transform
     raws = [0j] * n
     evaluations = 0
     results: list = [None] * n
@@ -217,7 +324,7 @@ def _de_levels(add, n: int, transform, q: QuadratureSpec) -> list[EvalResult]:
     errs = [0.0] * n
     active = list(range(n))
     for level in range(q.max_levels + 1):
-        evaluations += add(points(level), raws, active)
+        evaluations += add(level, raws, active)
         h = 0.5 ** level * scale
         still = []
         for k in active:

@@ -205,13 +205,8 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
     half_exps = [0.5 * s - 1.0 for s in s_values]
 
     if theta is None:
-        def base(x: float) -> complex:
-            hv = cutoff.value(x)
-            if hv == 0.0:
-                return 0.0
-            return _psi_raw(x, q.series_tail_tol, q.max_terms) * hv
-
-        return integrate_powers(base, half_exps, q, _quadrature_support(cutoff))
+        return integrate_powers(cutoff.value, half_exps, q,
+                                _quadrature_support(cutoff), psi=True)
 
     lam = _require_positive_real(cutoff.lam, "the ray route")
     rot = cmath.exp(1j * theta)

@@ -10,9 +10,21 @@ in even pairs and the change first in odd ones (a side that always runs
 second can read a few percent low on a busy host).  It prints
 each run's end-to-end metrics, then for every metric of `BENCHMARK.json`
 the two medians, the parent's quartiles, the ratio change / parent and the
-number of pairs the change won.  It exits 1 if any run exits non-zero or
-reports `correct: false`.  Nothing is written here or under perfbench/;
-each run keeps its scratch under its own checkout's .perfbench/.
+number of pairs the change won.  Each run's line shows its pass count and
+peak_rss_mb per pass: the worker holds every pass's stdout, so a faster
+pass raises peak_rss_mb through the pass count alone.  It exits 1 if any
+run exits non-zero or reports `correct: false`.
+
+    python3 tests/bench_pairs.py --parent ../old --change . \
+        --workload fe-verify --out BENCH_21.json
+
+also writes the runs to BENCH_21.json in BENCH_14.json's layout: each
+run's final JSON line, passes, calibration scale and min_digits, the
+medians and quartiles, and `git rev-parse HEAD` of both checkouts.  An
+existing file of the same two commits keeps its other workloads and seeds;
+this workload and seed replace their entry.  Nothing is written under
+perfbench/; each run keeps its scratch under its own checkout's
+.perfbench/.
 """
 
 from __future__ import annotations
@@ -20,23 +32,71 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 
+# figures of run.py's report that its final JSON line leaves out
+_REPORT_FIGURES = (("passes", r"mean of (\d+) passes", int),
+                   ("calibration_scale", r"times scaled by ([\d.]+)", float),
+                   ("min_digits", r"min_digits\s+([\d.]+) digits", float))
+
 
 def _run(checkout: str, workload: str, seed: int, seconds: int) -> dict:
+    """run.py's final JSON line as "result", its exit code and the
+    `_REPORT_FIGURES` read from the lines above it (None where absent)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        report = json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        report = {"correct": False, "metrics": {}}
-    report["exit"] = proc.returncode
-    return report
+        result = {"correct": False, "metrics": {}}
+    run = {"result": result, "exit": proc.returncode}
+    for key, pattern, kind in _REPORT_FIGURES:
+        found = re.search(pattern, proc.stdout)
+        run[key] = kind(found.group(1)) if found else None
+    return run
+
+
+def _head(checkout: str) -> str | None:
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _write(path: str, args, seconds: float, runs: dict, summary: dict) -> None:
+    """Merge this workload and seed into the BENCH file at `path`."""
+    commits = {"parent_commit": _head(args.parent),
+               "change_commit": _head(args.change)}
+    doc = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+        if any(doc.get(k) != v for k, v in commits.items()):
+            raise SystemExit(f"{path} holds runs of other commits")
+    doc.update(commits)
+    doc["command"] = (f"python3 perfbench/run.py --workload W --seed S "
+                      f"--seconds {seconds:g} --trace 0")
+    doc["host"] = (f"{os.cpu_count()} CPUs, Python {sys.version.split()[0]}; "
+                   "times scaled to the 0.6 ms calibration loop")
+    doc["pairing"] = ("pair i runs parent then change for even i, change "
+                      "then parent for odd i")
+    pairs = [{"pair": i, "first": "parent" if i % 2 == 0 else "change",
+              "parent": {k: v for k, v in p.items() if k != "exit"},
+              "change": {k: v for k, v in c.items() if k != "exit"}}
+             for i, (p, c) in enumerate(zip(runs["parent"], runs["change"]))]
+    entry = {"workload": args.workload, "seed": args.seed, "pairs": pairs,
+             "summary": summary}
+    doc["workloads"] = [w for w in doc.get("workloads", [])
+                        if (w["workload"], w["seed"]) != (args.workload, args.seed)]
+    doc["workloads"].append(entry)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def _quartiles(values: list[float]) -> tuple[float, float]:
@@ -53,6 +113,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", metavar="PATH",
+                        help="also write the runs to this BENCH_*.json")
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
@@ -64,24 +126,30 @@ def main(argv: list[str]) -> int:
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            report = _run(sides[side], args.workload, args.seed, seconds)
-            runs[side].append(report)
-            good = report["exit"] == 0 and report.get("correct") is True
-            ok = ok and good
-            values = " ".join(f"{m['name']}={report['metrics'].get(m['name'], {}).get('value')}"
-                              for m in metrics)
-            print(f"pair {pair} {side}: exit {report['exit']} "
-                  f"correct {report.get('correct')} {values}", flush=True)
+            run = _run(sides[side], args.workload, args.seed, seconds)
+            runs[side].append(run)
+            report = run["result"]
+            ok = ok and run["exit"] == 0 and report.get("correct") is True
+            values = {m["name"]: report["metrics"].get(m["name"], {}).get("value")
+                      for m in metrics}
+            rss, passes = values.get("peak_rss_mb"), run["passes"]
+            per_pass = (f"{rss / passes:.3f}" if rss is not None and passes
+                        else None)
+            print(f"pair {pair} {side}: exit {run['exit']} "
+                  f"correct {report.get('correct')} "
+                  + " ".join(f"{k}={v}" for k, v in values.items())
+                  + f" passes={passes} peak_rss_mb/pass={per_pass}", flush=True)
 
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of "
           f"{seconds:g} s runs")
     print(f"{'metric':<16} {'parent':>10} {'quartiles':>21} {'change':>10} "
           f"{'ratio':>7} wins")
+    summary = {}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         try:
-            par = [r["metrics"][name]["value"] for r in runs["parent"]]
-            chg = [r["metrics"][name]["value"] for r in runs["change"]]
+            par, chg = ([r["result"]["metrics"][name]["value"] for r in runs[side]]
+                        for side in ("parent", "change"))
         except KeyError:
             print(f"{name:<16} missing from a run")
             continue
@@ -91,6 +159,12 @@ def main(argv: list[str]) -> int:
         ratio = c_med / p_med if p_med else float("nan")
         print(f"{name:<16} {p_med:>10.4g} [{q1:>9.4g}, {q3:>9.4g}] {c_med:>10.4g} "
               f"{ratio:>7.3f} {wins}/{len(par)}")
+        summary[name] = {side: dict(zip(("median", "q1", "q3"),
+                                        (statistics.median(v), *_quartiles(v))))
+                         for side, v in (("parent", par), ("change", chg))}
+        summary[name]["wins"] = wins
+    if args.out:
+        _write(args.out, args, seconds, runs, summary)
     if not ok:
         print("a run failed or was not correct", file=sys.stderr)
     return 0 if ok else 1

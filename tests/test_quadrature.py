@@ -128,7 +128,8 @@ def test_nonfinite_integrand_diagnosed():
 
 
 def _xs(domain, level):
-    return [x for x, _ in _transform(domain)[2](level)]
+    rows, kept = _transform(domain)[2](level)
+    return [rows[i][0] for i in kept]
 
 
 _HALF, _FINITE = (0.0, math.inf), (0.0, 3.0)

@@ -21,17 +21,43 @@ _HALF_LINE = (0.0, math.inf)
 _TOL, _TERMS = QuadratureSpec().series_tail_tol, QuadratureSpec().max_terms
 
 
+def _nodes(domain, level, support=None):
+    """The (x, weight) pairs a walk of `level` takes, in its order."""
+    rows, kept = _transform(domain, support)[2](level)
+    return [rows[i][:2] for i in kept]
+
+
 def _skipped(domain, support):
     """The nodes of levels 0-12 on `domain` that `support` skips, after
     checking that the kept ones are the rest in their order."""
     lo, hi = support
     out = []
     for level in _LEVELS:
-        every = list(_transform(domain)[2](level))
-        kept = list(_transform(domain, support)[2](level))
+        every = _nodes(domain, level)
+        kept = _nodes(domain, level, support)
         assert kept == [(x, w) for x, w in every if lo <= x <= hi]
         out += [x for x, _ in every if not lo <= x <= hi]
     return out
+
+
+@pytest.mark.parametrize("domain, support", [
+    (_HALF_LINE, TwoParam(1e-3, 50.0).support()),  # around 1
+    (_HALF_LINE, (3.0, 400.0)),  # up rows only
+    (_HALF_LINE, (1e-5, 0.25)),  # down rows only
+    (_HALF_LINE, (1.0, 1.0)),  # the centre only
+    (_HALF_LINE, (2.0, 1.0)),  # empty
+    (_HALF_LINE, (math.nan, 5.0)),  # empty
+    ((1.0, math.inf), (1.0, PSI_REACH)),
+    ((1.0, math.inf), (1.5, 1.75)),  # down rows only
+    ((2.5, math.inf), (2.7, 90.0)),  # a start without cached rows
+])
+def test_the_index_cut_keeps_what_the_filter_keeps(domain, support):
+    # no assertion on what is skipped: some of these skip nothing
+    lo, hi = support
+    for level in _LEVELS:
+        every = _nodes(domain, level)
+        kept = _nodes(domain, level, support)
+        assert kept == [(x, w) for x, w in every if lo <= x <= hi]
 
 
 def _assert_zero_where_skipped(f, support, domain=_HALF_LINE):
@@ -138,8 +164,8 @@ def _assert_skips_move_no_bit(monkeypatch, module, name, call):
     full = getattr(quadrature, name)
     supports = []
 
-    def both(f, a, q, support=None):
-        got, want = full(f, a, q, support), full(f, a, q)
+    def both(f, a, q, support=None, **psi):
+        got, want = full(f, a, q, support, **psi), full(f, a, q, **psi)
         pairs = zip(got, want) if isinstance(got, list) else [(got, want)]
         for g, w in pairs:
             assert (g.value, g.err_estimate, g.converged) == (

@@ -242,6 +242,18 @@ def test_xi_past_the_overflow_of_the_theta_route(s):
     assert abs(r.value - ref) <= 2e-13 * abs(ref)
 
 
+@pytest.mark.parametrize("s", [200.0, 240.0, 250.0, 255.0, 260.0, -259.0,
+                               250.0 + 3.0j])
+def test_xi_theta_route_estimate_covers_its_error(s):
+    # near the top of the theta route the rounding of x^{(s-2)/2} is the
+    # error, and the tail's increment alone under-reported it 7-fold
+    r = xi_entire(s)
+    with mp.workdps(40):
+        ref = complex(xi_ref(s))
+    assert r.converged
+    assert abs(r.value - ref) <= r.err_estimate
+
+
 @given(
     st.floats(min_value=-2.0, max_value=3.0),
     st.floats(min_value=-8.0, max_value=8.0),
