@@ -3,7 +3,8 @@
 One engine and one node table serve every integral in the package.  The
 table is exp-sinh's, cached per level: y = e^u, u = (pi/2)sinh(t), with
 weight w = (pi/2)cosh(t) y, and its mirror 1/y; the centre t = 0 is level 0's
-first row, (1, pi/2), held once.  A half-line (a, inf) reads
+first row, (1, pi/2), held once.  Its rows, with log y, are those of the
+half-line (0, inf) (`_half_level`).  A half-line (a, inf) reads
 it as x = a + y; a finite (a, b) as x = a + (b - a) y/(1 + y), weight
 4w/(1 + y)^2 on the scale (b - a)/4.  As y/(1 + y) = (1 + tanh(u/2))/2,
 that is a tanh-sinh rule in (pi/4)sinh(t) (Takahasi & Mori, Publ. RIMS 9,
@@ -22,10 +23,20 @@ One level loop (`_de_levels`) carries any number of integrals over the same
 nodes.  `integrate` runs one; `integrate_powers` runs the K Mellin integrals
 int_0^inf base(x) x^{w_k} dx that share a base -- completed values at s and
 1 - s, or at the sigma values of a grid row -- in one exp-sinh pass, taking
-base and log x once a node.  Each component is accepted at its own level by
-the same rule, so its result is bit-identical to a pass of its own.  Every
-weight is finite and positive, so a nan or inf at any node leaves its level's
-sum non-finite: finiteness is tested once a level, on each active sum.
+base once a node.  Each component is accepted at its own level by the same
+rule, so its result is bit-identical to a pass of its own.  Every weight is
+finite and positive, so a nan or inf at any node leaves its level's sum
+non-finite: finiteness is tested once a level, on each active sum.
+
+The half-lines callers integrate over start at 0 (every completed value)
+or 1 (Riemann's xi integral), so their nodes x = a + y are the same on
+every pass.  Their rows (x, w, log x) are built once a level
+(`_half_level`), and beside them a psi column (`_psi_column`) holds the
+half-theta sum psi(x) = `theta._psi_raw` at each node once a walk has read
+it, keyed by the spec's series_tail_tol and max_terms.  A walk with
+psi=True reads both instead of computing them: the same float operations,
+run once a node per process instead of once a node per pass, so every
+value, estimate and evaluation count is unchanged.
 
 A caller that can show its integrand is exactly 0 outside a closed interval
 [lo, hi] of x passes it as `support`: the nodes outside it are neither
@@ -33,7 +44,9 @@ evaluated nor counted, and the rest keep their order.  Adding 0 to a sum
 changes no bit of it (up to the sign of a zero sum), so value and estimate
 are those of the full walk; only `evaluations` falls.  The exponential
 cutoffs vanish outside a window in log x and psi past x = 237 (`cutoffs`,
-`theta`): most of the table's far tails.
+`theta`): most of the table's far tails.  x is monotone along each
+direction of a level (y up, 1/y down), so a support is cut by bisection
+(`_kept`), not by a walk of the level.
 """
 
 from __future__ import annotations
@@ -49,19 +62,16 @@ from .errors import DomainError, NonConvergence, NonFiniteIntegrand
 from .theta import _psi_raw
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result
 
-# level -> the (y, w) rows new at that level: (y, (pi/2)cosh(t) y), then
+# The (y, w) rows new at a level: (y, (pi/2)cosh(t) y), then
 # (1/y, (pi/2)cosh(t)/y), y = e^u, for u = (pi/2)sinh(t) up to _U_CAP, which
 # keeps e^u inside double range; level 0 leads with the centre (1, pi/2).
 _U_CAP = 690.0
-_EXP_SINH_CACHE: dict[int, list[tuple[float, float]]] = {}
 
 
 def _level_nodes(level: int) -> list[tuple[float, float]]:
-    """Rows for the t <= 7 new at `level`: odd multiples of h (level 0: 0, 1, ...)."""
-    try:
-        return _EXP_SINH_CACHE[level]
-    except KeyError:
-        pass
+    """Rows for the t <= 7 new at `level`: odd multiples of h (level 0: 0, 1, ...).
+
+    Built afresh; walks read them as the cached rows of (0, inf)."""
     h = 0.5 ** level
     nodes = [(1.0, 0.5 * math.pi)] if level == 0 else []
     for k in range(1, int(7.0 / h) + 1, 1 if level == 0 else 2):
@@ -73,12 +83,12 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
         c = 0.5 * math.pi * math.cosh(t)
         nodes.append((y, c * y))
         nodes.append((1.0 / y, c / y))
-    _EXP_SINH_CACHE[level] = nodes
     return nodes
 
 
 # (start, level) -> `_half_level` of the half-line (start, inf), for the
-# starts callers use: 0 (completed values) and 1 (Riemann's xi integral).
+# starts callers use: 0 (completed values, and the node table itself) and 1
+# (Riemann's xi integral).
 _ROW_STARTS = (0.0, 1.0)
 _HALF_ROWS: dict[tuple[float, int], tuple[list, list, list]] = {}
 # (start, level, tail_tol, max_terms) -> `_psi_column`.  Both tables only
@@ -99,16 +109,17 @@ def _half_level(a: float, level: int) -> tuple[list, list, list]:
         return _HALF_ROWS[a, level]
     except KeyError:
         pass
-    cached = a in _ROW_STARTS
-    rows = []
-    for y, w in _level_nodes(level):
-        x = a + y
-        rows.append((x, w, math.log(x) if cached else None))
+    if a == 0.0:
+        rows = [(y, w, math.log(y)) for y, w in _level_nodes(level)]
+    else:
+        cached = a in _ROW_STARTS
+        rows = [(a + y, w, math.log(a + y) if cached else None)
+                for y, w, _ in _half_level(0.0, level)[0]]
     first = 1 if level == 0 else 0  # level 0 leads with the centre y = 1
     ups = [row[0] for row in rows[first::2]]
     downs = [row[0] for row in rows[first + 1::2]]
     downs.reverse()
-    if cached:
+    if a in _ROW_STARTS:
         _HALF_ROWS[a, level] = rows, ups, downs
     return rows, ups, downs
 
@@ -184,7 +195,7 @@ def _transform(domain: tuple[float, float], support=None):
 
     def finite(level):
         rows = []
-        for y, w in _level_nodes(level):
+        for y, w, _ in _half_level(0.0, level)[0]:
             r = 1.0 + y
             d = width * min(y, 1.0) / r  # distance to the nearer end
             if d:  # else it underflowed, and the node would sit on the end

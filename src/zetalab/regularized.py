@@ -183,7 +183,9 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
 
     The values share that pass (`integrate_powers`): psi h is evaluated once
     a node and only x^(s/2-1) changes with s, so each value is bit for bit
-    what a pass of its own gives.
+    what a pass of its own gives.  On the real axis psi(x) and log x come
+    from the node's row (psi=True), computed once a node per process, and
+    psi is read only where h(x) != 0.
 
     theta = None integrates psi h x^(s/2-1) along the real axis, for any
     cutoff.  A float theta, |theta| < pi/2, is the exp-symmetric ray route

@@ -388,7 +388,10 @@ def _tail_integral(s: complex, q: QuadratureSpec) -> EvalResult:
 
     Manifestly symmetric under s -> 1-s; decays like e^{-pi x}, so the
     half-line engine sees an entire, rapidly vanishing integrand, exactly 0
-    past psi's reach, where its nodes are skipped.
+    past psi's reach, where its nodes are skipped.  psi(x) and log x come
+    from the rows of (1, inf) (`integrate`'s psi=True), computed once a node
+    per process; the powers are taken from log x as `power_real_base` takes
+    them, so the value is bit for bit that of calling it.
     """
     s = complex(s)
     a = 0.5 * (s - 2.0)
