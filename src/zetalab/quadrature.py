@@ -109,17 +109,17 @@ def _half_level(a: float, level: int) -> tuple[list, list, list]:
         return _HALF_ROWS[a, level]
     except KeyError:
         pass
+    cached = a in _ROW_STARTS
     if a == 0.0:
         rows = [(y, w, math.log(y)) for y, w in _level_nodes(level)]
     else:
-        cached = a in _ROW_STARTS
         rows = [(a + y, w, math.log(a + y) if cached else None)
                 for y, w, _ in _half_level(0.0, level)[0]]
     first = 1 if level == 0 else 0  # level 0 leads with the centre y = 1
     ups = [row[0] for row in rows[first::2]]
     downs = [row[0] for row in rows[first + 1::2]]
     downs.reverse()
-    if a in _ROW_STARTS:
+    if cached:
         _HALF_ROWS[a, level] = rows, ups, downs
     return rows, ups, downs
 
