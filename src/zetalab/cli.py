@@ -24,7 +24,7 @@ import time
 
 from . import __version__
 from .bessel import bessel_k
-from .cache import cache_key, get_or_compute, has_entry, resolve_cache_dir
+from .cache import CacheLog, cache_key, get_or_compute, resolve_cache_dir
 from .cutoffs import (CustomCutoff, CutoffSpec, ExpAlpha, ExpSymmetric,
                       NoCutoff, TwoParam, TwoParamNu)
 from .diffusion import (heat_kernel_h3, heat_kernel_hyperbolic_odd,
@@ -475,6 +475,8 @@ def _cmd_grid(args) -> int:
     if lams == [None] and args.fn != "zeta":
         raise DomainError("--lambda is required for this selector")
     cache_dir = resolve_cache_dir(args.cache_dir)
+    log = CacheLog(cache_dir) if cache_dir is not None else None
+    held = log.entries if log is not None else {}
     quad_obj = dataclasses.asdict(q)
     row_call = _GRID_ROWS[args.fn]
     by_row = []                 # each (t, lambda) row's records, sigma ascending
@@ -482,8 +484,7 @@ def _cmd_grid(args) -> int:
         lam_param = {} if lam is None else {"lambda": lam}
         params = [{"sigma": sigma, "t": t, **lam_param} for sigma in sigmas]
         keys = [cache_key(args.fn, p, quad_obj) for p in params]
-        missing = [i for i, key in enumerate(keys)
-                   if not has_entry(cache_dir, key)]
+        missing = [i for i, key in enumerate(keys) if key not in held]
         computed = {}           # index in sigmas -> EvalResult
         if missing:
             computed = dict(zip(missing, row_call(
@@ -497,7 +498,7 @@ def _cmd_grid(args) -> int:
                     "err_estimate": result.err_estimate}
 
         by_row.append([
-            get_or_compute(cache_dir, key, functools.partial(compute, i))
+            get_or_compute(log, key, functools.partial(compute, i))
             for i, key in enumerate(keys)])
     # sigma outermost, then t, then lambda: the sorted order of the points
     results = [row[i] for i in range(len(sigmas)) for row in by_row]

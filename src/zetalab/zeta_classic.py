@@ -420,11 +420,16 @@ def _theta_route(s: complex, q: QuadratureSpec) -> EvalResult:
     its estimate; `zeta_analytic` takes it for Re s < 1, |Im s| <= 10."""
     tail = _tail_integral(s, q)
     pis = power_real_base(math.pi, 0.5 * s)
-    value = pis * (rgamma(0.5 * s + 1.0) / (2.0 * (s - 1.0))
-                   + rgamma(0.5 * s) * tail.value)
+    head = rgamma(0.5 * s + 1.0) / (2.0 * (s - 1.0))
+    value = pis * (head + rgamma(0.5 * s) * tail.value)
+    pref = pis * rgamma(0.5 * s)
+    if not cmath.isfinite(value):
+        # left of Re s ~ -225 the tail times 1/Gamma(s/2) overflows alone
+        value = pis * head + pref * tail.value
+        if not cmath.isfinite(value):
+            raise OverflowError(f"zeta is past the double range at s = {s}")
     # plus the rounding of the prefactor pi^{s/2} / Gamma(s/2)
-    err = (abs(pis * rgamma(0.5 * s)) * tail.err_estimate
-           + _gamma_rounding(s) * abs(value))
+    err = abs(pref) * tail.err_estimate + _gamma_rounding(s) * abs(value)
     return make_result(value, err, tail.evaluations, q)
 
 

@@ -50,6 +50,18 @@ def test_eval_zeta_json_schema(capsys):
     assert doc["meta"]["quadrature"]["abs_tol"] == 1e-12
 
 
+@pytest.mark.parametrize("s,expected", [("-229", 0), ("-261", 2), ("-270", 2)])
+def test_eval_zeta_far_left_prints_a_value_or_exits_2(capsys, s, expected):
+    # zeta(-229) ~ 1.8e259 prints; past the double range (zeta at -261, the
+    # tail integral at -270) is a numerical failure, not an unprintable record
+    code, out, err = run_cli(capsys, "eval", "--fn", "zeta", "--s", s)
+    assert code == expected
+    if expected == 0:
+        assert json.loads(out)["converged"] is True
+    else:
+        assert out == "" and "range" in err
+
+
 def test_eval_zeta_and_zeta_reg_on_the_real_axis_past_ten(capsys):
     # psi's absolute tail test made zeta(20) raise NonConvergence (exit 2)
     # and left zeta-reg(10) 4.5e-12 off
@@ -343,16 +355,29 @@ def test_grid_omega_symmetric_about_half(capsys):
         assert abs(a - b.conjugate()) <= 1e-8 * max(abs(a), 1.0)
 
 
+def _log_lines(cache) -> list[str]:
+    """The cache log's lines, each checked whole: newline, tab, a record."""
+    with open(os.path.join(cache, "grid.log"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
+    for line in lines:
+        key, record = line.split("\t")
+        json.loads(key), json.loads(record)
+    return lines
+
+
 def test_grid_cache_roundtrip(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     args = ("grid", "--fn", "xi-lambda", "--sigma", "0,0.5", "--t", "0,5",
             "--lambda", "0.7", "--format", "csv", "--cache-dir", cache)
     code, first, _ = run_cli(capsys, *args)
     assert code == 0
-    assert len(os.listdir(cache)) == 4
+    assert os.listdir(cache) == ["grid.log"] and len(_log_lines(cache)) == 4
     code, second, _ = run_cli(capsys, *args)
     assert code == 0
     assert first == second  # cache-served rerun is byte-identical
+    assert len(_log_lines(cache)) == 4  # and appends nothing
 
 
 def test_grid_unreadable_cache_entry_is_recomputed(tmp_path, capsys):
@@ -362,12 +387,64 @@ def test_grid_unreadable_cache_entry_is_recomputed(tmp_path, capsys):
     code, cold, _ = run_cli(capsys, *args, "--cache-dir", "")
     assert code == 0
     run_cli(capsys, *args, "--cache-dir", str(cache))
-    entry = sorted(cache.iterdir())[1]
-    entry.write_text("{not json", encoding="utf-8")
+    lines = _log_lines(cache)
+    key = lines[1].split("\t")[0]
+    lines[1] = key + "\t{not json"
+    (cache / "grid.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, again, _ = run_cli(capsys, *args, "--cache-dir", str(cache))
     assert code == 0
     assert again == cold
-    assert json.loads(entry.read_text(encoding="utf-8"))["sigma"] in (0.3, 0.7)
+    last_key, record = (cache / "grid.log").read_text(
+        encoding="utf-8").splitlines()[-1].split("\t")
+    assert last_key == key and json.loads(record)["sigma"] in (0.3, 0.7)
+
+
+def _no_row_call(monkeypatch, fn):
+    def no_call(get, q, s_row):
+        raise AssertionError(f"row call at {s_row}")
+
+    monkeypatch.setitem(cli._GRID_ROWS, fn, no_call)
+
+
+def test_grid_torn_last_line_is_a_miss(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    args = ("grid", "--fn", "xi-lambda", "--sigma", "0.2,0.6", "--t", "0,5",
+            "--lambda", "0.5", "--format", "csv")
+    code, cold, _ = run_cli(capsys, *args, "--cache-dir", "")
+    assert code == 0
+    run_cli(capsys, *args, "--cache-dir", str(cache))
+    log = cache / "grid.log"
+    text = log.read_text(encoding="utf-8")
+    log.write_text(text[:-20], encoding="utf-8")  # a write cut short
+    code, again, _ = run_cli(capsys, *args, "--cache-dir", str(cache))
+    assert code == 0 and again == cold
+    _no_row_call(monkeypatch, "xi-lambda")
+    code, replay, _ = run_cli(capsys, *args, "--cache-dir", str(cache))
+    assert code == 0 and replay == cold
+
+
+def test_grid_processes_sharing_a_cache_append_whole_lines(tmp_path, capsys,
+                                                           monkeypatch):
+    cache = str(tmp_path / "cache")
+    grids = [("grid", "--fn", "xi-lambda", "--sigma", sigma, "--t", "0,5",
+              "--lambda", "0.05,0.5", "--format", "csv")
+             for sigma in ("0.2,0.4,0.6", "0.4,0.6,0.8")]
+    colds = [run_cli(capsys, *grid, "--cache-dir", "")[1] for grid in grids]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    procs = [subprocess.Popen([sys.executable, "-m", "zetalab.cli", *grid,
+                               "--cache-dir", cache], env=env,
+                              stdout=subprocess.PIPE, text=True)
+             for grid in grids]
+    outs = [proc.communicate(timeout=120)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outs == colds
+    # 16 points, 8 of them shared: each line whole, each point there
+    lines = _log_lines(cache)
+    assert 16 <= len(lines) <= 24
+    assert len({line.split("\t")[0] for line in lines}) == 16
+    _no_row_call(monkeypatch, "xi-lambda")
+    for grid, cold in zip(grids, colds):
+        assert run_cli(capsys, *grid, "--cache-dir", cache)[1] == cold
 
 
 def test_grid_replay_from_a_full_cache_makes_no_row_call(tmp_path, capsys,
@@ -377,11 +454,7 @@ def test_grid_replay_from_a_full_cache_makes_no_row_call(tmp_path, capsys,
             "--cache-dir", str(tmp_path / "cache"))
     code, first, _ = run_cli(capsys, *args)
     assert code == 0
-
-    def no_call(get, q, s_row):
-        raise AssertionError(f"row call at {s_row}")
-
-    monkeypatch.setitem(cli._GRID_ROWS, "xi-lambda", no_call)
+    _no_row_call(monkeypatch, "xi-lambda")
     code, second, _ = run_cli(capsys, *args)
     assert code == 0
     assert second == first
@@ -419,11 +492,11 @@ def test_grid_cache_env_and_flag_priority(tmp_path, capsys, monkeypatch):
     flag_dir = tmp_path / "from-flag"
     monkeypatch.setenv("ZETALAB_CACHE_DIR", str(env_dir))
     run_cli(capsys, "grid", "--fn", "zeta", "--sigma", "2", "--t", "0,1")
-    assert env_dir.is_dir() and len(os.listdir(env_dir)) == 2
+    assert len(_log_lines(env_dir)) == 2
     run_cli(capsys, "grid", "--fn", "zeta", "--sigma", "3", "--t", "0",
             "--cache-dir", str(flag_dir))
-    assert flag_dir.is_dir() and len(os.listdir(flag_dir)) == 1
-    assert len(os.listdir(env_dir)) == 2  # flag won; env dir untouched
+    assert len(_log_lines(flag_dir)) == 1
+    assert len(_log_lines(env_dir)) == 2  # flag won; env dir untouched
 
 
 def test_grid_jobs_parallel_matches_serial(capsys):

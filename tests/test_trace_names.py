@@ -72,3 +72,24 @@ def test_trace_runs_in_process_and_repeats_its_counts():
         assert counts["regularized.completed_quadrature"][0] > 0
     assert "regularized.completed_quadrature" not in scan_counts
     assert scan_counts["zeta_classic.hardy_z"][0] > 0
+
+
+def test_trace_counts_hits_and_misses_of_a_cache_log(tmp_path):
+    # the tracer wraps get_or_compute's first argument through unread, so a
+    # cold run counts a miss and a replay a hit for each of the 6 points
+    tracer_module = _load_tracer()
+    cli = importlib.import_module("zetalab.cli")
+    argv = ["grid", "--fn", "xi-lambda", "--sigma", "0.2:0.6:0.2", "--t", "0,5",
+            "--lambda", "0.5", "--cache-dir", str(tmp_path / "cache")]
+    scalars = []
+    for _ in range(2):
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(list(argv)) == 0
+        finally:
+            tracer.uninstall()
+        scalars.append(tracer.totals()["scalars"])
+    assert [(s["cache.misses"], s["cache.hits"]) for s in scalars] == [(6, 0), (0, 6)]

@@ -157,6 +157,26 @@ def test_theta_route_meets_its_estimate_far_right_of_the_strip(s):
     assert r.converged or pref > abs(r.value)
 
 
+@pytest.mark.parametrize("s", [-225.0, -229.0, -225.5 + 3.0j, -229.0 + 10.0j])
+def test_theta_route_far_left_of_the_strip(s):
+    # the tail times 1/Gamma(s/2) overflows here though zeta (~1e253 at
+    # -225) does not: pi^{s/2} / Gamma(s/2) is formed first
+    r = zeta_analytic(s)
+    with mp.workdps(40):
+        ref = complex(mp.zeta(mp.mpc(s)))
+    assert r.converged
+    assert abs(r.value - ref) <= r.err_estimate
+    assert abs(r.value - ref) <= 2e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("s", [-261.0, -262.0 + 5.0j, -265.0, -270.0])
+def test_zeta_past_the_double_range_raises(s):
+    # zeta itself (-261, -262 + 5i) or the tail (-265, -270) leaves the
+    # double range: an OverflowError, never inf or nan reported converged
+    with pytest.raises(OverflowError):
+        zeta_analytic(s)
+
+
 def _right_of_one_points():
     # the theta points right of Re s = 1, seeded points with Re s in
     # [1, 1000] and |t| <= 10, and points next to the pole
