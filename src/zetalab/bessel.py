@@ -36,6 +36,15 @@
   integral as an honest prefactor instead of being assembled from
   cancelling oscillations, so the trapezoid keeps relative accuracy.
 
+Both trapezoids read their nodes from rows kept once per process
+(`_K_ROWS`): level L holds (x, cosh x, sinh x) at x = k 2^-(L+1), extended
+only as far as a sum has read and never past k h = 80 (the tail stop
+usually ends near x = 5-10).  The shifted contour takes x and -x from one
+row, as cosh is even and sinh odd bit for bit, and forms its exponent in
+the level sum with the call's constants hoisted.  The float operations and
+their order are those of one integrand call a node, so every value,
+estimate and evaluation count is what that walk gives.
+
 Cross-check route: the two-sided Laplace integral
 
     integral_0^inf x^{nu-1} exp(-beta/x - gamma x) dx
@@ -68,19 +77,47 @@ _TAIL_STOP = 1e-19
 _SERIES_Z = 2.0
 _EPS = sys.float_info.epsilon
 
+# level -> the rows (x, cosh x, sinh x) of the trapezoid nodes x = k h,
+# h = 2^-(level + 1): every k >= 1 at level 0, the odd k after.  Every K
+# call of the process reads the same rows; a level holds them only as far
+# as a sum has read (`_tail_sum`), and never past k h = _REACH.
+_K_ROWS: dict[int, list] = {}
+_REACH = 80.0
+# the row of the centre x = 0, which every trapezoid takes once
+_CENTRE = ((0.0, 1.0, 0.0),)
 
-def _tail_sum(f, h: float, stride: int, sign: int) -> tuple[complex, int]:
-    """sum of f(sign k h) for k = 1, 1 + stride, ..., with its term count.
+
+def _grow(level: int, rows: list) -> int:
+    """Append the next row of `level` to its rows unless it passes k h =
+    _REACH; the number of rows."""
+    k = len(rows) + 1 if level == 0 else 2 * len(rows) + 1
+    x = k * 0.5 ** (level + 1)
+    if x <= _REACH:
+        rows.append((x, math.cosh(x), math.sinh(x)))
+    return len(rows)
+
+
+def _level_rows(level: int) -> list:
+    rows = _K_ROWS.get(level)
+    if rows is None:
+        rows = _K_ROWS[level] = []
+        _grow(level, rows)
+    return rows
+
+
+def _tail_sum(level: int, rows: list, terms) -> tuple[complex, int]:
+    """The sum of `terms`, one for each of the rows of `level` in order,
+    with its term count.
 
     Stops after three terms in a row below _TAIL_STOP relative to the sum,
-    or once k h passes 80.
+    or past the last row (k h = 80).  `terms` walks the list `rows` itself,
+    so the row appended here when it reaches the end is the next it reads.
     """
     total = 0j
-    k = 1
     count = 0
     small_run = 0
-    while True:
-        term = f(sign * k * h)
+    n = len(rows)
+    for term in terms:
         count += 1
         total += term
         if abs(term) <= _TAIL_STOP * (abs(total) + 1e-300):
@@ -89,36 +126,34 @@ def _tail_sum(f, h: float, stride: int, sign: int) -> tuple[complex, int]:
                 break
         else:
             small_run = 0
-        k += stride
-        if k * h > 80.0:
-            break
+        if count == n:
+            n = _grow(level, rows)
     return total, count
 
 
-def _halving_trapezoid(f, even: bool, relative: bool, q: QuadratureSpec,
+def _halving_trapezoid(f0: complex, sides, relative: bool, q: QuadratureSpec,
                        route: str) -> EvalResult:
     """(1/2) integral over R of f by the trapezoid rule, halving h from 0.5.
 
-    An even f is summed on the positive side only and that side counted
-    twice.  Each halving adds the odd multiples of the new h and is accepted
-    on err <= rel_tol |value| when `relative`, else on the spec's
+    f0 is f(0).  Each side is a function of a level's rows that yields f at
+    x (the first side) or at -x (the second) for each row (x, cosh x,
+    sinh x); one side means f is even, and that side is counted twice.  Each
+    halving adds the odd multiples of the new h and is accepted on
+    err <= rel_tol |value| when `relative`, else on the spec's
     tolerance_for; err is the change from the previous h.
     """
-    def level_sum(h: float, stride: int) -> tuple[complex, int]:
-        plus, count = _tail_sum(f, h, stride, +1)
-        if even:
-            return plus + plus, count
-        minus, more = _tail_sum(f, h, stride, -1)
-        return plus + minus, count + more
-
-    f0 = f(0.0)
     evaluations = 1
     acc = 0j
-    h = 1.0
     prev = None
     for level in range(q.max_levels + 1):
-        h *= 0.5
-        part, spent = level_sum(h, 2 if level else 1)
+        h = 0.5 ** (level + 1)
+        rows = _level_rows(level)
+        plus, spent = _tail_sum(level, rows, sides[0](rows))
+        if len(sides) == 1:
+            part = plus + plus
+        else:
+            minus, more = _tail_sum(level, rows, sides[1](rows))
+            part, spent = plus + minus, spent + more
         acc += part
         evaluations += spent
         result = 0.5 * h * (f0 + acc)
@@ -132,6 +167,16 @@ def _halving_trapezoid(f, even: bool, relative: bool, q: QuadratureSpec,
                          best=result, err_estimate=err)
 
 
+def _contour_terms(rows, zc: float, zs: float, nr: float, b: float,
+                   bt: float, nt: float):
+    """exp(w) at each row, w = zc cosh x + nr x - bt + i (zs sinh x + b x + nt),
+    and 0 where Re w < -745.  With zs, nr and b negated these are the values
+    at -x: cosh is even and sinh odd, bit for bit."""
+    for x, c, sh in rows:
+        re = zc * c + nr * x - bt
+        yield 0j if re < -745.0 else cmath.exp(complex(re, zs * sh + b * x + nt))
+
+
 def _shifted_route(nu: complex, z: float, q: QuadratureSpec) -> EvalResult:
     """Two-sided trapezoid on the contour Im u = theta; needs Im nu > 0."""
     b = nu.imag
@@ -140,19 +185,20 @@ def _shifted_route(nu: complex, z: float, q: QuadratureSpec) -> EvalResult:
     # shrinks with b to keep the residual conditioning ~exp(3) at worst.
     delta = max(math.acos(min(b / z, 1.0)), min(0.3, 3.0 / b))
     theta = 0.5 * math.pi - delta
-    ct = math.cos(theta)
-    st = math.sin(theta)
-
-    def f(x: float) -> complex:
-        w = complex(-z * ct * math.cosh(x) + nu.real * x - b * theta,
-                    -z * st * math.sinh(x) + b * x + nu.real * theta)
-        if w.real < -745.0:
-            return 0j
-        return cmath.exp(w)
-
+    # the integrand exp(-z cosh(x + i theta) + nu (x + i theta)) at x is
+    # exp(w) with w the exponent `_contour_terms` forms from these
+    zc = -z * math.cos(theta)
+    zs = -z * math.sin(theta)
+    nr = nu.real
+    bt = b * theta
+    nt = nr * theta
+    f0 = next(_contour_terms(_CENTRE, zc, zs, nr, b, bt, nt))
     # relative-only acceptance: these values can sit far below abs_tol
     # and still need every digit when a series divides by their scale
-    return _halving_trapezoid(f, False, True, q, "contour")
+    return _halving_trapezoid(
+        f0, (lambda rows: _contour_terms(rows, zc, zs, nr, b, bt, nt),
+             lambda rows: _contour_terms(rows, zc, -zs, -nr, -b, bt, nt)),
+        True, q, "contour")
 
 
 def _series_route(nu: complex, z: complex,
@@ -226,22 +272,24 @@ def _cosh_route(nu: complex, z: complex, q: QuadratureSpec) -> EvalResult:
         return _shifted_route(nu, z.real, q)
     real_case = nu.imag == 0.0 and z.imag == 0.0
 
-    def f(t: float) -> complex:
-        zc = z * math.cosh(t)
-        if real_case:
-            ez = math.exp(-zc.real) if zc.real < 745.0 else 0.0
-            if ez == 0.0:
-                return 0.0
-            return ez * math.cosh(nu.real * t)
-        if zc.real > 745.0:
-            return 0.0
-        nt = nu * t
-        return 0.5 * (cmath.exp(-zc + nt) + cmath.exp(-zc - nt))
+    def terms(rows):
+        nr = nu.real
+        for t, c, _ in rows:
+            zc = z * c
+            if real_case:
+                ez = math.exp(-zc.real) if zc.real < 745.0 else 0.0
+                yield ez * math.cosh(nr * t) if ez != 0.0 else 0.0
+            elif zc.real > 745.0:
+                yield 0.0
+            else:
+                nt = nu * t
+                yield 0.5 * (cmath.exp(-zc + nt) + cmath.exp(-zc - nt))
 
     # real order and argument: a positive integrand, so relative-only
     # acceptance (as on the shifted contour) is reachable and keeps
     # K_nu(z) ~ e^{-z} honest far below abs_tol
-    return _halving_trapezoid(f, True, real_case, q, "cosh-route")
+    return _halving_trapezoid(next(terms(_CENTRE)), (terms,), real_case, q,
+                              "cosh-route")
 
 
 def bessel_k(nu: complex, z: float, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:

@@ -36,7 +36,11 @@ half-theta sum psi(x) = `theta._psi_raw` at each node once a walk has read
 it, keyed by the spec's series_tail_tol and max_terms.  A walk with
 psi=True reads both instead of computing them: the same float operations,
 run once a node per process instead of once a node per pass, so every
-value, estimate and evaluation count is unchanged.
+value, estimate and evaluation count is unchanged.  `integrate_powers`
+takes a by-row base instead (by_row=True), which is handed each node's row
+index, so its caller keeps columns of its own beside the rows of (0, inf):
+the completed values read psi there, and the exp-symmetric ray x + 1/x
+and psi - G at x = r e^{i theta} (`regularized._ray_rows`).
 
 A caller that can show its integrand is exactly 0 outside a closed interval
 [lo, hi] of x passes it as `support`: the nodes outside it are neither
@@ -92,8 +96,7 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
 _ROW_STARTS = (0.0, 1.0)
 _HALF_ROWS: dict[tuple[float, int], tuple[list, list, list]] = {}
 # (start, level, tail_tol, max_terms) -> `_psi_column`.  Both tables only
-# grow, and a race between grid threads only repeats work: every writer
-# stores the same value.
+# grow, and every writer of an entry stores the same value.
 _PSI_COLUMNS: dict[tuple, list] = {}
 
 
@@ -258,9 +261,9 @@ def integrate(f: Callable[..., complex], domain: tuple[float, float],
     return _de_levels(add, 1, scale, name, q)[0]
 
 
-def integrate_powers(base: Callable[[float], complex], exponents,
+def integrate_powers(base: Callable, exponents,
                      q: QuadratureSpec = DEFAULT_QUAD, support=None,
-                     psi: bool = False) -> list[EvalResult]:
+                     by_row: bool = False) -> list[EvalResult]:
     """[integral of base(x) x^w over (0, inf) for w in exponents], in one pass.
 
     Every component sees the same nodes, so base is evaluated once a node,
@@ -274,9 +277,9 @@ def integrate_powers(base: Callable[[float], complex], exponents,
     integrands' early returns do, and support = (lo, hi), the interval
     outside which base is exactly 0, keeps the nodes outside it from being
     evaluated or counted at all.
-    psi=True integrates psi(x) base(x) x^w instead: psi(x) is read from the
-    node's column as in `integrate`, only where base(x) != 0, and a node
-    where the product is 0 is skipped as well.
+    by_row=True lets a caller keep columns beside the rows (`_psi_column`
+    is one): base(level) is called once a level and returns the function
+    at(i, x) that gives base at row i of `_half_level(0.0, level)`.
 
     Raises as `integrate` does; when components fail to converge,
     NonConvergence carries the best value and last increment of the first
@@ -291,24 +294,16 @@ def integrate_powers(base: Callable[[float], complex], exponents,
             powers.append((k, w.real if isinstance(w, complex) else float(w),
                            False))
     scale, name, points = _transform((0.0, math.inf), support)
-    tol, terms = q.series_tail_tol, q.max_terms
 
     def add(level, raws, active):
         rows, kept = points(level)
         live = [powers[k] for k in active]
-        column = _psi_column(0.0, level, q) if psi else None
+        at = base(level) if by_row else None
         for i in kept:
             x, weight, lx = rows[i]
-            b = base(x)
+            b = at(i, x) if by_row else base(x)
             if b == 0:
                 continue
-            if psi:
-                p = column[i]
-                if p is None:
-                    p = column[i] = _psi_raw(x, tol, terms)
-                b = p * b
-                if b == 0:
-                    continue
             for k, w, cx in live:
                 raws[k] += b * (cmath.exp(w * lx) if cx
                                 else math.exp(w * lx) + 0.0j) * weight

@@ -38,6 +38,11 @@ one `integrate_powers` pass over (0, inf), since only x^(s/2-1) changes
 with s.  Each value is bit-identical to a pass of its own.
 `_completed_exp`, `_zeta_regularized_row`, `_xi_lambda_row` and
 `_omega_row` are the row forms; the public functions are their one-s case.
+The node factors that depend on neither s nor lam sit in columns beside
+the quadrature's rows and are computed once a node per process: psi on
+the real axis, and x + 1/x and psi - G on the ray, kept for the last
+_RAY_THETAS angles (`_ray_rows`), so the lambdas of a grid row and the
+sides of a verify job share them.
 
 Why a ray: on the real axis the integral is of size ~e^{-pi |t| / 4}
 while its integrand is of order one, so it loses about e^{pi |t| / 4} to
@@ -55,10 +60,10 @@ import math
 from dataclasses import replace
 
 from .bessel import bessel_k, bessel_k_complex_arg
-from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff
+from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff, _damped_exp
 from .errors import DomainError, NonConvergence
 from .gammafn import power_real_base, rgamma
-from .quadrature import integrate, integrate_powers
+from .quadrature import _half_level, _psi_column, integrate, integrate_powers
 from .theta import PSI_REACH, _psi_complex_remainder, _psi_raw
 from .types import (DEFAULT_QUAD, EvalResult, QuadratureSpec, RegZetaValue,
                     make_result, sum_pieces)
@@ -177,15 +182,91 @@ def _quadrature_support(cutoff: CutoffSpec,
     return lo, min(hi, PSI_REACH / cos)
 
 
+def _psi_rows(cutoff: CutoffSpec, q: QuadratureSpec):
+    """The by-row base of the real axis (`integrate_powers`):
+    at(i, x) = psi(x) h(x), psi read from the row's `_psi_column` entry,
+    computed there once a node per process, and only where h(x) != 0."""
+    tol, terms = q.series_tail_tol, q.max_terms
+    value = cutoff.value
+
+    def level_base(level: int):
+        column = _psi_column(0.0, level, q)
+
+        def at(i: int, x: float) -> complex:
+            hv = value(x)
+            if hv == 0:
+                return hv
+            p = column[i]
+            if p is None:
+                p = column[i] = _psi_raw(x, tol, terms)
+            return p * hv
+
+        return at
+
+    return level_base
+
+
+# (theta, series_tail_tol, max_terms) -> {level: (sums, rems)}, the ray
+# columns beside the rows of (0, inf): sums[i] = x + 1/x and rems[i] =
+# psi(x) - G(x) at x = r e^{i theta}, r row i's node, None until a walk
+# reads them.
+# Only the _RAY_THETAS angles used last are kept: a grid row walks its
+# lambdas at one t, and a verify job alternates theta(t) with theta(-t).
+_RAY_COLUMNS: dict[tuple, dict[int, tuple[list, list]]] = {}
+_RAY_THETAS = 4
+
+
+def _ray_rows(cutoff: ExpSymmetric, theta: float, q: QuadratureSpec):
+    """The by-row base of the ray x = r e^{i theta} (`integrate_powers`):
+    at(i, r) = (psi(x) - G(x)) h(x) for the cutoff h, with x + 1/x
+    and psi - G read from the angle's columns and computed there once a node
+    per process, psi - G only where h(x) != 0.  The float operations are
+    those of `ExpSymmetric.value(x)` and `_psi_complex_remainder`."""
+    key = theta, q.series_tail_tol, q.max_terms
+    levels = _RAY_COLUMNS.pop(key, {})
+    _RAY_COLUMNS[key] = levels  # the most recent angle last
+    if len(_RAY_COLUMNS) > _RAY_THETAS:
+        del _RAY_COLUMNS[next(iter(_RAY_COLUMNS))]
+    rot = cmath.exp(1j * theta)
+    lamc = complex(cutoff.lam)
+    tol, terms = q.series_tail_tol, q.max_terms
+
+    def level_base(level: int):
+        columns = levels.get(level)
+        if columns is None:
+            n = len(_half_level(0.0, level)[0])
+            columns = levels[level] = [None] * n, [None] * n
+        sums, rems = columns
+
+        def at(i: int, r: float) -> complex:
+            u = sums[i]
+            if u is None:
+                x = r * rot
+                u = sums[i] = x + 1.0 / x
+            hv = _damped_exp(lamc * u)
+            if hv == 0.0:
+                return hv
+            p = rems[i]
+            if p is None:
+                p = rems[i] = _psi_complex_remainder(r * rot, tol, terms)
+            return p * hv
+
+        return at
+
+    return level_base
+
+
 def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
                           theta: float | None = None) -> list[EvalResult]:
     """[completed(s; h) for s in s_values], by one exp-sinh pass over (0,inf).
 
     The values share that pass (`integrate_powers`): psi h is evaluated once
     a node and only x^(s/2-1) changes with s, so each value is bit for bit
-    what a pass of its own gives.  On the real axis psi(x) and log x come
-    from the node's row (psi=True), computed once a node per process, and
-    psi is read only where h(x) != 0.
+    what a pass of its own gives.  The per-node factors that do not change
+    with the cutoff's parameters sit in columns beside the rows, filled once
+    a node per process: psi(x) on the real axis (`_psi_rows`), x + 1/x and
+    psi - G on the ray (`_ray_rows`), so the lambdas of a grid row, the
+    sigma values and the 1 - s sides of a verify job compute them once.
 
     theta = None integrates psi h x^(s/2-1) along the real axis, for any
     cutoff.  A float theta, |theta| < pi/2, is the exp-symmetric ray route
@@ -207,23 +288,15 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
     half_exps = [0.5 * s - 1.0 for s in s_values]
 
     if theta is None:
-        return integrate_powers(cutoff.value, half_exps, q,
-                                _quadrature_support(cutoff), psi=True)
+        return integrate_powers(_psi_rows(cutoff, q), half_exps, q,
+                                _quadrature_support(cutoff), by_row=True)
 
     lam = _require_positive_real(cutoff.lam, "the ray route")
-    rot = cmath.exp(1j * theta)
-
-    def ray_base(r: float) -> complex:
-        x = r * rot
-        hv = cutoff.value(x)
-        if hv == 0.0:
-            return 0.0
-        return _psi_complex_remainder(x, q.series_tail_tol, q.max_terms) * hv
-
     return [sum_pieces([sum_pieces([ray], cmath.exp(0.5j * theta * s)),
                         _asymptote_integral(s, lam, q)])
             for s, ray in zip(s_values, integrate_powers(
-                ray_base, half_exps, q, _quadrature_support(cutoff, theta)))]
+                _ray_rows(cutoff, theta, q), half_exps, q,
+                _quadrature_support(cutoff, theta), by_row=True))]
 
 
 def _ray_angle(t: float) -> float:

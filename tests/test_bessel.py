@@ -1,12 +1,16 @@
 """K_nu tests: closed forms, the nu-symmetry, recurrence, and each route of the dispatch."""
 
+import cmath
 import json
 import math
 import pathlib
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+import zetalab.bessel as bessel
 from oracles import besselk_ref
 from zetalab.bessel import (
     _SERIES_Z,
@@ -20,7 +24,7 @@ from zetalab.bessel import (
 )
 from zetalab.errors import DomainError, NonConvergence
 from zetalab.gammafn import gamma_complex, power_real_base
-from zetalab.types import DEFAULT_QUAD, QuadratureSpec
+from zetalab.types import DEFAULT_QUAD, QuadratureSpec, make_result
 
 
 def test_half_order_closed_form():
@@ -168,3 +172,161 @@ def test_series_falls_through_to_the_trapezoid():
     r = bessel_k(10.0j, 0.645)
     assert r == _shifted_route(10.0j, 0.645, DEFAULT_QUAD)
     assert r.evaluations > 100
+
+
+# ---------------------------------------------------------------------------
+# the trapezoids read cached node rows: every result is that of a walk that
+# evaluates the integrand at each node, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _ref_tail_sum(f, h, stride, sign):
+    total = 0j
+    k = 1
+    count = 0
+    small_run = 0
+    while True:
+        term = f(sign * k * h)
+        count += 1
+        total += term
+        if abs(term) <= bessel._TAIL_STOP * (abs(total) + 1e-300):
+            small_run += 1
+            if small_run >= 3:
+                break
+        else:
+            small_run = 0
+        k += stride
+        if k * h > 80.0:
+            break
+    return total, count
+
+
+def _ref_halving_trapezoid(f, even, relative, q, route):
+    def level_sum(h, stride):
+        plus, count = _ref_tail_sum(f, h, stride, +1)
+        if even:
+            return plus + plus, count
+        minus, more = _ref_tail_sum(f, h, stride, -1)
+        return plus + minus, count + more
+
+    f0 = f(0.0)
+    evaluations = 1
+    acc = 0j
+    h = 1.0
+    prev = None
+    for level in range(q.max_levels + 1):
+        h *= 0.5
+        part, spent = level_sum(h, 2 if level else 1)
+        acc += part
+        evaluations += spent
+        result = 0.5 * h * (f0 + acc)
+        if prev is not None:
+            err = abs(result - prev)
+            if err <= (q.rel_tol * abs(result) if relative
+                       else q.tolerance_for(result)):
+                return make_result(result, err, evaluations, q)
+        prev = result
+    raise NonConvergence(f"bessel_k {route} trapezoid did not converge",
+                         best=result, err_estimate=err)
+
+
+def _ref_shifted_route(nu, z, q):
+    b = nu.imag
+    delta = max(math.acos(min(b / z, 1.0)), min(0.3, 3.0 / b))
+    theta = 0.5 * math.pi - delta
+    ct = math.cos(theta)
+    st = math.sin(theta)
+
+    def f(x):
+        w = complex(-z * ct * math.cosh(x) + nu.real * x - b * theta,
+                    -z * st * math.sinh(x) + b * x + nu.real * theta)
+        if w.real < -745.0:
+            return 0j
+        return cmath.exp(w)
+
+    return _ref_halving_trapezoid(f, False, True, q, "contour")
+
+
+def _ref_trapezoids(nu, z, q):
+    """`bessel._cosh_route` without its series, one integrand call a node."""
+    nu = complex(nu)
+    z = complex(z)
+    if z.imag == 0.0 and nu.imag != 0.0:
+        if nu.imag < 0.0:
+            inner = _ref_shifted_route(nu.conjugate(), z.real, q)
+            return replace(inner, value=inner.value.conjugate())
+        return _ref_shifted_route(nu, z.real, q)
+    real_case = nu.imag == 0.0 and z.imag == 0.0
+
+    def f(t):
+        zc = z * math.cosh(t)
+        if real_case:
+            ez = math.exp(-zc.real) if zc.real < 745.0 else 0.0
+            if ez == 0.0:
+                return 0.0
+            return ez * math.cosh(nu.real * t)
+        if zc.real > 745.0:
+            return 0.0
+        nt = nu * t
+        return 0.5 * (cmath.exp(-zc + nt) + cmath.exp(-zc - nt))
+
+    return _ref_halving_trapezoid(f, True, real_case, q, "cosh-route")
+
+
+def _trapezoid_points():
+    """240 seeded (nu, z) that no series serves: complex order at real
+    z > _SERIES_Z with Im nu of both signs (shifted contour), real order at
+    real z, and complex z through the cosh route."""
+    rng = random.Random(20261019)
+    points = []
+    for _ in range(80):
+        points.append((complex(rng.uniform(-3.0, 3.0),
+                               rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 60.0)),
+                       rng.uniform(2.01, 40.0)))
+        points.append((complex(rng.uniform(-6.0, 6.0)), 10.0 ** rng.uniform(-3.0, 2.7)))
+        points.append((complex(rng.uniform(-3.0, 3.0), rng.uniform(-15.0, 15.0)),
+                       complex(rng.uniform(2.1, 20.0), rng.uniform(-10.0, 10.0))))
+    return points
+
+
+def _outcome(call):
+    try:
+        return call()
+    except NonConvergence as exc:
+        return ("NonConvergence", str(exc), exc.best, exc.err_estimate)
+
+
+def test_trapezoids_on_cached_rows_equal_a_walk_of_the_integrand(monkeypatch):
+    points = _trapezoid_points()
+    assert sum(nu.imag > 0 for nu, z in points) > 20
+    assert sum(nu.imag < 0 for nu, z in points) > 20
+    want = [_ref_trapezoids(nu, z, DEFAULT_QUAD) for nu, z in points]
+    monkeypatch.setattr(bessel, "_K_ROWS", {})
+    for _ in ("cold", "warm"):
+        got = [bessel._cosh_route(nu, z, DEFAULT_QUAD) for nu, z in points]
+        assert got == want
+    assert bessel._K_ROWS  # the warm pass read the rows the cold one made
+
+
+@pytest.mark.parametrize("nu, z", [(0.5, 3.0), (0.3 + 15.0j, 3.0),
+                                   (0.3 - 15.0j, 3.0), (0.7 + 3.0j, 4.0 + 2.0j)])
+def test_nonconvergence_equals_a_walk_of_the_integrand(monkeypatch, nu, z):
+    q = QuadratureSpec(max_levels=1)
+    want = _outcome(lambda: _ref_trapezoids(nu, z, q))
+    assert want[0] == "NonConvergence"
+    monkeypatch.setattr(bessel, "_K_ROWS", {})
+    for _ in ("cold", "warm"):
+        assert _outcome(lambda: bessel._cosh_route(nu, z, q)) == want
+
+
+def test_rows_hold_the_nodes_a_sum_read_and_no_more(monkeypatch):
+    monkeypatch.setattr(bessel, "_K_ROWS", {})
+    bessel_k(0.3, 1.0)
+    assert bessel._K_ROWS
+    for level, rows in bessel._K_ROWS.items():
+        step = 1 if level == 0 else 2
+        h = 0.5 ** (level + 1)
+        assert [x for x, _, _ in rows] == [k * h for k in
+                                           range(1, step * len(rows) + 1, step)]
+        assert all(c == math.cosh(x) and s == math.sinh(x) for x, c, s in rows)
+        assert rows[-1][0] < 10.0  # the tail stop ended it, not k h = 80

@@ -4,6 +4,7 @@ Frozen numbers come from mpmath reference integrations at 30 digits
 (tests/oracles.py); the package routes must land on them at double precision.
 """
 
+import cmath
 import json
 import math
 import pathlib
@@ -11,11 +12,13 @@ from dataclasses import replace
 
 import pytest
 
+import zetalab.regularized as regularized
 from oracles import completed_alpha_ref, completed_exp_ref, zeta_ref
 from zetalab.bessel import bessel_k
 from zetalab.cutoffs import CustomCutoff, ExpAlpha, ExpSymmetric, NoCutoff, TwoParam
 from zetalab.errors import DomainError, NonConvergence
 from zetalab.funceq import FunctionalEqKind, verify
+from zetalab.quadrature import integrate_powers
 from zetalab.regularized import (
     _completed_exp,
     _completed_quadrature,
@@ -31,6 +34,7 @@ from zetalab.regularized import (
     zeta_exp_boundary_form,
     zeta_regularized,
 )
+from zetalab.theta import _psi_complex_remainder
 from zetalab.types import EvalResult, QuadratureSpec, make_result, sum_pieces
 from zetalab.zeta_classic import zeta_series
 
@@ -442,3 +446,87 @@ def test_boundary_form_not_converged_when_a_piece_is_not():
     r = zeta_exp_boundary_form(s, row["lam"])
     assert abs(r.completed.value - ref) > abs(ref)
     assert r.completed.converged is False
+
+
+# ---------------------------------------------------------------------------
+# the ray's columns: x + 1/x and psi - G once a node, shared by the lambdas
+# ---------------------------------------------------------------------------
+
+_RAY_T = 20.0
+_RAY_ROW = [0.3 + 20.0j, 0.7 + 20.0j]
+
+
+def _ray_by_node(s_values, cutoff, q, theta):
+    """The ray values of a walk that computes h and psi - G at every node."""
+    rot = cmath.exp(1j * theta)
+
+    def ray_base(r):
+        x = r * rot
+        hv = cutoff.value(x)
+        if hv == 0.0:
+            return 0.0
+        return _psi_complex_remainder(x, q.series_tail_tol, q.max_terms) * hv
+
+    rays = integrate_powers(ray_base, [0.5 * s - 1.0 for s in s_values], q,
+                            regularized._quadrature_support(cutoff, theta))
+    return [sum_pieces([sum_pieces([ray], cmath.exp(0.5j * theta * s)),
+                        regularized._asymptote_integral(s, cutoff.lam, q)])
+            for s, ray in zip(s_values, rays)]
+
+
+_LOOSE_TAIL = QuadratureSpec(series_tail_tol=1e-12)
+
+
+@pytest.mark.parametrize("q", [QuadratureSpec(), _LOOSE_TAIL])
+def test_two_lambdas_on_shared_ray_columns_equal_cleared_columns(monkeypatch, q):
+    theta = regularized._ray_angle(_RAY_T)
+    cutoffs = (ExpSymmetric(0.05), ExpSymmetric(0.2))
+    cleared = []
+    for cutoff in cutoffs:
+        monkeypatch.setattr(regularized, "_RAY_COLUMNS", {})
+        cleared.append(_completed_quadrature(_RAY_ROW, cutoff, q, theta))
+    monkeypatch.setattr(regularized, "_RAY_COLUMNS", {})
+    # the other spec's columns sit beside these and must not serve q
+    other = _LOOSE_TAIL if q == QuadratureSpec() else QuadratureSpec()
+    _completed_quadrature(_RAY_ROW, cutoffs[1], other, theta)
+    shared = [_completed_quadrature(_RAY_ROW, cutoff, q, theta)
+              for cutoff in cutoffs]
+    assert shared == cleared
+    assert shared == [_ray_by_node(_RAY_ROW, cutoff, q, theta)
+                      for cutoff in cutoffs]
+
+
+def test_psi_remainder_runs_once_a_node_across_lambdas(monkeypatch):
+    theta = regularized._ray_angle(_RAY_T)
+    seen = []
+
+    def counted(x, tol, terms):
+        seen.append(x)
+        return _psi_complex_remainder(x, tol, terms)
+
+    monkeypatch.setattr(regularized, "_psi_complex_remainder", counted)
+    monkeypatch.setattr(regularized, "_RAY_COLUMNS", {})
+    q = QuadratureSpec()
+    counts = []
+    for lam in (0.05, 0.2, 0.05, 0.2):
+        _completed_quadrature(_RAY_ROW, ExpSymmetric(lam), q, theta)
+        counts.append(len(seen))
+    assert len(set(seen)) == len(seen)  # no node twice
+    assert 0 < counts[0] and counts[1] == counts[2] == counts[3]
+    columns = regularized._RAY_COLUMNS[theta, q.series_tail_tol, q.max_terms]
+    assert sum(p is not None for _, rems in columns.values()
+               for p in rems) == len(seen)
+
+
+def test_ray_columns_hold_at_most_the_bound_of_angles(monkeypatch):
+    monkeypatch.setattr(regularized, "_RAY_COLUMNS", {})
+    q = QuadratureSpec()
+    bound = regularized._RAY_THETAS
+    ts = [5.0 + 3.0 * k for k in range(bound + 2)]
+    for t in ts + [-t for t in ts]:
+        _completed_quadrature([0.5 + t * 1j], ExpSymmetric(0.1), q,
+                              regularized._ray_angle(t))
+        assert len(regularized._RAY_COLUMNS) <= bound
+    # the angles used last are the ones kept
+    assert [key[0] for key in regularized._RAY_COLUMNS] == [
+        regularized._ray_angle(-t) for t in ts[-bound:]]

@@ -1,8 +1,10 @@
 """One line per benchmark job: workload, index, exit code, sha256 of its stdout.
 
     python3 tests/workload_outputs.py --seed 1 > a.txt
+    python3 tests/workload_outputs.py --seed 1 --workload damped-grid > b.txt
 
-builds each workload's job list with `perfbench/workloads.generate` and runs
+builds each workload's (all of them, or those named by --workload, which
+can be repeated) job list with `perfbench/workloads.generate` and runs
 every job in this process through `perfbench/worker.run_job`, the way the
 benchmark does, against a fresh temporary cache directory per workload (so
 grid replays read what their cold twins wrote).  The hash is taken over
@@ -30,10 +32,14 @@ import workloads  # noqa: E402
 def main(argv: list[str]) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--workload", action="append",
+                        choices=sorted(workloads.WORKLOADS),
+                        help="a workload to run (repeatable; default: all)")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(_ROOT, "src"))
     import zetalab.cli as cli
-    for name in workloads.WORKLOADS:
+    for name in [n for n in workloads.WORKLOADS
+                 if not args.workload or n in args.workload]:
         with tempfile.TemporaryDirectory(prefix="zetalab-outputs-") as cache:
             for index, job in enumerate(workloads.generate(name, args.seed)):
                 job_argv = [cache if a == workloads.CACHE_TOKEN else a
