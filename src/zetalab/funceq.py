@@ -60,9 +60,9 @@ def _half_integrals_quad(cutoff: CutoffSpec, nus,
     """[(1/2) int_0^inf h(x) x^(nu - 1) dx for nu in nus], in one exp-sinh
     pass over the nodes inside h's window (`CutoffSpec.support`)."""
 
-    return [r.value for r in
-            integrate_powers(lambda x: 0.5 * cutoff.value(x),
-                             [nu - 1.0 for nu in nus], q, cutoff.support())]
+    return [r.value for r in integrate_powers(
+        lambda level: lambda i, x: 0.5 * cutoff.value(x),
+        [nu - 1.0 for nu in nus], q, cutoff.support())]
 
 
 def _half_integral_two_param(nu: complex, lam1: complex, lam2: complex,

@@ -21,26 +21,22 @@ converge).  Everything this package integrates has p >= -1/2.
 
 One level loop (`_de_levels`) carries any number of integrals over the same
 nodes.  `integrate` runs one; `integrate_powers` runs the K Mellin integrals
-int_0^inf base(x) x^{w_k} dx that share a base -- completed values at s and
-1 - s, or at the sigma values of a grid row -- in one exp-sinh pass, taking
-base once a node.  Each component is accepted at its own level by the same
-rule, so its result is bit-identical to a pass of its own.  Every weight is
+int_a^inf base(x) x^{w_k} dx (a = 0 or 1) that share a base -- completed
+values at s and 1 - s or at the sigma values of a grid row, the two powers
+of Riemann's xi integral -- in one exp-sinh pass, taking base once a node.
+Each component is accepted at its own level by the same rule, so its
+result is bit-identical to a pass of its own.  Every weight is
 finite and positive, so a nan or inf at any node leaves its level's sum
 non-finite: finiteness is tested once a level, on each active sum.
 
 The half-lines callers integrate over start at 0 (every completed value)
 or 1 (Riemann's xi integral), so their nodes x = a + y are the same on
 every pass.  Their rows (x, w, log x) are built once a level
-(`_half_level`), and beside them a psi column (`_psi_column`) holds the
-half-theta sum psi(x) = `theta._psi_raw` at each node once a walk has read
-it, keyed by the spec's series_tail_tol and max_terms.  A walk with
-psi=True reads both instead of computing them: the same float operations,
-run once a node per process instead of once a node per pass, so every
-value, estimate and evaluation count is unchanged.  `integrate_powers`
-takes a by-row base instead (by_row=True), which is handed each node's row
-index, so its caller keeps columns of its own beside the rows of (0, inf):
-the completed values read psi there, and the exp-symmetric ray x + 1/x
-and psi - G at x = r e^{i theta} (`regularized._ray_rows`).
+(`_half_level`).  `integrate_powers` walks either one with a by-row base:
+base(level) returns at(i, x), handed each node's row index, so a caller
+keeps columns of its own beside the rows and computes a node factor once
+a node per process -- psi (`theta.psi_rows`), and x + 1/x and psi - G at
+x = r e^{i theta} on the exp-symmetric ray (`regularized._ray_rows`).
 
 A caller that can show its integrand is exactly 0 outside a closed interval
 [lo, hi] of x passes it as `support`: the nodes outside it are neither
@@ -63,7 +59,6 @@ from itertools import chain
 from typing import Callable
 
 from .errors import DomainError, NonConvergence, NonFiniteIntegrand
-from .theta import _psi_raw
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result
 
 # The (y, w) rows new at a level: (y, (pi/2)cosh(t) y), then
@@ -92,12 +87,9 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
 
 # (start, level) -> `_half_level` of the half-line (start, inf), for the
 # starts callers use: 0 (completed values, and the node table itself) and 1
-# (Riemann's xi integral).
+# (Riemann's xi integral).  Only grows.
 _ROW_STARTS = (0.0, 1.0)
 _HALF_ROWS: dict[tuple[float, int], tuple[list, list, list]] = {}
-# (start, level, tail_tol, max_terms) -> `_psi_column`.  Both tables only
-# grow, and every writer of an entry stores the same value.
-_PSI_COLUMNS: dict[tuple, list] = {}
 
 
 def _half_level(a: float, level: int) -> tuple[list, list, list]:
@@ -147,16 +139,6 @@ def _kept(level: int, rows: list, ups: list, downs: list,
     if first and lo <= rows[0][0] <= hi:
         kept.insert(0, 0)
     return kept
-
-
-def _psi_column(a: float, level: int, q: QuadratureSpec) -> list:
-    """psi(x) at the rows of `level` on (a, inf), a in _ROW_STARTS, for q's
-    tail settings; None at a row that no walk has read yet."""
-    key = a, level, q.series_tail_tol, q.max_terms
-    column = _PSI_COLUMNS.get(key)
-    if column is None:
-        column = _PSI_COLUMNS[key] = [None] * len(_half_level(a, level)[0])
-    return column
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +193,8 @@ def _transform(domain: tuple[float, float], support=None):
     return 0.25 * width, "tanh-sinh", finite
 
 
-def integrate(f: Callable[..., complex], domain: tuple[float, float],
-              q: QuadratureSpec = DEFAULT_QUAD, support=None,
-              psi: bool = False) -> EvalResult:
+def integrate(f: Callable[[float], complex], domain: tuple[float, float],
+              q: QuadratureSpec = DEFAULT_QUAD, support=None) -> EvalResult:
     """Integrate f over `domain` = (a, b), where b may be math.inf.
 
     Both kinds of domain read the one exp-sinh table (module docstring): a
@@ -225,36 +206,18 @@ def integrate(f: Callable[..., complex], domain: tuple[float, float],
     support = (lo, hi) promises f(x) == 0 exactly for x outside [lo, hi];
     those nodes are skipped (module docstring), which moves only
     `evaluations`.
-    psi=True, on a half-line from 0 or 1, calls f(x, log x, psi(x)), both
-    read from the node's row: psi(x) = theta._psi_raw(x, q.series_tail_tol,
-    q.max_terms) is computed once a node per process (`_psi_column`).
-    Raises DomainError for an empty/reversed interval (or psi=True on another
-    domain), NonFiniteIntegrand at the end of a level in which f produced
-    nan/inf at a node, and NonConvergence if max_levels refinements do not
-    reach tolerance.
+    Raises DomainError for an empty/reversed interval, NonFiniteIntegrand at
+    the end of a level in which f produced nan/inf at a node, and
+    NonConvergence if max_levels refinements do not reach tolerance.
     """
     scale, name, points = _transform(domain, support)
-    start = float(domain[0])
-    if psi and not (name == "exp-sinh" and start in _ROW_STARTS):
-        raise DomainError(f"psi rows are those of (0, inf) and (1, inf), "
-                          f"got {domain!r}")
-    tol, terms = q.series_tail_tol, q.max_terms
 
     def add(level, raws, active):
         rows, kept = points(level)
         raw = raws[0]
-        if psi:
-            column = _psi_column(start, level, q)
-            for i in kept:
-                x, w, lx = rows[i]
-                p = column[i]
-                if p is None:
-                    p = column[i] = _psi_raw(x, tol, terms)
-                raw += f(x, lx, p) * w
-        else:
-            for i in kept:
-                x, w, _ = rows[i]
-                raw += f(x) * w
+        for i in kept:
+            x, w, _ = rows[i]
+            raw += f(x) * w
         raws[0] = raw
         return len(kept)
 
@@ -263,9 +226,13 @@ def integrate(f: Callable[..., complex], domain: tuple[float, float],
 
 def integrate_powers(base: Callable, exponents,
                      q: QuadratureSpec = DEFAULT_QUAD, support=None,
-                     by_row: bool = False) -> list[EvalResult]:
-    """[integral of base(x) x^w over (0, inf) for w in exponents], in one pass.
+                     start: float = 0.0) -> list[EvalResult]:
+    """[integral of base(x) x^w over (start, inf) for w in exponents], in one
+    pass, start 0 or 1: the two half-lines whose rows are cached.
 
+    base is by row: base(level), called once a level, returns at(i, x),
+    base at row i of `_half_level(start, level)`, whose node is x, so a
+    caller can keep columns beside the rows (`theta.psi_rows`).
     Every component sees the same nodes, so base is evaluated once a node,
     log x is read from the node's row, and each component adds
     base(x) * exp(w log x) -- the float operations of `power_real_base`, in
@@ -277,14 +244,14 @@ def integrate_powers(base: Callable, exponents,
     integrands' early returns do, and support = (lo, hi), the interval
     outside which base is exactly 0, keeps the nodes outside it from being
     evaluated or counted at all.
-    by_row=True lets a caller keep columns beside the rows (`_psi_column`
-    is one): base(level) is called once a level and returns the function
-    at(i, x) that gives base at row i of `_half_level(0.0, level)`.
 
-    Raises as `integrate` does; when components fail to converge,
-    NonConvergence carries the best value and last increment of the first
-    of them.
+    Raises DomainError for any other start, and otherwise as `integrate`
+    does; when components fail to converge, NonConvergence carries the best
+    value and last increment of the first of them.
     """
+    if start not in _ROW_STARTS:
+        raise DomainError(f"integrate_powers walks (0, inf) or (1, inf), "
+                          f"got ({start!r}, inf)")
     # (component, w, w is complex): power_real_base's two branches
     powers = []
     for k, w in enumerate(exponents):
@@ -293,15 +260,15 @@ def integrate_powers(base: Callable, exponents,
         else:
             powers.append((k, w.real if isinstance(w, complex) else float(w),
                            False))
-    scale, name, points = _transform((0.0, math.inf), support)
+    scale, name, points = _transform((start, math.inf), support)
 
     def add(level, raws, active):
         rows, kept = points(level)
         live = [powers[k] for k in active]
-        at = base(level) if by_row else None
+        at = base(level)
         for i in kept:
             x, weight, lx = rows[i]
-            b = at(i, x) if by_row else base(x)
+            b = at(i, x)
             if b == 0:
                 continue
             for k, w, cx in live:

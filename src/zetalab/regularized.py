@@ -40,9 +40,9 @@ with s.  Each value is bit-identical to a pass of its own.
 `_omega_row` are the row forms; the public functions are their one-s case.
 The node factors that depend on neither s nor lam sit in columns beside
 the quadrature's rows and are computed once a node per process: psi on
-the real axis, and x + 1/x and psi - G on the ray, kept for the last
-_RAY_THETAS angles (`_ray_rows`), so the lambdas of a grid row and the
-sides of a verify job share them.
+the real axis (`theta.psi_rows`), and x + 1/x and psi - G on the ray,
+kept for the last _RAY_THETAS angles (`_ray_rows`), so the lambdas of a
+grid row and the sides of a verify job share them.
 
 Why a ray: on the real axis the integral is of size ~e^{-pi |t| / 4}
 while its integrand is of order one, so it loses about e^{pi |t| / 4} to
@@ -63,8 +63,8 @@ from .bessel import bessel_k, bessel_k_complex_arg
 from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff, _damped_exp
 from .errors import DomainError, NonConvergence
 from .gammafn import power_real_base, rgamma
-from .quadrature import _half_level, _psi_column, integrate, integrate_powers
-from .theta import PSI_REACH, _psi_complex_remainder, _psi_raw
+from .quadrature import _half_level, integrate, integrate_powers
+from .theta import PSI_REACH, _psi_complex_remainder, _psi_raw, psi_rows
 from .types import (DEFAULT_QUAD, EvalResult, QuadratureSpec, RegZetaValue,
                     make_result, sum_pieces)
 from .zeta_classic import zeta_series
@@ -182,30 +182,6 @@ def _quadrature_support(cutoff: CutoffSpec,
     return lo, min(hi, PSI_REACH / cos)
 
 
-def _psi_rows(cutoff: CutoffSpec, q: QuadratureSpec):
-    """The by-row base of the real axis (`integrate_powers`):
-    at(i, x) = psi(x) h(x), psi read from the row's `_psi_column` entry,
-    computed there once a node per process, and only where h(x) != 0."""
-    tol, terms = q.series_tail_tol, q.max_terms
-    value = cutoff.value
-
-    def level_base(level: int):
-        column = _psi_column(0.0, level, q)
-
-        def at(i: int, x: float) -> complex:
-            hv = value(x)
-            if hv == 0:
-                return hv
-            p = column[i]
-            if p is None:
-                p = column[i] = _psi_raw(x, tol, terms)
-            return p * hv
-
-        return at
-
-    return level_base
-
-
 # (theta, series_tail_tol, max_terms) -> {level: (sums, rems)}, the ray
 # columns beside the rows of (0, inf): sums[i] = x + 1/x and rems[i] =
 # psi(x) - G(x) at x = r e^{i theta}, r row i's node, None until a walk
@@ -264,8 +240,8 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
     a node and only x^(s/2-1) changes with s, so each value is bit for bit
     what a pass of its own gives.  The per-node factors that do not change
     with the cutoff's parameters sit in columns beside the rows, filled once
-    a node per process: psi(x) on the real axis (`_psi_rows`), x + 1/x and
-    psi - G on the ray (`_ray_rows`), so the lambdas of a grid row, the
+    a node per process: psi on the real axis (`theta.psi_rows`), x + 1/x
+    and psi - G on the ray (`_ray_rows`), so the lambdas of a grid row, the
     sigma values and the 1 - s sides of a verify job compute them once.
 
     theta = None integrates psi h x^(s/2-1) along the real axis, for any
@@ -288,15 +264,15 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
     half_exps = [0.5 * s - 1.0 for s in s_values]
 
     if theta is None:
-        return integrate_powers(_psi_rows(cutoff, q), half_exps, q,
-                                _quadrature_support(cutoff), by_row=True)
+        return integrate_powers(psi_rows(q, factor=cutoff.value), half_exps,
+                                q, _quadrature_support(cutoff))
 
     lam = _require_positive_real(cutoff.lam, "the ray route")
     return [sum_pieces([sum_pieces([ray], cmath.exp(0.5j * theta * s)),
                         _asymptote_integral(s, lam, q)])
             for s, ray in zip(s_values, integrate_powers(
                 _ray_rows(cutoff, theta, q), half_exps, q,
-                _quadrature_support(cutoff, theta), by_row=True))]
+                _quadrature_support(cutoff, theta)))]
 
 
 def _ray_angle(t: float) -> float:

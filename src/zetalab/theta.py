@@ -8,6 +8,10 @@ Small arguments route through the modular identity
 psi(x) = -1/2 + x^{-1/2}(psi(1/x) + 1/2), which turns the slowly converging
 regime into a one-term sum and is itself the object under test in
 `theta_modular_residual`.
+
+Every zeta integral is a Mellin transform of psi over (0, inf) or (1, inf),
+so psi at those half-lines' cached nodes is kept in columns beside their
+rows, once a node per process (`psi_rows`, the base they are walked with).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import cmath
 import math
 
 from .errors import DomainError, NonConvergence
+from .quadrature import _half_level
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec
 
 # Below this point the direct series needs > ~70 terms and the modular
@@ -57,6 +62,52 @@ def _psi_parts(x: float, tail_tol: float, max_terms: int) -> tuple[float, float,
 def _psi_raw(x: float, tail_tol: float, max_terms: int) -> float:
     """Bare float psi(x) for integrands (no result wrapper)."""
     return _psi_parts(x, tail_tol, max_terms)[0]
+
+
+# (start, level, series_tail_tol, max_terms) -> `_psi_column`.  Only grows,
+# and every writer of an entry stores the same value.
+_PSI_COLUMNS: dict[tuple, list] = {}
+
+
+def _psi_column(start: float, level: int, q: QuadratureSpec) -> list:
+    """psi(x) at the rows of `level` on (start, inf), start 0 or 1, for q's
+    tail settings; None at a row that no walk has read yet."""
+    key = start, level, q.series_tail_tol, q.max_terms
+    column = _PSI_COLUMNS.get(key)
+    if column is None:
+        column = _PSI_COLUMNS[key] = [None] * len(_half_level(start, level)[0])
+    return column
+
+
+def psi_rows(q: QuadratureSpec, start: float = 0.0, factor=None):
+    """The by-row base (`integrate_powers`) of psi on (start, inf), or of
+    psi * factor for a factor (a cutoff's value): psi is read from row i's
+    `_psi_column` entry and computed there by `_psi_raw` on first read,
+    with a factor only where factor(x) != 0."""
+    tol, terms = q.series_tail_tol, q.max_terms
+
+    def level_base(level: int):
+        column = _psi_column(start, level, q)
+
+        if factor is None:
+            def at(i: int, x: float) -> float:
+                p = column[i]
+                if p is None:
+                    p = column[i] = _psi_raw(x, tol, terms)
+                return p
+        else:
+            def at(i: int, x: float) -> complex:
+                hv = factor(x)
+                if hv == 0:
+                    return hv
+                p = column[i]
+                if p is None:
+                    p = column[i] = _psi_raw(x, tol, terms)
+                return p * hv
+
+        return at
+
+    return level_base
 
 
 def _psi_direct_complex(z: complex, tail_tol: float, max_terms: int) -> complex:

@@ -59,8 +59,8 @@ from itertools import islice
 
 from .errors import DomainError, NonConvergence, PoleError
 from .gammafn import _log_sin, log_gamma_complex, power_real_base, rgamma
-from .quadrature import integrate
-from .theta import PSI_REACH
+from .quadrature import integrate_powers
+from .theta import PSI_REACH, psi_rows
 from .types import (DEFAULT_QUAD, EvalResult, QuadratureSpec, ZeroBracket,
                     make_result)
 
@@ -388,41 +388,33 @@ def _tail_integral(s: complex, q: QuadratureSpec) -> EvalResult:
 
     Manifestly symmetric under s -> 1-s; decays like e^{-pi x}, so the
     half-line engine sees an entire, rapidly vanishing integrand, exactly 0
-    past psi's reach, where its nodes are skipped.  psi(x) and log x come
-    from the rows of (1, inf) (`integrate`'s psi=True), computed once a node
-    per process; the powers are taken from log x as `power_real_base` takes
-    them, so the value is bit for bit that of calling it.
+    past psi's reach, where its nodes are skipped.  One `integrate_powers`
+    walk of (1, inf) on psi's column (`theta.psi_rows`) takes both powers:
+    value and estimate are the two components' sums, evaluations the
+    walk's (the larger component's), converged that of both.
     """
     s = complex(s)
-    a = 0.5 * (s - 2.0)
-    b = -0.5 * (s + 1.0)
-    # the two powers by `power_real_base`'s float operations on the row's
-    # log x (its two real branches summed are complex(e_a + e_b)); a and b
-    # share a branch, as Im b = -Im a
-    if a.imag != 0.0:
-        def f(x: float, lx: float, p: float) -> complex:
-            if p == 0.0:
-                return 0.0
-            return p * (cmath.exp(a * lx) + cmath.exp(b * lx))
-    else:
-        ar, br = a.real, b.real
-
-        def f(x: float, lx: float, p: float) -> complex:
-            if p == 0.0:
-                return 0.0
-            return p * complex(math.exp(ar * lx) + math.exp(br * lx))
-
-    return integrate(f, (1.0, math.inf), q, (1.0, PSI_REACH), psi=True)
+    lo, hi = integrate_powers(psi_rows(q, 1.0),
+                              (0.5 * (s - 2.0), -0.5 * (s + 1.0)), q,
+                              (1.0, PSI_REACH), start=1.0)
+    return EvalResult(value=lo.value + hi.value,
+                      err_estimate=lo.err_estimate + hi.err_estimate,
+                      evaluations=max(lo.evaluations, hi.evaluations),
+                      converged=lo.converged and hi.converged)
 
 
 def _theta_route(s: complex, q: QuadratureSpec) -> EvalResult:
     """zeta(s) from the theta integral, with the prefactor's rounding in
     its estimate; `zeta_analytic` takes it for Re s < 1, |Im s| <= 10."""
-    tail = _tail_integral(s, q)
     pis = power_real_base(math.pi, 0.5 * s)
     head = rgamma(0.5 * s + 1.0) / (2.0 * (s - 1.0))
-    value = pis * (head + rgamma(0.5 * s) * tail.value)
-    pref = pis * rgamma(0.5 * s)
+    rg = rgamma(0.5 * s)
+    if rg == 0:  # s = 0, -2, ...: skip the tail (it overflows from -264)
+        value = pis * (head + rg)  # the signed zeros of head + rg * tail
+        return make_result(value, _gamma_rounding(s) * abs(value), 0, q)
+    tail = _tail_integral(s, q)
+    value = pis * (head + rg * tail.value)
+    pref = pis * rg
     if not cmath.isfinite(value):
         # left of Re s ~ -225 the tail times 1/Gamma(s/2) overflows alone
         value = pis * head + pref * tail.value

@@ -50,10 +50,12 @@ def test_eval_zeta_json_schema(capsys):
     assert doc["meta"]["quadrature"]["abs_tol"] == 1e-12
 
 
-@pytest.mark.parametrize("s,expected", [("-229", 0), ("-261", 2), ("-270", 2)])
+@pytest.mark.parametrize("s,expected", [("-229", 0), ("-261", 2), ("-271", 2),
+                                        ("-300", 0)])
 def test_eval_zeta_far_left_prints_a_value_or_exits_2(capsys, s, expected):
-    # zeta(-229) ~ 1.8e259 prints; past the double range (zeta at -261, the
-    # tail integral at -270) is a numerical failure, not an unprintable record
+    # zeta(-229) ~ 1.8e259 and the trivial zero zeta(-300) = 0 print; past
+    # the double range (zeta at -261 ~ 1.5e310, at -271 ~ 2.8e326) is a
+    # numerical failure, not an unprintable record
     code, out, err = run_cli(capsys, "eval", "--fn", "zeta", "--s", s)
     assert code == expected
     if expected == 0:

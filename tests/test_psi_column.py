@@ -8,25 +8,31 @@ import pytest
 
 import zetalab.quadrature as quadrature
 import zetalab.regularized as regularized
+import zetalab.theta as theta
 import zetalab.zeta_classic as zeta_classic
 from zetalab.cutoffs import ExpAlpha, ExpSymmetric, TwoParam
 from zetalab.errors import DomainError, NonConvergence
-from zetalab.gammafn import power_real_base
-from zetalab.quadrature import (_ROW_STARTS, _half_level, _psi_column,
-                                integrate, integrate_powers)
-from zetalab.theta import PSI_REACH, _psi_raw
+from zetalab.quadrature import _ROW_STARTS, _half_level, integrate_powers
+from zetalab.theta import PSI_REACH, _psi_column, _psi_raw, psi_rows
 from zetalab.types import QuadratureSpec
 
 _LEVELS = range(13)
 _Q = QuadratureSpec()
 
 
+def _by_row(base):
+    """A base(x) as `integrate_powers` takes it: by row, at(i, x) = base(x)."""
+    return lambda level: lambda i, x: base(x)
+
+
 def _fill_every_level(start, q):
-    """Walk all 13 levels of (start, inf) with psi=True: the integrand jumps
-    at start + 1, so no level meets the tolerance and every row is read."""
+    """Walk all 13 levels of (start, inf) on psi's rows: the factor jumps
+    at start + 1, so no level meets the tolerance, and as it is nowhere 0,
+    every row's psi is read."""
     with pytest.raises(NonConvergence):
-        integrate(lambda x, lx, p: p + (1j if x < start + 1.0 else 0j),
-                  (start, math.inf), q, psi=True)
+        integrate_powers(
+            psi_rows(q, start, lambda x: 1.0 + (1j if x < start + 1.0 else 0j)),
+            (0.0,), q, start=start)
 
 
 @pytest.mark.parametrize("start", _ROW_STARTS)
@@ -55,14 +61,14 @@ def test_rows_carry_x_and_log_x(start):
 
 def test_no_column_holds_more_entries_than_its_level_has_rows():
     _fill_every_level(1.0, _Q)
-    for (start, level, _, _), column in quadrature._PSI_COLUMNS.items():
+    for (start, level, _, _), column in theta._PSI_COLUMNS.items():
         assert len(column) == len(_half_level(start, level)[0])
 
 
 def test_psi_rows_only_on_the_cached_half_lines():
-    for domain in ((2.0, math.inf), (0.0, 1.0)):
+    for start in (0.5, 2.0):
         with pytest.raises(DomainError):
-            integrate(lambda x, lx, p: p, domain, _Q, psi=True)
+            integrate_powers(psi_rows(_Q, start), (0.0,), _Q, start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -80,16 +86,14 @@ def _same(got, want):
 @pytest.mark.parametrize("q", [_Q, _LOOSE, QuadratureSpec(max_terms=40)])
 @pytest.mark.parametrize("s", [0.3 + 4.0j, -1.5 + 0.5j, 0.8])
 def test_tail_integral_reads_what_psi_raw_gives(q, s):
-    a, b = 0.5 * (s - 2.0), -0.5 * (s + 1.0)
-
-    def f(x):
-        p = _psi_raw(x, q.series_tail_tol, q.max_terms)
-        if p == 0.0:
-            return 0.0
-        return p * (power_real_base(x, a) + power_real_base(x, b))
-
-    _same(zeta_classic._tail_integral(s, q),
-          integrate(f, (1.0, math.inf), q, (1.0, PSI_REACH)))
+    # a two-power walk of (1, inf) whose base calls _psi_raw at every node
+    lo, hi = integrate_powers(
+        _by_row(lambda x: _psi_raw(x, q.series_tail_tol, q.max_terms)),
+        (0.5 * (s - 2.0), -0.5 * (s + 1.0)), q, (1.0, PSI_REACH), start=1.0)
+    got = zeta_classic._tail_integral(s, q)
+    assert (got.value, got.err_estimate, got.evaluations, got.converged) == (
+        lo.value + hi.value, lo.err_estimate + hi.err_estimate,
+        max(lo.evaluations, hi.evaluations), lo.converged and hi.converged)
 
 
 @pytest.mark.parametrize("q", [_Q, _LOOSE])
@@ -105,8 +109,8 @@ def test_completed_quadrature_reads_what_psi_raw_gives(q, cutoff, s_values):
             return 0.0
         return _psi_raw(x, q.series_tail_tol, q.max_terms) * hv
 
-    want = integrate_powers(base, [0.5 * s - 1.0 for s in s_values], q,
-                            regularized._quadrature_support(cutoff))
+    want = integrate_powers(_by_row(base), [0.5 * s - 1.0 for s in s_values],
+                            q, regularized._quadrature_support(cutoff))
     for g, w in zip(regularized._completed_quadrature(s_values, cutoff, q), want):
         _same(g, w)
 

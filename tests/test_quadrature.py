@@ -13,6 +13,11 @@ from zetalab.quadrature import _level_nodes, _transform, integrate, integrate_po
 from zetalab.types import QuadratureSpec
 
 
+def _by_row(base):
+    """A base(x) as `integrate_powers` takes it: by row, at(i, x) = base(x)."""
+    return lambda level: lambda i, x: base(x)
+
+
 def test_polynomial_exact():
     r = integrate(lambda x: x * x, (0.0, 1.0))
     assert r.value == pytest.approx(1.0 / 3.0, abs=1e-14)
@@ -175,10 +180,12 @@ def test_one_nonfinite_node_raises_at_the_end_of_its_level(site, bad):
         integrate(_poisoned(clean, domain, level, pick, bad), domain)
     if domain == _HALF:
         powers = (0.5, 0.25 + 1.0j)
-        assert min(r.evaluations for r in integrate_powers(_wavy, powers)) >= sum(
+        batch = integrate_powers(_by_row(_wavy), powers)
+        assert min(r.evaluations for r in batch) >= sum(
             len(_xs(domain, lv)) for lv in range(level + 1))
         with pytest.raises(NonFiniteIntegrand, match=f"level {level}$"):
-            integrate_powers(_poisoned(_wavy, domain, level, pick, bad), powers)
+            integrate_powers(_by_row(_poisoned(_wavy, domain, level, pick, bad)),
+                             powers)
 
 
 def test_powers_raise_when_one_component_overflows():
@@ -187,9 +194,9 @@ def test_powers_raise_when_one_component_overflows():
     def base(x):
         return 1e100 * math.exp(-x)
 
-    assert integrate_powers(base, (0.5,))[0].converged
+    assert integrate_powers(_by_row(base), (0.5,))[0].converged
     with pytest.raises(NonFiniteIntegrand):
-        integrate_powers(base, (0.5, -1.02))
+        integrate_powers(_by_row(base), (0.5, -1.02))
 
 
 def test_nonconvergence_carries_best_value():
@@ -299,9 +306,9 @@ def test_support_skips_only_the_zero_nodes(domain, support):
         full.value, full.err_estimate, full.converged)
     if domain == (0.0, math.inf):
         seen.clear()
-        batch = integrate_powers(bump, [0.5, 1.5j], support=support)
+        batch = integrate_powers(_by_row(bump), [0.5, 1.5j], support=support)
         assert all(lo <= x <= hi for x in seen)
-        for got, want in zip(batch, integrate_powers(bump, [0.5, 1.5j])):
+        for got, want in zip(batch, integrate_powers(_by_row(bump), [0.5, 1.5j])):
             assert (got.value, got.err_estimate) == (want.value, want.err_estimate)
             assert got.evaluations < want.evaluations
 
@@ -325,13 +332,13 @@ def _wavy(x):
 _EXPONENTS = (-0.5 + 3.0j, 0.25, 1.5 - 0.75j, 4.0, -0.25 - 8.0j)
 
 
-def _assert_as_scalar(base, exponents, q=QuadratureSpec()):
-    batch = integrate_powers(base, exponents, q)
+def _assert_as_scalar(base, exponents, q=QuadratureSpec(), start=0.0):
+    batch = integrate_powers(_by_row(base), exponents, q, start=start)
     assert len(batch) == len(exponents)
     for w, got in zip(exponents, batch):
         want = integrate(lambda x: (0.0 if base(x) == 0
                                     else base(x) * power_real_base(x, w)),
-                         (0.0, math.inf), q)
+                         (start, math.inf), q)
         assert (got.value, got.err_estimate, got.evaluations, got.converged) == (
             want.value, want.err_estimate, want.evaluations, want.converged)
     return batch
@@ -348,6 +355,11 @@ _MASS_AT = {(0.0, 1.0): 0.125, (1.0, math.inf): 8.0, (0.0, math.inf): 1.0}
 def test_powers_equal_scalar_passes(base, domain, k):
     c = _MASS_AT[domain]
     _assert_as_scalar(lambda x: base(x / c), _EXPONENTS[:k])
+
+
+@pytest.mark.parametrize("base", [_damped, _wavy])
+def test_powers_from_one_equal_scalar_passes(base):
+    _assert_as_scalar(lambda x: base(x / 8.0), _EXPONENTS[:3], start=1.0)
 
 
 def test_powers_accept_each_component_at_its_own_level():
@@ -379,7 +391,7 @@ def test_powers_raise_nonconvergence_as_the_scalar_call():
     with pytest.raises(NonConvergence) as scalar:
         integrate(damped_power, (0.0, math.inf), q)
     with pytest.raises(NonConvergence) as batch:
-        integrate_powers(_damped, (0.5, bad, 1.0), q)
+        integrate_powers(_by_row(_damped), (0.5, bad, 1.0), q)
     assert batch.value.best == scalar.value.best
     assert batch.value.err_estimate == scalar.value.err_estimate
     assert str(batch.value) == str(scalar.value)

@@ -460,14 +460,15 @@ def _ray_by_node(s_values, cutoff, q, theta):
     """The ray values of a walk that computes h and psi - G at every node."""
     rot = cmath.exp(1j * theta)
 
-    def ray_base(r):
+    def ray_base(i, r):
         x = r * rot
         hv = cutoff.value(x)
         if hv == 0.0:
             return 0.0
         return _psi_complex_remainder(x, q.series_tail_tol, q.max_terms) * hv
 
-    rays = integrate_powers(ray_base, [0.5 * s - 1.0 for s in s_values], q,
+    rays = integrate_powers(lambda level: ray_base,
+                            [0.5 * s - 1.0 for s in s_values], q,
                             regularized._quadrature_support(cutoff, theta))
     return [sum_pieces([sum_pieces([ray], cmath.exp(0.5j * theta * s)),
                         regularized._asymptote_integral(s, cutoff.lam, q)])

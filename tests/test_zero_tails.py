@@ -159,8 +159,8 @@ def _assert_skips_move_no_bit(monkeypatch, module, name, call):
     full = getattr(quadrature, name)
     supports = []
 
-    def both(f, a, q, support=None, **psi):
-        got, want = full(f, a, q, support, **psi), full(f, a, q, **psi)
+    def both(f, a, q, support=None, **start):
+        got, want = full(f, a, q, support, **start), full(f, a, q, **start)
         pairs = zip(got, want) if isinstance(got, list) else [(got, want)]
         for g, w in pairs:
             assert (g.value, g.err_estimate, g.converged) == (
@@ -200,7 +200,7 @@ def test_half_integrals_skips_move_no_bit(monkeypatch, cutoff):
 
 @pytest.mark.parametrize("s", [0.3 + 4.0j, 0.5 + 9.9j, -1.5 + 0.5j, 0.8])
 def test_tail_integral_skips_move_no_bit(monkeypatch, s):
-    _assert_skips_move_no_bit(monkeypatch, zeta_classic, "integrate",
+    _assert_skips_move_no_bit(monkeypatch, zeta_classic, "integrate_powers",
                               lambda: zeta_classic._tail_integral(s, _Q))
 
 

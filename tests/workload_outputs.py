@@ -1,4 +1,5 @@
-"""One line per benchmark job: workload, index, exit code, sha256 of its stdout.
+"""One line per benchmark job: workload, index, exit code, sha256 of its
+stdout, and the job's kind.
 
     python3 tests/workload_outputs.py --seed 1 > a.txt
     python3 tests/workload_outputs.py --seed 1 --workload damped-grid > b.txt
@@ -8,9 +9,11 @@ can be repeated) job list with `perfbench/workloads.generate` and runs
 every job in this process through `perfbench/worker.run_job`, the way the
 benchmark does, against a fresh temporary cache directory per workload (so
 grid replays read what their cold twins wrote).  The hash is taken over
-`worker.canonical_output(stdout)`, which drops meta.wall_ms.  Run it in two
-checkouts and `diff` the files: a change that should not move any printed
-byte shows no line.  Nothing is written under perfbench/.
+`worker.canonical_output(stdout)`, which drops meta.wall_ms.  The kind is
+the workload's label for the job (`verify:riemann-classic`, `grid:omega`,
+...).  Run it in two checkouts and `diff` the files: a change that should
+not move any printed byte shows no line, and one that does names the kinds
+it moved.  Nothing is written under perfbench/.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ def main(argv: list[str]) -> None:
                 rc, _, out, _ = worker.run_job(cli, job_argv)
                 digest = hashlib.sha256(
                     worker.canonical_output(out).encode("utf-8")).hexdigest()
-                print(name, index, rc, digest, flush=True)
+                print(name, index, rc, digest, job["kind"], flush=True)
 
 
 if __name__ == "__main__":
