@@ -26,7 +26,7 @@ from . import __version__
 from .bessel import bessel_k
 from .cache import CacheLog, cache_key, get_or_compute, resolve_cache_dir
 from .cutoffs import (CustomCutoff, CutoffSpec, ExpAlpha, ExpSymmetric,
-                      NoCutoff, TwoParam, TwoParamNu)
+                      NoCutoff, TwoParam, TwoParamNu, _damped_exp)
 from .diffusion import (heat_kernel_h3, heat_kernel_hyperbolic_odd,
                         heat_kernel_rd, laplace_hyperbolic,
                         resolvent_rd_bessel, resolvent_rd_quad)
@@ -230,17 +230,10 @@ def _csv_rows(header: list[str], records: list[dict]) -> list[list]:
 def _custom_h(name: str, lam: float):
     """h(x) of the generic-h test cutoffs; both are *declared* symmetric."""
     if name == "custom:log-symmetric":
-        def h(x: float) -> float:
-            u = math.log(x)
-            w = lam * u * u
-            return math.exp(-w) if w <= 745.0 else 0.0
-        return h
+        return lambda x: _damped_exp(lam * math.log(x) * math.log(x))
     # deliberately weighted toward 1/x, so the verifier's spot-check is what
     # must catch it
-    def h(x: float) -> float:
-        w = lam * (x + 2.0 / x)
-        return math.exp(-w) if w <= 745.0 else 0.0
-    return h
+    return lambda x: _damped_exp(lam * (x + 2.0 / x))
 
 
 _CUSTOM_CUTOFFS = ("custom:log-symmetric", "custom:asymmetric")

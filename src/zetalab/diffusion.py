@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .bessel import bessel_k_complex_arg, laplace_pair_integral
 from .cutoffs import TwoParam
@@ -21,6 +22,8 @@ from .regularized import _completed_quadrature
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result
 
 _FOUR_PI = 4.0 * math.pi
+# the largest rho with sinh rho finite in double
+_SINH_MAX_ARG = math.asinh(sys.float_info.max)
 
 
 def heat_kernel_rd(t: float, r: float, d: float) -> float:
@@ -138,7 +141,9 @@ def heat_kernel_hyperbolic_odd(t: float, rho: float, d: int) -> float:
         raise DomainError(f"heat_kernel_hyperbolic_odd needs rho > 0, got {rho!r}")
     m = (d - 1) // 2
     expo = -m * m * t - rho * rho / (4.0 * t)
-    if expo < -745.0:
+    # a term is at most c rho^a t^-b 2^m e^{-2 m rho} (sinh^-e cosh^f with
+    # e - f = m; m^2 t + rho^2/4t >= m rho): 0.0 wherever sinh rho overflows
+    if expo < -745.0 or rho > _SINH_MAX_ARG:
         return 0.0  # before the ladder, whose cost grows with d
     sh = math.sinh(rho)
     ch = math.cosh(rho)
@@ -150,25 +155,27 @@ def heat_kernel_hyperbolic_odd(t: float, rho: float, d: int) -> float:
     return pref * acc * math.exp(expo)
 
 
+def _rho_over_sinh(rho: float) -> float:
+    """rho / sinh rho for rho >= 0, exact at 0; from rho = 36 on sinh rho is
+    e^rho / 2 in double, so the ratio is 2 rho e^-rho, and never overflows."""
+    if rho >= 36.0:
+        return 2.0 * rho * math.exp(-rho)
+    return 1.0 if rho == 0.0 else rho / math.sinh(rho)
+
+
 def heat_kernel_h3(t: float, rho: float) -> float:
     """d = 3 kernel (4 pi t)^(-3/2) (rho/sinh rho) exp(-t - rho^2/4t).
 
-    Written so the rho -> 0 limit (rho/sinh rho -> 1) is exact.
+    rho/sinh rho from `_rho_over_sinh`: exact at 0, finite past sinh's overflow.
     """
     if not t > 0.0:
         raise DomainError(f"heat_kernel_h3 needs t > 0, got {t!r}")
     if rho < 0.0:
         raise DomainError(f"heat_kernel_h3 needs rho >= 0, got {rho!r}")
     expo = -t - rho * rho / (4.0 * t)
-    if rho > 36.0:
-        # sinh(rho) = e^rho / 2 to double precision here, and it overflows
-        # past ~710; fold the ratio into the exponent instead
-        expo += math.log(2.0 * rho) - rho if expo > -math.inf else 0.0
-        return 0.0 if expo < -745.0 else math.pow(_FOUR_PI * t, -1.5) * math.exp(expo)
-    ratio = 1.0 if rho == 0.0 else rho / math.sinh(rho)
     if expo < -745.0:
         return 0.0
-    return math.pow(_FOUR_PI * t, -1.5) * ratio * math.exp(expo)
+    return math.pow(_FOUR_PI * t, -1.5) * _rho_over_sinh(rho) * math.exp(expo)
 
 
 def laplace_hyperbolic(alpha: complex, rho: float,
@@ -183,7 +190,7 @@ def laplace_hyperbolic(alpha: complex, rho: float,
         raise DomainError(f"laplace_hyperbolic needs Re alpha > -1, got {alpha!r}")
     if not rho > 0.0:
         raise DomainError(f"laplace_hyperbolic needs rho > 0, got {rho!r}")
-    ratio = rho / math.sinh(rho)
+    ratio = _rho_over_sinh(rho)
     quarter = 0.25 * rho * rho
 
     def f(t: float) -> complex:
@@ -267,5 +274,7 @@ def hyperbolic_identification_residual(alpha: float, rho: float,
             f"got {rho!r}")
     lhs = -0.25 * _time_integral(1.5, 1.0 + alpha, rho * rho, q)
     transform = laplace_hyperbolic(alpha, rho, q).value
-    rhs = -0.25 * math.pow(_FOUR_PI, 1.5) * (math.sinh(rho) / rho) * transform
+    if lhs == 0 or transform == 0:
+        raise DomainError(f"a side underflows to 0 at rho = {rho!r}")
+    rhs = -0.25 * math.pow(_FOUR_PI, 1.5) * transform / _rho_over_sinh(rho)
     return abs(lhs - rhs) / abs(lhs)

@@ -119,7 +119,6 @@ def _completed_series(s: complex, lam: complex, q: QuadratureSpec) -> EvalResult
     lamc = complex(lam)
     if not lamc.real > 0.0:
         raise DomainError(f"bessel series needs Re lam > 0, got {lam!r}")
-    real_case = lamc.imag == 0.0 and s.imag == 0.0
     nu = 0.5 * s
 
     total = 0.0 + 0.0j
@@ -127,10 +126,7 @@ def _completed_series(s: complex, lam: complex, q: QuadratureSpec) -> EvalResult
     evals = 0
     for n in range(1, q.max_terms + 1):
         shifted = lamc + (n * n) * math.pi
-        if real_case:
-            coef = 2.0 * power_real_base(lamc.real / shifted.real, 0.25 * s)
-        else:
-            coef = 2.0 * cmath.exp(0.25 * s * cmath.log(lamc / shifted))
+        coef = 2.0 * cmath.exp(0.25 * s * cmath.log(lamc / shifted))
         k = bessel_k_complex_arg(nu, 2.0 * cmath.sqrt(lamc * shifted), q)
         term = coef * k.value
         total += term

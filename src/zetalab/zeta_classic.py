@@ -410,16 +410,13 @@ def _theta_route(s: complex, q: QuadratureSpec) -> EvalResult:
     head = rgamma(0.5 * s + 1.0) / (2.0 * (s - 1.0))
     rg = rgamma(0.5 * s)
     if rg == 0:  # s = 0, -2, ...: skip the tail (it overflows from -264)
-        value = pis * (head + rg)  # the signed zeros of head + rg * tail
+        value = pis * (head + rg)  # + rg: pi^{s/2} head alone reads -0.0j
         return make_result(value, _gamma_rounding(s) * abs(value), 0, q)
     tail = _tail_integral(s, q)
-    value = pis * (head + rg * tail.value)
-    pref = pis * rg
+    pref = pis * rg  # first: left of Re s ~ -225 rg * tail overflows alone
+    value = pis * head + pref * tail.value
     if not cmath.isfinite(value):
-        # left of Re s ~ -225 the tail times 1/Gamma(s/2) overflows alone
-        value = pis * head + pref * tail.value
-        if not cmath.isfinite(value):
-            raise OverflowError(f"zeta is past the double range at s = {s}")
+        raise OverflowError(f"zeta is past the double range at s = {s}")
     # plus the rounding of the prefactor pi^{s/2} / Gamma(s/2)
     err = abs(pref) * tail.err_estimate + _gamma_rounding(s) * abs(value)
     return make_result(value, err, tail.evaluations, q)

@@ -626,6 +626,16 @@ EVAL_CASES = {
 }
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fn", "laplace-h3", "--alpha", "1", "--rho", "720"],
+    ["--fn", "heat-kernel-hd", "--t", "356", "--rho", "712", "--d", "3"]])
+def test_eval_hyperbolic_past_sinh_overflow_prints_zero(capsys, argv):
+    # sinh rho overflows past rho ~ 710.48, where both values are 0.0
+    code, out, _ = run_cli(capsys, "eval", *argv)
+    assert code == 0
+    assert json.loads(out)["value"] == {"re": 0.0, "im": 0.0}
+
+
 def test_every_eval_selector_has_a_case():
     assert set(EVAL_CASES) == set(cli._EVAL_FNS)
 

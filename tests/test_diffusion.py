@@ -4,8 +4,10 @@ import json
 import math
 import pathlib
 
+import mpmath as mp
 import pytest
 
+from oracles import laplace_h3_closed
 from zetalab import diffusion
 from zetalab.diffusion import (
     euclidean_identification_residual,
@@ -127,6 +129,22 @@ def test_ladder_underflow_returns_zero_without_building_the_ladder():
     assert max(diffusion._TERM_CACHE) == top
 
 
+def test_ladder_is_zero_where_sinh_overflows():
+    # every ladder term is at most c rho^a t^-b 2^m e^{-2 m rho}, so past
+    # sinh's overflow (rho ~ 710.48) the kernel is 0.0, as h3's form reads it
+    assert heat_kernel_hyperbolic_odd(356.0, 712.0, 3) == 0.0
+    assert heat_kernel_h3(356.0, 712.0) == 0.0
+
+
+@pytest.mark.parametrize("rho", [1e-8, 0.5, 35.9, 36.0, 36.1, 100.0, 700.0,
+                                 711.0, 800.0])
+def test_rho_over_sinh_matches_mpmath(rho):
+    # one form below rho = 36, 2 rho e^-rho from there (sinh rho = e^rho / 2
+    # in double); at 800 the ratio is below the smallest subnormal
+    want = float(mp.mpf(rho) / mp.sinh(mp.mpf(rho)))
+    assert diffusion._rho_over_sinh(rho) == pytest.approx(want, rel=1e-15)
+
+
 def test_ladder_domain():
     with pytest.raises(DomainError):
         heat_kernel_hyperbolic_odd(1.0, 0.7, 4)
@@ -151,6 +169,11 @@ def test_laplace_hyperbolic():
         assert laplace_hyperbolic(alpha, rho).value.real == pytest.approx(
             want, rel=1e-10
         )
+    # past sinh's overflow: 1.29e-310 in closed form, subnormal but not 0
+    r = laplace_hyperbolic(-0.999999, 711.0)
+    assert math.isfinite(r.value.real) and r.value.real > 0.0
+    assert abs(r.value - laplace_h3_closed(-0.999999, 711.0)) <= r.err_estimate
+    assert laplace_hyperbolic(1.0, 720.0).value == 0.0
     with pytest.raises(DomainError):
         laplace_hyperbolic(-1.0, 0.7)
     with pytest.raises(DomainError):
@@ -189,3 +212,7 @@ def test_hyperbolic_identification():
         hyperbolic_identification_residual(0.0, 0.8)
     with pytest.raises(DomainError):
         hyperbolic_identification_residual(0.5, 0.0)
+    # both sides underflow to 0 (700), and sinh rho overflows (720)
+    for rho in (700.0, 720.0):
+        with pytest.raises(DomainError, match="underflows"):
+            hyperbolic_identification_residual(1.0, rho)

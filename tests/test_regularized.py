@@ -13,7 +13,8 @@ from dataclasses import replace
 import pytest
 
 import zetalab.regularized as regularized
-from oracles import completed_alpha_ref, completed_exp_ref, zeta_ref
+from oracles import (completed_alpha_ref, completed_exp_ref,
+                     completed_exp_series_ref, zeta_ref)
 from zetalab.bessel import bessel_k
 from zetalab.cutoffs import CustomCutoff, ExpAlpha, ExpSymmetric, NoCutoff, TwoParam
 from zetalab.errors import DomainError, NonConvergence
@@ -152,6 +153,18 @@ def test_series_domain():
         zeta_exp_bessel_series(0.5, -1.0)
     with pytest.raises(DomainError):
         zeta_exp_bessel_series(0.5, 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 7.7, 10.0, 30.0])
+@pytest.mark.parametrize("s", [-1.5, 0.1, 0.5, 0.9, 2.0])
+def test_series_real_coefficients_from_the_complex_power(s, lam):
+    # every coefficient is 2 exp((s/4) log(lam / (lam + n^2 pi))) in complex
+    # arithmetic; at real s and lam its imaginary part is exactly 0, also
+    # from lam ~ 7.7 up, where cmath.log takes its log1p branch
+    r = regularized._completed_series(s, lam, QuadratureSpec())
+    assert r.value.imag == 0.0
+    want = completed_exp_series_ref(s, lam)
+    assert abs(r.value - want) <= 2e-15 * abs(want)
 
 
 def test_boundary_pieces_frozen():

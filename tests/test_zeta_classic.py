@@ -25,6 +25,7 @@ from oracles import (chi_ref, fixed_gap_ref, hardy_z_ref, log_mp,
                      siegel_theta_mp, two_pi_mp, xi_ref, zero_count_ref,
                      zeta_ref)
 from zetalab.errors import DomainError, NonConvergence, PoleError
+from zetalab.funceq import STANDARD_S_GRID
 from zetalab.gammafn import power_real_base, rgamma
 from zetalab.types import QuadratureSpec
 from zetalab.zeta_classic import (
@@ -157,6 +158,23 @@ def test_theta_route_meets_its_estimate_far_right_of_the_strip(s):
     # 1.2e-15): the tail's tolerance is not yet divided by the prefactor
     pref = abs(power_real_base(math.pi, 0.5 * s) * rgamma(0.5 * s))
     assert r.converged or pref > abs(r.value)
+
+
+def test_theta_route_in_the_strip_meets_its_estimate():
+    # 300 seeded points with Re s in [-2, 1), |t| <= 10, and verify's
+    # strip-default points below t = 10: every error within its estimate,
+    # and the worst relative error, 3.0e-14 at this seed, kept under 1.5x
+    rng = random.Random(20261017)
+    points = ([complex(rng.uniform(-2.0, 1.0), rng.uniform(-10.0, 10.0))
+               for _ in range(300)]
+              + [s for s in STANDARD_S_GRID if abs(s.imag) <= 10.0])
+    worst = 0.0
+    for s in points:
+        r = zeta_analytic(s)
+        ref = zeta_ref(s)
+        assert abs(r.value - ref) <= r.err_estimate, s
+        worst = max(worst, abs(r.value - ref) / abs(ref))
+    assert worst <= 4.5e-14
 
 
 @pytest.mark.parametrize("s", [-225.0, -229.0, -225.5 + 3.0j, -229.0 + 10.0j])
