@@ -12,9 +12,9 @@ exercises heavily.
 
 `zeta_regularized`, `omega`, `xi_lambda` and the exp-symmetric functional
 equation take that value from `_completed_exp`, which picks the cheaper of
-two routes by one constant, _RAY_LAM = 0.5:
+two routes by one constant, _RAY_LAM = 5:
 
-* ray quadrature for real lam < 0.5, and for every real lam once
+* ray quadrature for real lam < 5, and for every real lam once
   |t| > 100 (t = Im s);
 * the Bessel series everywhere else, complex lam included.
 
@@ -24,12 +24,12 @@ so there it reports converged=False.
 
 The series needs about 18.4 / sqrt(pi lam) terms, each a Bessel K, so its
 cost grows like lam^(-1/2): at lam = 1e-4, s = 0.4 + 20i it takes ~174k
-evaluations where the ray takes ~6k.  Its first terms have
-z = 2 sqrt(lam (lam + n^2 pi)) <= 2 below lam ~ 0.29 and take
-`bessel`'s ascending series, the rest its shifted contour.  Timed on that
-K, the ray is the cheaper route for one s up to lam ~ 0.6 and for rows
-of two or three s (a grid row) up to lam ~ 1.4; 0.5 serves both
-(CHANGES.md has the table).
+evaluations where the ray takes ~6k.  With the cutoff's peak taken out
+of the quadrature (`_completed_quadrature`), a row of three sigma at
+t <= 20 took 0.3-2.2 ms on the ray and 0.9-5.2 ms on the series for lam
+in [0.5, 5]; above 5 the two cost about the same and the rotated ray
+loses digits (5.6e-14 relative at lam = 10, t = 20; 5e-9 at lam = 20),
+so 5 serves every t (CHANGES.md).
 
 Every quadrature route evaluates a row at a time: the s values that share
 a cutoff and a contour -- both sides of a functional equation, the sigma
@@ -57,10 +57,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import replace
 
 from .bessel import bessel_k, bessel_k_complex_arg
-from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff, _damped_exp
+from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff
 from .errors import DomainError, NonConvergence
 from .gammafn import power_real_base, rgamma
 from .quadrature import _half_level, integrate, integrate_powers
@@ -70,11 +71,14 @@ from .types import (DEFAULT_QUAD, EvalResult, QuadratureSpec, RegZetaValue,
 from .zeta_classic import zeta_series
 
 _MIN_SERIES_TERMS = 3
+# Each series term rounds by up to (2 + |z_n|) eps |term|, as K's exponent
+# z cosh x does: 32 eps |value| at lam = 30 (z_1 = 63), s = 0.3 + 14i.
+_SERIES_ROUNDING = sys.float_info.epsilon
 
 # Route rule for the exp-symmetric completed value at real lam > 0: the ray
 # quadrature below lam = _RAY_LAM, the Bessel series above (measured
-# crossover, CHANGES.md).
-_RAY_LAM = 0.5
+# crossover, module docstring).
+_RAY_LAM = 5.0
 # Above this |Im s| the Bessel series is not trusted, and real lam takes the ray.
 _SERIES_MAX_T = 100.0
 # c in the ray margin delta = c / (|t|/2): the conditioning loss is ~e^c;
@@ -127,10 +131,11 @@ def _completed_series(s: complex, lam: complex, q: QuadratureSpec) -> EvalResult
     for n in range(1, q.max_terms + 1):
         shifted = lamc + (n * n) * math.pi
         coef = 2.0 * cmath.exp(0.25 * s * cmath.log(lamc / shifted))
-        k = bessel_k_complex_arg(nu, 2.0 * cmath.sqrt(lamc * shifted), q)
+        z = 2.0 * cmath.sqrt(lamc * shifted)
+        k = bessel_k_complex_arg(nu, z, q)
         term = coef * k.value
         total += term
-        err += abs(coef) * k.err_estimate
+        err += abs(coef) * k.err_estimate + _SERIES_ROUNDING * (2.0 + abs(z)) * abs(term)
         evals += k.evaluations
         if n >= _MIN_SERIES_TERMS and abs(term) < q.series_tail_tol * max(abs(total), 1e-30):
             result = make_result(total, err + abs(term), evals, q)
@@ -188,19 +193,26 @@ _RAY_COLUMNS: dict[tuple, dict[int, tuple[list, list]]] = {}
 _RAY_THETAS = 4
 
 
-def _ray_rows(cutoff: ExpSymmetric, theta: float, q: QuadratureSpec):
+def _peak_scaled(lam: complex, peak: complex, u: complex) -> complex:
+    """e^{peak - lam u}, the cutoff at x + 1/x = u over its peak e^{-peak};
+    0 where Re(lam u) > 745, as the cutoff is (`cutoffs._damped_exp`), so
+    its zeros are those `_quadrature_support` marks."""
+    w = lam * u
+    return 0j if w.real > 745.0 else cmath.exp(peak - w)
+
+
+def _ray_rows(lam: float, peak: float, theta: float, q: QuadratureSpec):
     """The by-row base of the ray x = r e^{i theta} (`integrate_powers`):
-    at(i, r) = (psi(x) - G(x)) h(x) for the cutoff h, with x + 1/x
-    and psi - G read from the angle's columns and computed there once a node
-    per process, psi - G only where h(x) != 0.  The float operations are
-    those of `ExpSymmetric.value(x)` and `_psi_complex_remainder`."""
+    at(i, r) = (psi(x) - G(x)) e^{peak - lam (x + 1/x)} (`_peak_scaled`),
+    with x + 1/x and psi - G read from the angle's columns and computed there
+    once a node per process, psi - G only where the cutoff is not 0.  The
+    float operations of psi - G are those of `_psi_complex_remainder`."""
     key = theta, q.series_tail_tol, q.max_terms
     levels = _RAY_COLUMNS.pop(key, {})
     _RAY_COLUMNS[key] = levels  # the most recent angle last
     if len(_RAY_COLUMNS) > _RAY_THETAS:
         del _RAY_COLUMNS[next(iter(_RAY_COLUMNS))]
     rot = cmath.exp(1j * theta)
-    lamc = complex(cutoff.lam)
     tol, terms = q.series_tail_tol, q.max_terms
 
     def level_base(level: int):
@@ -215,7 +227,7 @@ def _ray_rows(cutoff: ExpSymmetric, theta: float, q: QuadratureSpec):
             if u is None:
                 x = r * rot
                 u = sums[i] = x + 1.0 / x
-            hv = _damped_exp(lamc * u)
+            hv = _peak_scaled(lam, peak, u)
             if hv == 0.0:
                 return hv
             p = rems[i]
@@ -246,29 +258,37 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
     x = r e^{i theta}, where the integrand is analytic and decays, and the
     integrand is psi - G with G psi's small-x asymptote
     (`_psi_complex_remainder`), whose own integral `_asymptote_integral` is
-    added back in closed form.  Without G the
-    e^{-lam/x} edge at x ~ lam carries a mass that grows like
-    lam^{-(1 - sigma)/2} and costs digits and levels.  On the ray
-    x^(s/2-1) dx = r^(s/2-1) e^{i theta s/2} dr; the constant factor
-    e^{i theta s/2}, of size e^{-theta t/2}, stays out of the integrand and
-    multiplies the sum, so the quadrature accepts on the scale of what it
-    integrates.  The ray value is the rotated pass plus the closed form,
-    summed by `sum_pieces`, which asks no fresh tolerance test of the sum.
+    added back in closed form.  Without G the e^{-lam/x} edge at x ~ lam
+    carries a mass that grows like lam^{-(1 - sigma)/2} and costs digits
+    and levels.  On the ray x^(s/2-1) dx = r^(s/2-1) e^{i theta s/2} dr;
+    the constant factor e^{i theta s/2}, of size e^{-theta t/2}, stays out
+    of the integrand and multiplies the sum, and so does the cutoff's peak
+    e^{-2 lam cos(theta)}, its size at r = 1 (e^{-2 lam} for ExpSymmetric
+    on the real axis), so the quadrature accepts on the scale of what it
+    integrates; unscaled, the ray accepted on the 1e-12 abs_tol floor 5e-9
+    off at lam = 10.  The ray value is the rotated pass plus the closed
+    form, summed by `sum_pieces`, which asks no fresh tolerance test.
     Both walks skip the nodes outside `_quadrature_support`.
     """
     s_values = [complex(s) for s in s_values]
     half_exps = [0.5 * s - 1.0 for s in s_values]
 
+    support = _quadrature_support(cutoff, theta)
     if theta is None:
-        return integrate_powers(psi_rows(q, factor=cutoff.value), half_exps,
-                                q, _quadrature_support(cutoff))
+        if not isinstance(cutoff, ExpSymmetric):
+            return integrate_powers(psi_rows(q, factor=cutoff.value), half_exps,
+                                    q, support)
+        peak = 2.0 * complex(cutoff.lam)
+        return [sum_pieces([r], cmath.exp(-peak)) for r in integrate_powers(psi_rows(
+            q, factor=lambda x: _peak_scaled(cutoff.lam, peak, x + 1.0 / x)),
+            half_exps, q, support)]
 
     lam = _require_positive_real(cutoff.lam, "the ray route")
-    return [sum_pieces([sum_pieces([ray], cmath.exp(0.5j * theta * s)),
+    peak = 2.0 * lam * math.cos(theta)
+    return [sum_pieces([sum_pieces([ray], cmath.exp(0.5j * theta * s - peak)),
                         _asymptote_integral(s, lam, q)])
             for s, ray in zip(s_values, integrate_powers(
-                _ray_rows(cutoff, theta, q), half_exps, q,
-                _quadrature_support(cutoff, theta)))]
+                _ray_rows(lam, peak, theta, q), half_exps, q, support))]
 
 
 def _ray_angle(t: float) -> float:
@@ -290,7 +310,7 @@ def _completed_exp(s_row, lam, q: QuadratureSpec) -> tuple[list[EvalResult], str
     with the route name.
 
     The s of a row share Im s, so they share the route: real lam below
-    _RAY_LAM = 0.5 (the measured crossover, module docstring), or any real
+    _RAY_LAM = 5 (the measured crossover, module docstring), or any real
     lam once |Im s| > 100, takes the ray quadrature, as one batch (the
     real axis at Im s = 0); complex lam and everything else takes the
     Bessel series, one s at a time.  Callers have checked Re lam > 0.

@@ -451,6 +451,28 @@ def regenerate_completed_exp_real_axis(n_points: int = 100, seed: int = 15) -> d
     return {"completed": rows}
 
 
+# rows of three sigma on both sides of the ray/series crossover in lam, from
+# the real axis to the top of damped-grid's heights
+CROSSOVER_LAMS = (0.5, 1.0, 2.0, 5.0, 10.0)
+CROSSOVER_TS = (0.0, 5.0, 14.0, 20.0)
+CROSSOVER_SIGMAS = (0.1, 0.5, 0.9)
+
+
+def regenerate_completed_exp_crossover() -> dict:
+    """completed_exp_series_ref at 40 digits for every (lam, t, sigma) of
+    CROSSOVER_LAMS x CROSSOVER_TS x CROSSOVER_SIGMAS."""
+    rows = []
+    with mp.workdps(40):
+        for lam in CROSSOVER_LAMS:
+            for t in CROSSOVER_TS:
+                for sigma in CROSSOVER_SIGMAS:
+                    value = completed_exp_series_ref(complex(sigma, t), lam)
+                    rows.append({"lam": lam, "s_re": sigma, "s_im": t,
+                                 "completed_re": value.real,
+                                 "completed_im": value.imag})
+    return {"completed": rows}
+
+
 # ---------------------------------------------------------------------------
 # diffusion oracles
 # ---------------------------------------------------------------------------
@@ -622,6 +644,7 @@ FIXTURES = {
     "completed_exp_high_t.json": (regenerate_completed_exp_high_t, False),
     "bessel_k_series.json": (regenerate_bessel_series, False),
     "completed_exp_real_axis.json": (regenerate_completed_exp_real_axis, False),
+    "completed_exp_crossover.json": (regenerate_completed_exp_crossover, False),
 }
 
 

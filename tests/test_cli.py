@@ -169,7 +169,7 @@ def test_eval_csv_format_and_determinism(capsys):
 
 def test_eval_zeta_reg_echoes_representation(capsys):
     code, out, _ = run_cli(
-        capsys, "eval", "--fn", "zeta-reg", "--s", "2+0i", "--lambda", "0.5"
+        capsys, "eval", "--fn", "zeta-reg", "--s", "2+0i", "--lambda", "5"
     )
     assert code == 0
     doc = json.loads(out)
@@ -190,7 +190,8 @@ def test_eval_zeta_reg_without_lambda_is_the_undamped_value(capsys):
 
 
 @pytest.mark.parametrize("lam, route", [("1e-4", "quadrature"),
-                                        ("0.5", "bessel-series")])
+                                        ("4.9", "quadrature"),
+                                        ("5", "bessel-series")])
 def test_eval_zeta_reg_echoes_the_route_taken(capsys, lam, route):
     code, out, _ = run_cli(
         capsys, "eval", "--fn", "zeta-reg", "--s", "0.5+14i", "--lambda", lam
@@ -816,17 +817,18 @@ def test_verify_cutoff_help_names_every_kind_generic_h_accepts():
 
 @pytest.mark.parametrize("fn", ["omega", "xi-lambda", "zeta-reg", "zeta"])
 def test_grid_rows_equal_per_point_eval(tmp_path, capsys, fn):
-    # rows of three sigma: (t, lam) = (5, 0.01) and (5, 0.05) on the ray,
-    # (0, 0.01) on the real axis, the rest on the Bessel series
+    # rows of three sigma: (t, lam) = (5, 0.01) and (5, 4.9) on the ray,
+    # (0, 0.01) and (0, 4.9) on the real axis, the rest on the Bessel series
     routes = {}
-    for t, lam in ((5.0, 0.01), (0.0, 0.01), (0.0, 0.5)):
+    for t, lam in ((5.0, 0.01), (5.0, 4.9), (0.0, 0.01), (0.0, 4.9), (0.0, 5.0)):
         code, out, _ = run_cli(capsys, "eval", "--fn", "zeta-reg", "--s",
                                f"0.4+{t}i", "--lambda", str(lam))
         routes[t, lam] = json.loads(out)["input"]["representation"]
-    assert routes == {(5.0, 0.01): "quadrature", (0.0, 0.01): "quadrature",
-                      (0.0, 0.5): "bessel-series"}
+    assert routes == {(5.0, 0.01): "quadrature", (5.0, 4.9): "quadrature",
+                      (0.0, 0.01): "quadrature", (0.0, 4.9): "quadrature",
+                      (0.0, 5.0): "bessel-series"}
     grid = ("grid", "--fn", fn, "--sigma", "0.2:0.6:0.2", "--t", "0,5",
-            "--lambda", "0.01,0.05,0.5")
+            "--lambda", "0.01,4.9,5")
     code, out, _ = run_cli(capsys, *grid, "--cache-dir", "")
     assert code == 0
     records = json.loads(out)["records"]
@@ -842,7 +844,7 @@ def test_grid_rows_equal_per_point_eval(tmp_path, capsys, fn):
     # a row the cache holds in part computes the rest, to the same bytes
     cache = str(tmp_path / "cache")
     run_cli(capsys, "grid", "--fn", fn, "--sigma", "0.2,0.6", "--t", "0,5",
-            "--lambda", "0.01,0.05,0.5", "--cache-dir", cache)
+            "--lambda", "0.01,4.9,5", "--cache-dir", cache)
     code, again, _ = run_cli(capsys, *grid, "--cache-dir", cache)
     assert code == 0
     assert json.loads(again)["records"] == records

@@ -2,6 +2,7 @@
 walk reads from a column is `_psi_raw` at the node, bit for bit, and the
 callers that read them give the values of a walk that calls `_psi_raw`."""
 
+import cmath
 import math
 
 import pytest
@@ -14,7 +15,7 @@ from zetalab.cutoffs import ExpAlpha, ExpSymmetric, TwoParam
 from zetalab.errors import DomainError, NonConvergence
 from zetalab.quadrature import _ROW_STARTS, _half_level, integrate_powers
 from zetalab.theta import PSI_REACH, _psi_column, _psi_raw, psi_rows
-from zetalab.types import QuadratureSpec
+from zetalab.types import QuadratureSpec, sum_pieces
 
 _LEVELS = range(13)
 _Q = QuadratureSpec()
@@ -103,14 +104,25 @@ def test_tail_integral_reads_what_psi_raw_gives(q, s):
     (TwoParam(0.3 + 0.2j, 0.8), [0.25 + 5.0j]),
 ])
 def test_completed_quadrature_reads_what_psi_raw_gives(q, cutoff, s_values):
+    # ExpSymmetric's pass integrates psi e^{2 lam - lam (x + 1/x)}, the
+    # cutoff's peak e^{-2 lam} taken out, and multiplies it back after
+    exp_symmetric = isinstance(cutoff, ExpSymmetric)
+    peak = 2.0 * complex(cutoff.lam) if exp_symmetric else 0j
+
     def base(x):
-        hv = cutoff.value(x)
+        if exp_symmetric:
+            w = complex(cutoff.lam) * (x + 1.0 / x)
+            hv = 0j if w.real > 745.0 else cmath.exp(peak - w)
+        else:
+            hv = cutoff.value(x)
         if hv == 0.0:
             return 0.0
         return _psi_raw(x, q.series_tail_tol, q.max_terms) * hv
 
     want = integrate_powers(_by_row(base), [0.5 * s - 1.0 for s in s_values],
                             q, regularized._quadrature_support(cutoff))
+    if exp_symmetric:
+        want = [sum_pieces([w], cmath.exp(-peak)) for w in want]
     for g, w in zip(regularized._completed_quadrature(s_values, cutoff, q), want):
         _same(g, w)
 

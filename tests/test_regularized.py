@@ -53,7 +53,8 @@ def test_completed_frozen_values():
 
 
 def test_representation_tags():
-    assert zeta_regularized(2.0, ExpSymmetric(lam=0.5)).representation == "bessel-series"
+    assert zeta_regularized(2.0, ExpSymmetric(lam=5.0)).representation == "bessel-series"
+    assert zeta_regularized(2.0, ExpSymmetric(lam=4.9)).representation == "quadrature"
     assert (
         zeta_regularized(2.0, TwoParam(lam1=0.5, lam2=0.5)).representation
         == "quadrature"
@@ -165,6 +166,16 @@ def test_series_real_coefficients_from_the_complex_power(s, lam):
     assert r.value.imag == 0.0
     want = completed_exp_series_ref(s, lam)
     assert abs(r.value - want) <= 2e-15 * abs(want)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 7.7, 10.0, 30.0])
+def test_series_estimate_covers_its_rounding(lam):
+    # each K term rounds in proportion to its z_n >= 2 lam: at lam = 30,
+    # s = 0.3 + 14i the sum is 32 eps |value| off
+    for s in (-1.5, 0.1, 0.5, 0.9, 2.0, 0.5 + 5.0j, 0.3 + 14.0j, 0.9 + 20.0j):
+        r = regularized._completed_series(s, lam, QuadratureSpec())
+        assert r.converged
+        assert abs(r.value - completed_exp_series_ref(s, lam)) <= r.err_estimate, s
 
 
 def test_boundary_pieces_frozen():
@@ -354,13 +365,13 @@ def test_omega_keeps_relative_accuracy_at_large_lambda():
 
 
 def test_route_rule_keeps_series_where_it_is_cheaper():
-    # one constant: real lam below _RAY_LAM = 0.5 takes the ray at any height
-    assert zeta_regularized(0.5 + 14.0j, ExpSymmetric(0.5)).representation == (
-        "bessel-series")
-    assert zeta_regularized(0.5 + 3.0j, ExpSymmetric(0.5)).representation == (
-        "bessel-series")
-    assert zeta_regularized(0.5 + 14.0j, ExpSymmetric(0.4)).representation == (
-        "quadrature")
+    # one constant: real lam below _RAY_LAM = 5 takes the ray at any height,
+    # the real axis included
+    for s in (0.5 + 14.0j, 0.5 + 3.0j, 0.5):
+        assert zeta_regularized(s, ExpSymmetric(5.0)).representation == (
+            "bessel-series")
+        assert zeta_regularized(s, ExpSymmetric(4.9)).representation == (
+            "quadrature")
     assert zeta_regularized(0.5 + 3.0j, ExpSymmetric(0.02)).representation == (
         "quadrature")
     # complex lam has no ray route
@@ -422,6 +433,54 @@ def test_high_t_takes_the_ray_and_the_series_owns_up(row):
     assert not zeta_exp_bessel_series(s, lam).completed.converged
 
 
+# completed_exp_series_ref at 40 digits on rows of three sigma, for lam on
+# both sides of the ray/series crossover _RAY_LAM and t in {0, 5, 14, 20}
+CROSSOVER_FIXTURE = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures"
+     / "completed_exp_crossover.json").read_text())
+
+
+def _crossover_rows():
+    """{(lam, t): [(s, reference), ...]} of the crossover fixture."""
+    rows = {}
+    for r in CROSSOVER_FIXTURE["completed"]:
+        rows.setdefault((r["lam"], r["s_im"]), []).append(
+            (complex(r["s_re"], r["s_im"]),
+             complex(r["completed_re"], r["completed_im"])))
+    return rows
+
+
+def _assert_close_and_honest(results, row):
+    for got, (s, ref) in zip(results, row, strict=True):
+        err = abs(got.value - ref)
+        assert got.converged, s
+        assert err <= 1e-13 * abs(ref), (s, err / abs(ref))
+        assert err <= got.err_estimate, (s, err, got.err_estimate)
+
+
+def test_routed_value_holds_across_the_crossover():
+    rows = _crossover_rows()
+    lams = {lam for lam, _ in rows}
+    assert len(rows) == 20
+    assert min(lams) < regularized._RAY_LAM <= max(lams)
+    for (lam, _), row in rows.items():
+        results, route = _completed_exp([s for s, _ in row], lam, QuadratureSpec())
+        assert route == ("quadrature" if lam < regularized._RAY_LAM
+                         else "bessel-series")
+        _assert_close_and_honest(results, row)
+
+
+def test_ray_holds_on_both_sides_of_the_crossover():
+    # every lam below _RAY_LAM, and lam = 10 above it, where the ray without
+    # the cutoff's peak scaled out accepted on the abs_tol floor 5e-9 off
+    rows = _crossover_rows()
+    assert sum(lam < regularized._RAY_LAM for lam, _ in rows) == 12
+    for (lam, t), row in rows.items():
+        theta = regularized._ray_angle(t) if t else None
+        _assert_close_and_honest(_completed_quadrature(
+            [s for s, _ in row], ExpSymmetric(lam), QuadratureSpec(), theta), row)
+
+
 def test_quadrature_converged_when_every_piece_is():
     s, lam = 5.0 + 3.0j, 1e-4
     routed = zeta_regularized(s, ExpSymmetric(lam))
@@ -470,20 +529,24 @@ _RAY_ROW = [0.3 + 20.0j, 0.7 + 20.0j]
 
 
 def _ray_by_node(s_values, cutoff, q, theta):
-    """The ray values of a walk that computes h and psi - G at every node."""
+    """The ray values of a walk that computes the cutoff, its peak
+    e^{-2 lam cos(theta)} taken out, and psi - G at every node."""
     rot = cmath.exp(1j * theta)
+    lam = complex(cutoff.lam)
+    peak = 2.0 * cutoff.lam * math.cos(theta)
 
     def ray_base(i, r):
         x = r * rot
-        hv = cutoff.value(x)
-        if hv == 0.0:
+        w = lam * (x + 1.0 / x)
+        if w.real > 745.0:
             return 0.0
+        hv = cmath.exp(peak - w)
         return _psi_complex_remainder(x, q.series_tail_tol, q.max_terms) * hv
 
     rays = integrate_powers(lambda level: ray_base,
                             [0.5 * s - 1.0 for s in s_values], q,
                             regularized._quadrature_support(cutoff, theta))
-    return [sum_pieces([sum_pieces([ray], cmath.exp(0.5j * theta * s)),
+    return [sum_pieces([sum_pieces([ray], cmath.exp(0.5j * theta * s - peak)),
                         regularized._asymptote_integral(s, cutoff.lam, q)])
             for s, ray in zip(s_values, rays)]
 
