@@ -135,7 +135,8 @@ def _completed_series(s: complex, lam: complex, q: QuadratureSpec) -> EvalResult
         k = bessel_k_complex_arg(nu, z, q)
         term = coef * k.value
         total += term
-        err += abs(coef) * k.err_estimate + _SERIES_ROUNDING * (2.0 + abs(z)) * abs(term)
+        err += (abs(coef) * k.err_estimate
+                + _SERIES_ROUNDING * (2.0 + abs(z)) * abs(term))
         evals += k.evaluations
         if n >= _MIN_SERIES_TERMS and abs(term) < q.series_tail_tol * max(abs(total), 1e-30):
             result = make_result(total, err + abs(term), evals, q)
@@ -205,8 +206,7 @@ def _ray_rows(lam: float, peak: float, theta: float, q: QuadratureSpec):
     """The by-row base of the ray x = r e^{i theta} (`integrate_powers`):
     at(i, r) = (psi(x) - G(x)) e^{peak - lam (x + 1/x)} (`_peak_scaled`),
     with x + 1/x and psi - G read from the angle's columns and computed there
-    once a node per process, psi - G only where the cutoff is not 0.  The
-    float operations of psi - G are those of `_psi_complex_remainder`."""
+    once a node per process, psi - G only where the cutoff is not 0."""
     key = theta, q.series_tail_tol, q.max_terms
     levels = _RAY_COLUMNS.pop(key, {})
     _RAY_COLUMNS[key] = levels  # the most recent angle last
