@@ -15,21 +15,19 @@ equation take that value from `_completed_exp`, which picks the cheaper of
 two routes by one constant, _RAY_LAM = 5:
 
 * ray quadrature for real lam < 5, and for every real lam once
-  |t| > 100 (t = Im s);
+  |t| > 100 (t = Im s), where the series stops early, 0.56-1.0 off at
+  t = 150 against the ray's 1e-14, and reports converged=False;
 * the Bessel series everywhere else, complex lam included.
-
-Past |t| = 100 the series stops too early and is wrong (0.56-1.0 relative
-error at t = 150, where the ray holds 1e-14 against an mpmath Bessel sum),
-so there it reports converged=False.
 
 The series needs about 18.4 / sqrt(pi lam) terms, each a Bessel K, so its
 cost grows like lam^(-1/2): at lam = 1e-4, s = 0.4 + 20i it takes ~174k
 evaluations where the ray takes ~6k.  With the cutoff's peak taken out
-of the quadrature (`_completed_quadrature`), a row of three sigma at
-t <= 20 took 0.3-2.2 ms on the ray and 0.9-5.2 ms on the series for lam
-in [0.5, 5]; above 5 the two cost about the same and the rotated ray
-loses digits (5.6e-14 relative at lam = 10, t = 20; 5e-9 at lam = 20),
-so 5 serves every t (CHANGES.md).
+of the quadrature (`_completed_quadrature`), rows of three sigma at lam
+in [0.5, 4.9] held the series' digits on the ray for |t| <= 100, in
+0.3-26 ms against the series' 0.9-100 ms: cheaper for lam <= 2, within
+1.1x for lam > 2 (1.7x on a cold angle).  Above lam = 5 the ray loses digits
+(5.6e-14 relative at lam = 10, t = 20; 5e-9 at lam = 20), so 5 serves
+every t (CHANGES.md).
 
 Every quadrature route evaluates a row at a time: the s values that share
 a cutoff and a contour -- both sides of a functional equation, the sigma
@@ -84,6 +82,8 @@ _SERIES_MAX_T = 100.0
 # c in the ray margin delta = c / (|t|/2): the conditioning loss is ~e^c;
 # 3 and 4 give the same digits, 4 fewer levels at large |t|.
 _RAY_MARGIN = 4.0
+# The ray pass's rounding, unseen by its levels (16 eps |value| at t = 70).
+_RAY_ROUNDING = math.exp(_RAY_MARGIN) * sys.float_info.epsilon
 
 
 def _require_positive_real(lam, what: str) -> float:
@@ -246,11 +246,8 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
 
     The values share that pass (`integrate_powers`): psi h is evaluated once
     a node and only x^(s/2-1) changes with s, so each value is bit for bit
-    what a pass of its own gives.  The per-node factors that do not change
-    with the cutoff's parameters sit in columns beside the rows, filled once
-    a node per process: psi on the real axis (`theta.psi_rows`), x + 1/x
-    and psi - G on the ray (`_ray_rows`), so the lambdas of a grid row, the
-    sigma values and the 1 - s sides of a verify job compute them once.
+    what a pass of its own gives; the node columns are the module
+    docstring's.
 
     theta = None integrates psi h x^(s/2-1) along the real axis, for any
     cutoff.  A float theta, |theta| < pi/2, is the exp-symmetric ray route
@@ -263,32 +260,35 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
     and levels.  On the ray x^(s/2-1) dx = r^(s/2-1) e^{i theta s/2} dr;
     the constant factor e^{i theta s/2}, of size e^{-theta t/2}, stays out
     of the integrand and multiplies the sum, and so does the cutoff's peak
-    e^{-2 lam cos(theta)}, its size at r = 1 (e^{-2 lam} for ExpSymmetric
-    on the real axis), so the quadrature accepts on the scale of what it
-    integrates; unscaled, the ray accepted on the 1e-12 abs_tol floor 5e-9
-    off at lam = 10.  The ray value is the rotated pass plus the closed
-    form, summed by `sum_pieces`, which asks no fresh tolerance test.
-    Both walks skip the nodes outside `_quadrature_support`.
+    e^{-2 lam cos(theta)} (ExpSymmetric's on the real axis too), so the
+    quadrature accepts on the scale of what it integrates; unscaled, the
+    ray accepted on the 1e-12 abs_tol floor 5e-9 off at lam = 10.  The ray
+    value is the rotated pass, its estimate widened by its rounding
+    (_RAY_ROUNDING), plus the closed form, summed by `sum_pieces`, which
+    asks no fresh tolerance test.  Both walks skip the nodes outside
+    `_quadrature_support`.
     """
     s_values = [complex(s) for s in s_values]
     half_exps = [0.5 * s - 1.0 for s in s_values]
 
     support = _quadrature_support(cutoff, theta)
+    if theta is None and not isinstance(cutoff, ExpSymmetric):
+        return integrate_powers(psi_rows(q, factor=cutoff.value), half_exps, q, support)
     if theta is None:
-        if not isinstance(cutoff, ExpSymmetric):
-            return integrate_powers(psi_rows(q, factor=cutoff.value), half_exps,
-                                    q, support)
         peak = 2.0 * complex(cutoff.lam)
-        return [sum_pieces([r], cmath.exp(-peak)) for r in integrate_powers(psi_rows(
-            q, factor=lambda x: _peak_scaled(cutoff.lam, peak, x + 1.0 / x)),
-            half_exps, q, support)]
+        rows = psi_rows(q, factor=lambda x: _peak_scaled(cutoff.lam, peak, x + 1.0 / x))
+        return [sum_pieces([r], cmath.exp(-peak))
+                for r in integrate_powers(rows, half_exps, q, support)]
 
     lam = _require_positive_real(cutoff.lam, "the ray route")
     peak = 2.0 * lam * math.cos(theta)
-    return [sum_pieces([sum_pieces([ray], cmath.exp(0.5j * theta * s - peak)),
-                        _asymptote_integral(s, lam, q)])
-            for s, ray in zip(s_values, integrate_powers(
-                _ray_rows(lam, peak, theta, q), half_exps, q, support))]
+    rows = []
+    for s, ray in zip(s_values, integrate_powers(
+            _ray_rows(lam, peak, theta, q), half_exps, q, support)):
+        ray = sum_pieces([ray], cmath.exp(0.5j * theta * s - peak))
+        rounding = EvalResult(0j, _RAY_ROUNDING * abs(ray.value), 0, True)
+        rows.append(sum_pieces([ray, rounding, _asymptote_integral(s, lam, q)]))
+    return rows
 
 
 def _ray_angle(t: float) -> float:

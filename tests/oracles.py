@@ -452,24 +452,30 @@ def regenerate_completed_exp_real_axis(n_points: int = 100, seed: int = 15) -> d
 
 
 # rows of three sigma on both sides of the ray/series crossover in lam, from
-# the real axis to the top of damped-grid's heights
+# the real axis to the top of damped-grid's heights; then below it up to the
+# series' last trusted height, t = 30 and 70 where the ray's estimate once
+# fell short of its rounding
 CROSSOVER_LAMS = (0.5, 1.0, 2.0, 5.0, 10.0)
 CROSSOVER_TS = (0.0, 5.0, 14.0, 20.0)
+CROSSOVER_HIGH_LAMS = (0.5, 2.0, 4.9)
+CROSSOVER_HIGH_TS = (30.0, 50.0, 70.0, 100.0)
 CROSSOVER_SIGMAS = (0.1, 0.5, 0.9)
 
 
 def regenerate_completed_exp_crossover() -> dict:
     """completed_exp_series_ref at 40 digits for every (lam, t, sigma) of
-    CROSSOVER_LAMS x CROSSOVER_TS x CROSSOVER_SIGMAS."""
+    CROSSOVER_LAMS x CROSSOVER_TS and CROSSOVER_HIGH_LAMS x
+    CROSSOVER_HIGH_TS, each with CROSSOVER_SIGMAS."""
+    grid = ([(lam, t) for lam in CROSSOVER_LAMS for t in CROSSOVER_TS]
+            + [(lam, t) for lam in CROSSOVER_HIGH_LAMS for t in CROSSOVER_HIGH_TS])
     rows = []
     with mp.workdps(40):
-        for lam in CROSSOVER_LAMS:
-            for t in CROSSOVER_TS:
-                for sigma in CROSSOVER_SIGMAS:
-                    value = completed_exp_series_ref(complex(sigma, t), lam)
-                    rows.append({"lam": lam, "s_re": sigma, "s_im": t,
-                                 "completed_re": value.real,
-                                 "completed_im": value.imag})
+        for lam, t in grid:
+            for sigma in CROSSOVER_SIGMAS:
+                value = completed_exp_series_ref(complex(sigma, t), lam)
+                rows.append({"lam": lam, "s_re": sigma, "s_im": t,
+                             "completed_re": value.real,
+                             "completed_im": value.imag})
     return {"completed": rows}
 
 

@@ -434,7 +434,8 @@ def test_high_t_takes_the_ray_and_the_series_owns_up(row):
 
 
 # completed_exp_series_ref at 40 digits on rows of three sigma, for lam on
-# both sides of the ray/series crossover _RAY_LAM and t in {0, 5, 14, 20}
+# both sides of the ray/series crossover _RAY_LAM and t in {0, 5, 14, 20},
+# and for lam below it at t in {30, 50, 70, 100}
 CROSSOVER_FIXTURE = json.loads(
     (pathlib.Path(__file__).parent / "fixtures"
      / "completed_exp_crossover.json").read_text())
@@ -461,8 +462,9 @@ def _assert_close_and_honest(results, row):
 def test_routed_value_holds_across_the_crossover():
     rows = _crossover_rows()
     lams = {lam for lam, _ in rows}
-    assert len(rows) == 20
+    assert len(rows) == 32
     assert min(lams) < regularized._RAY_LAM <= max(lams)
+    assert max(abs(t) for _, t in rows) == regularized._SERIES_MAX_T
     for (lam, _), row in rows.items():
         results, route = _completed_exp([s for s, _ in row], lam, QuadratureSpec())
         assert route == ("quadrature" if lam < regularized._RAY_LAM
@@ -472,9 +474,10 @@ def test_routed_value_holds_across_the_crossover():
 
 def test_ray_holds_on_both_sides_of_the_crossover():
     # every lam below _RAY_LAM, and lam = 10 above it, where the ray without
-    # the cutoff's peak scaled out accepted on the abs_tol floor 5e-9 off
+    # the cutoff's peak scaled out accepted on the abs_tol floor 5e-9 off;
+    # at t = 30 and 70 the estimate needs the pass's rounding, _RAY_ROUNDING
     rows = _crossover_rows()
-    assert sum(lam < regularized._RAY_LAM for lam, _ in rows) == 12
+    assert sum(lam < regularized._RAY_LAM for lam, _ in rows) == 24
     for (lam, t), row in rows.items():
         theta = regularized._ray_angle(t) if t else None
         _assert_close_and_honest(_completed_quadrature(
@@ -530,7 +533,8 @@ _RAY_ROW = [0.3 + 20.0j, 0.7 + 20.0j]
 
 def _ray_by_node(s_values, cutoff, q, theta):
     """The ray values of a walk that computes the cutoff, its peak
-    e^{-2 lam cos(theta)} taken out, and psi - G at every node."""
+    e^{-2 lam cos(theta)} taken out, and psi - G at every node, each
+    estimate widened by the pass's rounding."""
     rot = cmath.exp(1j * theta)
     lam = complex(cutoff.lam)
     peak = 2.0 * cutoff.lam * math.cos(theta)
@@ -546,9 +550,13 @@ def _ray_by_node(s_values, cutoff, q, theta):
     rays = integrate_powers(lambda level: ray_base,
                             [0.5 * s - 1.0 for s in s_values], q,
                             regularized._quadrature_support(cutoff, theta))
-    return [sum_pieces([sum_pieces([ray], cmath.exp(0.5j * theta * s - peak)),
-                        regularized._asymptote_integral(s, cutoff.lam, q)])
-            for s, ray in zip(s_values, rays)]
+    results = []
+    for s, ray in zip(s_values, rays):
+        ray = sum_pieces([ray], cmath.exp(0.5j * theta * s - peak))
+        rounding = EvalResult(0j, regularized._RAY_ROUNDING * abs(ray.value), 0, True)
+        results.append(sum_pieces(
+            [ray, rounding, regularized._asymptote_integral(s, cutoff.lam, q)]))
+    return results
 
 
 _LOOSE_TAIL = QuadratureSpec(series_tail_tol=1e-12)
