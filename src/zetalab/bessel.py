@@ -45,13 +45,9 @@ the level sum with the call's constants hoisted.  The float operations and
 their order are those of one integrand call a node, so every value,
 estimate and evaluation count is what that walk gives.
 
-Cross-check route: the two-sided Laplace integral
-
-    integral_0^inf x^{nu-1} exp(-beta/x - gamma x) dx
-        = 2 (beta/gamma)^{nu/2} K_nu(2 sqrt(beta gamma)),
-
-evaluated with the generic exp-sinh engine. Tests hold the routes against
-each other; none is derived from another.
+Cross-check route: the two-sided Laplace integral `laplace_pair_integral`,
+whose saddle is scaled to x = 1 (the heat side's time integrals too).  Tests
+hold the routes against each other; none is derived from another.
 
 The symmetry K_nu = K_{-nu} holds on every route (cosh is even in nu, and
 the series is symmetric in its two parts). The true three-term recurrence
@@ -67,9 +63,10 @@ import sys
 from dataclasses import replace
 
 from .errors import DomainError, NonConvergence
-from .gammafn import gamma_complex, power_real_base
+from .gammafn import gamma_complex
 from .quadrature import integrate
-from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result
+from .types import (DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result,
+                    sum_pieces)
 
 _TAIL_STOP = 1e-19
 # Complex orders at |z| <= _SERIES_Z try the ascending series first: there
@@ -324,35 +321,46 @@ def bessel_k_complex_arg(nu: complex, z: complex,
     return _cosh_route(nu, z, q)
 
 
-def laplace_pair_integral(nu: complex, beta: float, gamma: float,
+def laplace_pair_integral(nu: complex, beta: float, gamma: complex,
                           q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
-    """integral_0^inf x^{nu-1} e^{-beta/x - gamma x} dx via exp-sinh.
+    """integral_0^inf x^{nu-1} e^{-beta/x - gamma x} dx = 2 (beta/gamma)^{nu/2}
+    K_nu(2c), c = sqrt(beta gamma), for beta >= 0 (Re nu > 0 at 0), Re gamma > 0.
 
-    Equals 2 (beta/gamma)^{nu/2} K_nu(2 sqrt(beta gamma)); tests use it as the
-    independent representation of K.
+    x = kappa u, kappa = sqrt(beta/gamma) (1/gamma at beta = 0), leaves kappa^nu
+    e^{-2c} times the integral of u^{nu-1} e^{-c(u-1)^2/u} (e^{-u} at beta = 0),
+    whose modulus peaks at 1 at u = 1 (DLMF 10.32.10), so the abs_tol floor
+    sits at the integrand's own scale.  Complex gamma turns the path to
+    arg x = arg kappa, inside |arg x| < pi/4 where the integrand decays at
+    both ends.  The estimate adds the factor's rounding, eps (2 + |nu log
+    kappa| + 2|c|) |pass|.
     """
-    if not (beta > 0.0 and gamma > 0.0):
-        raise DomainError("laplace_pair_integral needs beta > 0 and gamma > 0")
-    nu = complex(nu)
+    gamma, nu = complex(gamma), complex(nu)
+    if not (beta >= 0.0 and gamma.real > 0.0 and (beta * gamma or nu.real > 0.0)):
+        raise DomainError(f"laplace_pair_integral needs beta >= 0, Re gamma > 0 and "
+                          f"Re nu > 0 at beta = 0, got ({nu!r}, {beta!r}, {gamma!r})")
+    c = cmath.sqrt(beta * gamma)
+    kappa = cmath.sqrt(beta / gamma) if c else 1.0 / gamma
+    power = nu - 1.0
 
-    def f(x: float) -> complex:
-        expo = -beta / x - gamma * x
-        if expo < -745.0:
+    def f(u: float) -> complex:
+        # (u - 1)^2 / u is u + 1/u - 2 without its cancellation at the saddle
+        w = c * ((u - 1.0) * (u - 1.0) / u) if c else u
+        if w.real > 745.0:
             return 0.0
-        return power_real_base(x, nu - 1.0) * math.exp(expo)
+        return cmath.exp(power * math.log(u) - w)
 
-    return integrate(f, (0.0, math.inf), q)
+    inner = integrate(f, (0.0, math.inf), q)
+    lift = nu * cmath.log(kappa)
+    rounding = _EPS * (2.0 + abs(lift) + 2.0 * abs(c)) * abs(inner.value)
+    inner = replace(inner, err_estimate=inner.err_estimate + rounding)
+    return sum_pieces([inner], cmath.exp(lift - 2.0 * c))
 
 
 def bessel_k_from_laplace(nu: complex, z: float,
                           q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     """K_nu(z) recovered from the two-sided Laplace integral at beta=gamma=z/2."""
-    if not z > 0.0:
-        raise DomainError(f"needs z > 0, got {z!r}")
-    half = 0.5 * z
-    inner = laplace_pair_integral(nu, half, half, q)
-    return replace(inner, value=0.5 * inner.value,
-                   err_estimate=0.5 * inner.err_estimate)
+    half = 0.5 * z  # the pair rejects z <= 0 as Re gamma <= 0
+    return sum_pieces([laplace_pair_integral(nu, half, half, q)], 0.5)
 
 
 def symmetry_residual(nu: complex, z: float,

@@ -3,8 +3,9 @@
 Flat space gets the Gaussian kernel and its resolvent in two independent
 forms (Bessel closed form vs. time integral).  Odd-dimensional hyperbolic
 space gets the exact recursion kernel obtained by repeatedly applying
-(1/sinh rho) d/drho to the Gaussian seed.  The *_identification_residual
-functions tie these back to the two-parameter damped zeta values.
+(1/sinh rho) d/drho to the Gaussian seed.  Every time integral here is one
+`bessel.laplace_pair_integral`.  The *_identification_residual functions tie
+these back to the two-parameter damped zeta values.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import cmath
 import math
 import sys
 
-from .bessel import bessel_k_complex_arg, laplace_pair_integral
+from .bessel import bessel_k, bessel_k_complex_arg, laplace_pair_integral
 from .cutoffs import TwoParam
 from .errors import DomainError, NonConvergence
 from .gammafn import gamma_complex, power_real_base
-from .quadrature import integrate
 from .regularized import _completed_quadrature
-from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result
+from .types import (DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result,
+                    sum_pieces)
 
 _FOUR_PI = 4.0 * math.pi
 # the largest rho with sinh rho finite in double
@@ -65,7 +66,8 @@ def resolvent_rd_bessel(alpha: complex, r: float, d: complex,
 
 def resolvent_rd_quad(alpha: complex, r: float, d: float,
                       q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
-    """Time-integral form: int_0^inf (4 pi t)^(-d/2) exp(-(alpha t + r^2/4t)) dt."""
+    """Time-integral form int_0^inf (4 pi t)^(-d/2) exp(-(alpha t + r^2/4t)) dt:
+    (4 pi)^(-d/2) times the pair at nu = 1 - d/2, beta = r^2/4, gamma = alpha."""
     alpha = complex(alpha)
     if not alpha.real > 0.0:
         raise DomainError(f"resolvent_rd_quad needs Re alpha > 0, got {alpha!r}")
@@ -75,15 +77,8 @@ def resolvent_rd_quad(alpha: complex, r: float, d: float,
             f"where the kernel stays integrable); got r = {r!r}, d = {d!r}")
     if d < 1.0:
         raise DomainError(f"resolvent_rd_quad needs d >= 1, got {d!r}")
-    quarter_r2 = 0.25 * r * r
-
-    def f(t: float) -> complex:
-        w = alpha * t + quarter_r2 / t
-        if w.real > 745.0:
-            return 0.0
-        return power_real_base(_FOUR_PI * t, -0.5 * d) * cmath.exp(-w)
-
-    return integrate(f, (0.0, math.inf), q)
+    pair = laplace_pair_integral(1.0 - 0.5 * d, 0.25 * r * r, alpha, q)
+    return sum_pieces([pair], math.pow(_FOUR_PI, -0.5 * d))
 
 
 # ---------------------------------------------------------------------------
@@ -183,23 +178,16 @@ def laplace_hyperbolic(alpha: complex, rho: float,
     """Laplace transform int_0^inf exp(-alpha t) p3(t, rho) dt, Re alpha > -1.
 
     The spectral gap of H^3 contributes exp(-t), so the transform converges
-    on the half-plane Re alpha > -1 rather than just Re alpha > 0.
+    on the half-plane Re alpha > -1 rather than just Re alpha > 0.  It is
+    (4 pi)^(-3/2) rho/sinh rho times the pair at (-1/2, rho^2/4, alpha + 1).
     """
     alpha = complex(alpha)
     if not alpha.real > -1.0:
         raise DomainError(f"laplace_hyperbolic needs Re alpha > -1, got {alpha!r}")
     if not rho > 0.0:
         raise DomainError(f"laplace_hyperbolic needs rho > 0, got {rho!r}")
-    ratio = _rho_over_sinh(rho)
-    quarter = 0.25 * rho * rho
-
-    def f(t: float) -> complex:
-        w = (alpha + 1.0) * t + quarter / t
-        if w.real > 745.0:
-            return 0.0
-        return math.pow(_FOUR_PI * t, -1.5) * ratio * cmath.exp(-w)
-
-    return integrate(f, (0.0, math.inf), q)
+    pair = laplace_pair_integral(-0.5, 0.25 * rho * rho, alpha + 1.0, q)
+    return sum_pieces([pair], math.pow(_FOUR_PI, -1.5) * _rho_over_sinh(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +196,8 @@ def laplace_hyperbolic(alpha: complex, rho: float,
 
 
 def _time_integral(p: float, alpha: float, c: float, q: QuadratureSpec) -> complex:
-    """int_0^inf t^(-p) exp(-(alpha t + c/4t)) dt for positive alpha, c."""
+    """int_0^inf t^(-p) exp(-(alpha t + c/4t)) dt, the Laplace pair at
+    nu = 1 - p, beta = c/4, gamma = alpha."""
     return laplace_pair_integral(1.0 - p, 0.25 * c, alpha, q).value
 
 
@@ -263,8 +252,9 @@ def euclidean_identification_residual(d: float, alpha: float, r: float,
 
 def hyperbolic_identification_residual(alpha: float, rho: float,
                                        q: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Relative gap between the direct t-integral at (1 + alpha, rho^2/4)
-    and the resonance-shifted Laplace transform of the H^3 kernel.
+    """Relative gap between the t-integral at (gamma, beta) = (1 + alpha,
+    rho^2/4) in its K closed form, 2 (beta/gamma)^(-1/4) K_(-1/2)(2 sqrt(beta
+    gamma)), and the resonance-shifted Laplace transform of the H^3 kernel.
     """
     if not alpha > 0.0:
         raise DomainError(f"needs alpha > 0, got {alpha!r}")
@@ -272,7 +262,8 @@ def hyperbolic_identification_residual(alpha: float, rho: float,
         raise DomainError(
             f"needs rho > 0 (the sinh normalization degenerates as rho -> 0), "
             f"got {rho!r}")
-    lhs = -0.25 * _time_integral(1.5, 1.0 + alpha, rho * rho, q)
+    root = math.sqrt(1.0 + alpha)  # sqrt(gamma); 2 sqrt(beta gamma) = rho root
+    lhs = -0.5 * math.sqrt(2.0 * root / rho) * bessel_k(-0.5, rho * root, q).value
     transform = laplace_hyperbolic(alpha, rho, q).value
     if lhs == 0 or transform == 0:
         raise DomainError(f"a side underflows to 0 at rho = {rho!r}")

@@ -520,6 +520,25 @@ def laplace_h3_closed(alpha, rho) -> float:
     return float(mp.exp(-rm * mp.sqrt(1 + am)) / (4 * mp.pi * mp.sinh(rm)))
 
 
+def laplace_h3_ref(alpha, rho) -> complex:
+    """H^3's Laplace transform e^{-rho sqrt(1+alpha)} / (4 pi sinh rho) at
+    complex alpha, Re alpha > -1 (`laplace_h3_closed` takes real alpha)."""
+    am, rm = mp.mpc(alpha), mp.mpf(rho)
+    return to_complex(mp.exp(-rm * mp.sqrt(1 + am)) / (4 * mp.pi * mp.sinh(rm)))
+
+
+def resolvent_k_ref(alpha, r, d) -> complex:
+    """The time-integral form of the flat resolvent by its K closed form,
+    (4 pi)^(-d/2) 2 (beta/alpha)^(nu/2) K_nu(2 sqrt(beta alpha)) with
+    nu = 1 - d/2 and beta = r^2/4, at complex alpha, Re alpha > 0.
+    `resolvent_quad_ref` integrates the same kernel with mp.quad, which
+    loses it at large r."""
+    am, dm = mp.mpc(alpha), mp.mpf(d)
+    nu, beta = 1 - dm / 2, mp.mpf(r) ** 2 / 4
+    return to_complex((4 * mp.pi) ** (-dm / 2) * 2 * (beta / am) ** (nu / 2)
+                      * mp.besselk(nu, 2 * mp.sqrt(beta * am)))
+
+
 def approx_fe_ref(s, x, y):
     """Two-sum value and its true error against mp.zeta."""
     sm = mp.mpc(s)
@@ -639,6 +658,47 @@ def regenerate_bessel_series(n_points: int = 80, seed: int = 14) -> dict:
     return {"points": rows}
 
 
+# far from the origin of the heat side, where the e^{-beta/x - gamma x}
+# integrands peak below abs_tol: H^3's transform and the flat resolvent, and
+# K recovered from the Laplace pair
+LAPLACE_FAR_H3_RHOS = (10.0, 20.0, 30.0, 100.0, 250.0)
+LAPLACE_FAR_H3_ALPHAS = (-0.5, 1.0, 10.0, complex(-0.5, 10.0), complex(2.0, 20.0))
+LAPLACE_FAR_RS = (10.0, 30.0, 60.0, 200.0)
+LAPLACE_FAR_DS = (2.5, 3.0, 4.0)
+LAPLACE_FAR_ALPHAS = (0.5, 2.0, complex(1.0, 0.5))
+LAPLACE_FAR_K = ((1.5, 80.0), (complex(0.25, 0.5), 30.0))
+
+
+def regenerate_laplace_pair_far() -> dict:
+    """`laplace_h3_ref`, `resolvent_k_ref` and mpmath's K at 40 digits on
+    the LAPLACE_FAR_* grids, leaving out every point whose value is not a
+    normal double."""
+    def normal(value):
+        return abs(value) >= sys.float_info.min
+
+    with mp.workdps(40):
+        h3 = [(alpha, rho, laplace_h3_ref(alpha, rho))
+              for rho in LAPLACE_FAR_H3_RHOS for alpha in LAPLACE_FAR_H3_ALPHAS]
+        flat = [(alpha, r, d, resolvent_k_ref(alpha, r, d))
+                for r in LAPLACE_FAR_RS for d in LAPLACE_FAR_DS
+                for alpha in LAPLACE_FAR_ALPHAS]
+        k = [(nu, z, to_complex(mp.besselk(mp.mpc(nu), mp.mpf(z))))
+             for nu, z in LAPLACE_FAR_K]
+    return {
+        "laplace_h3": [{"alpha_re": complex(a).real, "alpha_im": complex(a).imag,
+                        "rho": rho, "value_re": v.real, "value_im": v.imag}
+                       for a, rho, v in h3 if normal(v)],
+        "resolvent_quad": [{"alpha_re": complex(a).real,
+                            "alpha_im": complex(a).imag, "r": r, "d": d,
+                            "value_re": v.real, "value_im": v.imag}
+                           for a, r, d, v in flat if normal(v)],
+        "bessel_k_from_laplace": [{"nu_re": complex(nu).real,
+                                   "nu_im": complex(nu).imag, "z": z,
+                                   "value_re": v.real, "value_im": v.imag}
+                                  for nu, z, v in k if normal(v)],
+    }
+
+
 # fixture file -> (generator, one list of numbers a line)
 FIXTURES = {
     "quarter_alpha_verdict.json": (regenerate_quarter_alpha, False),
@@ -651,6 +711,7 @@ FIXTURES = {
     "bessel_k_series.json": (regenerate_bessel_series, False),
     "completed_exp_real_axis.json": (regenerate_completed_exp_real_axis, False),
     "completed_exp_crossover.json": (regenerate_completed_exp_crossover, False),
+    "laplace_pair_far.json": (regenerate_laplace_pair_far, False),
 }
 
 

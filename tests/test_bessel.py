@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import zetalab.bessel as bessel
-from oracles import besselk_ref
+from oracles import besselk_ref, gamma_ref
 from zetalab.bessel import (
     _SERIES_Z,
     _shifted_route,
@@ -98,6 +98,17 @@ def test_two_integral_representations_agree():
             z = 2.0 * math.sqrt(beta * gamma)
             rhs = 2.0 * power_real_base(beta / gamma, nu / 2.0) * bessel_k(nu, z).value
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
+    # complex gamma turns the path; beta = 0 is Gamma(nu) / gamma^nu
+    for nu in (0.5, 1.5, 0.25 + 0.5j):
+        for beta, gamma in ((2.0, 1.0 - 3.0j), (0.5, 0.2 + 4.0j), (30.0, 2.0 + 1.0j)):
+            lhs = laplace_pair_integral(nu, beta, gamma).value
+            rhs = (2.0 * cmath.exp(0.5 * nu * cmath.log(beta / gamma))
+                   * besselk_ref(nu, 2.0 * cmath.sqrt(beta * gamma)))
+            assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+        for gamma in (1.0, 2.0 - 1.0j, 0.1 + 3.0j):
+            lhs = laplace_pair_integral(nu, 0.0, gamma).value
+            rhs = gamma_ref(nu) * cmath.exp(-nu * cmath.log(gamma))
+            assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
 
 
 def test_laplace_recovery_route():
@@ -124,6 +135,11 @@ def test_domain():
         bessel_k(0.5, 1.0 + 1.0j)
     with pytest.raises(DomainError):
         laplace_pair_integral(0.5, -1.0, 1.0)
+    for gamma in (0.0, -1.0, 2.0j, -0.5 + 1.0j):
+        with pytest.raises(DomainError, match="Re gamma > 0"):
+            laplace_pair_integral(0.5, 1.0, gamma)
+    with pytest.raises(DomainError):
+        laplace_pair_integral(-0.5, 0.0, 1.0)  # diverges at 0 without beta
     with pytest.raises(DomainError):
         bessel_k_from_laplace(0.5, 0.0)
 

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import laplace_h3_closed
 from zetalab import diffusion
+from zetalab.bessel import bessel_k_from_laplace
 from zetalab.diffusion import (
     euclidean_identification_residual,
     heat_kernel_h3,
@@ -180,9 +181,34 @@ def test_laplace_hyperbolic():
         laplace_hyperbolic(1.0, 0.0)
 
 
+def test_laplace_pair_far_fixture():
+    # every caller of the Laplace pair where its integrand peaks far below
+    # abs_tol: mpmath at 40 digits (tests/oracles.py)
+    fix = json.loads((FIXTURES / "laplace_pair_far.json").read_text())
+    cases = (
+        [(f"laplace_hyperbolic({p['alpha_re']}+{p['alpha_im']}j, {p['rho']})",
+          laplace_hyperbolic(complex(p["alpha_re"], p["alpha_im"]), p["rho"]), p)
+         for p in fix["laplace_h3"]]
+        + [(f"resolvent_rd_quad({p['alpha_re']}+{p['alpha_im']}j, {p['r']}, {p['d']})",
+            resolvent_rd_quad(complex(p["alpha_re"], p["alpha_im"]), p["r"], p["d"]), p)
+           for p in fix["resolvent_quad"]]
+        + [(f"bessel_k_from_laplace({p['nu_re']}+{p['nu_im']}j, {p['z']})",
+            bessel_k_from_laplace(complex(p["nu_re"], p["nu_im"]), p["z"]), p)
+           for p in fix["bessel_k_from_laplace"]])
+    assert len(cases) == 60
+    bad = []
+    for name, got, p in cases:
+        want = complex(p["value_re"], p["value_im"])
+        err = abs(got.value - want)
+        if not (err <= 1e-13 * abs(want) and err <= got.err_estimate):
+            bad.append(f"{name}: {err / abs(want):.2e} relative, "
+                       f"estimate {got.err_estimate / abs(want):.2e}")
+    assert bad == []
+
+
 def test_euclidean_identification():
-    assert euclidean_identification_residual(1.0, 1.0, 1.0) < 1e-8
-    assert euclidean_identification_residual(1.5, 0.8, 1.2) < 1e-8
+    assert euclidean_identification_residual(1.0, 1.0, 1.0) < 1e-13
+    assert euclidean_identification_residual(1.5, 0.8, 1.2) < 1e-13
 
 
 def test_euclidean_identification_pole():
@@ -208,6 +234,9 @@ def test_shifted_series_out_of_terms_is_nonconvergence():
 def test_hyperbolic_identification():
     assert hyperbolic_identification_residual(0.5, 0.8) < 1e-8
     assert hyperbolic_identification_residual(1.2, 1.5) < 1e-8
+    # the left side is K's closed form, so an error of the transform shows
+    for rho in (10.0, 30.0, 100.0, 250.0):
+        assert hyperbolic_identification_residual(1.0, rho) < 1e-12
     with pytest.raises(DomainError):
         hyperbolic_identification_residual(0.0, 0.8)
     with pytest.raises(DomainError):
