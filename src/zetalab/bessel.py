@@ -332,7 +332,7 @@ def laplace_pair_integral(nu: complex, beta: float, gamma: complex,
     sits at the integrand's own scale.  Complex gamma turns the path to
     arg x = arg kappa, inside |arg x| < pi/4 where the integrand decays at
     both ends.  The estimate adds the factor's rounding, eps (2 + |nu log
-    kappa| + 2|c|) |pass|.
+    kappa| + 2|c|) |pass|; a factor that underflows to 0 skips the pass.
     """
     gamma, nu = complex(gamma), complex(nu)
     if not (beta >= 0.0 and gamma.real > 0.0 and (beta * gamma or nu.real > 0.0)):
@@ -340,6 +340,10 @@ def laplace_pair_integral(nu: complex, beta: float, gamma: complex,
                           f"Re nu > 0 at beta = 0, got ({nu!r}, {beta!r}, {gamma!r})")
     c = cmath.sqrt(beta * gamma)
     kappa = cmath.sqrt(beta / gamma) if c else 1.0 / gamma
+    lift = nu * cmath.log(kappa)
+    factor = cmath.exp(lift - 2.0 * c)
+    if not factor:
+        return sum_pieces([EvalResult(0j, 0.0, 0, True)], factor)
     power = nu - 1.0
 
     def f(u: float) -> complex:
@@ -350,10 +354,9 @@ def laplace_pair_integral(nu: complex, beta: float, gamma: complex,
         return cmath.exp(power * math.log(u) - w)
 
     inner = integrate(f, (0.0, math.inf), q)
-    lift = nu * cmath.log(kappa)
     rounding = _EPS * (2.0 + abs(lift) + 2.0 * abs(c)) * abs(inner.value)
     inner = replace(inner, err_estimate=inner.err_estimate + rounding)
-    return sum_pieces([inner], cmath.exp(lift - 2.0 * c))
+    return sum_pieces([inner], factor)
 
 
 def bessel_k_from_laplace(nu: complex, z: float,

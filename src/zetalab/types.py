@@ -5,6 +5,7 @@ Everything here is immutable; computations never mutate shared state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -81,9 +82,10 @@ def make_result(value: complex, err_estimate: float, evaluations: int,
 def sum_pieces(pieces, factor: complex | None = None) -> EvalResult:
     """factor * (sum of pieces) for a list of separately accepted EvalResults.
 
-    Values and errors are summed, then scaled by factor (errors by |factor|);
-    evaluations are summed; converged only when every piece converged.  No
-    tolerance test on the sum: pieces each at the abs_tol floor would fail it.
+    Values and errors are summed, then scaled by factor (errors by |factor|,
+    plus ulp(0.0) for a product that rounds subnormal); evaluations are
+    summed; converged only when every piece converged.  No tolerance test
+    on the sum: pieces each at the abs_tol floor would fail it.
     """
     first, *rest = pieces
     value, err = first.value, first.err_estimate
@@ -91,7 +93,7 @@ def sum_pieces(pieces, factor: complex | None = None) -> EvalResult:
         value += piece.value
         err += piece.err_estimate
     if factor is not None:
-        value, err = factor * value, abs(factor) * err
+        value, err = factor * value, abs(factor) * err + math.ulp(0.0)
     return EvalResult(value=value, err_estimate=err,
                       evaluations=sum(p.evaluations for p in pieces),
                       converged=all(p.converged for p in pieces))

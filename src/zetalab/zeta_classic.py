@@ -38,9 +38,9 @@ t = 1e12) and carries a bound of about 2e-14 + 2.2e-15 |Z| at every height.
 Below t = 100, `hardy_z` is e^{i theta} times `zeta_analytic`.
 
 The zero finder reads Z on its grid from a float Riemann-Siegel sum with
-C_0..C_4 wherever |Z| clears that sum's error bound, so the sign it takes
-there is certified.  That holds for grid points and refinement steps
-alike; every other point, and both ends of every bracket, evaluate
+C_0..C_4, cut to its bound, wherever |Z| clears that bound, so the sign
+it takes there is certified.  That holds for grid points and refinement
+steps alike; every other point, and both ends of every bracket, evaluate
 `hardy_z`.  The brackets are therefore those of an all-`hardy_z` scan,
 and each refined zero lies between two points whose signs are certified.
 
@@ -207,14 +207,20 @@ _RS_COEFFS = (
      -0.0057111087746711, 0.0017378207242639268, 0.0010746116648946275,
      -0.00019882814169315202),
 )
-# The scan grid's float sum stops after C_4, under `_rs_bound`.
-_RS_COEFFS_GRID = _RS_COEFFS[:5]
+# The scan grid's float sum stops after C_4, under `_rs_bound`: row k keeps
+# the fewest terms whose dropped tail at |p - 1/2| <= 1/2, times a^(-k-1/2),
+# stays below 1% of `_rs_bound(t)` at every t >= 2 pi.
+_RS_COEFFS_GRID = tuple(row[:m] for row, m in
+                        zip(_RS_COEFFS, (14, 13, 13, 11, 10)))
+# theta's series sum_k (1 - 2^(1-2k)) |B_2k| / (4k (2k-1)) t^(1-2k) (Edwards,
+# 1974), nine terms: 6.5e-16 left out at t = 2 pi, below eps |theta|.
+_THETA_TAIL = (1 / 48, 7 / 5760, 31 / 80640, 127 / 430080, 511 / 1216512,
+               1414477 / 1476034560, 8191 / 2555904, 118518239 / 8021606400,
+               5749691557 / 64012419072)
 
 # The scan reads Riemann-Siegel signs from t >= 2 pi (a = sqrt(t / 2 pi) >= 1,
-# so the main sum has a term).  It costs 0.01-0.02 ms there against
-# 0.05-0.1 ms for Euler-Maclaurin Z at t = 10..100 and ~0.5 ms for the
-# theta integral below 10, so no height where the formula applies favours
-# Euler-Maclaurin.
+# so the main sum has a term): 0.006-0.012 ms a point to t = 5000, against
+# 0.03-0.2 ms for `hardy_z` by Euler-Maclaurin or the theta integral.
 _RS_T_MIN = 2.0 * math.pi
 # Bound on |Z_RS - Z|: truncation after C_4 (~1e-4 a^(-11/2) measured) plus
 # rounding in t log n (~7e-15 t measured), each taken 20 times over.
@@ -530,12 +536,28 @@ def _xi_log_form(s: complex, q: QuadratureSpec) -> EvalResult:
 
 
 def riemann_siegel_theta(t: float) -> float:
-    """Phase theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi."""
-    t = float(t)
-    if t == 0.0:
-        return 0.0
-    lg = log_gamma_complex(0.25 + 0.5j * t)
-    return lg.imag - 0.5 * t * _LOG_PI
+    """Phase theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, odd in t.
+
+    From |t| = 2 pi on (t/2) log(t / 2 pi) - t/2 - pi/8 + sum_k
+    _THETA_TAIL[k-1] t^(1-2k) + atan(e^(-pi t))/2, that last as e^(-pi t)/2;
+    without it the series stops 1.3e-9 off at 2 pi.  Lanczos below 2 pi.
+    """
+    a = abs(float(t))
+    if a < _RS_T_MIN:
+        theta = log_gamma_complex(0.25 + 0.5j * a).imag - 0.5 * a * _LOG_PI
+    else:
+        r = 1.0 / a
+        theta = (0.5 * a * (math.log(a / (2.0 * math.pi)) - 1.0) - math.pi / 8.0
+                 + r * _poly(_THETA_TAIL, r * r) + 0.5 * math.exp(-math.pi * a))
+    return -theta if t < 0.0 else theta
+
+
+def _poly(coeffs, y: float) -> float:
+    """sum_j coeffs[j] y^j by Horner's rule."""
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * y + c
+    return total
 
 
 def hardy_z(t: float, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
@@ -604,9 +626,9 @@ def _rs_length(t: float) -> float:
 def _z_riemann_siegel(t: float) -> float:
     """Hardy's Z(t) by the Riemann-Siegel formula, t >= 2 pi.
 
-    2 sum_{n <= N} n^(-1/2) cos(theta(t) - t log n) plus the remainder
-    (-1)^(N-1) a^(-1/2) sum_{k <= 4} C_k(p) a^(-k), a = sqrt(t / 2 pi),
-    N = floor(a), p = a - N.  Its error is below `_rs_bound(t)`.
+    2 sum_{n <= N} n^(-1/2) cos(theta(t) - t log n), theta by its series,
+    plus (-1)^(N-1) a^(-1/2) sum_{k <= 4} C_k(p) a^(-k) on `_RS_COEFFS_GRID`,
+    a = sqrt(t / 2 pi), N = floor(a), p = a - N; error below `_rs_bound(t)`.
     """
     a = _rs_length(t)
     n_top = int(a)
@@ -615,26 +637,17 @@ def _z_riemann_siegel(t: float) -> float:
     main = 0.0
     for n in range(1, n_top + 1):
         main += math.cos(theta - t * logs[n]) / math.sqrt(n)
-    rem = _rs_remainder(a, a - n_top - 0.5, _RS_COEFFS_GRID)
-    if n_top % 2 == 0:
-        rem = -rem
+    rem = _rs_remainder(a, n_top, a - n_top - 0.5, _RS_COEFFS_GRID)
     return 2.0 * main + rem / math.sqrt(a)
 
 
-def _rs_remainder(a: float, x: float, orders) -> float:
-    """sum_k C_k(p) a^(-k) over the given rows of `_RS_COEFFS`, x = p - 1/2."""
-    y = x * x
-    rem = 0.0
-    scale = 1.0
+def _rs_remainder(a: float, n_top: int, x: float, orders) -> float:
+    """(-1)^(n_top-1) sum_k C_k(p) a^(-k) over `orders`, x = p - 1/2."""
+    y, rem, scale = x * x, 0.0, 1.0
     for k, coeffs in enumerate(orders):
-        ck = 0.0
-        for c in reversed(coeffs):
-            ck = ck * y + c
-        if k % 2:
-            ck *= x
-        rem += ck * scale
+        rem += _poly(coeffs, y) * (x if k % 2 else 1.0) * scale
         scale /= a
-    return rem
+    return rem if n_top % 2 else -rem
 
 
 def _rs_bound(t: float) -> float:
@@ -645,15 +658,12 @@ def _rs_bound(t: float) -> float:
 def _theta_fix(num: int, k: int) -> int:
     """theta(t) times 2^(_FIX_BITS + k) for t = num / 2^k >= 100.
 
-    theta = t/2 log(t / 2 pi) - t/2 - pi/8 + 1/(48 t) + 7/(5760 t^3)
-    + 31/(80640 t^5) + 127/(430080 t^7) + ...; the first term left out is
-    below 5e-22 at t = 100.  Everything but that float tail (below 2.1e-4,
-    good to its rounding) is integer arithmetic on `_log_fix`.
+    theta = t/2 log(t / 2 pi) - t/2 - pi/8 + the `_THETA_TAIL` series (its
+    atan(e^(-pi t))/2 < 1e-136 left out).  Everything but that float tail
+    (below 2.1e-4, good to its rounding) is integer arithmetic on `_log_fix`.
     """
     r = 1.0 / math.ldexp(num, -k)
-    r2 = r * r
-    tail = r * (1 / 48 + r2 * (7 / 5760 + r2 * (31 / 80640
-                                                 + r2 * (127 / 430080))))
+    tail = r * _poly(_THETA_TAIL, r * r)
     return ((num * (_log_fix(num, k) - _LOG_TWO_PI_FIX) >> 1)
             - (num << (_FIX_BITS - 1)) - ((_TWO_PI_FIX << k) >> 4)
             + int(math.ldexp(tail, _FIX_BITS + k)))
@@ -690,10 +700,7 @@ def _hardy_z_rs(t: float) -> tuple[float, int]:
         terms.append((cos(hi) - (phase & mask) * lo_ulp * sin(hi)) / sqrt(n))
     a = math.ldexp(a_fix, -_FIX_BITS)
     x = math.ldexp(a_fix - ((2 * n_top + 1) << (_FIX_BITS - 1)), -_FIX_BITS)
-    rem = _rs_remainder(a, x, _RS_COEFFS)
-    if n_top % 2 == 0:
-        rem = -rem
-    terms.append(0.5 * rem / sqrt(a))
+    terms.append(0.5 * _rs_remainder(a, n_top, x, _RS_COEFFS) / sqrt(a))
     return 2.0 * math.fsum(terms), n_top + len(_RS_COEFFS)
 
 
@@ -746,16 +753,17 @@ def find_zeros(t_min: float, t_max: float, step: float,
 
     The grid runs from t_min in steps of `step`, the last one clamped to
     t_max.  A grid point t >= 2 pi takes the float Riemann-Siegel value
-    `_z_riemann_siegel` where it clears its bound `_rs_bound`, so its sign
-    is certified; anywhere else Z comes from `hardy_z`.  A sign change
-    between two grid points is re-checked with `hardy_z` at both ends, whose
-    values become z_lo and z_hi, and refined by the Illinois method on the
-    same rule to a sign-change bracket no wider than 1e-8, whose midpoint is
-    refined_t.  Each sign taken is certified or is `hardy_z`'s, so the
-    brackets are those of a scan that evaluates `hardy_z` at every grid
-    point.  Above t = 1000 a zero costs about three `hardy_z` calls: the
-    two bracket ends and the step that lands inside the bound; above
-    t = 100 those calls are the Riemann-Siegel sum in fixed point.
+    `_z_riemann_siegel` (about 0.01 ms) where it clears its bound
+    `_rs_bound`, so its sign is certified; anywhere else Z comes from
+    `hardy_z`.  A sign change between two grid points is re-checked with
+    `hardy_z` at both ends, whose values become z_lo and z_hi, and refined
+    by the Illinois method on the same rule to a sign-change bracket no
+    wider than 1e-8, whose midpoint is refined_t.  Each sign taken is
+    certified or is `hardy_z`'s, so the brackets are those of a scan that
+    evaluates `hardy_z` at every grid point.  Above t = 1000 a zero costs
+    about three `hardy_z` calls: the two bracket ends and the step that
+    lands inside the bound; above t = 100 those calls are the
+    Riemann-Siegel sum in fixed point.
 
     Raises DomainError when step does not move t at t_max, and
     NonConvergence when the Riemann-Siegel sum at t_max would need more

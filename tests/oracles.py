@@ -24,6 +24,7 @@ import os
 import random
 import re
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -377,6 +378,25 @@ def rs_coefficient_tables(orders: int = RS_ORDERS, degree: int = 160,
                 raise ArithmeticError(f"C_{n} needs a series longer than {degree}")
             tables.append(row)
         return tables
+
+
+def theta_tail_coefficients(count: int) -> list:
+    """(1 - 2^(1-2k)) |B_2k| / (4k (2k-1)), k = 1..count, as exact Fractions
+    from mpmath's Bernoulli numbers: the coefficients of t^(1-2k) in the
+    asymptotic series of theta (Edwards, Riemann's Zeta Function, 1974)."""
+    return [(1 - Fraction(1, 2 ** (2 * k - 1))) * abs(Fraction(*mp.bernfrac(2 * k)))
+            / (4 * k * (2 * k - 1)) for k in range(1, count + 1)]
+
+
+def theta_series_mp(t, terms: int):
+    """theta's asymptotic series at t in mpmath, `terms` tail terms and
+    atan(e^(-pi t))/2 included; mp.siegeltheta minus this is what the
+    series leaves out."""
+    t = mp.mpf(t)
+    tail = sum(mp.mpf(c.numerator) / c.denominator / t ** (2 * k - 1)
+               for k, c in enumerate(theta_tail_coefficients(terms), start=1))
+    return (t / 2 * mp.log(t / (2 * mp.pi)) - t / 2 - mp.pi / 8 + tail
+            + mp.atan(mp.exp(-mp.pi * t)) / 2)
 
 
 # lowest height where the scan uses the Riemann-Siegel sign (a >= 1, N >= 1)

@@ -24,7 +24,7 @@ from zetalab.bessel import (
 )
 from zetalab.errors import DomainError, NonConvergence
 from zetalab.gammafn import gamma_complex, power_real_base
-from zetalab.types import DEFAULT_QUAD, QuadratureSpec, make_result
+from zetalab.types import DEFAULT_QUAD, EvalResult, QuadratureSpec, make_result
 
 
 def test_half_order_closed_form():
@@ -109,6 +109,27 @@ def test_two_integral_representations_agree():
             lhs = laplace_pair_integral(nu, 0.0, gamma).value
             rhs = gamma_ref(nu) * cmath.exp(-nu * cmath.log(gamma))
             assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+
+
+def test_laplace_pair_skips_the_pass_when_its_factor_underflows(monkeypatch):
+    # kappa^nu e^{-2c} is exactly 0 at the first two: the pass would scale
+    # to 0 within ulp(0.0), which comes back with no evaluation; at the
+    # third it is 2.7e-262 and the pass runs
+    passes, integrate = [], bessel.integrate
+
+    def counted(*args):
+        passes.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(bessel, "integrate", counted)
+    for nu, beta, gamma in ((0.5, 400.0, 400.0), (-0.5, 720.0 ** 2 / 4, 2.0)):
+        r = laplace_pair_integral(nu, beta, gamma)
+        assert r == EvalResult(0j, math.ulp(0.0), 0, True)
+    assert passes == []
+    r = laplace_pair_integral(0.5, 300.0, 300.0)
+    assert len(passes) == 1 and r.evaluations > 0 and r.converged
+    ref = 2.0 * besselk_ref(0.5, 600.0)
+    assert abs(r.value - ref) <= min(r.err_estimate, 1e-14 * abs(ref))
 
 
 def test_laplace_recovery_route():

@@ -3,11 +3,12 @@
 import json
 import math
 import pathlib
+import sys
 
 import mpmath as mp
 import pytest
 
-from oracles import laplace_h3_closed
+from oracles import laplace_h3_closed, laplace_h3_ref
 from zetalab import diffusion
 from zetalab.bessel import bessel_k_from_laplace
 from zetalab.diffusion import (
@@ -179,6 +180,20 @@ def test_laplace_hyperbolic():
         laplace_hyperbolic(-1.0, 0.7)
     with pytest.raises(DomainError):
         laplace_hyperbolic(1.0, 0.0)
+
+
+def test_laplace_hyperbolic_estimate_covers_a_subnormal_value():
+    # 1.29e-310 holds about 44 bits: its estimate is at least their spacing
+    # ulp(0.0), and the referee (40 digits) lies within it
+    r = laplace_hyperbolic(-0.999999, 711.0)
+    with mp.workdps(40):
+        ref = laplace_h3_ref(-0.999999, 711.0)
+    assert 0.0 < r.value.real < sys.float_info.min
+    assert r.err_estimate >= math.ulp(0.0)
+    assert abs(r.value - ref) <= r.err_estimate
+    # past the factor's underflow the pair returns its 0 without a pass
+    r = laplace_hyperbolic(1.0, 720.0)
+    assert (r.value, r.evaluations, r.converged) == (0j, 0, True)
 
 
 def test_laplace_pair_far_fixture():

@@ -22,8 +22,9 @@ from hypothesis import given, strategies as st
 
 import zetalab.zeta_classic as zeta_classic
 from oracles import (chi_ref, fixed_gap_ref, hardy_z_ref, log_mp,
-                     siegel_theta_mp, two_pi_mp, xi_ref, zero_count_ref,
-                     zeta_ref)
+                     siegel_theta_mp, theta_series_mp,
+                     theta_tail_coefficients, two_pi_mp, xi_ref,
+                     zero_count_ref, zeta_ref)
 from zetalab.errors import DomainError, NonConvergence, PoleError
 from zetalab.funceq import STANDARD_S_GRID
 from zetalab.gammafn import power_real_base, rgamma
@@ -31,7 +32,9 @@ from zetalab.types import QuadratureSpec
 from zetalab.zeta_classic import (
     _HARDY_RS_T_MIN,
     _RS_COEFFS,
+    _RS_COEFFS_GRID,
     _RS_T_MIN,
+    _THETA_TAIL,
     _dirichlet_sum,
     _euler_maclaurin,
     _hardy_rs_bound,
@@ -312,6 +315,58 @@ def test_theta_phase():
     assert riemann_siegel_theta(-t) == pytest.approx(1.7286702466758372, rel=1e-12)
 
 
+def test_theta_tail_is_the_bernoulli_series_to_the_first_term_below_eps():
+    # each coefficient is the double nearest its exact rational
+    exact = theta_tail_coefficients(len(_THETA_TAIL))
+    assert list(_THETA_TAIL) == [float(c) for c in exact]
+    # and there are as few as leave less than eps |theta| out at t = 2 pi
+    with mp.workdps(40):
+        t = 2 * mp.pi
+        floor = sys.float_info.epsilon * abs(mp.siegeltheta(t))
+        left = [abs(mp.siegeltheta(t) - theta_series_mp(t, k))
+                for k in (len(_THETA_TAIL) - 1, len(_THETA_TAIL))]
+    assert left[0] > floor > left[1]
+
+
+def _theta_heights(lo, hi, count=150):
+    """Seeded heights on [lo, hi), log-uniform when lo > 0."""
+    rng = random.Random(28)
+    if lo == 0.0:
+        return [rng.uniform(lo, hi) for _ in range(count)]
+    return [lo * (hi / lo) ** rng.random() for _ in range(count)]
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, _RS_T_MIN), (_RS_T_MIN, 1e6)],
+                         ids=["lanczos", "series"])
+def test_theta_meets_mpmath_within_the_rounding_of_its_terms(lo, hi):
+    # theta is formed from terms of size (t/2)(|log(t / 2 pi)| + 1); its
+    # error over eps times that reads 1.29 below 2 pi (Lanczos) and 0.99
+    # above (the series), where Lanczos read 1.62 at these heights
+    for t in _theta_heights(lo, hi):
+        size = 0.5 * t * (abs(math.log(t / (2.0 * math.pi))) + 1.0) + 1.0
+        with mp.workdps(30):
+            error = abs(float(riemann_siegel_theta(t) - siegel_theta_mp(t)))
+        assert error <= 1.5 * sys.float_info.epsilon * size, t
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, _RS_T_MIN), (_RS_T_MIN, 1e6)],
+                         ids=["lanczos", "series"])
+def test_theta_is_exactly_odd(lo, hi):
+    for t in _theta_heights(lo, hi):
+        assert riemann_siegel_theta(-t) == -riemann_siegel_theta(t)
+
+
+def test_hardy_z_below_the_switch_height_meets_its_estimate():
+    # e^{i theta} zeta(1/2 + it) with theta by its series from t = 2 pi:
+    # the worst error / estimate reads 0.58 at these heights
+    rng = random.Random(2810)
+    for t in (rng.uniform(10.0, _HARDY_RS_T_MIN) for _ in range(120)):
+        r = hardy_z(t)
+        with mp.workdps(30):
+            ref = hardy_z_ref(t)
+        assert abs(r.value.real - ref) <= r.err_estimate, t
+
+
 def _fixed(x):
     """x = num / 2^k exactly, as (num, k)."""
     num, den = x.as_integer_ratio()
@@ -420,6 +475,34 @@ def test_riemann_siegel_z_stays_well_inside_its_bound():
     # the bound is a conservative envelope: at least ten times the error
     worst = max(abs(_z_riemann_siegel(t) - z) / _rs_bound(t) for t, z in points)
     assert worst <= 0.1
+
+
+def test_riemann_siegel_z_stays_well_inside_its_bound_up_to_one_million():
+    # the grid serves any height a scan asks for: 0.039 at worst here
+    points = RS_FIXTURE["z_high"]
+    assert len(points) >= 200 and max(t for t, _ in points) > 9e5
+    worst = max(abs(_z_riemann_siegel(t) - z) / _rs_bound(t) for t, z in points)
+    assert worst <= 0.1
+
+
+def test_grid_rows_keep_the_fewest_terms_the_grid_bound_needs():
+    # row k's dropped tail at |p - 1/2| <= 1/2 (y <= 1/4, odd rows times
+    # 1/2), weighted by a^(-k-1/2), stays below 1% of _rs_bound(t) at every
+    # t >= 2 pi, and one term fewer would not; the allowance is least near
+    # t = 1000-2000 and grows on both sides
+    heights = [_RS_T_MIN * 10.0 ** (i / 1000) for i in range(8001)]
+    assert len(_RS_COEFFS_GRID) == 5
+    for k, (row, grid) in enumerate(zip(_RS_COEFFS, _RS_COEFFS_GRID)):
+        assert grid == row[:len(grid)]
+        allowance = [0.01 * _rs_bound(t) * (t / (2.0 * math.pi)) ** (0.5 * k + 0.25)
+                     for t in heights]
+        least = min(allowance)
+        assert least < allowance[0] and least < allowance[-1]
+
+        def tail(m):
+            return ((0.5 if k % 2 else 1.0)
+                    * sum(abs(c) * 0.25 ** j for j, c in enumerate(row) if j >= m))
+        assert tail(len(grid)) <= least < tail(len(grid) - 1), k
 
 
 def test_extended_riemann_siegel_keeps_a_tenfold_margin_on_its_bound():
