@@ -37,12 +37,12 @@ is good to ~1e-15 at any height up to the term ceiling (measured to
 t = 1e12) and carries a bound of about 2e-14 + 2.2e-15 |Z| at every height.
 Below t = 100, `hardy_z` is e^{i theta} times `zeta_analytic`.
 
-The zero finder reads Z on its grid from a float Riemann-Siegel sum with
-C_0..C_4, cut to its bound, wherever |Z| clears that bound, so the sign
-it takes there is certified.  That holds for grid points and refinement
-steps alike; every other point, and both ends of every bracket, evaluate
-`hardy_z`.  The brackets are therefore those of an all-`hardy_z` scan,
-and each refined zero lies between two points whose signs are certified.
+The zero finder reads Z's sign on its grid from a float Riemann-Siegel
+sum with C_0..C_4 wherever |Z| clears its bound, and from the main sum
+alone where the remainder cannot flip it; refinement steps read the whole
+sum, and every other point and both ends of every bracket `hardy_z`.  The
+brackets are therefore those of an all-`hardy_z` scan, and each refined
+zero lies between two points whose signs are certified.
 
 The Dirichlet sums of Euler-Maclaurin and of the two-sum value run over a
 table of log n kept for the life of the process, term for term the float
@@ -212,6 +212,9 @@ _RS_COEFFS = (
 # stays below 1% of `_rs_bound(t)` at every t >= 2 pi.
 _RS_COEFFS_GRID = tuple(row[:m] for row, m in
                         zip(_RS_COEFFS, (14, 13, 13, 11, 10)))
+# |C_k(p)| on the grid's row k is at most _RS_REACH[k] where |p - 1/2| <= 1/2.
+_RS_REACH = tuple(sum(abs(c) * 0.25 ** j for j, c in enumerate(row)) / (1 + k % 2)
+                  for k, row in enumerate(_RS_COEFFS_GRID))
 # theta's series sum_k (1 - 2^(1-2k)) |B_2k| / (4k (2k-1)) t^(1-2k) (Edwards,
 # 1974), nine terms: 6.5e-16 left out at t = 2 pi, below eps |theta|.
 _THETA_TAIL = (1 / 48, 7 / 5760, 31 / 80640, 127 / 430080, 511 / 1216512,
@@ -219,8 +222,8 @@ _THETA_TAIL = (1 / 48, 7 / 5760, 31 / 80640, 127 / 430080, 511 / 1216512,
                5749691557 / 64012419072)
 
 # The scan reads Riemann-Siegel signs from t >= 2 pi (a = sqrt(t / 2 pi) >= 1,
-# so the main sum has a term): 0.006-0.012 ms a point to t = 5000, against
-# 0.03-0.2 ms for `hardy_z` by Euler-Maclaurin or the theta integral.
+# so the main sum has a term): 0.002-0.005 ms a point to t = 5000, 0.0025 ms
+# more with the remainder, against 0.02-0.2 ms for `hardy_z` below t = 100.
 _RS_T_MIN = 2.0 * math.pi
 # Bound on |Z_RS - Z|: truncation after C_4 (~1e-4 a^(-11/2) measured) plus
 # rounding in t log n (~7e-15 t measured), each taken 20 times over.
@@ -624,12 +627,16 @@ def _rs_length(t: float) -> float:
 
 
 def _z_riemann_siegel(t: float) -> float:
-    """Hardy's Z(t) by the Riemann-Siegel formula, t >= 2 pi.
+    """Hardy's Z(t) by the Riemann-Siegel formula, t >= 2 pi: twice the main
+    sum `_rs_main` plus the remainder through C_4 on `_RS_COEFFS_GRID`;
+    error below `_rs_bound(t)`."""
+    a, n_top, main = _rs_main(t)
+    return 2.0 * main + _rs_remainder(a, n_top, a - n_top - 0.5, _RS_COEFFS_GRID)
 
-    2 sum_{n <= N} n^(-1/2) cos(theta(t) - t log n), theta by its series,
-    plus (-1)^(N-1) a^(-1/2) sum_{k <= 4} C_k(p) a^(-k) on `_RS_COEFFS_GRID`,
-    a = sqrt(t / 2 pi), N = floor(a), p = a - N; error below `_rs_bound(t)`.
-    """
+
+def _rs_main(t: float) -> tuple[float, int, float]:
+    """a = sqrt(t / 2 pi), N = floor(a) and sum_{n <= N} n^(-1/2)
+    cos(theta(t) - t log n), theta by its series."""
     a = _rs_length(t)
     n_top = int(a)
     theta = riemann_siegel_theta(t)
@@ -637,17 +644,20 @@ def _z_riemann_siegel(t: float) -> float:
     main = 0.0
     for n in range(1, n_top + 1):
         main += math.cos(theta - t * logs[n]) / math.sqrt(n)
-    rem = _rs_remainder(a, n_top, a - n_top - 0.5, _RS_COEFFS_GRID)
-    return 2.0 * main + rem / math.sqrt(a)
+    return a, n_top, main
 
 
 def _rs_remainder(a: float, n_top: int, x: float, orders) -> float:
-    """(-1)^(n_top-1) sum_k C_k(p) a^(-k) over `orders`, x = p - 1/2."""
+    """(-1)^(N-1) a^(-1/2) sum_k C_k(p) a^(-k) over `orders`, N = n_top,
+    x = p - 1/2; each C_k by `_poly`'s Horner steps, inline."""
     y, rem, scale = x * x, 0.0, 1.0
     for k, coeffs in enumerate(orders):
-        rem += _poly(coeffs, y) * (x if k % 2 else 1.0) * scale
+        total = 0.0
+        for c in reversed(coeffs):
+            total = total * y + c
+        rem += total * (x if k % 2 else 1.0) * scale
         scale /= a
-    return rem if n_top % 2 else -rem
+    return (rem if n_top % 2 else -rem) / math.sqrt(a)
 
 
 def _rs_bound(t: float) -> float:
@@ -700,7 +710,7 @@ def _hardy_z_rs(t: float) -> tuple[float, int]:
         terms.append((cos(hi) - (phase & mask) * lo_ulp * sin(hi)) / sqrt(n))
     a = math.ldexp(a_fix, -_FIX_BITS)
     x = math.ldexp(a_fix - ((2 * n_top + 1) << (_FIX_BITS - 1)), -_FIX_BITS)
-    terms.append(0.5 * _rs_remainder(a, n_top, x, _RS_COEFFS) / sqrt(a))
+    terms.append(0.5 * _rs_remainder(a, n_top, x, _RS_COEFFS))
     return 2.0 * math.fsum(terms), n_top + len(_RS_COEFFS)
 
 
@@ -752,18 +762,17 @@ def find_zeros(t_min: float, t_max: float, step: float,
     """Zeros of Hardy's Z on [t_min, t_max]: sign scan on a grid, then refinement.
 
     The grid runs from t_min in steps of `step`, the last one clamped to
-    t_max.  A grid point t >= 2 pi takes the float Riemann-Siegel value
-    `_z_riemann_siegel` (about 0.01 ms) where it clears its bound
-    `_rs_bound`, so its sign is certified; anywhere else Z comes from
-    `hardy_z`.  A sign change between two grid points is re-checked with
-    `hardy_z` at both ends, whose values become z_lo and z_hi, and refined
-    by the Illinois method on the same rule to a sign-change bracket no
-    wider than 1e-8, whose midpoint is refined_t.  Each sign taken is
-    certified or is `hardy_z`'s, so the brackets are those of a scan that
-    evaluates `hardy_z` at every grid point.  Above t = 1000 a zero costs
-    about three `hardy_z` calls: the two bracket ends and the step that
-    lands inside the bound; above t = 100 those calls are the
-    Riemann-Siegel sum in fixed point.
+    t_max.  A grid point t >= 2 pi takes the sign of the Riemann-Siegel
+    main sum (2-5 us to t = 5000) where the remainder cannot flip it, else
+    of the whole float sum `_z_riemann_siegel` (2.5 us more) where that
+    clears its bound `_rs_bound`; anywhere else Z comes from `hardy_z`.  A
+    sign change is re-checked with `hardy_z` at both ends, whose values
+    become z_lo and z_hi, and refined by the Illinois method on the whole
+    sum's values, by the same bound, to a bracket no wider than 1e-8, whose
+    midpoint is refined_t.  Every sign taken is Z's, so the brackets are
+    those of a scan that evaluates `hardy_z` at every grid point.  Above
+    t = 1000 a zero costs about three `hardy_z` calls (Riemann-Siegel in
+    fixed point): the two bracket ends and the step inside the bound.
 
     Raises DomainError when step does not move t at t_max, and
     NonConvergence when the Riemann-Siegel sum at t_max would need more
@@ -787,12 +796,23 @@ def find_zeros(t_min: float, t_max: float, step: float,
                 return z
         return hardy_z(t, q).value.real
 
+    def grid_sign(t: float) -> float:
+        """z_sign's sign, the main sum's where the remainder cannot flip it."""
+        if t >= _RS_T_MIN:
+            a, n_top, main = _rs_main(t)
+            z, bound = 2.0 * main, _rs_bound(t)
+            if abs(z) <= _poly(_RS_REACH, 1.0 / a) / math.sqrt(a) + bound:
+                z += _rs_remainder(a, n_top, a - n_top - 0.5, _RS_COEFFS_GRID)
+            if abs(z) > bound:
+                return z
+        return hardy_z(t, q).value.real
+
     brackets: list[ZeroBracket] = []
     t_lo = float(t_min)
-    s_lo = z_sign(t_lo)
+    s_lo = grid_sign(t_lo)
     while t_lo < t_max:
         t_hi = min(t_lo + step, float(t_max))
-        s_hi = z_sign(t_hi)
+        s_hi = grid_sign(t_hi)
         if s_lo * s_hi < 0.0:
             z_lo = hardy_z(t_lo, q).value.real
             z_hi = hardy_z(t_hi, q).value.real

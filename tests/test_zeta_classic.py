@@ -33,13 +33,16 @@ from zetalab.zeta_classic import (
     _HARDY_RS_T_MIN,
     _RS_COEFFS,
     _RS_COEFFS_GRID,
+    _RS_REACH,
     _RS_T_MIN,
     _THETA_TAIL,
     _dirichlet_sum,
     _euler_maclaurin,
     _hardy_rs_bound,
     _hardy_z_rs,
+    _poly,
     _rs_bound,
+    _rs_remainder,
     _z_riemann_siegel,
     approx_functional_sum,
     chi_factor,
@@ -505,6 +508,53 @@ def test_grid_rows_keep_the_fewest_terms_the_grid_bound_needs():
         assert tail(len(grid)) <= least < tail(len(grid) - 1), k
 
 
+def _reach(a):
+    """a^(-1/2) sum_k R_k a^(-k): the grid remainder's largest size at a."""
+    return sum(r * a ** -k for k, r in enumerate(_RS_REACH)) / math.sqrt(a)
+
+
+def test_grid_reach_bounds_the_grid_remainder():
+    # R_k is row k's coefficients in absolute value at y = 1/4, halved on
+    # the odd rows (their factor |p - 1/2| <= 1/2), computed from the table
+    assert len(_RS_REACH) == len(_RS_COEFFS_GRID) == 5
+    for k, (reach, row) in enumerate(zip(_RS_REACH, _RS_COEFFS_GRID)):
+        total = math.fsum(abs(c) * 0.25 ** j for j, c in enumerate(row))
+        assert reach == pytest.approx(total * (0.5 if k % 2 else 1.0), rel=1e-15)
+    assert _RS_REACH == pytest.approx((0.9815, 0.0938, 0.0253, 0.0104, 0.0040),
+                                      abs=5e-5)
+    # so it bounds the remainder at every a; the worst ratio here is 0.94
+    rng = random.Random(29)
+    worst = 0.0
+    for _ in range(10_000):
+        a = rng.uniform(1.0, 1e3)
+        n_top = int(a)
+        rem = _rs_remainder(a, n_top, a - n_top - 0.5, _RS_COEFFS_GRID)
+        worst = max(worst, abs(rem) / _reach(a))
+    assert 0.9 < worst < 1.0
+
+
+def _remainder_by_poly(a, n_top, x, orders):
+    """`_rs_remainder` summed row by row through `_poly`."""
+    rem, scale = 0.0, 1.0
+    for k, coeffs in enumerate(orders):
+        rem += _poly(coeffs, x * x) * (x if k % 2 else 1.0) * scale
+        scale /= a
+    return (rem if n_top % 2 else -rem) / math.sqrt(a)
+
+
+def test_remainder_rows_in_one_loop_equal_poly_bit_for_bit():
+    # at a = 1 with one row, _rs_remainder is that row's Horner sum alone
+    rng = random.Random(2929)
+    for _ in range(10_000):
+        a, x = rng.uniform(1.0, 1e3), rng.uniform(-0.5, 0.5)
+        n_top = int(a)
+        for orders in (_RS_COEFFS, _RS_COEFFS_GRID):
+            for row in orders:
+                assert _rs_remainder(1.0, 1, x, (row,)) == _poly(row, x * x)
+            assert (_rs_remainder(a, n_top, x, orders)
+                    == _remainder_by_poly(a, n_top, x, orders))
+
+
 def test_extended_riemann_siegel_keeps_a_tenfold_margin_on_its_bound():
     assert len(RS_FIXTURE["z_high"]) >= 200
     assert min(t for t, _ in RS_HIGH) >= _HARDY_RS_T_MIN
@@ -586,6 +636,97 @@ def test_find_zeros_above_the_switch_height_makes_no_euler_maclaurin_call(
     brackets = find_zeros(1000.0, 1005.0, 0.05)
     assert len(brackets) == 4
     assert calls == []
+
+
+def _z_rs_by_poly(t):
+    """`_z_riemann_siegel` with its remainder summed through `_poly`."""
+    a, n_top, main = zeta_classic._rs_main(t)
+    return 2.0 * main + _remainder_by_poly(a, n_top, a - n_top - 0.5,
+                                           _RS_COEFFS_GRID)
+
+
+def _scan_reading_every_remainder(t_min, t_max, step):
+    """find_zeros by the rule without the main-sum signs: Z_RS (`_poly`'s
+    rows) at every grid point, `hardy_z` where it does not clear its bound."""
+    def z_sign(t):
+        if t >= _RS_T_MIN:
+            z = _z_rs_by_poly(t)
+            if abs(z) > _rs_bound(t):
+                return z
+        return zeta_classic.hardy_z(t).value.real
+
+    out = []
+    t_lo = float(t_min)
+    s_lo = z_sign(t_lo)
+    while t_lo < t_max:
+        t_hi = min(t_lo + step, float(t_max))
+        s_hi = z_sign(t_hi)
+        if s_lo * s_hi < 0.0:
+            z_lo = zeta_classic.hardy_z(t_lo).value.real
+            z_hi = zeta_classic.hardy_z(t_hi).value.real
+            if z_lo * z_hi < 0.0:
+                root = zeta_classic._illinois(z_sign, t_lo, t_hi, z_lo, z_hi)
+                out.append((t_lo, t_hi, z_lo, z_hi, root))
+        t_lo, s_lo = t_hi, s_hi
+    return out
+
+
+@pytest.mark.parametrize("t_min,t_max,step", [
+    (6.0, 11.0, 0.05), (97.5, 102.5, 0.05), (1000.0, 1005.0, 0.05),
+    (4990.0, 4995.0, 0.05), (7005.0, 7005.2, 0.01)])
+def test_find_zeros_equals_a_scan_that_reads_every_remainder(
+        monkeypatch, t_min, t_max, step):
+    # the windows start below 2 pi, cross H = 100, and hold Lehmer's pair
+    calls = []
+
+    def counted(t, q=zeta_classic.DEFAULT_QUAD):
+        calls.append(t)
+        return hardy_z(t, q)
+
+    monkeypatch.setattr(zeta_classic, "hardy_z", counted)
+    reference = _scan_reading_every_remainder(t_min, t_max, step)
+    reference_calls = list(calls)
+    calls.clear()
+    brackets = find_zeros(t_min, t_max, step)
+    assert [(b.t_lo, b.t_hi, b.z_lo, b.z_hi, b.refined_t)
+            for b in brackets] == reference
+    assert calls == reference_calls
+    assert len(brackets) == zero_count_ref(t_max) - zero_count_ref(t_min)
+
+
+def test_z_riemann_siegel_equals_its_poly_sum_bit_for_bit():
+    rng = random.Random(2930)
+    for _ in range(2000):
+        t = _RS_T_MIN * (1e4 / _RS_T_MIN) ** rng.random()
+        assert _z_riemann_siegel(t) == _z_rs_by_poly(t)
+
+
+def test_find_zeros_sums_few_remainders_on_its_grid(monkeypatch):
+    # 102 grid points (the accumulated step leaves a last one 4.5e-12
+    # wide); the main sum alone settles all but 13 of them.  Illinois's
+    # steps read the whole sum, and hardy_z's calls are those of a scan
+    # that reads every remainder
+    counts = {"remainder": 0, "illinois": 0, "grid": 0, "hardy_z": 0}
+
+    def counter(name, key, only=None):
+        original = getattr(zeta_classic, name)
+
+        def counted(*args):
+            if only is None or args[-1] is only:
+                counts[key] += 1
+            return original(*args)
+        monkeypatch.setattr(zeta_classic, name, counted)
+
+    counter("_rs_remainder", "remainder", only=_RS_COEFFS_GRID)
+    counter("_z_riemann_siegel", "illinois")
+    counter("_rs_main", "grid")
+    counter("hardy_z", "hardy_z")
+    brackets = find_zeros(1000.0, 1005.0, 0.05)
+    assert len(brackets) == 4
+    grid = counts["grid"] - counts["illinois"]
+    assert grid == 102
+    assert counts["remainder"] - counts["illinois"] == 13
+    assert counts["hardy_z"] == 12
 
 
 def test_find_zeros_separates_lehmer_pair():
@@ -687,6 +828,28 @@ def test_refinement_stays_within_1e8_when_riemann_siegel_errs_by_its_bound(
         return z - math.copysign(0.9 * _rs_bound(t), z)
 
     monkeypatch.setattr(zeta_classic, "_z_riemann_siegel", pushed)
+    for _, zero in RS_FIXTURE["zeros"]:
+        near = [b for b in find_zeros(zero - 0.3, zero + 0.3, 0.05)
+                if b.t_lo <= zero <= b.t_hi]
+        assert len(near) == 1
+        assert abs(near[0].refined_t - zero) <= 1e-8
+    lehmer = find_zeros(7005.0, 7005.2, 0.01)
+    assert len(lehmer) == len(RS_FIXTURE["lehmer_pair"]) == 2
+    for b, (_, zero) in zip(lehmer, RS_FIXTURE["lehmer_pair"]):
+        assert b.t_lo <= zero <= b.t_hi
+        assert abs(b.refined_t - zero) <= 1e-8
+
+
+def test_refinement_stays_within_1e8_when_the_main_sum_errs_by_its_bound(
+        monkeypatch):
+    # push every main sum 0.45 bound toward zero: Z_RS and the grid's main
+    # sum alone are 0.9 bound off, and the signs taken stay right
+    def pushed(t):
+        a, n_top, main = _rs_main(t)
+        return a, n_top, main - math.copysign(0.45 * _rs_bound(t), main)
+
+    _rs_main = zeta_classic._rs_main
+    monkeypatch.setattr(zeta_classic, "_rs_main", pushed)
     for _, zero in RS_FIXTURE["zeros"]:
         near = [b for b in find_zeros(zero - 0.3, zero + 0.3, 0.05)
                 if b.t_lo <= zero <= b.t_hi]
