@@ -212,9 +212,12 @@ _RS_COEFFS = (
 # stays below 1% of `_rs_bound(t)` at every t >= 2 pi.
 _RS_COEFFS_GRID = tuple(row[:m] for row, m in
                         zip(_RS_COEFFS, (14, 13, 13, 11, 10)))
-# |C_k(p)| on the grid's row k is at most _RS_REACH[k] where |p - 1/2| <= 1/2.
+# |C_k(p)| on the grid's row k is at most _RS_REACH[k] where |p - 1/2| <= 1/2;
+# `_rs_remainder` reads each table's rows highest power first.
 _RS_REACH = tuple(sum(abs(c) * 0.25 ** j for j, c in enumerate(row)) / (1 + k % 2)
                   for k, row in enumerate(_RS_COEFFS_GRID))
+_RS_ROWS, _RS_ROWS_GRID = (tuple(row[::-1] for row in rows)
+                           for rows in (_RS_COEFFS, _RS_COEFFS_GRID))
 # theta's series sum_k (1 - 2^(1-2k)) |B_2k| / (4k (2k-1)) t^(1-2k) (Edwards,
 # 1974), nine terms: 6.5e-16 left out at t = 2 pi, below eps |theta|.
 _THETA_TAIL = (1 / 48, 7 / 5760, 31 / 80640, 127 / 430080, 511 / 1216512,
@@ -627,16 +630,14 @@ def _rs_length(t: float) -> float:
 
 
 def _z_riemann_siegel(t: float) -> float:
-    """Hardy's Z(t) by the Riemann-Siegel formula, t >= 2 pi: twice the main
-    sum `_rs_main` plus the remainder through C_4 on `_RS_COEFFS_GRID`;
-    error below `_rs_bound(t)`."""
+    """Hardy's Z(t), t >= 2 pi: twice the main sum `_rs_main` plus the
+    remainder through C_4 on `_RS_COEFFS_GRID`; error below `_rs_bound(t)`."""
     a, n_top, main = _rs_main(t)
-    return 2.0 * main + _rs_remainder(a, n_top, a - n_top - 0.5, _RS_COEFFS_GRID)
+    return 2.0 * main + _rs_remainder(a, n_top, a - n_top - 0.5, _RS_ROWS_GRID)
 
 
 def _rs_main(t: float) -> tuple[float, int, float]:
-    """a = sqrt(t / 2 pi), N = floor(a) and sum_{n <= N} n^(-1/2)
-    cos(theta(t) - t log n), theta by its series."""
+    """a = sqrt(t / 2 pi), N = floor(a), sum_{n <= N} cos(theta - t log n) / sqrt n."""
     a = _rs_length(t)
     n_top = int(a)
     theta = riemann_siegel_theta(t)
@@ -647,13 +648,12 @@ def _rs_main(t: float) -> tuple[float, int, float]:
     return a, n_top, main
 
 
-def _rs_remainder(a: float, n_top: int, x: float, orders) -> float:
-    """(-1)^(N-1) a^(-1/2) sum_k C_k(p) a^(-k) over `orders`, N = n_top,
-    x = p - 1/2; each C_k by `_poly`'s Horner steps, inline."""
+def _rs_remainder(a: float, n_top: int, x: float, rows) -> float:
+    """(-1)^(N-1) sum_k C_k(p) a^(-k) / sqrt a, N = n_top, x = p - 1/2, by Horner."""
     y, rem, scale = x * x, 0.0, 1.0
-    for k, coeffs in enumerate(orders):
+    for k, row in enumerate(rows):
         total = 0.0
-        for c in reversed(coeffs):
+        for c in row:
             total = total * y + c
         rem += total * (x if k % 2 else 1.0) * scale
         scale /= a
@@ -710,7 +710,7 @@ def _hardy_z_rs(t: float) -> tuple[float, int]:
         terms.append((cos(hi) - (phase & mask) * lo_ulp * sin(hi)) / sqrt(n))
     a = math.ldexp(a_fix, -_FIX_BITS)
     x = math.ldexp(a_fix - ((2 * n_top + 1) << (_FIX_BITS - 1)), -_FIX_BITS)
-    terms.append(0.5 * _rs_remainder(a, n_top, x, _RS_COEFFS))
+    terms.append(0.5 * _rs_remainder(a, n_top, x, _RS_ROWS))
     return 2.0 * math.fsum(terms), n_top + len(_RS_COEFFS)
 
 
@@ -802,7 +802,7 @@ def find_zeros(t_min: float, t_max: float, step: float,
             a, n_top, main = _rs_main(t)
             z, bound = 2.0 * main, _rs_bound(t)
             if abs(z) <= _poly(_RS_REACH, 1.0 / a) / math.sqrt(a) + bound:
-                z += _rs_remainder(a, n_top, a - n_top - 0.5, _RS_COEFFS_GRID)
+                z += _rs_remainder(a, n_top, a - n_top - 0.5, _RS_ROWS_GRID)
             if abs(z) > bound:
                 return z
         return hardy_z(t, q).value.real

@@ -34,6 +34,8 @@ from zetalab.zeta_classic import (
     _RS_COEFFS,
     _RS_COEFFS_GRID,
     _RS_REACH,
+    _RS_ROWS,
+    _RS_ROWS_GRID,
     _RS_T_MIN,
     _THETA_TAIL,
     _dirichlet_sum,
@@ -528,7 +530,7 @@ def test_grid_reach_bounds_the_grid_remainder():
     for _ in range(10_000):
         a = rng.uniform(1.0, 1e3)
         n_top = int(a)
-        rem = _rs_remainder(a, n_top, a - n_top - 0.5, _RS_COEFFS_GRID)
+        rem = _rs_remainder(a, n_top, a - n_top - 0.5, _RS_ROWS_GRID)
         worst = max(worst, abs(rem) / _reach(a))
     assert 0.9 < worst < 1.0
 
@@ -543,15 +545,17 @@ def _remainder_by_poly(a, n_top, x, orders):
 
 
 def test_remainder_rows_in_one_loop_equal_poly_bit_for_bit():
-    # at a = 1 with one row, _rs_remainder is that row's Horner sum alone
+    # the rows are stored highest power first; at a = 1, one row alone,
+    # _rs_remainder is that row's Horner sum
     rng = random.Random(2929)
     for _ in range(10_000):
         a, x = rng.uniform(1.0, 1e3), rng.uniform(-0.5, 0.5)
         n_top = int(a)
-        for orders in (_RS_COEFFS, _RS_COEFFS_GRID):
-            for row in orders:
-                assert _rs_remainder(1.0, 1, x, (row,)) == _poly(row, x * x)
-            assert (_rs_remainder(a, n_top, x, orders)
+        for rows, orders in ((_RS_ROWS, _RS_COEFFS),
+                             (_RS_ROWS_GRID, _RS_COEFFS_GRID)):
+            for row, coeffs in zip(rows, orders, strict=True):
+                assert _rs_remainder(1.0, 1, x, (row,)) == _poly(coeffs, x * x)
+            assert (_rs_remainder(a, n_top, x, rows)
                     == _remainder_by_poly(a, n_top, x, orders))
 
 
@@ -694,13 +698,6 @@ def test_find_zeros_equals_a_scan_that_reads_every_remainder(
     assert len(brackets) == zero_count_ref(t_max) - zero_count_ref(t_min)
 
 
-def test_z_riemann_siegel_equals_its_poly_sum_bit_for_bit():
-    rng = random.Random(2930)
-    for _ in range(2000):
-        t = _RS_T_MIN * (1e4 / _RS_T_MIN) ** rng.random()
-        assert _z_riemann_siegel(t) == _z_rs_by_poly(t)
-
-
 def test_find_zeros_sums_few_remainders_on_its_grid(monkeypatch):
     # 102 grid points (the accumulated step leaves a last one 4.5e-12
     # wide); the main sum alone settles all but 13 of them.  Illinois's
@@ -717,7 +714,7 @@ def test_find_zeros_sums_few_remainders_on_its_grid(monkeypatch):
             return original(*args)
         monkeypatch.setattr(zeta_classic, name, counted)
 
-    counter("_rs_remainder", "remainder", only=_RS_COEFFS_GRID)
+    counter("_rs_remainder", "remainder", only=_RS_ROWS_GRID)
     counter("_z_riemann_siegel", "illinois")
     counter("_rs_main", "grid")
     counter("hardy_z", "hardy_z")
