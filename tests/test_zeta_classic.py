@@ -726,6 +726,30 @@ def test_find_zeros_sums_few_remainders_on_its_grid(monkeypatch):
     assert counts["hardy_z"] == 12
 
 
+def test_grid_skips_the_remainder_only_past_its_reach_plus_the_bound(
+        monkeypatch):
+    # twice the main sum placed half a bound inside, then half a bound
+    # outside, reach + _rs_bound: only outside does the grid skip the
+    # remainder, so a skip implies |Z_RS| > _rs_bound
+    rs_main, remainder = zeta_classic._rs_main, zeta_classic._rs_remainder
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1] is _RS_ROWS_GRID)
+        return remainder(*args)
+
+    monkeypatch.setattr(zeta_classic, "_rs_remainder", counted)
+    for share, expected in ((0.5, 2), (1.5, 0)):
+        def placed(t, share=share):
+            a, n_top, _ = rs_main(t)
+            return a, n_top, 0.5 * (_reach(a) + share * _rs_bound(t))
+
+        monkeypatch.setattr(zeta_classic, "_rs_main", placed)
+        calls.clear()
+        assert find_zeros(1000.0, 1000.05, 0.05) == []
+        assert calls.count(True) == expected, share
+
+
 def test_find_zeros_separates_lehmer_pair():
     brackets = find_zeros(7005.0, 7005.2, 0.01)
     assert len(brackets) == 2 == zero_count_ref(7005.2) - zero_count_ref(7005.0)
@@ -825,28 +849,26 @@ def test_refinement_stays_within_1e8_when_riemann_siegel_errs_by_its_bound(
         return z - math.copysign(0.9 * _rs_bound(t), z)
 
     monkeypatch.setattr(zeta_classic, "_z_riemann_siegel", pushed)
-    for _, zero in RS_FIXTURE["zeros"]:
-        near = [b for b in find_zeros(zero - 0.3, zero + 0.3, 0.05)
-                if b.t_lo <= zero <= b.t_hi]
-        assert len(near) == 1
-        assert abs(near[0].refined_t - zero) <= 1e-8
-    lehmer = find_zeros(7005.0, 7005.2, 0.01)
-    assert len(lehmer) == len(RS_FIXTURE["lehmer_pair"]) == 2
-    for b, (_, zero) in zip(lehmer, RS_FIXTURE["lehmer_pair"]):
-        assert b.t_lo <= zero <= b.t_hi
-        assert abs(b.refined_t - zero) <= 1e-8
+    _assert_fixture_zeros_refined_within_1e8()
 
 
 def test_refinement_stays_within_1e8_when_the_main_sum_errs_by_its_bound(
         monkeypatch):
     # push every main sum 0.45 bound toward zero: Z_RS and the grid's main
     # sum alone are 0.9 bound off, and the signs taken stay right
+    rs_main = zeta_classic._rs_main
+
     def pushed(t):
-        a, n_top, main = _rs_main(t)
+        a, n_top, main = rs_main(t)
         return a, n_top, main - math.copysign(0.45 * _rs_bound(t), main)
 
-    _rs_main = zeta_classic._rs_main
     monkeypatch.setattr(zeta_classic, "_rs_main", pushed)
+    _assert_fixture_zeros_refined_within_1e8()
+
+
+def _assert_fixture_zeros_refined_within_1e8():
+    """Each fixture zero and Lehmer's pair in its own bracket, refined_t
+    within 1e-8 of mpmath."""
     for _, zero in RS_FIXTURE["zeros"]:
         near = [b for b in find_zeros(zero - 0.3, zero + 0.3, 0.05)
                 if b.t_lo <= zero <= b.t_hi]
