@@ -37,12 +37,12 @@ is good to ~1e-15 at any height up to the term ceiling (measured to
 t = 1e12) and carries a bound of about 2e-14 + 2.2e-15 |Z| at every height.
 Below t = 100, `hardy_z` is e^{i theta} times `zeta_analytic`.
 
-The zero finder reads Z's sign on its grid from a float Riemann-Siegel
-sum with C_0..C_4 wherever |Z| clears its bound, and from the main sum
-alone where the remainder cannot flip it; refinement steps read the whole
-sum, and every other point and both ends of every bracket `hardy_z`.  The
-brackets are therefore those of an all-`hardy_z` scan, and each refined
-zero lies between two points whose signs are certified.
+The zero finder reads Z's sign, on its grid and in its refinement steps
+alike, from the Riemann-Siegel main sum alone where the remainder cannot
+flip it, else from a float Riemann-Siegel sum with C_0..C_4 wherever that
+clears its bound; every other point and both ends of every bracket read
+`hardy_z`.  The brackets are therefore those of an all-`hardy_z` scan, and
+each refined zero lies between two points whose signs are certified.
 
 The Dirichlet sums of Euler-Maclaurin and of the two-sum value run over a
 table of log n kept for the life of the process, term for term the float
@@ -86,143 +86,140 @@ _EM_COEFFS = (
 )
 
 # Riemann-Siegel remainder coefficients C_0..C_12 (Gabcke 1979) as power
-# series in y = (p - 1/2)^2, p = frac(sqrt(t / 2 pi)); the odd orders carry
-# one more factor p - 1/2.  Written by tests/oracles.py:rs_coefficient_tables
-# from Arias de Reyna's general recursion in exact series arithmetic in
-# mpmath; dropped terms are < 1e-20.
+# series in y = (p - 1/2)^2, highest power first, p = frac(sqrt(t / 2 pi));
+# the odd orders carry one more factor p - 1/2.  The reversed rows of
+# tests/oracles.py:rs_coefficient_tables (Arias de Reyna's recursion in exact
+# series arithmetic in mpmath); dropped terms are < 1e-20.
 _RS_COEFFS = (
-    (0.3826834323650898, 1.7489618723100817, 2.118025207685496,
-     -0.8707216670511481, -3.4733112243465167, -1.6626947308999325,
-     1.216731288919232, 1.3014304161007977, 0.03051102182736167,
-     -0.3755803051545095, -0.1085784416564066, 0.051832902999549624,
-     0.029999480619902277, -0.0022759396706125644, -0.004382647416580339,
-     -0.0004064230183729847, 0.0004006097785422114, 8.971057991388841e-05,
-     -2.3025650027239108e-05, -9.380006601906792e-06, 6.323514947609108e-07,
-     6.551022819231502e-07),
-    (-0.053650205256750697, 0.11027818741081483, 1.2317200154315227,
-     1.2634964862799458, -1.695108997559503, -2.9998711967650102,
-     -0.10819944959899208, 1.9407662946212714, 0.7838423561500687,
-     -0.5054829667900366, -0.38450723496057976, 0.03747264646531532,
-     0.09092026610973176, 0.01044923755006451, -0.012582979651583417,
-     -0.003399503721151274, 0.0010410950537714891, 0.0005010949051118486,
-     -3.956359669003182e-05, -4.7624592453571896e-05,
-     -1.8539355338085133e-06, 3.1936918080068973e-06,
-     4.0907807608506065e-07),
-    (0.005188542830293168, 0.0012378633552253898, -0.18137505725166997,
-     0.14291492748532125, 1.3303391766687565, 0.3522472353403734,
-     -2.421001595891951, -1.6760787022538108, 1.3689416723328371,
-     1.5539019430222982, -0.1722164273472998, -0.6359068055045431,
-     -0.09911649873041208, 0.14033480067387008, 0.04782352019827292,
-     -0.017356040641479782, -0.010225012534028593, 0.0009274149159794888,
-     0.0013572194372373386, 6.41369012029388e-05, -0.0001230080569819663,
-     -1.83135074047892e-05, 7.821628604322627e-06, 2.0087542484759946e-06),
-    (-0.0026794321814389136, 0.02995372109103515, -0.042570172541828696,
-     -0.28997965779803886, 0.4888831999235446, 1.230855876395746,
-     -0.8297560708527408, -2.249763536666567, 0.07845139961005472,
-     1.7467492800868893, 0.45968080979749937, -0.6619353471039775,
-     -0.31590441036173633, 0.12844792545207495, 0.10073382716626152,
-     -0.009530183848825268, -0.019264421687514088, -0.001246463715876929,
-     0.0024243969641103086, 0.000437647697741857, -0.00020714032687001792,
-     -6.274344504186516e-05, 1.157534381459567e-05, 5.88385492454038e-06),
-    (0.00046483389361763383, -0.004022642946136188, 0.003847177051796127,
-     0.06581175135809486, -0.19604124343694448, -0.20854053686358853,
-     0.9507754185141751, 0.5341535312914873, -1.67634944117634,
-     -1.076747157875129, 1.235339301656597, 1.0257825340057276,
-     -0.40124095793988546, -0.5036663995108304, 0.03573487795502745,
-     0.14431763086785418, 0.01509152741790347, -0.026098874779194363,
-     -0.006126628379519262, 0.003077503129870841, 0.0011562478934088753,
-     -0.00022775966758472127, -0.00014189637118181445,
-     7.4648603079559195e-06, 1.2479701645409117e-05),
-    (0.00022686811845737363, 0.0011081246853718388, -0.016218579255550092,
-     0.052765034053987414, 0.02570880200903324, -0.38058660440806397,
-     0.22531987892642316, 1.0344573316495222, -0.5528257697050813,
-     -1.5287712641078073, 0.32828366427719585, 1.229110218540087,
-     0.040936939383115295, -0.558604047264202, -0.11241976368059116,
-     0.1521267771179559, 0.051737188455280386, -0.025612276897007284,
-     -0.012963672514046178, 0.0025455574818611633, 0.0021193319510877775,
-     -9.191391945156778e-05, -0.00024413466533855272, -1.3697982692283388e-05,
-     2.0620785033284237e-05),
-    (3.369099840108094e-05, -0.00048730387277374067, 0.0034913041151209494,
-     -0.010636181410824536, -0.007962052861482919, 0.1237587562368654,
-     -0.1849404122581205, -0.30393580239679546, 0.7612833126395632,
-     0.4067440568556812, -1.2301721808541708, -0.5117640855696522,
-     0.9962463615472547, 0.47056716161861106, -0.4414445866526114,
-     -0.25918493310535273, 0.11117688993542343, 0.08794868546608423,
-     -0.014803271886103406, -0.01961041509857541, 0.00031650099641031916,
-     0.0030274014208229155, 0.0002675580524826069, -0.0003349691662856058,
-     -5.891092180278285e-05, 2.6966371245797056e-05),
-    (6.612479918279905e-05, -0.00044670409577338735, 0.0010840232068089312,
-     0.005028543891765806, -0.03886148551530864, 0.07707956741410073,
-     0.06355969744063397, -0.4074596273039508, 0.1803375211195864,
-     0.8064302485606453, -0.5178358018314444, -0.9482271795820716,
-     0.4719558561190385, 0.7154101522815643, -0.19296662747432222,
-     -0.3455616621306974, 0.02925214982106185, 0.10909301099694024,
-     0.005308465692352872, -0.023293443630578295, -0.0035166634161813027,
-     0.0034648237370005506, 0.0008444826314873812, -0.00036395433452081826,
-     -0.00012779454521633608, 2.6456110344191184e-05),
-    (2.4197536136117965e-06, -1.611352277070405e-05, 0.0002171808253299485,
-     -0.0023441555503488335, 0.01155263179636765, -0.02392447916109697,
-     -0.015530804396368813, 0.16805457215955893, -0.20767893102427126,
-     -0.2705105627343296, 0.6603245174239842, 0.17484629360273835,
-     -0.9023846153142663, -0.09498217340106974, 0.7024752578716655,
-     0.09268759838045737, -0.3377367994776856, -0.06840303526873472,
-     0.10495507688894251, 0.029655264579902616, -0.021780178965591507,
-     -0.008154606200067588, 0.0030590899165112884, 0.001535812550622837,
-     -0.000282016450085498, -0.00020917807822471457),
-    (1.376824100605469e-05, -0.00010836427024418868, 0.0006961287408707673,
-     -0.002815328661230075, 0.00521128162812441, 0.007856763175787419,
-     -0.06487760215296878, 0.11518596547976107, 0.04895275610619873,
-     -0.3984619535620612, 0.238884035084224, 0.5548514525057807,
-     -0.5214374827560175, -0.4863022480161819, 0.4731537582420427,
-     0.31505728712887565, -0.2397340129568678, -0.150105308390526,
-     0.07418116204376772, 0.050921865966025714, -0.014388505816400662,
-     -0.012297668068340803, 0.0016481264748153632, 0.002157082055276683,
-     -6.29096020556182e-05, -0.0002815677670395356),
-    (-2.000102517333251e-07, 1.0991501782401885e-05, -0.00010166242807169727,
-     0.0003909897258050479, -0.00026736362667853134, -0.004837981715604847,
-     0.024729580718188874, -0.04929616638531094, -0.00011394985522762532,
-     0.18470186771797276, -0.25652183258970757, -0.15371365234913448,
-     0.5595524945513238, -0.05196110807521286, -0.6005581196365657,
-     0.14479016030901048, 0.4090776632630465, -0.08822689489109546,
-     -0.1905302290152115, 0.024797868560708102, 0.062285939893110834,
-     -0.0023942818571399543, -0.01457863465975384, -0.0006176319463115361,
-     0.002494689886531394, 0.00028004946780034576, -0.0003180982936548569),
-    (2.1165343104016636e-06, -6.113233459416969e-06, 4.152717215400545e-05,
-     -0.00038682933931457095, 0.002373048024098571, -0.008852454011086692,
-     0.01741345863882657, -0.0012712916000469617, -0.07959730639378094,
-     0.16172806405795673, -0.01942362458094586, -0.3359536895200065,
-     0.3105943953879576, 0.29298826246651916, -0.4667120515588451,
-     -0.1510551092580186, 0.3646663397372364, 0.06510534404067893,
-     -0.17966097155670455, -0.029006431991502955, 0.05990365712445804,
-     0.011315928354217483, -0.014047344741411295, -0.0032837592330288968,
-     0.002376938716065604, 0.0006894697578080203, -0.0002947034080790354),
-    (-1.5083686683859693e-07, 3.451523827064601e-06, -3.163079970682538e-05,
-     0.00018477881939289544, -0.0008212214504547484, 0.00262077286534659,
-     -0.00463460977680081, -0.002126094793297231, 0.035350140836666516,
-     -0.08330205498109723, 0.04769406016343327, 0.15220239667306243,
-     -0.290409771808611, 0.0006517184743767043, 0.4126162192056312,
-     -0.20005655691806104, -0.3219527992056398, 0.22097087961755799,
-     0.17426530948455465, -0.12489360707337975, -0.072144964159004,
-     0.04418908774924857, 0.023180684674380204, -0.010519719402930332,
-     -0.0057111087746711, 0.0017378207242639268, 0.0010746116648946275,
-     -0.00019882814169315202),
+    (6.551022819231502e-07, 6.323514947609108e-07, -9.380006601906792e-06,
+     -2.3025650027239108e-05, 8.971057991388841e-05, 0.0004006097785422114,
+     -0.0004064230183729847, -0.004382647416580339, -0.0022759396706125644,
+     0.029999480619902277, 0.051832902999549624, -0.1085784416564066,
+     -0.3755803051545095, 0.03051102182736167, 1.3014304161007977,
+     1.216731288919232, -1.6626947308999325, -3.4733112243465167,
+     -0.8707216670511481, 2.118025207685496, 1.7489618723100817,
+     0.3826834323650898),
+    (4.0907807608506065e-07, 3.1936918080068973e-06, -1.8539355338085133e-06,
+     -4.7624592453571896e-05, -3.956359669003182e-05, 0.0005010949051118486,
+     0.0010410950537714891, -0.003399503721151274, -0.012582979651583417,
+     0.01044923755006451, 0.09092026610973176, 0.03747264646531532,
+     -0.38450723496057976, -0.5054829667900366, 0.7838423561500687,
+     1.9407662946212714, -0.10819944959899208, -2.9998711967650102,
+     -1.695108997559503, 1.2634964862799458, 1.2317200154315227,
+     0.11027818741081483, -0.053650205256750697),
+    (2.0087542484759946e-06, 7.821628604322627e-06, -1.83135074047892e-05,
+     -0.0001230080569819663, 6.41369012029388e-05, 0.0013572194372373386,
+     0.0009274149159794888, -0.010225012534028593, -0.017356040641479782,
+     0.04782352019827292, 0.14033480067387008, -0.09911649873041208,
+     -0.6359068055045431, -0.1722164273472998, 1.5539019430222982,
+     1.3689416723328371, -1.6760787022538108, -2.421001595891951,
+     0.3522472353403734, 1.3303391766687565, 0.14291492748532125,
+     -0.18137505725166997, 0.0012378633552253898, 0.005188542830293168),
+    (5.88385492454038e-06, 1.157534381459567e-05, -6.274344504186516e-05,
+     -0.00020714032687001792, 0.000437647697741857, 0.0024243969641103086,
+     -0.001246463715876929, -0.019264421687514088, -0.009530183848825268,
+     0.10073382716626152, 0.12844792545207495, -0.31590441036173633,
+     -0.6619353471039775, 0.45968080979749937, 1.7467492800868893,
+     0.07845139961005472, -2.249763536666567, -0.8297560708527408,
+     1.230855876395746, 0.4888831999235446, -0.28997965779803886,
+     -0.042570172541828696, 0.02995372109103515, -0.0026794321814389136),
+    (1.2479701645409117e-05, 7.4648603079559195e-06, -0.00014189637118181445,
+     -0.00022775966758472127, 0.0011562478934088753, 0.003077503129870841,
+     -0.006126628379519262, -0.026098874779194363, 0.01509152741790347,
+     0.14431763086785418, 0.03573487795502745, -0.5036663995108304,
+     -0.40124095793988546, 1.0257825340057276, 1.235339301656597,
+     -1.076747157875129, -1.67634944117634, 0.5341535312914873,
+     0.9507754185141751, -0.20854053686358853, -0.19604124343694448,
+     0.06581175135809486, 0.003847177051796127, -0.004022642946136188,
+     0.00046483389361763383),
+    (2.0620785033284237e-05, -1.3697982692283388e-05, -0.00024413466533855272,
+     -9.191391945156778e-05, 0.0021193319510877775, 0.0025455574818611633,
+     -0.012963672514046178, -0.025612276897007284, 0.051737188455280386,
+     0.1521267771179559, -0.11241976368059116, -0.558604047264202,
+     0.040936939383115295, 1.229110218540087, 0.32828366427719585,
+     -1.5287712641078073, -0.5528257697050813, 1.0344573316495222,
+     0.22531987892642316, -0.38058660440806397, 0.02570880200903324,
+     0.052765034053987414, -0.016218579255550092, 0.0011081246853718388,
+     0.00022686811845737363),
+    (2.6966371245797056e-05, -5.891092180278285e-05, -0.0003349691662856058,
+     0.0002675580524826069, 0.0030274014208229155, 0.00031650099641031916,
+     -0.01961041509857541, -0.014803271886103406, 0.08794868546608423,
+     0.11117688993542343, -0.25918493310535273, -0.4414445866526114,
+     0.47056716161861106, 0.9962463615472547, -0.5117640855696522,
+     -1.2301721808541708, 0.4067440568556812, 0.7612833126395632,
+     -0.30393580239679546, -0.1849404122581205, 0.1237587562368654,
+     -0.007962052861482919, -0.010636181410824536, 0.0034913041151209494,
+     -0.00048730387277374067, 3.369099840108094e-05),
+    (2.6456110344191184e-05, -0.00012779454521633608, -0.00036395433452081826,
+     0.0008444826314873812, 0.0034648237370005506, -0.0035166634161813027,
+     -0.023293443630578295, 0.005308465692352872, 0.10909301099694024,
+     0.02925214982106185, -0.3455616621306974, -0.19296662747432222,
+     0.7154101522815643, 0.4719558561190385, -0.9482271795820716,
+     -0.5178358018314444, 0.8064302485606453, 0.1803375211195864,
+     -0.4074596273039508, 0.06355969744063397, 0.07707956741410073,
+     -0.03886148551530864, 0.005028543891765806, 0.0010840232068089312,
+     -0.00044670409577338735, 6.612479918279905e-05),
+    (-0.00020917807822471457, -0.000282016450085498, 0.001535812550622837,
+     0.0030590899165112884, -0.008154606200067588, -0.021780178965591507,
+     0.029655264579902616, 0.10495507688894251, -0.06840303526873472,
+     -0.3377367994776856, 0.09268759838045737, 0.7024752578716655,
+     -0.09498217340106974, -0.9023846153142663, 0.17484629360273835,
+     0.6603245174239842, -0.2705105627343296, -0.20767893102427126,
+     0.16805457215955893, -0.015530804396368813, -0.02392447916109697,
+     0.01155263179636765, -0.0023441555503488335, 0.0002171808253299485,
+     -1.611352277070405e-05, 2.4197536136117965e-06),
+    (-0.0002815677670395356, -6.29096020556182e-05, 0.002157082055276683,
+     0.0016481264748153632, -0.012297668068340803, -0.014388505816400662,
+     0.050921865966025714, 0.07418116204376772, -0.150105308390526,
+     -0.2397340129568678, 0.31505728712887565, 0.4731537582420427,
+     -0.4863022480161819, -0.5214374827560175, 0.5548514525057807,
+     0.238884035084224, -0.3984619535620612, 0.04895275610619873,
+     0.11518596547976107, -0.06487760215296878, 0.007856763175787419,
+     0.00521128162812441, -0.002815328661230075, 0.0006961287408707673,
+     -0.00010836427024418868, 1.376824100605469e-05),
+    (-0.0003180982936548569, 0.00028004946780034576, 0.002494689886531394,
+     -0.0006176319463115361, -0.01457863465975384, -0.0023942818571399543,
+     0.062285939893110834, 0.024797868560708102, -0.1905302290152115,
+     -0.08822689489109546, 0.4090776632630465, 0.14479016030901048,
+     -0.6005581196365657, -0.05196110807521286, 0.5595524945513238,
+     -0.15371365234913448, -0.25652183258970757, 0.18470186771797276,
+     -0.00011394985522762532, -0.04929616638531094, 0.024729580718188874,
+     -0.004837981715604847, -0.00026736362667853134, 0.0003909897258050479,
+     -0.00010166242807169727, 1.0991501782401885e-05, -2.000102517333251e-07),
+    (-0.0002947034080790354, 0.0006894697578080203, 0.002376938716065604,
+     -0.0032837592330288968, -0.014047344741411295, 0.011315928354217483,
+     0.05990365712445804, -0.029006431991502955, -0.17966097155670455,
+     0.06510534404067893, 0.3646663397372364, -0.1510551092580186,
+     -0.4667120515588451, 0.29298826246651916, 0.3105943953879576,
+     -0.3359536895200065, -0.01942362458094586, 0.16172806405795673,
+     -0.07959730639378094, -0.0012712916000469617, 0.01741345863882657,
+     -0.008852454011086692, 0.002373048024098571, -0.00038682933931457095,
+     4.152717215400545e-05, -6.113233459416969e-06, 2.1165343104016636e-06),
+    (-0.00019882814169315202, 0.0010746116648946275, 0.0017378207242639268,
+     -0.0057111087746711, -0.010519719402930332, 0.023180684674380204,
+     0.04418908774924857, -0.072144964159004, -0.12489360707337975,
+     0.17426530948455465, 0.22097087961755799, -0.3219527992056398,
+     -0.20005655691806104, 0.4126162192056312, 0.0006517184743767043,
+     -0.290409771808611, 0.15220239667306243, 0.04769406016343327,
+     -0.08330205498109723, 0.035350140836666516, -0.002126094793297231,
+     -0.00463460977680081, 0.00262077286534659, -0.0008212214504547484,
+     0.00018477881939289544, -3.163079970682538e-05, 3.451523827064601e-06,
+     -1.5083686683859693e-07),
 )
 # The scan grid's float sum stops after C_4, under `_rs_bound`: row k keeps
 # the fewest terms whose dropped tail at |p - 1/2| <= 1/2, times a^(-k-1/2),
 # stays below 1% of `_rs_bound(t)` at every t >= 2 pi.
-_RS_COEFFS_GRID = tuple(row[:m] for row, m in
+_RS_COEFFS_GRID = tuple(row[-m:] for row, m in
                         zip(_RS_COEFFS, (14, 13, 13, 11, 10)))
-# |C_k(p)| on the grid's row k is at most _RS_REACH[k] where |p - 1/2| <= 1/2;
-# `_rs_remainder` reads each table's rows highest power first.
-_RS_REACH = tuple(sum(abs(c) * 0.25 ** j for j, c in enumerate(row)) / (1 + k % 2)
-                  for k, row in enumerate(_RS_COEFFS_GRID))
-_RS_ROWS, _RS_ROWS_GRID = (tuple(row[::-1] for row in rows)
-                           for rows in (_RS_COEFFS, _RS_COEFFS_GRID))
+# |C_k(p)| on the grid's row k is at most R_k where |p - 1/2| <= 1/2;
+# _RS_REACH holds R_4..R_0, highest power of 1/a first.
+_RS_REACH = tuple(sum(abs(c) * 0.25 ** j for j, c in enumerate(row[::-1]))
+                  / (1 + k % 2) for k, row in enumerate(_RS_COEFFS_GRID))[::-1]
 # theta's series sum_k (1 - 2^(1-2k)) |B_2k| / (4k (2k-1)) t^(1-2k) (Edwards,
-# 1974), nine terms: 6.5e-16 left out at t = 2 pi, below eps |theta|.
-_THETA_TAIL = (1 / 48, 7 / 5760, 31 / 80640, 127 / 430080, 511 / 1216512,
-               1414477 / 1476034560, 8191 / 2555904, 118518239 / 8021606400,
-               5749691557 / 64012419072)
+# 1974), k = 9..1: 6.5e-16 left out at t = 2 pi, below eps |theta|.
+_THETA_TAIL = (5749691557 / 64012419072, 118518239 / 8021606400,
+               8191 / 2555904, 1414477 / 1476034560, 511 / 1216512,
+               127 / 430080, 31 / 80640, 7 / 5760, 1 / 48)
 
 # The scan reads Riemann-Siegel signs from t >= 2 pi (a = sqrt(t / 2 pi) >= 1,
 # so the main sum has a term): 0.002-0.005 ms a point to t = 5000, 0.0025 ms
@@ -544,8 +541,8 @@ def _xi_log_form(s: complex, q: QuadratureSpec) -> EvalResult:
 def riemann_siegel_theta(t: float) -> float:
     """Phase theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, odd in t.
 
-    From |t| = 2 pi on (t/2) log(t / 2 pi) - t/2 - pi/8 + sum_k
-    _THETA_TAIL[k-1] t^(1-2k) + atan(e^(-pi t))/2, that last as e^(-pi t)/2;
+    From |t| = 2 pi on (t/2) log(t / 2 pi) - t/2 - pi/8 + the `_THETA_TAIL`
+    series + atan(e^(-pi t))/2, that last as e^(-pi t)/2;
     without it the series stops 1.3e-9 off at 2 pi.  Lanczos below 2 pi.
     """
     a = abs(float(t))
@@ -559,9 +556,9 @@ def riemann_siegel_theta(t: float) -> float:
 
 
 def _poly(coeffs, y: float) -> float:
-    """sum_j coeffs[j] y^j by Horner's rule."""
+    """The polynomial in y with coeffs, highest power first, by Horner's rule."""
     total = 0.0
-    for c in reversed(coeffs):
+    for c in coeffs:
         total = total * y + c
     return total
 
@@ -629,13 +626,6 @@ def _rs_length(t: float) -> float:
     return math.sqrt(t / (2.0 * math.pi))
 
 
-def _z_riemann_siegel(t: float) -> float:
-    """Hardy's Z(t), t >= 2 pi: twice the main sum `_rs_main` plus the
-    remainder through C_4 on `_RS_COEFFS_GRID`; error below `_rs_bound(t)`."""
-    a, n_top, main = _rs_main(t)
-    return 2.0 * main + _rs_remainder(a, n_top, a - n_top - 0.5, _RS_ROWS_GRID)
-
-
 def _rs_main(t: float) -> tuple[float, int, float]:
     """a = sqrt(t / 2 pi), N = floor(a), sum_{n <= N} cos(theta - t log n) / sqrt n."""
     a = _rs_length(t)
@@ -661,7 +651,7 @@ def _rs_remainder(a: float, n_top: int, x: float, rows) -> float:
 
 
 def _rs_bound(t: float) -> float:
-    """Error bound of `_z_riemann_siegel` at t >= 2 pi."""
+    """Error bound of Z_RS = 2 `_rs_main` + the grid's remainder, t >= 2 pi."""
     return _RS_TRUNC * (t / (2.0 * math.pi)) ** -2.75 + _RS_ROUND * t
 
 
@@ -682,8 +672,8 @@ def _theta_fix(num: int, k: int) -> int:
 def _hardy_z_rs(t: float) -> tuple[float, int]:
     """Z(t) for t >= 100 within `_hardy_rs_bound`, and the terms summed.
 
-    The Riemann-Siegel sum of `_z_riemann_siegel` in fixed point: t is
-    num / 2^k exactly, and each phase theta(t) - t log n is the integer
+    The Riemann-Siegel sum in fixed point: t is num / 2^k exactly, and
+    each phase theta(t) - t log n is the integer
     `_theta_fix` - num `_LOG_FIX[n]` at scale 2^-(_FIX_BITS + k), reduced
     mod 2 pi.  Its top 53 bits are hi and the rest lo < 2^-50, so
     cos(hi + lo) = cos hi - lo sin hi to within lo^2 / 2 < 1e-30 at any t.
@@ -710,7 +700,7 @@ def _hardy_z_rs(t: float) -> tuple[float, int]:
         terms.append((cos(hi) - (phase & mask) * lo_ulp * sin(hi)) / sqrt(n))
     a = math.ldexp(a_fix, -_FIX_BITS)
     x = math.ldexp(a_fix - ((2 * n_top + 1) << (_FIX_BITS - 1)), -_FIX_BITS)
-    terms.append(0.5 * _rs_remainder(a, n_top, x, _RS_ROWS))
+    terms.append(0.5 * _rs_remainder(a, n_top, x, _RS_COEFFS))
     return 2.0 * math.fsum(terms), n_top + len(_RS_COEFFS)
 
 
@@ -762,17 +752,17 @@ def find_zeros(t_min: float, t_max: float, step: float,
     """Zeros of Hardy's Z on [t_min, t_max]: sign scan on a grid, then refinement.
 
     The grid runs from t_min in steps of `step`, the last one clamped to
-    t_max.  A grid point t >= 2 pi takes the sign of the Riemann-Siegel
-    main sum (2-5 us to t = 5000) where the remainder cannot flip it, else
-    of the whole float sum `_z_riemann_siegel` (2.5 us more) where that
-    clears its bound `_rs_bound`; anywhere else Z comes from `hardy_z`.  A
-    sign change is re-checked with `hardy_z` at both ends, whose values
-    become z_lo and z_hi, and refined by the Illinois method on the whole
-    sum's values, by the same bound, to a bracket no wider than 1e-8, whose
-    midpoint is refined_t.  Every sign taken is Z's, so the brackets are
-    those of a scan that evaluates `hardy_z` at every grid point.  Above
-    t = 1000 a zero costs about three `hardy_z` calls (Riemann-Siegel in
-    fixed point): the two bracket ends and the step inside the bound.
+    t_max.  Grid points and refinement steps take one rule: at t >= 2 pi
+    twice the Riemann-Siegel main sum (2-5 us to t = 5000) where the
+    remainder cannot flip its sign, else that plus the remainder through
+    C_4 (2.5 us more) where the sum Z_RS clears its bound `_rs_bound`;
+    anywhere else `hardy_z`.  A sign change is re-checked with `hardy_z`
+    at both ends, whose values become z_lo and z_hi, and refined by the
+    Illinois method on the rule's values to a bracket no wider than 1e-8,
+    whose midpoint is refined_t.  Every sign taken is Z's, so the brackets
+    are those of a scan that evaluates `hardy_z` at every grid point.
+    Above t = 1000 a zero costs about three `hardy_z` calls (Riemann-Siegel
+    in fixed point): the two bracket ends and the step inside the bound.
 
     Raises DomainError when step does not move t at t_max, and
     NonConvergence when the Riemann-Siegel sum at t_max would need more
@@ -788,21 +778,13 @@ def find_zeros(t_min: float, t_max: float, step: float,
     if t_max >= _RS_T_MIN:
         _term_budget(_rs_length(t_max), q, "Riemann-Siegel")
 
-    def z_sign(t: float) -> float:
-        """Z(t) with a certified sign."""
-        if t >= _RS_T_MIN:
-            z = _z_riemann_siegel(t)
-            if abs(z) > _rs_bound(t):
-                return z
-        return hardy_z(t, q).value.real
-
     def grid_sign(t: float) -> float:
-        """z_sign's sign, the main sum's where the remainder cannot flip it."""
+        """A value of Z(t)'s sign: twice the main sum, Z_RS or `hardy_z`."""
         if t >= _RS_T_MIN:
             a, n_top, main = _rs_main(t)
             z, bound = 2.0 * main, _rs_bound(t)
             if abs(z) <= _poly(_RS_REACH, 1.0 / a) / math.sqrt(a) + bound:
-                z += _rs_remainder(a, n_top, a - n_top - 0.5, _RS_ROWS_GRID)
+                z += _rs_remainder(a, n_top, a - n_top - 0.5, _RS_COEFFS_GRID)
             if abs(z) > bound:
                 return z
         return hardy_z(t, q).value.real
@@ -817,7 +799,7 @@ def find_zeros(t_min: float, t_max: float, step: float,
             z_lo = hardy_z(t_lo, q).value.real
             z_hi = hardy_z(t_hi, q).value.real
             if z_lo * z_hi < 0.0:
-                root = _illinois(z_sign, t_lo, t_hi, z_lo, z_hi)
+                root = _illinois(grid_sign, t_lo, t_hi, z_lo, z_hi)
                 brackets.append(ZeroBracket(t_lo=t_lo, t_hi=t_hi, z_lo=z_lo,
                                             z_hi=z_hi, refined_t=root))
         t_lo, s_lo = t_hi, s_hi

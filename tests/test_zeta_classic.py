@@ -24,7 +24,7 @@ import zetalab.zeta_classic as zeta_classic
 from oracles import (chi_ref, fixed_gap_ref, hardy_z_ref, log_mp,
                      siegel_theta_mp, theta_series_mp,
                      theta_tail_coefficients, two_pi_mp, xi_ref,
-                     zero_count_ref, zeta_ref)
+                     zero_count_ref, zero_ref, zeta_ref)
 from zetalab.errors import DomainError, NonConvergence, PoleError
 from zetalab.funceq import STANDARD_S_GRID
 from zetalab.gammafn import power_real_base, rgamma
@@ -34,8 +34,6 @@ from zetalab.zeta_classic import (
     _RS_COEFFS,
     _RS_COEFFS_GRID,
     _RS_REACH,
-    _RS_ROWS,
-    _RS_ROWS_GRID,
     _RS_T_MIN,
     _THETA_TAIL,
     _dirichlet_sum,
@@ -45,7 +43,6 @@ from zetalab.zeta_classic import (
     _poly,
     _rs_bound,
     _rs_remainder,
-    _z_riemann_siegel,
     approx_functional_sum,
     chi_factor,
     find_zeros,
@@ -321,9 +318,10 @@ def test_theta_phase():
 
 
 def test_theta_tail_is_the_bernoulli_series_to_the_first_term_below_eps():
-    # each coefficient is the double nearest its exact rational
+    # each coefficient is the double nearest its exact rational, highest
+    # power first
     exact = theta_tail_coefficients(len(_THETA_TAIL))
-    assert list(_THETA_TAIL) == [float(c) for c in exact]
+    assert list(_THETA_TAIL) == [float(c) for c in reversed(exact)]
     # and there are as few as leave less than eps |theta| out at t = 2 pi
     with mp.workdps(40):
         t = 2 * mp.pi
@@ -467,9 +465,16 @@ def test_find_zeros_domain():
 
 
 def test_riemann_siegel_coefficients_match_oracle_tables():
+    # the fixture's rows run lowest power first, the module's highest first
     assert len(_RS_COEFFS) == len(RS_FIXTURE["coefficients"]) == 13
     for mine, ref in zip(_RS_COEFFS, RS_FIXTURE["coefficients"]):
-        assert list(mine) == pytest.approx(ref, rel=1e-15, abs=1e-22)
+        assert list(mine[::-1]) == pytest.approx(ref, rel=1e-15, abs=1e-22)
+
+
+def _z_rs(t):
+    """Z_RS: twice the main sum plus the remainder on the grid's rows."""
+    a, n_top, main = zeta_classic._rs_main(t)
+    return 2.0 * main + _rs_remainder(a, n_top, a - n_top - 0.5, _RS_COEFFS_GRID)
 
 
 def test_riemann_siegel_z_stays_well_inside_its_bound():
@@ -478,7 +483,7 @@ def test_riemann_siegel_z_stays_well_inside_its_bound():
     assert min(t for t, _ in points) >= _RS_T_MIN
     assert max(t for t, _ in points) <= 1e4
     # the bound is a conservative envelope: at least ten times the error
-    worst = max(abs(_z_riemann_siegel(t) - z) / _rs_bound(t) for t, z in points)
+    worst = max(abs(_z_rs(t) - z) / _rs_bound(t) for t, z in points)
     assert worst <= 0.1
 
 
@@ -486,7 +491,7 @@ def test_riemann_siegel_z_stays_well_inside_its_bound_up_to_one_million():
     # the grid serves any height a scan asks for: 0.039 at worst here
     points = RS_FIXTURE["z_high"]
     assert len(points) >= 200 and max(t for t, _ in points) > 9e5
-    worst = max(abs(_z_riemann_siegel(t) - z) / _rs_bound(t) for t, z in points)
+    worst = max(abs(_z_rs(t) - z) / _rs_bound(t) for t, z in points)
     assert worst <= 0.1
 
 
@@ -494,11 +499,12 @@ def test_grid_rows_keep_the_fewest_terms_the_grid_bound_needs():
     # row k's dropped tail at |p - 1/2| <= 1/2 (y <= 1/4, odd rows times
     # 1/2), weighted by a^(-k-1/2), stays below 1% of _rs_bound(t) at every
     # t >= 2 pi, and one term fewer would not; the allowance is least near
-    # t = 1000-2000 and grows on both sides
+    # t = 1000-2000 and grows on both sides.  Rows run highest power first,
+    # so a cut row is a suffix
     heights = [_RS_T_MIN * 10.0 ** (i / 1000) for i in range(8001)]
     assert len(_RS_COEFFS_GRID) == 5
     for k, (row, grid) in enumerate(zip(_RS_COEFFS, _RS_COEFFS_GRID)):
-        assert grid == row[:len(grid)]
+        assert grid == row[-len(grid):]
         allowance = [0.01 * _rs_bound(t) * (t / (2.0 * math.pi)) ** (0.5 * k + 0.25)
                      for t in heights]
         least = min(allowance)
@@ -506,31 +512,35 @@ def test_grid_rows_keep_the_fewest_terms_the_grid_bound_needs():
 
         def tail(m):
             return ((0.5 if k % 2 else 1.0)
-                    * sum(abs(c) * 0.25 ** j for j, c in enumerate(row) if j >= m))
+                    * sum(abs(c) * 0.25 ** j for j, c in enumerate(row[::-1])
+                          if j >= m))
         assert tail(len(grid)) <= least < tail(len(grid) - 1), k
 
 
 def _reach(a):
     """a^(-1/2) sum_k R_k a^(-k): the grid remainder's largest size at a."""
-    return sum(r * a ** -k for k, r in enumerate(_RS_REACH)) / math.sqrt(a)
+    return sum(r * a ** -k for k, r in enumerate(_RS_REACH[::-1])) / math.sqrt(a)
 
 
 def test_grid_reach_bounds_the_grid_remainder():
     # R_k is row k's coefficients in absolute value at y = 1/4, halved on
     # the odd rows (their factor |p - 1/2| <= 1/2), computed from the table
+    # and stored R_4 first, the order Horner's rule reads them in
     assert len(_RS_REACH) == len(_RS_COEFFS_GRID) == 5
-    for k, (reach, row) in enumerate(zip(_RS_REACH, _RS_COEFFS_GRID)):
-        total = math.fsum(abs(c) * 0.25 ** j for j, c in enumerate(row))
+    for k, (reach, row) in enumerate(zip(_RS_REACH[::-1], _RS_COEFFS_GRID)):
+        total = math.fsum(abs(c) * 0.25 ** j for j, c in enumerate(row[::-1]))
         assert reach == pytest.approx(total * (0.5 if k % 2 else 1.0), rel=1e-15)
-    assert _RS_REACH == pytest.approx((0.9815, 0.0938, 0.0253, 0.0104, 0.0040),
+    assert _RS_REACH == pytest.approx((0.0040, 0.0104, 0.0253, 0.0938, 0.9815),
                                       abs=5e-5)
+    assert _poly(_RS_REACH, 0.5) == pytest.approx(
+        sum(r * 0.5 ** k for k, r in enumerate(_RS_REACH[::-1])), rel=1e-15)
     # so it bounds the remainder at every a; the worst ratio here is 0.94
     rng = random.Random(29)
     worst = 0.0
     for _ in range(10_000):
         a = rng.uniform(1.0, 1e3)
         n_top = int(a)
-        rem = _rs_remainder(a, n_top, a - n_top - 0.5, _RS_ROWS_GRID)
+        rem = _rs_remainder(a, n_top, a - n_top - 0.5, _RS_COEFFS_GRID)
         worst = max(worst, abs(rem) / _reach(a))
     assert 0.9 < worst < 1.0
 
@@ -545,18 +555,16 @@ def _remainder_by_poly(a, n_top, x, orders):
 
 
 def test_remainder_rows_in_one_loop_equal_poly_bit_for_bit():
-    # the rows are stored highest power first; at a = 1, one row alone,
-    # _rs_remainder is that row's Horner sum
+    # at a = 1, one row alone, _rs_remainder is that row's Horner sum
     rng = random.Random(2929)
     for _ in range(10_000):
         a, x = rng.uniform(1.0, 1e3), rng.uniform(-0.5, 0.5)
         n_top = int(a)
-        for rows, orders in ((_RS_ROWS, _RS_COEFFS),
-                             (_RS_ROWS_GRID, _RS_COEFFS_GRID)):
-            for row, coeffs in zip(rows, orders, strict=True):
-                assert _rs_remainder(1.0, 1, x, (row,)) == _poly(coeffs, x * x)
+        for rows in (_RS_COEFFS, _RS_COEFFS_GRID):
+            for row in rows:
+                assert _rs_remainder(1.0, 1, x, (row,)) == _poly(row, x * x)
             assert (_rs_remainder(a, n_top, x, rows)
-                    == _remainder_by_poly(a, n_top, x, orders))
+                    == _remainder_by_poly(a, n_top, x, rows))
 
 
 def test_extended_riemann_siegel_keeps_a_tenfold_margin_on_its_bound():
@@ -643,7 +651,7 @@ def test_find_zeros_above_the_switch_height_makes_no_euler_maclaurin_call(
 
 
 def _z_rs_by_poly(t):
-    """`_z_riemann_siegel` with its remainder summed through `_poly`."""
+    """Z_RS with its remainder summed through `_poly`."""
     a, n_top, main = zeta_classic._rs_main(t)
     return 2.0 * main + _remainder_by_poly(a, n_top, a - n_top - 0.5,
                                            _RS_COEFFS_GRID)
@@ -700,9 +708,9 @@ def test_find_zeros_equals_a_scan_that_reads_every_remainder(
 
 def test_find_zeros_sums_few_remainders_on_its_grid(monkeypatch):
     # 102 grid points (the accumulated step leaves a last one 4.5e-12
-    # wide); the main sum alone settles all but 13 of them.  Illinois's
-    # steps read the whole sum, and hardy_z's calls are those of a scan
-    # that reads every remainder
+    # wide); the main sum alone settles all but 13 of them.  Every Illinois
+    # step here lands inside the reach and reads the remainder, and
+    # hardy_z's calls are those of a scan that reads every remainder
     counts = {"remainder": 0, "illinois": 0, "grid": 0, "hardy_z": 0}
 
     def counter(name, key, only=None):
@@ -714,8 +722,16 @@ def test_find_zeros_sums_few_remainders_on_its_grid(monkeypatch):
             return original(*args)
         monkeypatch.setattr(zeta_classic, name, counted)
 
-    counter("_rs_remainder", "remainder", only=_RS_ROWS_GRID)
-    counter("_z_riemann_siegel", "illinois")
+    illinois = zeta_classic._illinois
+
+    def counted_steps(f, *bracket):
+        def step(t):
+            counts["illinois"] += 1
+            return f(t)
+        return illinois(step, *bracket)
+
+    monkeypatch.setattr(zeta_classic, "_illinois", counted_steps)
+    counter("_rs_remainder", "remainder", only=_RS_COEFFS_GRID)
     counter("_rs_main", "grid")
     counter("hardy_z", "hardy_z")
     brackets = find_zeros(1000.0, 1005.0, 0.05)
@@ -723,6 +739,7 @@ def test_find_zeros_sums_few_remainders_on_its_grid(monkeypatch):
     grid = counts["grid"] - counts["illinois"]
     assert grid == 102
     assert counts["remainder"] - counts["illinois"] == 13
+    assert counts["illinois"] > 0
     assert counts["hardy_z"] == 12
 
 
@@ -735,7 +752,7 @@ def test_grid_skips_the_remainder_only_past_its_reach_plus_the_bound(
     calls = []
 
     def counted(*args):
-        calls.append(args[-1] is _RS_ROWS_GRID)
+        calls.append(args[-1] is _RS_COEFFS_GRID)
         return remainder(*args)
 
     monkeypatch.setattr(zeta_classic, "_rs_remainder", counted)
@@ -766,6 +783,19 @@ def test_refined_zero_within_1e8_of_mpmath(n, zero):
     near = [b for b in brackets if b.t_lo <= zero <= b.t_hi]
     assert len(near) == 1
     assert abs(near[0].refined_t - zero) <= 1e-8
+
+
+def test_refined_zeros_at_a_coarse_step_within_1e8_of_mpmath():
+    # at step 1.0 some Illinois steps land where twice the main sum clears
+    # the remainder's reach, and the sign rule returns that value instead
+    # of Z_RS; the refined zeros stay within 1e-8.  44 of the 50 zeros in
+    # (100, 200]: three steps hold two zeros each
+    brackets = find_zeros(100.0, 200.0, 1.0)
+    assert len(brackets) == 44
+    for b in brackets:
+        n = zero_count_ref(b.t_hi)
+        assert n - zero_count_ref(b.t_lo) == 1
+        assert abs(b.refined_t - zero_ref(n)) <= 1e-8
 
 
 def test_find_zeros_spends_few_hardy_z_calls_per_zero(monkeypatch):
@@ -842,13 +872,27 @@ def test_find_zeros_spends_three_hardy_z_calls_per_zero_above_1000(
 
 def test_refinement_stays_within_1e8_when_riemann_siegel_errs_by_its_bound(
         monkeypatch):
-    # push every Riemann-Siegel value 0.9 bound toward zero: a sign taken
-    # only where |Z_RS| clears the bound stays right, any other would not
-    def pushed(t):
-        z = _z_riemann_siegel(t)
-        return z - math.copysign(0.9 * _rs_bound(t), z)
+    # push every Z_RS the sign rule sums, on the grid and in the Illinois
+    # steps, 0.9 bound toward zero through the remainder it adds: a sign
+    # taken only where |Z_RS| clears the bound stays right, any other would
+    # not
+    rs_main, remainder = zeta_classic._rs_main, zeta_classic._rs_remainder
+    last = {}
 
-    monkeypatch.setattr(zeta_classic, "_z_riemann_siegel", pushed)
+    def seen(t):
+        a, n_top, main = rs_main(t)
+        last.update(t=t, main=main)
+        return a, n_top, main
+
+    def pushed(a, n_top, x, rows):
+        rem = remainder(a, n_top, x, rows)
+        if rows is not _RS_COEFFS_GRID:
+            return rem
+        z = 2.0 * last["main"] + rem
+        return rem - math.copysign(0.9 * _rs_bound(last["t"]), z)
+
+    monkeypatch.setattr(zeta_classic, "_rs_main", seen)
+    monkeypatch.setattr(zeta_classic, "_rs_remainder", pushed)
     _assert_fixture_zeros_refined_within_1e8()
 
 
