@@ -751,7 +751,7 @@ def find_zeros(t_min: float, t_max: float, step: float,
                q: QuadratureSpec = DEFAULT_QUAD) -> list[ZeroBracket]:
     """Zeros of Hardy's Z on [t_min, t_max]: sign scan on a grid, then refinement.
 
-    The grid runs from t_min in steps of `step`, the last one clamped to
+    The grid is t_min + k step, k = 0, 1, ..., its last point clamped to
     t_max.  Grid points and refinement steps take one rule: at t >= 2 pi
     twice the Riemann-Siegel main sum (2-5 us to t = 5000) where the
     remainder cannot flip its sign, else that plus the remainder through
@@ -773,7 +773,7 @@ def find_zeros(t_min: float, t_max: float, step: float,
     if not (0.0 < step <= 1.0):
         raise DomainError(f"step must lie in (0, 1], got {step!r}")
     if not step > math.ulp(t_max):
-        # t + step == t somewhere on the grid, which would never end
+        # t_min + k step would repeat points near t_max
         raise DomainError(f"step {step!r} does not move t at t_max = {t_max!r}")
     if t_max >= _RS_T_MIN:
         _term_budget(_rs_length(t_max), q, "Riemann-Siegel")
@@ -790,10 +790,10 @@ def find_zeros(t_min: float, t_max: float, step: float,
         return hardy_z(t, q).value.real
 
     brackets: list[ZeroBracket] = []
-    t_lo = float(t_min)
+    t_lo, k = float(t_min), 1
     s_lo = grid_sign(t_lo)
     while t_lo < t_max:
-        t_hi = min(t_lo + step, float(t_max))
+        t_hi = min(t_min + k * step, float(t_max))
         s_hi = grid_sign(t_hi)
         if s_lo * s_hi < 0.0:
             z_lo = hardy_z(t_lo, q).value.real
@@ -802,5 +802,5 @@ def find_zeros(t_min: float, t_max: float, step: float,
                 root = _illinois(grid_sign, t_lo, t_hi, z_lo, z_hi)
                 brackets.append(ZeroBracket(t_lo=t_lo, t_hi=t_hi, z_lo=z_lo,
                                             z_hi=z_hi, refined_t=root))
-        t_lo, s_lo = t_hi, s_hi
+        t_lo, s_lo, k = t_hi, s_hi, k + 1
     return brackets

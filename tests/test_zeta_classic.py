@@ -606,14 +606,14 @@ def _em_z(t):
 def _em_sign_scan(t_min, t_max, step):
     """(t_lo, t_hi) of every sign change of _em_z on the grid."""
     out = []
-    t_lo = float(t_min)
+    t_lo, k = float(t_min), 1
     z_lo = _em_z(t_lo)
     while t_lo < t_max:
-        t_hi = min(t_lo + step, float(t_max))
+        t_hi = min(t_min + k * step, float(t_max))
         z_hi = _em_z(t_hi)
         if z_lo * z_hi < 0.0:
             out.append((t_lo, t_hi))
-        t_lo, z_lo = t_hi, z_hi
+        t_lo, z_lo, k = t_hi, z_hi, k + 1
     return out
 
 
@@ -668,10 +668,10 @@ def _scan_reading_every_remainder(t_min, t_max, step):
         return zeta_classic.hardy_z(t).value.real
 
     out = []
-    t_lo = float(t_min)
+    t_lo, k = float(t_min), 1
     s_lo = z_sign(t_lo)
     while t_lo < t_max:
-        t_hi = min(t_lo + step, float(t_max))
+        t_hi = min(t_min + k * step, float(t_max))
         s_hi = z_sign(t_hi)
         if s_lo * s_hi < 0.0:
             z_lo = zeta_classic.hardy_z(t_lo).value.real
@@ -679,7 +679,7 @@ def _scan_reading_every_remainder(t_min, t_max, step):
             if z_lo * z_hi < 0.0:
                 root = zeta_classic._illinois(z_sign, t_lo, t_hi, z_lo, z_hi)
                 out.append((t_lo, t_hi, z_lo, z_hi, root))
-        t_lo, s_lo = t_hi, s_hi
+        t_lo, s_lo, k = t_hi, s_hi, k + 1
     return out
 
 
@@ -707,8 +707,8 @@ def test_find_zeros_equals_a_scan_that_reads_every_remainder(
 
 
 def test_find_zeros_sums_few_remainders_on_its_grid(monkeypatch):
-    # 102 grid points (the accumulated step leaves a last one 4.5e-12
-    # wide); the main sum alone settles all but 13 of them.  Every Illinois
+    # 101 grid points, t_min + k step; the main sum alone settles all but
+    # 13 of them.  Every Illinois
     # step here lands inside the reach and reads the remainder, and
     # hardy_z's calls are those of a scan that reads every remainder
     counts = {"remainder": 0, "illinois": 0, "grid": 0, "hardy_z": 0}
@@ -737,10 +737,23 @@ def test_find_zeros_sums_few_remainders_on_its_grid(monkeypatch):
     brackets = find_zeros(1000.0, 1005.0, 0.05)
     assert len(brackets) == 4
     grid = counts["grid"] - counts["illinois"]
-    assert grid == 102
+    assert grid == 101
     assert counts["remainder"] - counts["illinois"] == 13
     assert counts["illinois"] > 0
     assert counts["hardy_z"] == 12
+
+
+@pytest.mark.parametrize("t_min,t_max,step", [
+    (10.0, 20.0, 0.05), (1000.0, 1005.0, 0.05), (7005.0, 7005.2, 0.01)])
+def test_find_zeros_grid_is_t_min_plus_k_step(t_min, t_max, step):
+    # no drift: a grid that added up its steps put scan --t 10:20's t_lo
+    # at 14.100000000000058
+    brackets = find_zeros(t_min, t_max, step)
+    assert brackets
+    for b in brackets:
+        k = round((b.t_lo - t_min) / step)
+        assert b.t_lo == t_min + k * step
+        assert b.t_hi == min(t_min + (k + 1) * step, t_max)
 
 
 def test_grid_skips_the_remainder_only_past_its_reach_plus_the_bound(
