@@ -532,8 +532,6 @@ def test_grid_reach_bounds_the_grid_remainder():
         assert reach == pytest.approx(total * (0.5 if k % 2 else 1.0), rel=1e-15)
     assert _RS_REACH == pytest.approx((0.0040, 0.0104, 0.0253, 0.0938, 0.9815),
                                       abs=5e-5)
-    assert _poly(_RS_REACH, 0.5) == pytest.approx(
-        sum(r * 0.5 ** k for k, r in enumerate(_RS_REACH[::-1])), rel=1e-15)
     # so it bounds the remainder at every a; the worst ratio here is 0.94
     rng = random.Random(29)
     worst = 0.0
