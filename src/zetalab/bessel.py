@@ -50,9 +50,7 @@ whose saddle is scaled to x = 1 (the heat side's time integrals too).  Tests
 hold the routes against each other; none is derived from another.
 
 The symmetry K_nu = K_{-nu} holds on every route (cosh is even in nu, and
-the series is symmetric in its two parts). The true three-term recurrence
-is K_{nu-1}(z) - K_{nu+1}(z) = -(2 nu / z) K_nu(z); `recurrence_residual`
-measures exactly that combination.
+the series is symmetric in its two parts).
 """
 
 from __future__ import annotations
@@ -364,24 +362,3 @@ def bessel_k_from_laplace(nu: complex, z: float,
     """K_nu(z) recovered from the two-sided Laplace integral at beta=gamma=z/2."""
     half = 0.5 * z  # the pair rejects z <= 0 as Re gamma <= 0
     return sum_pieces([laplace_pair_integral(nu, half, half, q)], 0.5)
-
-
-def symmetry_residual(nu: complex, z: float,
-                      q: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Relative |K_nu(z) - K_{-nu}(z)| (0 up to quadrature noise)."""
-    a = bessel_k(nu, z, q).value
-    b = bessel_k(-nu, z, q).value
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
-
-
-def recurrence_residual(nu: complex, z: float,
-                        q: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Absolute residual of the three-term recurrence.
-
-    |K_{nu-1}(z) - K_{nu+1}(z) + (2 nu / z) K_nu(z)|, which is the identity
-    with its standard sign (the minus-family recurrence).
-    """
-    km = bessel_k(nu - 1.0, z, q).value
-    kp = bessel_k(nu + 1.0, z, q).value
-    k0 = bessel_k(nu, z, q).value
-    return abs(km - kp + (2.0 * complex(nu) / z) * k0)

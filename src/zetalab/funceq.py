@@ -156,29 +156,6 @@ def _sides(kind: FunctionalEqKind, s: complex, params: dict, q: QuadratureSpec):
     raise DomainError(f"unknown functional-equation kind {kind!r}")
 
 
-def _quarter_alpha_sides(s: complex, lam, q: QuadratureSpec):
-    """(completed(1-s) - completed(s), (1-2s) K_{1-2s}(2 lam) / lam) at alpha = 1/4."""
-    lam = _require_positive_real(lam, "the quarter-alpha reduction")
-    cutoff = ExpAlpha(lam=lam, alpha=0.25)
-    reflected, direct = _completed_quadrature([1.0 - s, s], cutoff, q)
-    lhs = reflected.value - direct.value
-    order = 1.0 - 2.0 * s
-    k = bessel_k(order, 2.0 * lam, q).value
-    return lhs, order * k / lam
-
-
-def quarter_alpha_residual(s: complex, lam,
-                           q: QuadratureSpec = DEFAULT_QUAD) -> tuple[float, float]:
-    """Residuals of the alpha = 1/4 single-K reduction, in two printed forms.
-
-    Returns (residual of the 2*(1-2s)/lam * K form, residual of the
-    -4*(1-2s)/lam * K form). Exactly one of the two prefactors closes the
-    identity; keeping both lets the caller record which.
-    """
-    lhs, base = _quarter_alpha_sides(complex(s), lam, q)
-    return abs(lhs - 2.0 * base), abs(lhs - (-4.0) * base)
-
-
 def verify(kind: FunctionalEqKind, s: complex, params: dict | None = None,
            q: QuadratureSpec = DEFAULT_QUAD) -> FunctionalEqReport:
     """Evaluate both sides of the functional equation named by kind.
@@ -192,13 +169,19 @@ def verify(kind: FunctionalEqKind, s: complex, params: dict | None = None,
       generic-h:       cutoff (a CutoffSpec; must be symmetric and decaying)
 
     The generalized kinds report lhs = side(1 - s), rhs = side(s); the
-    riemann-classic record keeps lhs = completed(s).
+    riemann-classic record keeps lhs = completed(s), and quarter-alpha-single-k
+    lhs = completed(1 - s) - completed(s), rhs = -4 (1-2s) K_{1-2s}(2 lam) / lam.
     """
     s = complex(s)
     params = dict(params or {})
     if kind is FunctionalEqKind.QUARTER_ALPHA_SINGLE_K:
-        lhs, base = _quarter_alpha_sides(s, _need(kind, params, "lam"), q)
-        rhs = -4.0 * base
+        lam = _require_positive_real(_need(kind, params, "lam"),
+                                     "the quarter-alpha reduction")
+        reflected, direct = _completed_quadrature(
+            [1.0 - s, s], ExpAlpha(lam=lam, alpha=0.25), q)
+        lhs = reflected.value - direct.value
+        order = 1.0 - 2.0 * s
+        rhs = -4.0 * (order * bessel_k(order, 2.0 * lam, q).value / lam)
     else:
         lhs, rhs = _sides(kind, s, params, q)([1.0 - s, s])
         if kind is FunctionalEqKind.RIEMANN_CLASSIC:

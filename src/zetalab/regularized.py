@@ -602,10 +602,3 @@ def omega(s: complex, lam, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     Omega(s, lam) = Omega(1-s, lam).
     """
     return _omega_row([s], lam, q)[0]
-
-
-def omega_symmetry_residual(s: complex, lam,
-                            q: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """|Omega(s, lam) - Omega(1-s, lam)|, which should sit at quadrature noise."""
-    s = complex(s)
-    return abs(omega(s, lam, q).value - omega(1.0 - s, lam, q).value)

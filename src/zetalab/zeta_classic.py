@@ -26,8 +26,8 @@ exact in 0.01 ms against 3.3e-15 in 1 ms) and x^{(s-2)/2} in the theta
 integral overflows from s = 290 on.
 
 On top of those: the chi factor of the asymmetric functional equation, the
-entire xi function, Hardy's Z, the two-sum approximate functional equation,
-and a sign-scan zero finder on the critical line.
+entire xi function, Hardy's Z, and a sign-scan zero finder on the critical
+line.
 
 Hardy's Z comes from the Riemann-Siegel formula at |t| >= 100: about
 sqrt(t / 2 pi) terms plus Gabcke's remainder series C_0..C_12, against
@@ -44,9 +44,9 @@ clears its bound; every other point and both ends of every bracket read
 `hardy_z`.  The brackets are therefore those of an all-`hardy_z` scan, and
 each refined zero lies between two points whose signs are certified.
 
-The Dirichlet sums of Euler-Maclaurin and of the two-sum value run over a
-table of log n kept for the life of the process, term for term the float
-operations of `power_real_base`.
+The Euler-Maclaurin Dirichlet sum runs over a table of log n kept for the
+life of the process, term for term the float operations of
+`power_real_base`.
 """
 
 from __future__ import annotations
@@ -587,38 +587,6 @@ def hardy_z(t: float, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     phase = cmath.exp(1j * riemann_siegel_theta(t))
     return EvalResult(value=phase * zv.value, err_estimate=zv.err_estimate,
                       evaluations=zv.evaluations, converged=zv.converged)
-
-
-def approx_functional_sum(s: complex, x: float, y: float,
-                          q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
-    """Two-sum approximate functional equation value at s.
-
-    sum_{n<=x} n^{-s} + chi(s) sum_{n<=y} n^{s-1}, requiring x y = t/(2 pi).
-    The err_estimate is the honestly *observed* |sum - zeta(s)| against the
-    analytic route, not the paper's unspecified O-constants, so `converged`
-    says whether the asymptotic sums happen to meet the working tolerance.
-    """
-    s = complex(s)
-    sigma, t = s.real, s.imag
-    if not (0.0 <= sigma < 1.0):
-        raise DomainError(f"needs 0 <= Re s < 1, got {sigma!r}")
-    if not t > 0.0:
-        raise DomainError(f"needs Im s > 0, got {t!r}")
-    if not (x >= 1.0 and y >= 1.0):
-        raise DomainError("both sum lengths must be >= 1")
-    if abs(x * y - t / (2.0 * math.pi)) > 1e-9:
-        raise DomainError(f"x*y must equal Im s / 2 pi, got x*y = {x * y!r}")
-
-    n_x = _term_budget(x, q, "the two-sum")
-    n_y = _term_budget(y, q, "the two-sum")
-    total = _dirichlet_sum(n_x, -s)
-    dual = _dirichlet_sum(n_y, s - 1.0)
-    value = total + chi_factor(s) * dual
-
-    reference = zeta_analytic(s, q)
-    err = abs(value - reference.value)
-    evals = n_x + n_y + reference.evaluations
-    return make_result(value, err, evals, q)
 
 
 def _rs_length(t: float) -> float:

@@ -559,16 +559,6 @@ def resolvent_k_ref(alpha, r, d) -> complex:
                       * mp.besselk(nu, 2 * mp.sqrt(beta * am)))
 
 
-def approx_fe_ref(s, x, y):
-    """Two-sum value and its true error against mp.zeta."""
-    sm = mp.mpc(s)
-    head = mp.nsum(lambda n: n ** (-sm), [1, int(math.floor(x))], method="direct")
-    dual = mp.nsum(lambda n: n ** (sm - 1), [1, int(math.floor(y))],
-                   method="direct")
-    value = head + mp.mpc(chi_ref(s)) * dual
-    return to_complex(value), float(abs(value - mp.zeta(sm)))
-
-
 # ---------------------------------------------------------------------------
 # fixture regeneration + frozen table
 # ---------------------------------------------------------------------------
@@ -614,15 +604,6 @@ def regenerate_resolvent_ratio(alpha=0.9) -> dict:
                 2 * alpha, r, d)
             rows.append({"d": d, "r": r, "ratio": ratio})
     return {"alpha": alpha, "expected": float(4 * mp.pi), "rows": rows}
-
-
-def regenerate_approx_fe(t=30.0) -> dict:
-    x = math.sqrt(t / (2.0 * math.pi))
-    value, err = approx_fe_ref(complex(0.5, t), x, x)
-    return {"sigma": 0.5, "t": t, "x": x, "y": x,
-            "value_re": value.real, "value_im": value.imag,
-            "observed_error": err,
-            "scale_x_pow_minus_sigma": x ** -0.5}
 
 
 # (lam, s) where the exp-symmetric completed value takes the ray quadrature:
@@ -723,7 +704,6 @@ def regenerate_laplace_pair_far() -> dict:
 FIXTURES = {
     "quarter_alpha_verdict.json": (regenerate_quarter_alpha, False),
     "resolvent_ratio.json": (regenerate_resolvent_ratio, False),
-    "approx_fe_constant.json": (regenerate_approx_fe, False),
     "completed_exp_ray.json": (regenerate_completed_exp_ray, False),
     "riemann_siegel.json": (regenerate_riemann_siegel, True),
     "hardy_z_extreme.json": (regenerate_hardy_z_extreme, True),

@@ -4,7 +4,6 @@ import argparse
 import contextlib
 import io
 import json
-import math
 import os
 import re
 import subprocess
@@ -635,6 +634,13 @@ def test_eval_hyperbolic_past_sinh_overflow_prints_zero(capsys, argv):
     code, out, _ = run_cli(capsys, "eval", *argv)
     assert code == 0
     assert json.loads(out)["value"] == {"re": 0.0, "im": 0.0}
+
+
+def test_eval_heat_kernel_hd_exits_2_where_the_ladder_cancels(capsys):
+    code, out, err = run_cli(capsys, "eval", "--fn", "heat-kernel-hd", "--t",
+                             "0.001", "--rho", "0.001", "--d", "21")
+    assert code == 2 and out == ""
+    assert "ladder cancels" in err
 
 
 def test_every_eval_selector_has_a_case():

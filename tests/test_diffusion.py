@@ -8,7 +8,7 @@ import sys
 import mpmath as mp
 import pytest
 
-from oracles import laplace_h3_closed, laplace_h3_ref
+from oracles import hyperbolic_kernel_ref, laplace_h3_closed, laplace_h3_ref
 from zetalab import diffusion
 from zetalab.bessel import bessel_k_from_laplace
 from zetalab.diffusion import (
@@ -136,6 +136,24 @@ def test_ladder_is_zero_where_sinh_overflows():
     # sinh's overflow (rho ~ 710.48) the kernel is 0.0, as h3's form reads it
     assert heat_kernel_hyperbolic_odd(356.0, 712.0, 3) == 0.0
     assert heat_kernel_h3(356.0, 712.0) == 0.0
+
+
+@pytest.mark.parametrize("t, rho, d", [
+    (0.1, 1e-3, 9),     # would read -0.184 against 0.105
+    (1.0, 1e-2, 11),    # 27x off
+    (1e-3, 1e-3, 21),   # -4.2e40
+    (1.0, 1e-3, 7),     # bound 1.3e-3 of the sum, error 5.4e-4
+])
+def test_ladder_refuses_a_rho_where_its_terms_cancel(t, rho, d):
+    with pytest.raises(NonConvergence, match="ladder cancels"):
+        heat_kernel_hyperbolic_odd(t, rho, d)
+
+
+def test_ladder_keeps_the_worst_benchmark_draw():
+    # fe-verify's heat-kernel-hd draw with the largest bound at seed 1:
+    # 1.7e-10 of the sum, below the 1e-8 refusal
+    want = hyperbolic_kernel_ref(3.16, 0.201, 9)
+    assert abs(heat_kernel_hyperbolic_odd(3.16, 0.201, 9) - want) <= 1e-10 * want
 
 
 @pytest.mark.parametrize("rho", [1e-8, 0.5, 35.9, 36.0, 36.1, 100.0, 700.0,

@@ -14,7 +14,6 @@ from zetalab.funceq import (
     STANDARD_S_GRID,
     FunctionalEqKind,
     _sides,
-    quarter_alpha_residual,
     verify,
 )
 from zetalab.gammafn import gamma_complex, power_real_base
@@ -90,19 +89,20 @@ def test_quarter_alpha_fixture_verdict():
     # fixture records which one the independent reference run supported
     fix = json.loads((FIXTURES / "quarter_alpha_verdict.json").read_text())
     assert fix["supported_prefactor"] == "-4"
-    r2, r4 = quarter_alpha_residual(fix["s"], fix["lam"])
-    assert r4 < 1e-9
-    assert r2 > 0.1  # the other printed form is not merely loose, it is wrong
     rep = verify(
         FunctionalEqKind.QUARTER_ALPHA_SINGLE_K, fix["s"], {"lam": fix["lam"]}
     )
+    # rhs = -4 base exactly, so lhs + rhs / 2 is lhs - 2 base to the bit
+    assert rep.abs_residual < 1e-9
+    # the other printed form is not merely loose, it is wrong
+    assert abs(rep.lhs + 0.5 * rep.rhs) > 0.1
     assert rep.rel_residual < 1e-8
     assert rep.lhs == pytest.approx(fix["lhs_re"], rel=1e-7)
 
 
 def test_quarter_alpha_domain():
     with pytest.raises(DomainError):
-        quarter_alpha_residual(0.3, -0.5)
+        verify(FunctionalEqKind.QUARTER_ALPHA_SINGLE_K, 0.3, {"lam": -0.5})
     with pytest.raises(DomainError):
         verify(FunctionalEqKind.QUARTER_ALPHA_SINGLE_K, 0.3, {"lam": 1.0 + 2.0j})
 

@@ -1,4 +1,4 @@
-"""Zeta continuation, chi/xi, Hardy Z, the two-sum value, and the zero scan.
+"""Zeta continuation, chi/xi, Hardy Z, and the zero scan.
 
 Frozen reference values were produced by an Euler-Maclaurin summation written
 independently in tests/oracles.py (and cross-checked against mpmath at 30
@@ -43,7 +43,6 @@ from zetalab.zeta_classic import (
     _poly,
     _rs_bound,
     _rs_remainder,
-    approx_functional_sum,
     chi_factor,
     find_zeros,
     hardy_z,
@@ -415,30 +414,6 @@ def test_hardy_z():
     assert hardy_z(27.5).value.real == pytest.approx(2.816917528127119, rel=1e-11)
     for t in (5.0, 17.3, 33.0):
         assert abs(hardy_z(t).value.imag) < 1e-11
-
-
-def test_approx_functional_sum_fixture():
-    # the two-sum value and its honest error, frozen from the reference run
-    fix = json.loads((FIXTURES / "approx_fe_constant.json").read_text())
-    s = complex(fix["sigma"], fix["t"])
-    r = approx_functional_sum(s, fix["x"], fix["y"])
-    assert r.value.real == pytest.approx(fix["value_re"], rel=1e-10)
-    assert r.value.imag == pytest.approx(fix["value_im"], rel=1e-10)
-    assert r.err_estimate == pytest.approx(fix["observed_error"], rel=1e-6)
-    assert not r.converged  # two short sums do not reach quadrature tolerance
-
-
-def test_approx_functional_sum_domain():
-    t = 30.0
-    x = math.sqrt(t / (2.0 * math.pi))
-    with pytest.raises(DomainError):
-        approx_functional_sum(1.5 + 30.0j, x, x)
-    with pytest.raises(DomainError):
-        approx_functional_sum(0.5 - 30.0j, x, x)
-    with pytest.raises(DomainError):
-        approx_functional_sum(0.5 + 30.0j, 0.5, 2.0 * x * x)
-    with pytest.raises(DomainError):
-        approx_functional_sum(0.5 + 30.0j, x, 1.1 * x)
 
 
 def test_find_zeros_first_two():
@@ -855,15 +830,6 @@ def test_dirichlet_sum_and_euler_maclaurin_are_bit_equal_to_a_power_loop(
         assert len(zeta_classic._LOG_N) == largest + 1
 
 
-def test_approx_functional_sum_is_bit_equal_to_a_power_loop(monkeypatch):
-    s = complex(0.3, 200.0)
-    x = 3.0
-    y = 200.0 / (2.0 * math.pi) / x
-    fast = approx_functional_sum(s, x, y)
-    monkeypatch.setattr(zeta_classic, "_dirichlet_sum", _power_loop)
-    assert _bits(fast.value) == _bits(approx_functional_sum(s, x, y).value)
-
-
 @pytest.mark.parametrize("t_min", [1000.0, 2000.0])
 def test_find_zeros_spends_three_hardy_z_calls_per_zero_above_1000(
         monkeypatch, t_min):
@@ -949,9 +915,6 @@ def test_term_budget_refuses_a_height_before_a_table_grows(monkeypatch):
         hardy_z(1e5, QuadratureSpec(max_terms=125))
     with pytest.raises(NonConvergence, match="Riemann-Siegel"):
         find_zeros(1e5, 1e5 + 0.2, 0.05, QuadratureSpec(max_terms=125))
-    with pytest.raises(NonConvergence, match="two-sum"):
-        approx_functional_sum(0.5 + 2000.0j * math.pi, 1000.0, 1.0,
-                              QuadratureSpec(max_terms=999))
     assert len(zeta_classic._LOG_N) == 1 and len(zeta_classic._LOG_FIX) == 2
     # 1516 terms run; their rounding (err_estimate 2.5e-12) is above the
     # 1e-12 tolerance, so the value reports converged=False
