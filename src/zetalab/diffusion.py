@@ -129,7 +129,8 @@ def heat_kernel_hyperbolic_odd(t: float, rho: float, d: int) -> float:
     heat_kernel_h3 for the stable rho -> 0 form in three dimensions.
     NonConvergence where the terms' rounding, eps sum |term|, exceeds 1e-8
     of their sum: at small rho the ladder cancels (d = 9, t = 0.1,
-    rho = 1e-3 would read -0.184 against 0.105).
+    rho = 1e-3 would read -0.184 against 0.105); and where a term
+    overflows, as 1 / sinh(rho)^e does at rho = 1e-300.
     """
     if not isinstance(d, int) or d < 3 or d % 2 == 0:
         raise DomainError(f"heat_kernel_hyperbolic_odd needs odd integer d >= 3, "
@@ -147,11 +148,15 @@ def heat_kernel_hyperbolic_odd(t: float, rho: float, d: int) -> float:
     sh = math.sinh(rho)
     ch = math.cosh(rho)
     acc = size = 0.0
-    for (a, b, e, f), c in _ladder_terms(m).items():
-        term = (c * math.pow(rho, a) * math.pow(t, -b)
-                * math.pow(sh, -e) * math.pow(ch, f))
-        acc += term
-        size += abs(term)
+    try:
+        for (a, b, e, f), c in _ladder_terms(m).items():
+            term = (c * math.pow(rho, a) * math.pow(t, -b)
+                    * math.pow(sh, -e) * math.pow(ch, f))
+            acc += term
+            size += abs(term)
+    except OverflowError:  # math.pow's, at a tiny rho
+        raise NonConvergence(f"the d = {d} ladder overflows at rho = {rho!r}: "
+                             "a term leaves the double range") from None
     if not _EPS * size <= 1e-8 * abs(acc):  # nan and inf included
         raise NonConvergence(
             f"the d = {d} ladder cancels at this rho: its rounding "

@@ -643,6 +643,14 @@ def test_eval_heat_kernel_hd_exits_2_where_the_ladder_cancels(capsys):
     assert "ladder cancels" in err
 
 
+def test_eval_heat_kernel_hd_exits_2_where_a_ladder_term_overflows(capsys):
+    code, out, err = run_cli(capsys, "eval", "--fn", "heat-kernel-hd", "--t",
+                             "1", "--rho", "1e-300", "--d", "5")
+    assert code == 2 and out == ""
+    assert "d = 5 ladder overflows at rho = 1e-300" in err
+    assert "math range error" not in err
+
+
 def test_every_eval_selector_has_a_case():
     assert set(EVAL_CASES) == set(cli._EVAL_FNS)
 

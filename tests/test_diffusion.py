@@ -149,6 +149,14 @@ def test_ladder_refuses_a_rho_where_its_terms_cancel(t, rho, d):
         heat_kernel_hyperbolic_odd(t, rho, d)
 
 
+@pytest.mark.parametrize("d", [5, 9])
+def test_ladder_names_a_term_that_overflows_at_a_tiny_rho(d):
+    # 1 / sinh(rho)^e leaves the double range in math.pow before the
+    # cancellation check can run; it read a bare "math range error"
+    with pytest.raises(NonConvergence, match=r"ladder overflows at rho = 1e-300"):
+        heat_kernel_hyperbolic_odd(1.0, 1e-300, d)
+
+
 def test_ladder_keeps_the_worst_benchmark_draw():
     # fe-verify's heat-kernel-hd draw with the largest bound at seed 1:
     # 1.7e-10 of the sum, below the 1e-8 refusal

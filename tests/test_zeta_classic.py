@@ -6,6 +6,7 @@ digits); the analytic route under test is the theta-integral / EM hybrid.
 """
 
 import cmath
+import importlib.util
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from decimal import Context, Decimal
 
 import mpmath as mp
 import pytest
+from mpmath.functions.zetazeros import _ROSSER_EXCEPTIONS
 from hypothesis import given, strategies as st
 
 import zetalab.zeta_classic as zeta_classic
@@ -52,6 +54,7 @@ from zetalab.zeta_classic import (
     zeta_series,
 )
 
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 # mpmath: Riemann-Siegel coefficient tables C_0..C_12, siegelz at 500 seeded
 # heights in [2 pi, 1e4] and 200 in [100, 1e6], three zeros and Lehmer's pair
@@ -630,30 +633,56 @@ def _z_rs_by_poly(t):
                                            _RS_COEFFS_GRID)
 
 
-def _scan_reading_every_remainder(t_min, t_max, step):
-    """find_zeros by the rule without the main-sum signs: Z_RS (`_poly`'s
-    rows) at every grid point, `hardy_z` where it does not clear its bound."""
-    def z_sign(t):
-        if t >= _RS_T_MIN:
-            z = _z_rs_by_poly(t)
-            if abs(z) > _rs_bound(t):
-                return z
-        return zeta_classic.hardy_z(t).value.real
-
+def _step_grid_scan(t_min, t_max, step, sign):
+    """find_zeros as a scan that reads `sign` at every grid point
+    t_min + k step: each sign change re-checked by `hardy_z` at both ends
+    and refined by Illinois on `sign`."""
     out = []
     t_lo, k = float(t_min), 1
-    s_lo = z_sign(t_lo)
+    s_lo = sign(t_lo)
     while t_lo < t_max:
         t_hi = min(t_min + k * step, float(t_max))
-        s_hi = z_sign(t_hi)
+        s_hi = sign(t_hi)
         if s_lo * s_hi < 0.0:
             z_lo = zeta_classic.hardy_z(t_lo).value.real
             z_hi = zeta_classic.hardy_z(t_hi).value.real
             if z_lo * z_hi < 0.0:
-                root = zeta_classic._illinois(z_sign, t_lo, t_hi, z_lo, z_hi)
+                root = zeta_classic._illinois(sign, t_lo, t_hi, z_lo, z_hi)
                 out.append((t_lo, t_hi, z_lo, z_hi, root))
         t_lo, s_lo, k = t_hi, s_hi, k + 1
     return out
+
+
+def _every_remainder_sign(t):
+    """Z_RS (`_poly`'s rows), `hardy_z` where it does not clear its bound."""
+    if t >= _RS_T_MIN:
+        z = _z_rs_by_poly(t)
+        if abs(z) > _rs_bound(t):
+            return z
+    return zeta_classic.hardy_z(t).value.real
+
+
+def _scan_reading_every_remainder(t_min, t_max, step):
+    """find_zeros by the rule without the main-sum signs, at every grid
+    point."""
+    return _step_grid_scan(t_min, t_max, step, _every_remainder_sign)
+
+
+def _grid_rule_sign(t):
+    """find_zeros' sign rule: twice the main sum where the remainder's reach
+    cannot flip it, else Z_RS where it clears its bound, else `hardy_z`."""
+    if t >= _RS_T_MIN:
+        a, n_top, main = zeta_classic._rs_main(t)
+        z, bound = 2.0 * main, _rs_bound(t)
+        if abs(z) <= _poly(_RS_REACH, 1.0 / a) / math.sqrt(a) + bound:
+            z += _rs_remainder(a, n_top, a - n_top - 0.5, _RS_COEFFS_GRID)
+        if abs(z) > bound:
+            return z
+    return zeta_classic.hardy_z(t).value.real
+
+
+def _fields(brackets):
+    return [(b.t_lo, b.t_hi, b.z_lo, b.z_hi, b.refined_t) for b in brackets]
 
 
 @pytest.mark.parametrize("t_min,t_max,step", [
@@ -661,7 +690,9 @@ def _scan_reading_every_remainder(t_min, t_max, step):
     (4990.0, 4995.0, 0.05), (7005.0, 7005.2, 0.01)])
 def test_find_zeros_equals_a_scan_that_reads_every_remainder(
         monkeypatch, t_min, t_max, step):
-    # the windows start below 2 pi, cross H = 100, and hold Lehmer's pair
+    # the windows start below 2 pi and below g_{-1}, cross H = 100, and
+    # hold Lehmer's pair.  The Gram blocks read fewer grid points, and
+    # hardy_z is still called at the same points in the same order
     calls = []
 
     def counted(t, q=zeta_classic.DEFAULT_QUAD):
@@ -673,17 +704,18 @@ def test_find_zeros_equals_a_scan_that_reads_every_remainder(
     reference_calls = list(calls)
     calls.clear()
     brackets = find_zeros(t_min, t_max, step)
-    assert [(b.t_lo, b.t_hi, b.z_lo, b.z_hi, b.refined_t)
-            for b in brackets] == reference
+    assert _fields(brackets) == reference
     assert calls == reference_calls
     assert len(brackets) == zero_count_ref(t_max) - zero_count_ref(t_min)
 
 
 def test_find_zeros_sums_few_remainders_on_its_grid(monkeypatch):
-    # 101 grid points, t_min + k step; the main sum alone settles all but
-    # 13 of them.  Every Illinois
-    # step here lands inside the reach and reads the remainder, and
-    # hardy_z's calls are those of a scan that reads every remainder
+    # Gram points g_647..g_652 are all good, so each Gram interval bisects
+    # to its zero: 27 main sums outside the Illinois steps (Gram points and
+    # bisection probes) where a reading of all 101 grid points took 101, and
+    # 10 of them need the remainder (13 on all 101).  Every Illinois step
+    # here lands inside the reach and reads the remainder, and hardy_z's
+    # calls are those of a scan that reads every grid point
     counts = {"remainder": 0, "illinois": 0, "grid": 0, "hardy_z": 0}
 
     def counter(name, key, only=None):
@@ -710,10 +742,193 @@ def test_find_zeros_sums_few_remainders_on_its_grid(monkeypatch):
     brackets = find_zeros(1000.0, 1005.0, 0.05)
     assert len(brackets) == 4
     grid = counts["grid"] - counts["illinois"]
-    assert grid == 101
-    assert counts["remainder"] - counts["illinois"] == 13
+    assert grid == 27
+    assert counts["remainder"] - counts["illinois"] == 10
     assert counts["illinois"] > 0
     assert counts["hardy_z"] == 12
+
+
+def _gram_sign(n):
+    """(-1)^n as a float: the sign Z takes at a good Gram point g_n."""
+    return -1.0 if n % 2 else 1.0
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_gram_points_match_mpmath(side):
+    # Newton from inside the Gram interval above g_n, as the scan starts at
+    # its window, or from g_{n-1}, as it steps to the next Gram point
+    rng = random.Random(32)
+    ns = [-1, 0, 1, 2, 125, 126, 127, 6708, 138_000]
+    ns += [int(math.exp(rng.uniform(0.0, math.log(138_000)))) for _ in range(40)]
+    for n in ns:
+        want = mp.grampoint(n)
+        if side == "right":
+            start = float(mp.grampoint(n + 0.5))
+        else:
+            start = 10.0 if n == -1 else float(mp.grampoint(n - 1))
+        g = zeta_classic._gram_point(n, start)
+        assert abs(g - float(want)) <= 1e-13 * float(want), n
+    assert zeta_classic._GRAM_T_MIN == zeta_classic._gram_point(-1, 10.0)
+    assert float(mp.grampoint(138_000)) > 0.99e5
+
+
+def test_rosser_height_lies_below_the_first_exception():
+    # mpmath's table of the exceptions to Rosser's rule below Gram index
+    # 4e8 opens with the block at g_13999525
+    first = _ROSSER_EXCEPTIONS[0][0]
+    assert first == min(e[0] for e in _ROSSER_EXCEPTIONS[::2]) == 13_999_525
+    assert 0.99 * float(mp.grampoint(first)) < zeta_classic._ROSSER_T_MAX
+    assert zeta_classic._ROSSER_T_MAX < float(mp.grampoint(first))
+
+
+def test_find_zeros_equals_the_step_grid_scan_on_seeded_windows():
+    # 320 windows, heights log-uniform in [10, 1e5], lengths in [0.5, 20]:
+    # every bracket field for field that of the scan reading every grid
+    # point by the same sign rule
+    rng = random.Random(20261021)
+    zeros = 0
+    for i in range(320):
+        step = (0.01, 0.05, 0.25, 1.0)[i % 4]
+        t_min = round(math.exp(rng.uniform(math.log(10.0), math.log(1e5))), 2)
+        t_max = t_min + round(rng.uniform(0.5, 20.0), 2)
+        reference = _step_grid_scan(t_min, t_max, step, _grid_rule_sign)
+        assert _fields(find_zeros(t_min, t_max, step)) == reference, (
+            t_min, t_max, step)
+        zeros += len(reference)
+    assert zeros > 2000
+
+
+def _read_points(monkeypatch):
+    """The heights of every main sum find_zeros takes from here on."""
+    rs_main, seen = zeta_classic._rs_main, []
+
+    def recorded(t):
+        seen.append(t)
+        return rs_main(t)
+
+    monkeypatch.setattr(zeta_classic, "_rs_main", recorded)
+    return seen
+
+
+def _grid(t_min, t_max, step):
+    points, k = [float(t_min)], 1
+    while points[-1] < t_max:
+        points.append(min(t_min + k * step, float(t_max)))
+        k += 1
+    return points
+
+
+def test_gram_law_failure_at_g126_takes_the_block_fallback(monkeypatch):
+    # g_126 = 282.45 is the first bad Gram point: (g_125, g_127) is one
+    # block of two intervals holding two zeros, with no sign change at its
+    # Gram points, so each of its grid points is read; the good interval
+    # (g_127, g_128) bisects and reads fewer
+    g125, g126, g127, g128 = (zeta_classic._gram_point(n, 280.0)
+                              for n in (125, 126, 127, 128))
+    assert _gram_sign(126) * hardy_z(g126).value.real < 0.0
+    assert zero_count_ref(g127) - zero_count_ref(g125) == 2
+    seen = _read_points(monkeypatch)
+    brackets = find_zeros(280.0, 286.0, 0.05)
+    monkeypatch.undo()
+    assert _fields(brackets) == _step_grid_scan(280.0, 286.0, 0.05,
+                                                _grid_rule_sign)
+    assert len(brackets) == zero_count_ref(286.0) - zero_count_ref(280.0)
+    grid = _grid(280.0, 286.0, 0.05)
+    block = [t for t in grid if g125 < t < g127]
+    assert set(block) <= set(seen)
+    good = [t for t in grid if g127 < t < g128]
+    assert len(set(good) & set(seen)) < len(good) // 3
+
+
+def test_lehmer_pair_lies_in_a_block_that_reads_every_grid_point(monkeypatch):
+    # Lehmer's pair, 7005.06 and 7005.10, sits in the block (g_6707,
+    # g_6709) around the bad Gram point g_6708
+    g6707, g6708, g6709 = (zeta_classic._gram_point(n, 7005.0)
+                           for n in (6707, 6708, 6709))
+    assert g6707 < 7005.0 and 7005.2 < g6708
+    assert _gram_sign(6708) * hardy_z(g6708).value.real < 0.0
+    seen = _read_points(monkeypatch)
+    brackets = find_zeros(7004.6, 7006.2, 0.01)
+    monkeypatch.undo()
+    assert _fields(brackets) == _step_grid_scan(7004.6, 7006.2, 0.01,
+                                                _grid_rule_sign)
+    assert [b.t_lo <= z <= b.t_hi for b, (_, z) in
+            zip(brackets, RS_FIXTURE["lehmer_pair"])] == [True, True]
+    assert set(_grid(7004.6, 7006.2, 0.01)) <= set(seen)
+
+
+def test_window_below_g_minus_1_reads_its_grid_up_to_there(monkeypatch):
+    # below g_{-1} = 9.667 there are no Gram blocks: every grid point from
+    # t_min to g_{-1} is read (hardy_z below 2 pi, main sums above), and the
+    # brackets above are those of the full reading
+    assert 9.6669 < zeta_classic._GRAM_T_MIN < 9.6670
+    seen = _read_points(monkeypatch)
+    brackets = find_zeros(2.0, 30.0, 0.05)
+    monkeypatch.undo()
+    assert _fields(brackets) == _step_grid_scan(2.0, 30.0, 0.05,
+                                                _grid_rule_sign)
+    assert len(brackets) == 3
+    low = [t for t in _grid(2.0, 30.0, 0.05)
+           if _RS_T_MIN <= t < zeta_classic._GRAM_T_MIN]
+    assert low and set(low) <= set(seen)
+    assert len(seen) < len(_grid(2.0, 30.0, 0.05))
+
+
+def test_window_above_the_rosser_height_reads_every_grid_point(monkeypatch):
+    t_min = zeta_classic._ROSSER_T_MAX + 10.0
+    seen = _read_points(monkeypatch)
+    brackets = find_zeros(t_min, t_min + 0.5, 0.05)
+    monkeypatch.undo()
+    # every grid point is read, and every other main sum is an Illinois
+    # step inside a bracket: no Gram point is sought up there
+    grid = _grid(t_min, t_min + 0.5, 0.05)
+    assert brackets and set(grid) <= set(seen)
+    assert all(any(b.t_lo < t < b.t_hi for b in brackets)
+               for t in set(seen) - set(grid))
+    assert _fields(brackets) == _step_grid_scan(t_min, t_min + 0.5, 0.05,
+                                                _grid_rule_sign)
+
+
+def _zero_scan_windows(seed):
+    """(t_min, t_max) of every job of perfbench's zero-scan list."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", _ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return [tuple(map(float, job["argv"][2].split(":")))
+            for job in workloads.generate("zero-scan", seed)]
+
+
+def test_zero_scan_pass_halves_its_main_sums(monkeypatch):
+    # the benchmark's seed-1 windows at the default step 0.05: a reading of
+    # every grid point took 7,415 main sums and the Gram blocks 2,862, with
+    # the same 721 hardy_z calls
+    windows = _zero_scan_windows(1)
+    assert len(windows) == 64
+    counts = {"main": 0, "hardy_z": 0}
+
+    def counter(name, key):
+        original = getattr(zeta_classic, name)
+
+        def counted(*args):
+            counts[key] += 1
+            return original(*args)
+        monkeypatch.setattr(zeta_classic, name, counted)
+
+    counter("_rs_main", "main")
+    counter("hardy_z", "hardy_z")
+    dense = [_step_grid_scan(lo, hi, 0.05, _grid_rule_sign)
+             for lo, hi in windows]
+    dense_counts = dict(counts)
+    counts.update(main=0, hardy_z=0)
+    assert [_fields(find_zeros(lo, hi, 0.05)) for lo, hi in windows] == dense
+    assert sum(map(len, dense)) == 188
+    assert counts["main"] <= 3000 < 7000 < dense_counts["main"]
+    assert counts["hardy_z"] == dense_counts["hardy_z"]
 
 
 @pytest.mark.parametrize("t_min,t_max,step", [
@@ -733,24 +948,29 @@ def test_grid_skips_the_remainder_only_past_its_reach_plus_the_bound(
         monkeypatch):
     # twice the main sum placed half a bound inside, then half a bound
     # outside, reach + _rs_bound: only outside does the grid skip the
-    # remainder, so a skip implies |Z_RS| > _rs_bound
+    # remainder, so a skip implies |Z_RS| > _rs_bound.  Every main sum read,
+    # at the two grid points and at the Gram points around them, follows
+    # the rule
     rs_main, remainder = zeta_classic._rs_main, zeta_classic._rs_remainder
-    calls = []
+    calls, reads = [], []
 
     def counted(*args):
         calls.append(args[-1] is _RS_COEFFS_GRID)
         return remainder(*args)
 
     monkeypatch.setattr(zeta_classic, "_rs_remainder", counted)
-    for share, expected in ((0.5, 2), (1.5, 0)):
+    for share, expected in ((0.5, 1), (1.5, 0)):
         def placed(t, share=share):
+            reads.append(t)
             a, n_top, _ = rs_main(t)
             return a, n_top, 0.5 * (_reach(a) + share * _rs_bound(t))
 
         monkeypatch.setattr(zeta_classic, "_rs_main", placed)
         calls.clear()
+        reads.clear()
         assert find_zeros(1000.0, 1000.05, 0.05) == []
-        assert calls.count(True) == expected, share
+        assert {1000.0, 1000.05} <= set(reads)
+        assert calls.count(True) == expected * len(reads), share
 
 
 def test_find_zeros_separates_lehmer_pair():
