@@ -19,8 +19,8 @@ from decimal import Context, Decimal
 
 import mpmath as mp
 import pytest
-from mpmath.functions.zetazeros import _ROSSER_EXCEPTIONS
 from hypothesis import given, strategies as st
+from mpmath.functions.zetazeros import _ROSSER_EXCEPTIONS
 
 import zetalab.zeta_classic as zeta_classic
 from oracles import (chi_ref, fixed_gap_ref, hardy_z_ref, log_mp,
@@ -691,7 +691,7 @@ def _fields(brackets):
 def test_find_zeros_equals_a_scan_that_reads_every_remainder(
         monkeypatch, t_min, t_max, step):
     # the windows start below 2 pi and below g_{-1}, cross H = 100, and
-    # hold Lehmer's pair.  The Gram blocks read fewer grid points, and
+    # hold Lehmer's pair.  The Gram blocks choose the grid points read, and
     # hardy_z is still called at the same points in the same order
     calls = []
 
