@@ -33,10 +33,11 @@ The half-lines callers integrate over start at 0 (every completed value)
 or 1 (Riemann's xi integral), so their nodes x = a + y are the same on
 every pass.  Their rows (x, w, log x) are built once a level
 (`_half_level`).  `integrate_powers` walks either one with a by-row base:
-base(level) returns at(i, x), handed each node's row index, so a caller
-keeps columns of its own beside the rows and computes a node factor once
-a node per process -- psi (`theta.psi_rows`), and x + 1/x and psi - G at
-x = r e^{i theta} on the exp-symmetric ray (`regularized._ray_rows`).
+base(level) returns at(i, x), handed each node's row index.  `column_rows`
+is that base for node(x) factor(x): it keeps node(x) in a column beside
+the rows, so the caller that keeps the columns computes it once a node per
+process -- psi (`theta.psi_rows`), and psi - G at x = r e^{i theta} on the
+exp-symmetric ray (`regularized._ray_rows`).
 
 A caller that can show its integrand is exactly 0 outside a closed interval
 [lo, hi] of x passes it as `support`: the nodes outside it are neither
@@ -117,6 +118,33 @@ def _half_level(a: float, level: int) -> tuple[list, list, list]:
     if cached:
         _HALF_ROWS[a, level] = rows, ups, downs
     return rows, ups, downs
+
+
+def column_rows(levels: dict, start: float, node, factor=None):
+    """The by-row base (`integrate_powers`) of node(x) factor(x) on
+    (start, inf), or of node(x) without a factor.
+
+    node(x) is kept in levels[level][i], beside row i of
+    `_half_level(start, level)`: computed on its first read, and only where
+    factor(x) != 0, so a caller that keeps `levels` computes it once a node.
+    """
+    def level_base(level: int):
+        column = levels.get(level)
+        if column is None:
+            column = levels[level] = [None] * len(_half_level(start, level)[0])
+
+        def at(i: int, x: float):
+            hv = 1.0 if factor is None else factor(x)  # p * 1.0 is p
+            if hv == 0:
+                return hv
+            p = column[i]
+            if p is None:
+                p = column[i] = node(x)
+            return p * hv
+
+        return at
+
+    return level_base
 
 
 def _kept(level: int, rows: list, ups: list, downs: list,
@@ -232,7 +260,7 @@ def integrate_powers(base: Callable, exponents,
 
     base is by row: base(level), called once a level, returns at(i, x),
     base at row i of `_half_level(start, level)`, whose node is x, so a
-    caller can keep columns beside the rows (`theta.psi_rows`).
+    caller can keep columns beside the rows (`column_rows`).
     Every component sees the same nodes, so base is evaluated once a node,
     log x is read from the node's row, and each component adds
     base(x) * exp(w log x) -- the float operations of `power_real_base`, in

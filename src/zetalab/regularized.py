@@ -36,11 +36,12 @@ one `integrate_powers` pass over (0, inf), since only x^(s/2-1) changes
 with s.  Each value is bit-identical to a pass of its own.
 `_completed_exp`, `_zeta_regularized_row`, `_xi_lambda_row` and
 `_omega_row` are the row forms; the public functions are their one-s case.
-The node factors that depend on neither s nor lam sit in columns beside
-the quadrature's rows and are computed once a node per process: psi on
-the real axis (`theta.psi_rows`), and x + 1/x and psi - G on the ray,
-kept for the last _RAY_THETAS angles (`_ray_rows`), so the lambdas of a
-grid row and the sides of a verify job share them.
+The node factor that depends on neither s nor lam sits in a column beside
+the quadrature's rows (`quadrature.column_rows`) and is computed once a
+node per process: psi on the real axis (`theta.psi_rows`), and psi - G on
+the ray, kept for the last _RAY_THETAS angles (`_ray_rows`), so the
+lambdas of a grid row and the sides of a verify job share it.  The cutoff
+h(x) is the other factor, on either contour.
 
 Why a ray: on the real axis the integral is of size ~e^{-pi |t| / 4}
 while its integrand is of order one, so it loses about e^{pi |t| / 4} to
@@ -62,7 +63,7 @@ from .bessel import bessel_k, bessel_k_complex_arg
 from .cutoffs import CutoffSpec, ExpSymmetric, NoCutoff
 from .errors import DomainError, NonConvergence
 from .gammafn import power_real_base, rgamma
-from .quadrature import _half_level, integrate, integrate_powers
+from .quadrature import column_rows, integrate, integrate_powers
 from .theta import PSI_REACH, _psi_complex_remainder, _psi_raw, psi_rows
 from .types import (DEFAULT_QUAD, EvalResult, QuadratureSpec, RegZetaValue,
                     make_result, sum_pieces)
@@ -184,29 +185,31 @@ def _quadrature_support(cutoff: CutoffSpec,
     return lo, min(hi, PSI_REACH / cos)
 
 
-# (theta, series_tail_tol, max_terms) -> {level: (sums, rems)}, the ray
-# columns beside the rows of (0, inf): sums[i] = x + 1/x and rems[i] =
-# psi(x) - G(x) at x = r e^{i theta}, r row i's node, None until a walk
-# reads them.
+# (theta, series_tail_tol, max_terms) -> {level: psi(x) - G(x) at
+# x = r e^{i theta}, r the level's rows}, the ray's columns.
 # Only the _RAY_THETAS angles used last are kept: a grid row walks its
 # lambdas at one t, and a verify job alternates theta(t) with theta(-t).
-_RAY_COLUMNS: dict[tuple, dict[int, tuple[list, list]]] = {}
+_RAY_COLUMNS: dict[tuple, dict[int, list]] = {}
 _RAY_THETAS = 4
 
 
-def _peak_scaled(lam: complex, peak: complex, u: complex) -> complex:
-    """e^{peak - lam u}, the cutoff at x + 1/x = u over its peak e^{-peak};
-    0 where Re(lam u) > 745, as the cutoff is (`cutoffs._damped_exp`), so
-    its zeros are those `_quadrature_support` marks."""
-    w = lam * u
-    return 0j if w.real > 745.0 else cmath.exp(peak - w)
+def _peak_scaled(lam: complex, peak: complex):
+    """h(x) = e^{peak - lam (x + 1/x)}, the exp-symmetric cutoff over its
+    peak e^{-peak}; 0 where Re(lam (x + 1/x)) > 745, as the cutoff is
+    (`cutoffs._damped_exp`), so its zeros are those `_quadrature_support`
+    marks."""
+    def h(x: complex) -> complex:
+        w = lam * (x + 1.0 / x)
+        return 0j if w.real > 745.0 else cmath.exp(peak - w)
+
+    return h
 
 
-def _ray_rows(lam: float, peak: float, theta: float, q: QuadratureSpec):
+def _ray_rows(h, theta: float, q: QuadratureSpec):
     """The by-row base of the ray x = r e^{i theta} (`integrate_powers`):
-    at(i, r) = (psi(x) - G(x)) e^{peak - lam (x + 1/x)} (`_peak_scaled`),
-    with x + 1/x and psi - G read from the angle's columns and computed there
-    once a node per process, psi - G only where the cutoff is not 0."""
+    at(i, r) = (psi(x) - G(x)) h(x), psi - G read from the angle's column
+    (`quadrature.column_rows`), computed there once a node per process and
+    only where h(x) != 0."""
     key = theta, q.series_tail_tol, q.max_terms
     levels = _RAY_COLUMNS.pop(key, {})
     _RAY_COLUMNS[key] = levels  # the most recent angle last
@@ -214,30 +217,9 @@ def _ray_rows(lam: float, peak: float, theta: float, q: QuadratureSpec):
         del _RAY_COLUMNS[next(iter(_RAY_COLUMNS))]
     rot = cmath.exp(1j * theta)
     tol, terms = q.series_tail_tol, q.max_terms
-
-    def level_base(level: int):
-        columns = levels.get(level)
-        if columns is None:
-            n = len(_half_level(0.0, level)[0])
-            columns = levels[level] = [None] * n, [None] * n
-        sums, rems = columns
-
-        def at(i: int, r: float) -> complex:
-            u = sums[i]
-            if u is None:
-                x = r * rot
-                u = sums[i] = x + 1.0 / x
-            hv = _peak_scaled(lam, peak, u)
-            if hv == 0.0:
-                return hv
-            p = rems[i]
-            if p is None:
-                p = rems[i] = _psi_complex_remainder(r * rot, tol, terms)
-            return p * hv
-
-        return at
-
-    return level_base
+    return column_rows(
+        levels, 0.0, lambda r: _psi_complex_remainder(r * rot, tol, terms),
+        lambda r: h(r * rot))
 
 
 def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
@@ -276,7 +258,7 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
         return integrate_powers(psi_rows(q, factor=cutoff.value), half_exps, q, support)
     if theta is None:
         peak = 2.0 * complex(cutoff.lam)
-        rows = psi_rows(q, factor=lambda x: _peak_scaled(cutoff.lam, peak, x + 1.0 / x))
+        rows = psi_rows(q, factor=_peak_scaled(cutoff.lam, peak))
         return [sum_pieces([r], cmath.exp(-peak))
                 for r in integrate_powers(rows, half_exps, q, support)]
 
@@ -284,7 +266,8 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
     peak = 2.0 * lam * math.cos(theta)
     rows = []
     for s, ray in zip(s_values, integrate_powers(
-            _ray_rows(lam, peak, theta, q), half_exps, q, support)):
+            _ray_rows(_peak_scaled(lam, peak), theta, q), half_exps, q,
+            support)):
         ray = sum_pieces([ray], cmath.exp(0.5j * theta * s - peak))
         rounding = EvalResult(0j, _RAY_ROUNDING * abs(ray.value), 0, True)
         rows.append(sum_pieces([ray, rounding, _asymptote_integral(s, lam, q)]))

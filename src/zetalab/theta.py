@@ -11,7 +11,8 @@ regime into a one-term sum and is itself the object under test in
 
 Every zeta integral is a Mellin transform of psi over (0, inf) or (1, inf),
 so psi at those half-lines' cached nodes is kept in columns beside their
-rows, once a node per process (`psi_rows`, the base they are walked with).
+rows, once a node per process: `psi_rows`, the base they are walked with,
+is the quadrature's one column base (`column_rows`) with psi as its node.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import cmath
 import math
 
 from .errors import DomainError, NonConvergence
-from .quadrature import _half_level
+from .quadrature import column_rows
 from .types import DEFAULT_QUAD, EvalResult, QuadratureSpec
 
 # Below this point the direct series needs > ~70 terms and the modular
@@ -64,50 +65,20 @@ def _psi_raw(x: float, tail_tol: float, max_terms: int) -> float:
     return _psi_parts(x, tail_tol, max_terms)[0]
 
 
-# (start, level, series_tail_tol, max_terms) -> `_psi_column`.  Only grows,
-# and every writer of an entry stores the same value.
-_PSI_COLUMNS: dict[tuple, list] = {}
-
-
-def _psi_column(start: float, level: int, q: QuadratureSpec) -> list:
-    """psi(x) at the rows of `level` on (start, inf), start 0 or 1, for q's
-    tail settings; None at a row that no walk has read yet."""
-    key = start, level, q.series_tail_tol, q.max_terms
-    column = _PSI_COLUMNS.get(key)
-    if column is None:
-        column = _PSI_COLUMNS[key] = [None] * len(_half_level(start, level)[0])
-    return column
+# (start, series_tail_tol, max_terms) -> {level: psi at that level's rows},
+# the columns of `psi_rows`.  Only grows, and every writer of an entry
+# stores the same value.
+_PSI_COLUMNS: dict[tuple, dict[int, list]] = {}
 
 
 def psi_rows(q: QuadratureSpec, start: float = 0.0, factor=None):
-    """The by-row base (`integrate_powers`) of psi on (start, inf), or of
-    psi * factor for a factor (a cutoff's value): psi is read from row i's
-    `_psi_column` entry and computed there by `_psi_raw` on first read,
-    with a factor only where factor(x) != 0."""
+    """The by-row base (`integrate_powers`) of psi on (start, inf), start 0
+    or 1, or of psi * factor for a factor (a cutoff's value): psi sits in
+    q's tail settings' column (`quadrature.column_rows`), computed there by
+    `_psi_raw` on first read, and only where factor(x) != 0."""
     tol, terms = q.series_tail_tol, q.max_terms
-
-    def level_base(level: int):
-        column = _psi_column(start, level, q)
-
-        if factor is None:
-            def at(i: int, x: float) -> float:
-                p = column[i]
-                if p is None:
-                    p = column[i] = _psi_raw(x, tol, terms)
-                return p
-        else:
-            def at(i: int, x: float) -> complex:
-                hv = factor(x)
-                if hv == 0:
-                    return hv
-                p = column[i]
-                if p is None:
-                    p = column[i] = _psi_raw(x, tol, terms)
-                return p * hv
-
-        return at
-
-    return level_base
+    levels = _PSI_COLUMNS.setdefault((start, tol, terms), {})
+    return column_rows(levels, start, lambda x: _psi_raw(x, tol, terms), factor)
 
 
 def _psi_direct_complex(z: complex, tail_tol: float, max_terms: int) -> complex:

@@ -25,6 +25,26 @@ existing file of the same two commits keeps its other workloads and seeds;
 this workload and seed replace their entry.  Nothing is written under
 perfbench/; each run keeps its scratch under its own checkout's
 .perfbench/.
+
+    python3 tests/bench_pairs.py --in-process --parent 6801b7d --change HEAD \
+        --workload damped-grid --pairs 31
+    python3 tests/bench_pairs.py --in-process --aa --change HEAD \
+        --workload damped-grid --pairs 31
+
+times both sides in this one process instead.  --parent and --change are
+then commits of the repository holding this script: `git archive` unpacks
+each one's src/zetalab as a package of its own name (every import inside
+it is relative), and --aa pairs --change with itself.  After a warm-up
+round, each of --pairs rounds runs the workload's job list job by job
+through both packages' `cli.main` (`perfbench/worker.run_job`), the side
+that goes first alternating per job and per round, and each side's grid
+jobs against a cache directory of its own, emptied when the round starts.
+Any job whose exit code or canonical stdout differs between the sides is
+printed.  Then it reports the median and quartiles of the per-round
+ratios parent seconds / change seconds, the change's rate over the
+parent's: above 1 the change is faster.  peak_rss_mb and setup_s cannot be
+told apart in one process and stay with the whole-process runs.  It
+gates nothing: it exits 0 unless a package cannot be unpacked.
 """
 
 from __future__ import annotations
@@ -33,9 +53,14 @@ import argparse
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+from importlib import import_module
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # figures of run.py's report that its final JSON line leaves out
 _REPORT_FIGURES = (("passes", r"mean of (\d+) passes", int),
@@ -106,16 +131,85 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return q[0], q[2]
 
 
+def _unpack(rev: str, name: str, into: str):
+    """`git archive` of rev's src/zetalab, unpacked in `into` as the
+    package `name`; returns its cli module."""
+    tar = subprocess.run(["git", "-C", _ROOT, "archive", f"--prefix={name}/",
+                          f"{rev}:src/zetalab"], capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", into], input=tar.stdout, check=True)
+    return import_module(f"{name}.cli")
+
+
+def _in_process(parent: str, change: str, workload: str, seed: int,
+                rounds: int) -> None:
+    """The --in-process mode (module docstring)."""
+    sys.dont_write_bytecode = True  # leave no __pycache__ under perfbench/
+    sys.path.insert(0, os.path.join(_ROOT, "perfbench"))
+    worker, workloads = import_module("worker"), import_module("workloads")
+    jobs = workloads.generate(workload, seed)
+    with tempfile.TemporaryDirectory(prefix="zetalab-pairs-") as tmp:
+        sys.path.insert(0, tmp)
+        clis = (_unpack(parent, "zl_parent", tmp), _unpack(change, "zl_change", tmp))
+        caches = [os.path.join(tmp, f"cache{side}") for side in (0, 1)]
+        for cli in clis:
+            for argv in worker.WARMUP:
+                worker.run_job(cli, list(argv))
+        ratios, seconds, mismatched = [], ([], []), set()
+        for r in range(-1, rounds):  # round -1 warms both sides up, untimed
+            for cache in caches:
+                shutil.rmtree(cache, ignore_errors=True)
+                os.makedirs(cache)
+            spent = [0.0, 0.0]
+            for index, job in enumerate(jobs):
+                outs = [None, None]
+                for side in ((0, 1) if (index + r) % 2 == 0 else (1, 0)):
+                    argv = [caches[side] if a == workloads.CACHE_TOKEN else a
+                            for a in job["argv"]]
+                    rc, wall, out, _ = worker.run_job(clis[side], argv)
+                    spent[side] += wall
+                    outs[side] = rc, worker.canonical_output(out)
+                if outs[0] != outs[1] and index not in mismatched:
+                    mismatched.add(index)
+                    what = "stdout" if outs[0][1] != outs[1][1] else "exit code"
+                    print(f"mismatch: {workload} job {index} {job['kind']}: "
+                          f"{what} differs (exit {outs[0][0]} against "
+                          f"{outs[1][0]})", flush=True)
+            if r >= 0:
+                ratios.append(spent[0] / spent[1])
+                for side in (0, 1):
+                    seconds[side].append(spent[side])
+    q1, q3 = _quartiles(ratios)
+    print(f"{workload} seed {seed}, {rounds} rounds in process: "
+          f"{parent} {statistics.median(seconds[0]):.3f} s a round, "
+          f"{change} {statistics.median(seconds[1]):.3f} s; parent / change "
+          f"{statistics.median(ratios):.4f} [{q1:.4f}, {q3:.4f}], change "
+          f"faster in {sum(x > 1.0 for x in ratios)} of {rounds}; "
+          f"{len(mismatched)} of {len(jobs)} jobs differ")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True)
+    parser.add_argument("--parent")
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="pairs of runs, or rounds with --in-process")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", metavar="PATH",
                         help="also write the runs to this BENCH_*.json")
+    parser.add_argument("--in-process", action="store_true",
+                        help="time two commits' packages in this process")
+    parser.add_argument("--aa", action="store_true",
+                        help="with --in-process: --change against itself")
     args = parser.parse_args(argv)
+    if args.in_process:
+        if args.out or not (args.parent or args.aa):
+            parser.error("--in-process takes --parent or --aa, and no --out")
+        _in_process(args.parent if not args.aa else args.change, args.change,
+                    args.workload, args.seed, args.pairs)
+        return 0
+    if args.aa or not args.parent:
+        parser.error("--parent is required, and --aa needs --in-process")
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)

@@ -59,3 +59,17 @@ def test_no_unused_import(path):
     # the package's __init__ imports only to re-export
     init = path == _ROOT / "src" / "zetalab" / "__init__.py"
     assert _unused_imports(path, set(zetalab.__all__) if init else ()) == []
+
+
+def test_only_quadrature_reads_the_half_line_rows():
+    # a node factor kept beside the rows goes through `column_rows`, the
+    # one place that sizes a column by `_half_level`
+    def reads(path):
+        tree = ast.parse(path.read_text(), str(path))
+        return any(
+            (isinstance(node, ast.Name) and node.id == "_half_level")
+            or (isinstance(node, ast.Attribute) and node.attr == "_half_level")
+            or (isinstance(node, ast.alias) and node.name == "_half_level")
+            for node in ast.walk(tree))
+
+    assert [path.name for path in _SOURCES if reads(path)] == ["quadrature.py"]

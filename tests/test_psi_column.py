@@ -14,11 +14,16 @@ import zetalab.zeta_classic as zeta_classic
 from zetalab.cutoffs import ExpAlpha, ExpSymmetric, TwoParam
 from zetalab.errors import DomainError, NonConvergence
 from zetalab.quadrature import _ROW_STARTS, _half_level, integrate_powers
-from zetalab.theta import PSI_REACH, _psi_column, _psi_raw, psi_rows
+from zetalab.theta import PSI_REACH, _psi_raw, psi_rows
 from zetalab.types import QuadratureSpec, sum_pieces
 
 _LEVELS = range(13)
 _Q = QuadratureSpec()
+
+
+def _column(start, level, q):
+    """psi's column of `level` on (start, inf) for q's tail settings."""
+    return theta._PSI_COLUMNS[start, q.series_tail_tol, q.max_terms][level]
 
 
 def _by_row(base):
@@ -42,7 +47,7 @@ def test_the_column_is_psi_raw_at_every_node(start):
     zeros = 0
     for level in _LEVELS:
         rows = _half_level(start, level)[0]
-        column = _psi_column(start, level, _Q)
+        column = _column(start, level, _Q)
         assert len(column) == len(rows)
         want = [_psi_raw(x, 1e-16, 10**6) for x, _, _ in rows]
         assert [p.hex() for p in column] == [p.hex() for p in want]
@@ -62,8 +67,9 @@ def test_rows_carry_x_and_log_x(start):
 
 def test_no_column_holds_more_entries_than_its_level_has_rows():
     _fill_every_level(1.0, _Q)
-    for (start, level, _, _), column in theta._PSI_COLUMNS.items():
-        assert len(column) == len(_half_level(start, level)[0])
+    for (start, _, _), levels in theta._PSI_COLUMNS.items():
+        for level, column in levels.items():
+            assert len(column) == len(_half_level(start, level)[0])
 
 
 def test_psi_rows_only_on_the_cached_half_lines():
@@ -129,7 +135,7 @@ def test_completed_quadrature_reads_what_psi_raw_gives(q, cutoff, s_values):
 
 def test_the_loose_spec_has_a_column_of_its_own():
     _fill_every_level(0.0, _LOOSE)
-    loose, tight = (_psi_column(0.0, 3, q) for q in (_LOOSE, _Q))
+    loose, tight = (_column(0.0, 3, q) for q in (_LOOSE, _Q))
     assert loose is not tight
     rows = _half_level(0.0, 3)[0]
     assert loose == [_psi_raw(x, 1e-12, 10**6) for x, _, _ in rows]

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import besselk_ref
 from zetalab.errors import DomainError, NonConvergence, NonFiniteIntegrand
 from zetalab.gammafn import power_real_base
-from zetalab.quadrature import _level_nodes, _transform, integrate, integrate_powers
+from zetalab.quadrature import (_ROW_STARTS, _half_level, _level_nodes, _transform,
+                                column_rows, integrate, integrate_powers)
 from zetalab.types import QuadratureSpec
 
 
@@ -395,3 +397,87 @@ def test_powers_raise_nonconvergence_as_the_scalar_call():
     assert batch.value.best == scalar.value.best
     assert batch.value.err_estimate == scalar.value.err_estimate
     assert str(batch.value) == str(scalar.value)
+
+
+# ---------------------------------------------------------------------------
+# column_rows: a node factor kept beside the cached rows
+# ---------------------------------------------------------------------------
+
+
+def _seeded_node(seed):
+    """(node, calls): node(x) = a e^{-b x} cos(c x) with a, b, c drawn from
+    `seed`, and the list of the x it has been called at."""
+    rng = random.Random(seed)
+    a, b, c = rng.uniform(0.5, 2.0), rng.uniform(0.2, 2.0), rng.uniform(0.0, 3.0)
+    calls = []
+
+    def node(x):
+        calls.append(x)
+        return a * math.exp(-b * x) * math.cos(c * x)
+
+    return node, calls
+
+
+def _cut(lam):
+    """e^{-lam (x + 1/x)}, exactly 0 where the exponent passes 745, as the
+    cutoffs cut theirs: the far rows of both ends at start 0, and the far
+    rows above at start 1."""
+    def factor(x):
+        w = lam * (x + 1.0 / x)
+        return 0.0 if w > 745.0 else math.exp(-w)
+
+    return factor
+
+
+def _fields(results):
+    return [(r.value, r.err_estimate, r.evaluations, r.converged) for r in results]
+
+
+@pytest.mark.parametrize("start", _ROW_STARTS)
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("cut", [False, True])
+def test_column_rows_equal_a_base_that_computes_every_node(start, seed, cut):
+    node, calls = _seeded_node(seed)
+    factor = _cut(random.Random(-seed).uniform(0.2, 2.0)) if cut else None
+    exponents = (0.0, -0.25 + 1.5j, 0.7)
+
+    def plain(x):
+        return node(x) * factor(x) if cut else node(x)
+
+    want = integrate_powers(_by_row(plain), exponents, start=start)
+    del calls[:]
+    levels = {}
+    got = integrate_powers(column_rows(levels, start, node, factor), exponents,
+                           start=start)
+    assert _fields(got) == _fields(want)
+    # one column a level walked, one entry a row: node(x) where it was read
+    assert sorted(levels) == list(range(len(levels)))
+    zeros = 0
+    for level, column in levels.items():
+        rows = _half_level(start, level)[0]
+        assert len(column) == len(rows)
+        for (x, _, _), p in zip(rows, column):
+            if cut and factor(x) == 0:
+                assert p is None
+                zeros += 1
+            else:
+                assert p == node(x)
+    assert zeros > 0 if cut else zeros == 0
+
+
+@pytest.mark.parametrize("start", _ROW_STARTS)
+def test_column_rows_compute_a_node_once_and_never_where_the_factor_is_0(start):
+    node, calls = _seeded_node(7)
+    factor = _cut(0.3)
+    levels = {}
+    counts = []
+    for exponents in [(0.0,), (-0.25 + 1.5j, 0.7), (0.0,), (2.0 - 3.0j,)]:
+        integrate_powers(column_rows(levels, start, node, factor), exponents,
+                         start=start)
+        counts.append(len(calls))
+    assert all(factor(x) != 0 for x in calls)
+    assert counts[0] > 0 and counts[2] == counts[1]  # a pass over read rows
+    # each call fills one entry, so no row was computed twice (at start 1
+    # the rows of tiny y share x = 1.0, so the x alone cannot tell)
+    assert len(calls) == sum(p is not None for column in levels.values()
+                             for p in column)

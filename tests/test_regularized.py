@@ -599,7 +599,7 @@ def test_psi_remainder_runs_once_a_node_across_lambdas(monkeypatch):
     assert len(set(seen)) == len(seen)  # no node twice
     assert 0 < counts[0] and counts[1] == counts[2] == counts[3]
     columns = regularized._RAY_COLUMNS[theta, q.series_tail_tol, q.max_terms]
-    assert sum(p is not None for _, rems in columns.values()
+    assert sum(p is not None for rems in columns.values()
                for p in rems) == len(seen)
 
 
