@@ -193,12 +193,14 @@ _RAY_COLUMNS: dict[tuple, dict[int, list]] = {}
 _RAY_THETAS = 4
 
 
-def _peak_scaled(lam: complex, peak: complex):
-    """h(x) = e^{peak - lam (x + 1/x)}, the exp-symmetric cutoff over its
-    peak e^{-peak}; 0 where Re(lam (x + 1/x)) > 745, as the cutoff is
-    (`cutoffs._damped_exp`), so its zeros are those `_quadrature_support`
-    marks."""
-    def h(x: complex) -> complex:
+def _peak_scaled(lam: complex, peak: complex, rot: complex = 1.0):
+    """h(r) = e^{peak - lam (x + 1/x)} at x = r rot, the exp-symmetric
+    cutoff over its peak e^{-peak}; 0 where Re(lam (x + 1/x)) > 745, as the
+    cutoff is (`cutoffs._damped_exp`), so its zeros are those
+    `_quadrature_support` marks.  On the real axis rot = 1.0 and x is r
+    bit for bit."""
+    def h(r: float) -> complex:
+        x = r * rot
         w = lam * (x + 1.0 / x)
         return 0j if w.real > 745.0 else cmath.exp(peak - w)
 
@@ -207,9 +209,9 @@ def _peak_scaled(lam: complex, peak: complex):
 
 def _ray_rows(h, theta: float, q: QuadratureSpec):
     """The by-row base of the ray x = r e^{i theta} (`integrate_powers`):
-    at(i, r) = (psi(x) - G(x)) h(x), psi - G read from the angle's column
-    (`quadrature.column_rows`), computed there once a node per process and
-    only where h(x) != 0."""
+    at(i, r) = (psi(x) - G(x)) h(r), h the cutoff at x, psi - G read from
+    the angle's column (`quadrature.column_rows`), computed there once a
+    node per process and only where h(r) != 0."""
     key = theta, q.series_tail_tol, q.max_terms
     levels = _RAY_COLUMNS.pop(key, {})
     _RAY_COLUMNS[key] = levels  # the most recent angle last
@@ -218,8 +220,7 @@ def _ray_rows(h, theta: float, q: QuadratureSpec):
     rot = cmath.exp(1j * theta)
     tol, terms = q.series_tail_tol, q.max_terms
     return column_rows(
-        levels, 0.0, lambda r: _psi_complex_remainder(r * rot, tol, terms),
-        lambda r: h(r * rot))
+        levels, 0.0, lambda r: _psi_complex_remainder(r * rot, tol, terms), h)
 
 
 def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
@@ -266,8 +267,8 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
     peak = 2.0 * lam * math.cos(theta)
     rows = []
     for s, ray in zip(s_values, integrate_powers(
-            _ray_rows(_peak_scaled(lam, peak), theta, q), half_exps, q,
-            support)):
+            _ray_rows(_peak_scaled(lam, peak, cmath.exp(1j * theta)), theta,
+                      q), half_exps, q, support)):
         ray = sum_pieces([ray], cmath.exp(0.5j * theta * s - peak))
         rounding = EvalResult(0j, _RAY_ROUNDING * abs(ray.value), 0, True)
         rows.append(sum_pieces([ray, rounding, _asymptote_integral(s, lam, q)]))

@@ -28,17 +28,18 @@ perfbench/; each run keeps its scratch under its own checkout's
 
     python3 tests/bench_pairs.py --in-process --parent 6801b7d --change HEAD \
         --workload damped-grid --pairs 31
-    python3 tests/bench_pairs.py --in-process --aa --change HEAD \
+    python3 tests/bench_pairs.py --in-process --parent HEAD --change HEAD \
         --workload damped-grid --pairs 31
 
 times both sides in this one process instead.  --parent and --change are
 then commits of the repository holding this script: `git archive` unpacks
 each one's src/zetalab as a package of its own name (every import inside
-it is relative), and --aa pairs --change with itself.  After a warm-up
-round, each of --pairs rounds runs the workload's job list job by job
-through both packages' `cli.main` (`perfbench/worker.run_job`), the side
-that goes first alternating per job and per round, and each side's grid
-jobs against a cache directory of its own, emptied when the round starts.
+it is relative), so a commit given as both runs against itself (an A/A
+pair, the tool's own spread).  After a warm-up round, each of --pairs
+rounds runs the workload's job list job by job through both packages'
+`cli.main` (`perfbench/worker.run_job`), the side that goes first
+alternating per job and per round, and each side's grid jobs against a
+cache directory of its own, emptied when the round starts.
 Any job whose exit code or canonical stdout differs between the sides is
 printed.  Then it reports the median and quartiles of the per-round
 ratios parent seconds / change seconds, the change's rate over the
@@ -189,7 +190,7 @@ def _in_process(parent: str, change: str, workload: str, seed: int,
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent")
+    parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10,
@@ -199,17 +200,13 @@ def main(argv: list[str]) -> int:
                         help="also write the runs to this BENCH_*.json")
     parser.add_argument("--in-process", action="store_true",
                         help="time two commits' packages in this process")
-    parser.add_argument("--aa", action="store_true",
-                        help="with --in-process: --change against itself")
     args = parser.parse_args(argv)
     if args.in_process:
-        if args.out or not (args.parent or args.aa):
-            parser.error("--in-process takes --parent or --aa, and no --out")
-        _in_process(args.parent if not args.aa else args.change, args.change,
-                    args.workload, args.seed, args.pairs)
+        if args.out:
+            parser.error("--in-process takes no --out")
+        _in_process(args.parent, args.change, args.workload, args.seed,
+                    args.pairs)
         return 0
-    if args.aa or not args.parent:
-        parser.error("--parent is required, and --aa needs --in-process")
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
