@@ -7,9 +7,12 @@ exp-symmetric K_{u/2}(2 lam), exp-alpha (1/alpha) K_{u/(2 alpha)}(2 lam),
 two-param the closed-form K pair, generic-h the quadrature itself.
 riemann-classic compares the completed classical zeta at s and 1 - s, and
 quarter-alpha-single-k the alpha = 1/4 difference with its single-K form.
-For exp-alpha, two-param, generic-h and quarter-alpha-single-k the
-completed values at 1 - s and s come from one exp-sinh pass over
-(0, inf), which gives each the bits a pass of its own gives.
+The completed values at 1 - s and s come from one exp-sinh pass over
+(0, inf), which gives each the bits a pass of its own gives: on the real
+axis for exp-alpha, two-param, generic-h and quarter-alpha-single-k, and
+for exp-symmetric at real lam on the ray of one of them, the other taken
+as its conjugate (`regularized._completed_exp`).  riemann-classic's two
+sides share one tail integral of zeta's theta route where both take it.
 Residuals are *reported*, never asserted here — deciding whether a
 residual is acceptable belongs to callers (and the CLI exit-code layer).
 """
@@ -29,7 +32,7 @@ from .quadrature import integrate_powers
 from .regularized import (_completed_exp, _completed_quadrature,
                           _require_positive_real)
 from .types import DEFAULT_QUAD, FunctionalEqReport, QuadratureSpec, build_report
-from .zeta_classic import zeta_analytic
+from .zeta_classic import _zeta_analytic_row
 
 
 class FunctionalEqKind(Enum):
@@ -50,9 +53,8 @@ _GATE_SMALL_X = (1e-5, 1e-7)
 _GATE_LARGE_X = (1e5, 1e7)
 
 
-def _completed_classic(s: complex, q: QuadratureSpec) -> complex:
-    return (power_real_base(math.pi, -0.5 * s) * gamma_complex(0.5 * s)
-            * zeta_analytic(s, q).value)
+def _completed_classic(s: complex, zeta: complex) -> complex:
+    return power_real_base(math.pi, -0.5 * s) * gamma_complex(0.5 * s) * zeta
 
 
 def _half_integrals_quad(cutoff: CutoffSpec, nus,
@@ -112,22 +114,23 @@ def _sides(kind: FunctionalEqKind, s: complex, params: dict, q: QuadratureSpec):
     """Run kind's checks at s and return sides(us) = [side(u) for u in us]
     (module docstring).
 
-    riemann-classic has no cutoff; its side is the completed classical zeta.
-    exp-alpha, two-param and generic-h take the completed values of all us
-    from one `_completed_quadrature` call, and generic-h its half-integrals
-    from one more pass.  exp-symmetric goes one u at a time: at 1 - s and s
-    its ray turns to opposite sides, or the Bessel series serves it.
+    riemann-classic has no cutoff; its side is the completed classical zeta,
+    whose values at all us come from one `_zeta_analytic_row` call.
+    exp-symmetric, exp-alpha, two-param and generic-h take the completed
+    values of all us from one row call (`_completed_exp`,
+    `_completed_quadrature`), and generic-h its half-integrals from one
+    more pass.
     """
     if kind is FunctionalEqKind.RIEMANN_CLASSIC:
         if abs(s) <= 1e-12 or abs(s - 1.0) <= 1e-12:
             raise PoleError("the completed classical form has poles at s = 0 and "
                             "s = 1; pick s away from them")
-        return lambda us: [_completed_classic(u, q) for u in us]
+        return lambda us: [_completed_classic(u, zeta.value) for u, zeta in
+                           zip(us, _zeta_analytic_row(us, q))]
     if kind is FunctionalEqKind.EXP_SYMMETRIC:
         lam = ExpSymmetric(complex(_need(kind, params, "lam"))).lam
-        return lambda us: [_completed_exp([u], lam, q)[0][0].value
-                           + bessel_k_complex_arg(0.5 * u, 2.0 * lam, q).value
-                           for u in us]
+        return lambda us: [c.value + bessel_k_complex_arg(0.5 * u, 2.0 * lam, q).value
+                           for u, c in zip(us, _completed_exp(us, lam, q)[0])]
     if kind is FunctionalEqKind.EXP_ALPHA:
         lam, alpha = _need(kind, params, "lam"), _need(kind, params, "alpha")
         if not alpha > 0.0:

@@ -149,21 +149,41 @@ def _completed_series(s: complex, lam: complex, q: QuadratureSpec) -> EvalResult
         f"(lam = {lam!r})", best=total, err_estimate=err)
 
 
-def _asymptote_integral(s: complex, lam: float, q: QuadratureSpec) -> EvalResult:
+def _asymptote_integral(s: complex, lam: float, q: QuadratureSpec,
+                        ks: dict | None = None) -> EvalResult:
     """int_0^inf G(x) e^{-lam(x+1/x)} x^(s/2-1) dx, G = (x^(-1/2) - 1) e^{-pi x}/2.
 
     Both halves of G are Laplace pairs with beta = lam, gamma = lam + pi:
     r^((s-1)/4) K_{(s-1)/2}(z) - r^(s/4) K_{s/2}(z), r = lam/(lam+pi),
-    z = 2 sqrt(lam (lam+pi)).  Converged when both K terms are.
+    z = 2 sqrt(lam (lam+pi)).  Converged when both K terms are.  The s of
+    one row share lam, and with it z: given a dict ks, each K is taken
+    once per canonical order of the row (`_k_once`).
     """
     shifted = lam + math.pi
     z = 2.0 * math.sqrt(lam * shifted)
     ratio = lam / shifted
     c_odd = power_real_base(ratio, 0.25 * (s - 1.0))
     c_even = power_real_base(ratio, 0.25 * s)
-    k_odd = bessel_k(0.5 * (s - 1.0), z, q)
-    k_even = bessel_k(0.5 * s, z, q)
+    if ks is None:
+        ks = {}
+    k_odd = _k_once(0.5 * (s - 1.0), z, q, ks)
+    k_even = _k_once(0.5 * s, z, q, ks)
     return sum_pieces([sum_pieces([k_odd], c_odd), sum_pieces([k_even], -c_even)])
+
+
+def _k_once(nu: complex, z: float, q: QuadratureSpec, ks: dict) -> EvalResult:
+    """bessel_k(nu, z, q), kept in ks under the canonical order
+    |Re nu| + i |Im nu|.  K_{-nu} = K_nu and K_{conj nu} = conj K_nu hold
+    bit for bit on every route of the dispatch, so K_nu is the kept value,
+    conjugated where nu's two parts have opposite signs (never at a real
+    order, whose value keeps its +0.0 imaginary part)."""
+    key = complex(abs(nu.real), abs(nu.imag))
+    k = ks.get(key)
+    if k is None:
+        k = ks[key] = bessel_k(key, z, q)
+    if nu.imag != 0.0 and (nu.real < 0.0) != (nu.imag < 0.0):
+        return replace(k, value=k.value.conjugate())
+    return k
 
 
 def _quadrature_support(cutoff: CutoffSpec,
@@ -188,7 +208,7 @@ def _quadrature_support(cutoff: CutoffSpec,
 # (theta, series_tail_tol, max_terms) -> {level: psi(x) - G(x) at
 # x = r e^{i theta}, r the level's rows}, the ray's columns.
 # Only the _RAY_THETAS angles used last are kept: a grid row walks its
-# lambdas at one t, and a verify job alternates theta(t) with theta(-t).
+# lambdas at one t, and a verify job takes both its sides on one angle.
 _RAY_COLUMNS: dict[tuple, dict[int, list]] = {}
 _RAY_THETAS = 4
 
@@ -266,12 +286,13 @@ def _completed_quadrature(s_values, cutoff: CutoffSpec, q: QuadratureSpec,
     lam = _require_positive_real(cutoff.lam, "the ray route")
     peak = 2.0 * lam * math.cos(theta)
     rows = []
+    ks: dict = {}
     for s, ray in zip(s_values, integrate_powers(
             _ray_rows(_peak_scaled(lam, peak, cmath.exp(1j * theta)), theta,
                       q), half_exps, q, support)):
         ray = sum_pieces([ray], cmath.exp(0.5j * theta * s - peak))
         rounding = EvalResult(0j, _RAY_ROUNDING * abs(ray.value), 0, True)
-        rows.append(sum_pieces([ray, rounding, _asymptote_integral(s, lam, q)]))
+        rows.append(sum_pieces([ray, rounding, _asymptote_integral(s, lam, q, ks)]))
     return rows
 
 
@@ -293,21 +314,31 @@ def _completed_exp(s_row, lam, q: QuadratureSpec) -> tuple[list[EvalResult], str
     """completed(s; e^{-lam(x+1/x)}) for each s of s_row by the cheaper route,
     with the route name.
 
-    The s of a row share Im s, so they share the route: real lam below
+    The s of a row share |Im s|, so they share the route: real lam below
     _RAY_LAM = 5 (the measured crossover, module docstring), or any real
     lam once |Im s| > 100, takes the ray quadrature, as one batch (the
     real axis at Im s = 0); complex lam and everything else takes the
     Bessel series, one s at a time.  Callers have checked Re lam > 0.
+
+    For real lam the integrand is real on the real axis, so
+    completed(conj s) = conj completed(s): the batch runs on the contour of
+    s_row[0], and an s whose Im s has the other sign (1 - s beside s in a
+    verify) is integrated there as conj s and its value conjugated, bit for
+    bit what its own contour gives.  At Im s = 0 nothing is conjugated.
     """
     s_row = [complex(s) for s in s_row]
     lamc = complex(lam)
     t = s_row[0].imag
-    if any(s.imag != t for s in s_row):
-        raise DomainError("the s of one row must share Im s")
+    if any(abs(s.imag) != abs(t) for s in s_row):
+        raise DomainError("the s of one row must share Im s up to its sign")
     if lamc.imag == 0.0 and (lamc.real < _RAY_LAM or abs(t) > _SERIES_MAX_T):
         theta = _ray_angle(t) if t != 0.0 else None
-        return (_completed_quadrature(s_row, ExpSymmetric(lamc.real), q, theta),
-                "quadrature")
+        far = [s.imag != t for s in s_row]
+        rows = _completed_quadrature(
+            [s.conjugate() if f else s for s, f in zip(s_row, far)],
+            ExpSymmetric(lamc.real), q, theta)
+        return ([replace(r, value=r.value.conjugate()) if f else r
+                 for r, f in zip(rows, far)], "quadrature")
     return [_completed_series(s, lamc, q) for s in s_row], "bessel-series"
 
 

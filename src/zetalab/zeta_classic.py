@@ -397,7 +397,8 @@ def zeta_series(s: complex, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     return _euler_maclaurin(s, q)
 
 
-def _tail_integral(s: complex, q: QuadratureSpec) -> EvalResult:
+def _tail_integral(s: complex, q: QuadratureSpec,
+                   tails: dict | None = None) -> EvalResult:
     """I(s) = integral_1^inf psi(x) (x^{(s-2)/2} + x^{-(s+1)/2}) dx.
 
     Manifestly symmetric under s -> 1-s; decays like e^{-pi x}, so the
@@ -406,27 +407,41 @@ def _tail_integral(s: complex, q: QuadratureSpec) -> EvalResult:
     walk of (1, inf) on psi's column (`theta.psi_rows`) takes both powers:
     value and estimate are the two components' sums, evaluations the
     walk's (the larger component's), converged that of both.
+
+    The two powers of 1 - s are those of s swapped, and the result does
+    not depend on their order, so a row's dict `tails` keeps each I under
+    its powers swapped and hands it to the reflected s.  It serves only
+    where the float powers swap bit for bit (56 of 60 seeded s in the
+    strip; the other 4 round a last bit apart), so I(1 - s) is then
+    I(s) bit for bit.
     """
     s = complex(s)
-    lo, hi = integrate_powers(psi_rows(q, 1.0),
-                              (0.5 * (s - 2.0), -0.5 * (s + 1.0)), q,
+    powers = 0.5 * (s - 2.0), -0.5 * (s + 1.0)
+    if tails is not None and powers in tails:
+        return tails[powers]
+    lo, hi = integrate_powers(psi_rows(q, 1.0), powers, q,
                               (1.0, PSI_REACH), start=1.0)
-    return EvalResult(value=lo.value + hi.value,
+    tail = EvalResult(value=lo.value + hi.value,
                       err_estimate=lo.err_estimate + hi.err_estimate,
                       evaluations=max(lo.evaluations, hi.evaluations),
                       converged=lo.converged and hi.converged)
+    if tails is not None:
+        tails[powers[::-1]] = tail
+    return tail
 
 
-def _theta_route(s: complex, q: QuadratureSpec) -> EvalResult:
+def _theta_route(s: complex, q: QuadratureSpec,
+                 tails: dict | None = None) -> EvalResult:
     """zeta(s) from the theta integral, with the prefactor's rounding in
-    its estimate; `zeta_analytic` takes it for Re s < 1, |Im s| <= 10."""
+    its estimate; `zeta_analytic` takes it for Re s < 1, |Im s| <= 10.
+    tails is `_tail_integral`'s."""
     pis = power_real_base(math.pi, 0.5 * s)
     head = rgamma(0.5 * s + 1.0) / (2.0 * (s - 1.0))
     rg = rgamma(0.5 * s)
     if rg == 0:  # s = 0, -2, ...: skip the tail (it overflows from -264)
         value = pis * (head + rg)  # + rg: pi^{s/2} head alone reads -0.0j
         return make_result(value, _gamma_rounding(s) * abs(value), 0, q)
-    tail = _tail_integral(s, q)
+    tail = _tail_integral(s, q, tails)
     pref = pis * rg  # first: left of Re s ~ -225 rg * tail overflows alone
     value = pis * head + pref * tail.value
     if not cmath.isfinite(value):
@@ -453,21 +468,33 @@ def zeta_analytic(s: complex, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     16 + 1.5 |Im s| terms, and raises NonConvergence when that is more
     than q.max_terms.
     """
-    s = complex(s)
-    if abs(s - 1.0) <= 1e-12:
-        raise PoleError("zeta has its only pole at s = 1")
-    if s.real >= 1.0 or abs(s.imag) > 10.0:
-        if s.real >= _EM_SIGMA_FLOOR:
-            return _euler_maclaurin(s, q)
-        dual = _euler_maclaurin(1.0 - s, q)
-        chi = chi_factor(s)
-        value = chi * dual.value
-        # chi's phase is of size |t| log |t| and good to its rounding
-        t = abs(s.imag)
-        err = (abs(chi) * dual.err_estimate
-               + _EPS * t * math.log(t) * abs(value))
-        return make_result(value, err, dual.evaluations, q)
-    return _theta_route(s, q)
+    return _zeta_analytic_row([s], q)[0]
+
+
+def _zeta_analytic_row(s_row, q: QuadratureSpec) -> list[EvalResult]:
+    """`zeta_analytic` at each s of s_row; the s of the row that take the
+    theta route share their tail integrals, so s and 1 - s in the strip
+    are one `_tail_integral` walk."""
+    tails: dict = {}
+    results = []
+    for s in s_row:
+        s = complex(s)
+        if abs(s - 1.0) <= 1e-12:
+            raise PoleError("zeta has its only pole at s = 1")
+        if not (s.real >= 1.0 or abs(s.imag) > 10.0):
+            results.append(_theta_route(s, q, tails))
+        elif s.real >= _EM_SIGMA_FLOOR:
+            results.append(_euler_maclaurin(s, q))
+        else:
+            dual = _euler_maclaurin(1.0 - s, q)
+            chi = chi_factor(s)
+            value = chi * dual.value
+            # chi's phase is of size |t| log |t| and good to its rounding
+            t = abs(s.imag)
+            err = (abs(chi) * dual.err_estimate
+                   + _EPS * t * math.log(t) * abs(value))
+            results.append(make_result(value, err, dual.evaluations, q))
+    return results
 
 
 def chi_factor(s: complex) -> complex:
