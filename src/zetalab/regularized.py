@@ -33,7 +33,11 @@ Every quadrature route evaluates a row at a time: the s values that share
 a cutoff and a contour -- both sides of a functional equation, the sigma
 values of a grid row at one (t, lam) -- take their completed values from
 one `integrate_powers` pass over (0, inf), since only x^(s/2-1) changes
-with s.  Each value is bit-identical to a pass of its own.
+with s.  Each value is bit-identical to a pass of its own.  For real lam
+the exp-symmetric integrand is real on the real axis, so the ray of t
+also serves -t, as completed(conj s) = conj completed(s): at 1 - s and s
+a verify is one pass, and its asymptote K values are taken once per
+order up to sign and conjugation (`_k_once`).
 `_completed_exp`, `_zeta_regularized_row`, `_xi_lambda_row` and
 `_omega_row` are the row forms; the public functions are their one-s case.
 The node factor that depends on neither s nor lam sits in a column beside
@@ -172,16 +176,21 @@ def _asymptote_integral(s: complex, lam: float, q: QuadratureSpec,
 
 
 def _k_once(nu: complex, z: float, q: QuadratureSpec, ks: dict) -> EvalResult:
-    """bessel_k(nu, z, q), kept in ks under the canonical order
-    |Re nu| + i |Im nu|.  K_{-nu} = K_nu and K_{conj nu} = conj K_nu hold
-    bit for bit on every route of the dispatch, so K_nu is the kept value,
-    conjugated where nu's two parts have opposite signs (never at a real
-    order, whose value keeps its +0.0 imaginary part)."""
+    """bessel_k(nu, z, q), kept in ks under |Re nu| + i |Im nu| beside the
+    order it was computed at.  K_{-nu} = K_nu and K_{conj nu} = conj K_nu
+    hold bit for bit on every route of the dispatch, so an order of the same
+    key reads the kept value, conjugated where it is the kept order's
+    conjugate up to sign (never at a real order, whose value keeps its
+    +0.0 imaginary part)."""
     key = complex(abs(nu.real), abs(nu.imag))
-    k = ks.get(key)
-    if k is None:
-        k = ks[key] = bessel_k(key, z, q)
-    if nu.imag != 0.0 and (nu.real < 0.0) != (nu.imag < 0.0):
+    kept = ks.get(key)
+    if kept is None:
+        k = bessel_k(nu, z, q)
+        ks[key] = nu, k
+        return k
+    first, k = kept
+    if nu.imag != 0.0 and ((nu.real < 0.0) != (nu.imag < 0.0)) != (
+            (first.real < 0.0) != (first.imag < 0.0)):
         return replace(k, value=k.value.conjugate())
     return k
 

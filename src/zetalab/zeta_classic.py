@@ -408,12 +408,11 @@ def _tail_integral(s: complex, q: QuadratureSpec,
     value and estimate are the two components' sums, evaluations the
     walk's (the larger component's), converged that of both.
 
-    The two powers of 1 - s are those of s swapped, and the result does
-    not depend on their order, so a row's dict `tails` keeps each I under
-    its powers swapped and hands it to the reflected s.  It serves only
-    where the float powers swap bit for bit (56 of 60 seeded s in the
-    strip; the other 4 round a last bit apart), so I(1 - s) is then
-    I(s) bit for bit.
+    The powers of 1 - s are those of s swapped, and the result does not
+    depend on their order, so a row's dict `tails` keeps each I under its
+    powers swapped and hands it to the reflected s: I(1 - s) is I(s) bit
+    for bit wherever the float powers swap bit for bit, as they nearly
+    always do (1 - s and s + 1 can round a last bit apart).
     """
     s = complex(s)
     powers = 0.5 * (s - 2.0), -0.5 * (s + 1.0)

@@ -85,6 +85,46 @@ def test_symmetry_in_order(nu_re, nu_im, z):
     assert abs(a - b) / max(abs(a), abs(b), 1e-300) <= 1e-12
 
 
+def _symmetry_points(route: str):
+    # seeded (nu, z) that take each route of the dispatch
+    rng = random.Random({"series": 31, "contour": 32, "cosh": 33}[route])
+    points = []
+    for _ in range(100):
+        nu_re = rng.uniform(-3.0, 3.0)
+        if route == "cosh":
+            points.append((complex(nu_re, 0.0), rng.uniform(0.05, 30.0)))
+            continue
+        nu = complex(nu_re, rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 40.0))
+        z = rng.uniform(0.05, _SERIES_Z) if route == "series" \
+            else rng.uniform(2.05, 30.0)
+        points.append((nu, z))
+    return points
+
+
+@pytest.mark.parametrize("route", ["series", "contour", "cosh"])
+def test_order_symmetries_hold_bit_for_bit(route):
+    # K_{-nu} = K_nu and K_{conj nu} = conj K_nu, field for field: a ray
+    # row of the exp-symmetric quadrature takes each K once per pair
+    # (regularized._k_once)
+    for nu, z in _symmetry_points(route):
+        k = bessel_k(nu, z)
+        assert bessel_k(-nu, z) == k, (nu, z)
+        if route != "cosh":
+            assert bessel_k(nu.conjugate(), z) == replace(
+                k, value=k.value.conjugate()), (nu, z)
+            assert bessel_k(-nu.conjugate(), z) == replace(
+                k, value=k.value.conjugate()), (nu, z)
+        else:
+            assert k.value.imag == 0.0 and k.evaluations < 100
+
+
+def test_order_symmetry_series_points_take_the_series():
+    # 10-25 terms where the trapezoids take 70 and more; the contour points
+    # have z > _SERIES_Z and real z, which the dispatch sends to the contour
+    assert all(bessel_k(nu, z).evaluations <= 30
+               for nu, z in _symmetry_points("series"))
+
+
 def test_recurrence():
     # K_{nu-1} - K_{nu+1} = -(2 nu / z) K_nu
     for nu, z in ((0.3 + 2.0j, 1.0), (1.5, 0.7)):

@@ -227,11 +227,15 @@ def test_generic_h_sides_exact_custom():
 
 
 # The batched kinds take the completed values at 1 - s and s from one
-# quadrature pass; each side must still be what one s at a time gives.
+# quadrature pass (exp-symmetric at real lam on one contour, the far side
+# conjugated); each side must still be what one s at a time gives.
 _BATCHED = [(FunctionalEqKind.EXP_ALPHA, {"lam": 0.7, "alpha": 1.3}),
             (FunctionalEqKind.TWO_PARAM, {"lam1": 0.4 + 0.2j, "lam2": 1.1}),
             (FunctionalEqKind.GENERIC_H, {"cutoff": TwoParamNu(0.6, 1.4, 0.8)}),
-            (FunctionalEqKind.GENERIC_H, {"cutoff": ExpAlpha(0.5, 1.5)})]
+            (FunctionalEqKind.GENERIC_H, {"cutoff": ExpAlpha(0.5, 1.5)}),
+            (FunctionalEqKind.EXP_SYMMETRIC, {"lam": 0.7}),
+            (FunctionalEqKind.EXP_SYMMETRIC, {"lam": 7.7}),
+            (FunctionalEqKind.EXP_SYMMETRIC, {"lam": 0.4 + 0.2j})]
 
 
 @pytest.mark.parametrize("s", [0.7, 0.1 + 14.0j, 0.9 - 3.0j])
@@ -240,6 +244,19 @@ def test_batched_sides_equal_one_s_at_a_time(kind, params, s):
     r = verify(kind, s, params)
     sides = _sides(kind, s, params, DEFAULT_QUAD)
     assert (r.lhs, r.rhs) == (sides([1.0 - s])[0], sides([s])[0])
+
+
+# theta = +-0 (|t| <= 16/pi), the ray, |t| > 100, and the series (lam >= 5)
+@pytest.mark.parametrize("s, lam", [
+    (0.25 + 2.5j, 0.03), (0.8 - 4.0j, 1.5), (0.137 + 20.0j, 0.2),
+    (-0.3 - 55.0j, 4.0), (0.6 + 150.0j, 0.5), (0.45 - 240.0j, 12.0),
+    (0.3 + 14.0j, 5.0), (1.4 - 40.0j, 20.0), (0.5 + 20.0j, 0.002)])
+def test_exp_symmetric_sides_equal_one_s_at_a_time(s, lam):
+    params = {"lam": lam}
+    r = verify(FunctionalEqKind.EXP_SYMMETRIC, s, params)
+    sides = _sides(FunctionalEqKind.EXP_SYMMETRIC, s, params, DEFAULT_QUAD)
+    assert (repr(r.lhs), repr(r.rhs)) == (repr(sides([1.0 - s])[0]),
+                                          repr(sides([s])[0]))
 
 
 @pytest.mark.parametrize("s", [0.7, 0.1 + 14.0j, 0.9 - 3.0j])
@@ -258,6 +275,28 @@ def test_riemann_classic_sides_exact():
     r = verify(FunctionalEqKind.RIEMANN_CLASSIC, PIN_S)
     assert r.lhs == completed(PIN_S)
     assert r.rhs == completed(1.0 - PIN_S)
+
+
+@pytest.mark.parametrize("s", [-0.4 + 3.0j, 5.0j, -1.5 + 0.0j, 1.0 + 2.0j,
+                               1.7 - 6.0j, 0.3 + 12.0j, 0.6 - 25.0j, 3.2 + 0.0j])
+def test_riemann_classic_reports_where_zeta_takes_another_route(monkeypatch, s):
+    # sigma <= 0, sigma >= 1 or |t| > 10: at most one side takes the theta
+    # route, no tail is shared, and the record is what one side at a time
+    # gives
+    import zetalab.zeta_classic as zeta_classic
+
+    def completed(u):
+        return (power_real_base(math.pi, -u / 2.0) * gamma_complex(u / 2.0)
+                * zeta_analytic(u).value)
+
+    want = (repr(completed(s)), repr(completed(1.0 - s)))
+    walks, real = [], zeta_classic._tail_integral
+    monkeypatch.setattr(zeta_classic, "_tail_integral",
+                        lambda *args: walks.append(args[0]) or real(*args))
+    r = verify(FunctionalEqKind.RIEMANN_CLASSIC, s)
+    assert (repr(r.lhs), repr(r.rhs)) == want
+    on_theta = [u for u in (1.0 - s, s) if u.real < 1.0 and abs(u.imag) <= 10.0]
+    assert walks == on_theta and len(on_theta) <= 1
 
 
 def test_quarter_alpha_sides_exact():

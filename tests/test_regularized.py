@@ -8,6 +8,7 @@ import cmath
 import json
 import math
 import pathlib
+import random
 from dataclasses import replace
 
 import pytest
@@ -390,6 +391,116 @@ def test_ray_route_needs_real_lambda():
 def test_a_completed_row_shares_im_s():
     with pytest.raises(DomainError, match="share Im s"):
         _completed_exp([0.5 + 1.0j, 0.5 + 2.0j], 1.0, QuadratureSpec())
+
+
+def test_a_completed_row_with_two_heights_raises():
+    # Im s may change sign along a row, |Im s| may not
+    for row in ([0.5 + 1.0j, 0.5 - 2.0j], [0.3 - 20.0j, 0.7 + 20.0j, 0.5 + 21.0j]):
+        for lam in (1.0, 7.7, 0.5 + 0.2j):
+            with pytest.raises(DomainError, match="share Im s"):
+                _completed_exp(row, lam, QuadratureSpec())
+
+
+def _reflected_row_points():
+    # (s, lam, route): theta = +-0 at |t| <= 16/pi, the ray, |t| > 100 (the
+    # ray at every real lam), and the series at lam >= 5, |t| <= 100
+    rng = random.Random(20261022)
+    points = []
+    for t_lo, t_hi, lam_lo, lam_hi, route in (
+            (0.1, 16.0 / math.pi, 1e-3, 4.9, "quadrature"),
+            (6.0, 60.0, 1e-3, 4.9, "quadrature"),
+            (100.5, 300.0, 1e-3, 30.0, "quadrature"),
+            (0.5, 60.0, 5.0, 30.0, "bessel-series")):
+        for _ in range(8):
+            t = rng.choice((-1.0, 1.0)) * rng.uniform(t_lo, t_hi)
+            lam = math.exp(rng.uniform(math.log(lam_lo), math.log(lam_hi)))
+            points.append((complex(rng.uniform(-0.5, 1.5), t), lam, route))
+    return points
+
+
+def _bits(results):
+    # field for field, with the sign of every zero
+    return [(repr(r.value), r.err_estimate, r.evaluations, r.converged)
+            for r in results]
+
+
+@pytest.mark.parametrize("s, lam, route", _reflected_row_points())
+def test_reflected_row_equals_one_s_at_a_time(s, lam, route):
+    # real lam: 1 - s is integrated as its conjugate on the contour of s
+    # (or s on that of 1 - s) and conjugated back, bit for bit what its own
+    # contour gives
+    q = QuadratureSpec()
+    for row in ([1.0 - s, s], [s, 1.0 - s]):
+        results, got = _completed_exp(row, lam, q)
+        assert got == route
+        alone = [_completed_exp([u], lam, q)[0][0] for u in row]
+        assert _bits(results) == _bits(alone)
+
+
+def test_reflected_row_takes_one_contour(monkeypatch):
+    # one pass on the contour of the row's first s, its other s conjugated
+    calls, real = [], regularized._completed_quadrature
+
+    def counted(s_values, cutoff, q, theta=None):
+        calls.append((list(s_values), theta))
+        return real(s_values, cutoff, q, theta)
+
+    monkeypatch.setattr(regularized, "_completed_quadrature", counted)
+    s = 0.3 + 20.0j
+    _completed_exp([1.0 - s, s], 0.5, QuadratureSpec())
+    assert calls == [([1.0 - s, s.conjugate()], regularized._ray_angle(-20.0))]
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.3, 0.5, 0.8, 1.2, -0.4])
+def test_reflected_rows_at_t_zero_keep_their_zeros(sigma):
+    # nothing is conjugated at Im s = 0, so no -0.0 reaches a value
+    q = QuadratureSpec()
+    for lam in (0.05, 1.0, 7.7):
+        s = complex(sigma, 0.0)
+        results, _ = _completed_exp([1.0 - s, s], lam, q)
+        alone = [_completed_exp([u], lam, q)[0][0] for u in (1.0 - s, s)]
+        assert _bits(results) == _bits(alone)
+        assert all(math.copysign(1.0, r.value.imag) == 1.0 for r in results)
+
+
+def test_complex_lambda_goes_one_s_at_a_time(monkeypatch):
+    seen, series = [], regularized._completed_series
+
+    def counted(s, lam, q):
+        seen.append(s)
+        return series(s, lam, q)
+
+    monkeypatch.setattr(regularized, "_completed_series", counted)
+    s = 0.3 + 20.0j
+    for lam in (0.5 + 0.2j, 7.7):
+        seen.clear()
+        results, route = _completed_exp([1.0 - s, s], lam, QuadratureSpec())
+        assert route == "bessel-series" and seen == [1.0 - s, s]
+        assert _bits(results) == _bits([series(u, lam, QuadratureSpec())
+                                        for u in (1.0 - s, s)])
+
+
+def test_a_ray_row_takes_each_asymptote_k_once(monkeypatch):
+    # K_{-nu} = K_nu and K_{conj nu} = conj K_nu: at sigma = 1/2 the four
+    # orders of [1 - s, conj s] are one, and (1 - s)/2 always pairs with
+    # (conj s - 1)/2, since sigma - 1 and 1 - sigma round to negatives
+    orders, real = [], regularized.bessel_k
+
+    def counted(nu, z, q):
+        orders.append(nu)
+        return real(nu, z, q)
+
+    monkeypatch.setattr(regularized, "bessel_k", counted)
+    q = QuadratureSpec()
+    for sigma, most in ((0.5, 1), (0.3, 3), (0.9, 3), (0.137, 3)):
+        s = complex(sigma, 20.0)
+        orders.clear()
+        results, _ = _completed_exp([1.0 - s, s], 0.5, q)
+        assert len(orders) <= most
+        monkeypatch.setattr(regularized, "bessel_k", real)
+        alone = [_completed_exp([u], 0.5, q)[0][0] for u in (1.0 - s, s)]
+        monkeypatch.setattr(regularized, "bessel_k", counted)
+        assert _bits(results) == _bits(alone)
 
 
 # mpmath Bessel-series values of completed(s; lam) at 100 seeded real s and

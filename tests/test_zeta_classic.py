@@ -184,6 +184,52 @@ def test_theta_route_in_the_strip_meets_its_estimate():
     assert worst <= 4.5e-14
 
 
+def _strip_points():
+    # 0 < sigma < 1, |t| <= 10: verify's three-decimal s and unrounded ones
+    rng = random.Random(20261022)
+    return ([complex(round(rng.uniform(0.02, 0.98), 3),
+                     round(rng.uniform(-10.0, 10.0), 2)) for _ in range(15)]
+            + [complex(rng.uniform(0.0, 1.0), rng.uniform(-10.0, 10.0))
+               for _ in range(15)]
+            + [0.5 + 0.0j, 0.25 + 0.0j, 0.5 + 10.0j])
+
+
+def _swaps(s):
+    # the float powers of 1 - s are those of s swapped
+    r = 1.0 - s
+    return ((0.5 * (r - 2.0), -0.5 * (r + 1.0))
+            == (-0.5 * (s + 1.0), 0.5 * (s - 2.0)))
+
+
+def test_reflected_tail_is_the_same_integral():
+    # I(1 - s) = I(s) bit for bit wherever the powers swap bit for bit,
+    # which the three-decimal s verify sees nearly always
+    q = QuadratureSpec()
+    swapped = [s for s in _strip_points() if _swaps(s)]
+    assert len(swapped) >= 27
+    for s in swapped:
+        assert (zeta_classic._tail_integral(1.0 - s, q)
+                == zeta_classic._tail_integral(s, q)), s
+
+
+def test_a_zeta_row_walks_one_tail_for_s_and_one_minus_s(monkeypatch):
+    walks, real = [], zeta_classic.integrate_powers
+
+    def counted(*args, **kwargs):
+        walks.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zeta_classic, "integrate_powers", counted)
+    q = QuadratureSpec()
+    for s in _strip_points():
+        walks.clear()
+        row = zeta_classic._zeta_analytic_row([1.0 - s, s], q)
+        assert len(walks) == (1 if _swaps(s) else 2), s
+        assert row == [zeta_analytic(1.0 - s, q), zeta_analytic(s, q)], s
+        assert [repr(z.value) for z in row] == [
+            repr(zeta_analytic(u, q).value) for u in (1.0 - s, s)]
+
+
 @pytest.mark.parametrize("s", [-225.0, -229.0, -225.5 + 3.0j, -229.0 + 10.0j])
 def test_theta_route_far_left_of_the_strip(s):
     # the tail times 1/Gamma(s/2) overflows here though zeta (~1e253 at
