@@ -32,7 +32,7 @@ from .quadrature import integrate_powers
 from .regularized import (_completed_exp, _completed_quadrature,
                           _require_positive_real)
 from .types import DEFAULT_QUAD, FunctionalEqReport, QuadratureSpec, build_report
-from .zeta_classic import _zeta_analytic_row
+from .zeta_classic import _zeta_analytic
 
 
 class FunctionalEqKind(Enum):
@@ -53,8 +53,11 @@ _GATE_SMALL_X = (1e-5, 1e-7)
 _GATE_LARGE_X = (1e5, 1e7)
 
 
-def _completed_classic(s: complex, zeta: complex) -> complex:
-    return power_real_base(math.pi, -0.5 * s) * gamma_complex(0.5 * s) * zeta
+def _completed_classic(s_row, q: QuadratureSpec) -> list[complex]:
+    # one dict of tails: s and 1 - s in the strip share one tail integral
+    tails: dict = {}
+    return [power_real_base(math.pi, -0.5 * s) * gamma_complex(0.5 * s)
+            * _zeta_analytic(s, q, tails).value for s in s_row]
 
 
 def _half_integrals_quad(cutoff: CutoffSpec, nus,
@@ -115,7 +118,7 @@ def _sides(kind: FunctionalEqKind, s: complex, params: dict, q: QuadratureSpec):
     (module docstring).
 
     riemann-classic has no cutoff; its side is the completed classical zeta,
-    whose values at all us come from one `_zeta_analytic_row` call.
+    whose values at all us share their tail integrals (`_completed_classic`).
     exp-symmetric, exp-alpha, two-param and generic-h take the completed
     values of all us from one row call (`_completed_exp`,
     `_completed_quadrature`), and generic-h its half-integrals from one
@@ -125,8 +128,7 @@ def _sides(kind: FunctionalEqKind, s: complex, params: dict, q: QuadratureSpec):
         if abs(s) <= 1e-12 or abs(s - 1.0) <= 1e-12:
             raise PoleError("the completed classical form has poles at s = 0 and "
                             "s = 1; pick s away from them")
-        return lambda us: [_completed_classic(u, zeta.value) for u, zeta in
-                           zip(us, _zeta_analytic_row(us, q))]
+        return lambda us: _completed_classic(us, q)
     if kind is FunctionalEqKind.EXP_SYMMETRIC:
         lam = ExpSymmetric(complex(_need(kind, params, "lam"))).lam
         return lambda us: [c.value + bessel_k_complex_arg(0.5 * u, 2.0 * lam, q).value

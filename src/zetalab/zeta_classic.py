@@ -409,8 +409,8 @@ def _tail_integral(s: complex, q: QuadratureSpec,
     walk's (the larger component's), converged that of both.
 
     The powers of 1 - s are those of s swapped, and the result does not
-    depend on their order, so a row's dict `tails` keeps each I under its
-    powers swapped and hands it to the reflected s: I(1 - s) is I(s) bit
+    depend on their order, so a caller's dict `tails` keeps each I under
+    its powers swapped and hands it to the reflected s: I(1 - s) is I(s) bit
     for bit wherever the float powers swap bit for bit, as they nearly
     always do (1 - s and s + 1 can round a last bit apart).
     """
@@ -467,33 +467,29 @@ def zeta_analytic(s: complex, q: QuadratureSpec = DEFAULT_QUAD) -> EvalResult:
     16 + 1.5 |Im s| terms, and raises NonConvergence when that is more
     than q.max_terms.
     """
-    return _zeta_analytic_row([s], q)[0]
+    return _zeta_analytic(s, q)
 
 
-def _zeta_analytic_row(s_row, q: QuadratureSpec) -> list[EvalResult]:
-    """`zeta_analytic` at each s of s_row; the s of the row that take the
-    theta route share their tail integrals, so s and 1 - s in the strip
-    are one `_tail_integral` walk."""
-    tails: dict = {}
-    results = []
-    for s in s_row:
-        s = complex(s)
-        if abs(s - 1.0) <= 1e-12:
-            raise PoleError("zeta has its only pole at s = 1")
-        if not (s.real >= 1.0 or abs(s.imag) > 10.0):
-            results.append(_theta_route(s, q, tails))
-        elif s.real >= _EM_SIGMA_FLOOR:
-            results.append(_euler_maclaurin(s, q))
-        else:
-            dual = _euler_maclaurin(1.0 - s, q)
-            chi = chi_factor(s)
-            value = chi * dual.value
-            # chi's phase is of size |t| log |t| and good to its rounding
-            t = abs(s.imag)
-            err = (abs(chi) * dual.err_estimate
-                   + _EPS * t * math.log(t) * abs(value))
-            results.append(make_result(value, err, dual.evaluations, q))
-    return results
+def _zeta_analytic(s: complex, q: QuadratureSpec,
+                   tails: dict | None = None) -> EvalResult:
+    """`zeta_analytic`, its theta route reading `_tail_integral`'s tails:
+    the calls that share one dict take s and 1 - s in the strip from one
+    tail walk."""
+    s = complex(s)
+    if abs(s - 1.0) <= 1e-12:
+        raise PoleError("zeta has its only pole at s = 1")
+    if s.real >= 1.0 or abs(s.imag) > 10.0:
+        if s.real >= _EM_SIGMA_FLOOR:
+            return _euler_maclaurin(s, q)
+        dual = _euler_maclaurin(1.0 - s, q)
+        chi = chi_factor(s)
+        value = chi * dual.value
+        # chi's phase is of size |t| log |t| and good to its rounding
+        t = abs(s.imag)
+        err = (abs(chi) * dual.err_estimate
+               + _EPS * t * math.log(t) * abs(value))
+        return make_result(value, err, dual.evaluations, q)
+    return _theta_route(s, q, tails)
 
 
 def chi_factor(s: complex) -> complex:

@@ -212,7 +212,7 @@ def test_reflected_tail_is_the_same_integral():
                 == zeta_classic._tail_integral(s, q)), s
 
 
-def test_a_zeta_row_walks_one_tail_for_s_and_one_minus_s(monkeypatch):
+def test_shared_tails_walk_once_for_s_and_one_minus_s(monkeypatch):
     walks, real = [], zeta_classic.integrate_powers
 
     def counted(*args, **kwargs):
@@ -223,7 +223,8 @@ def test_a_zeta_row_walks_one_tail_for_s_and_one_minus_s(monkeypatch):
     q = QuadratureSpec()
     for s in _strip_points():
         walks.clear()
-        row = zeta_classic._zeta_analytic_row([1.0 - s, s], q)
+        tails = {}
+        row = [zeta_classic._zeta_analytic(u, q, tails) for u in (1.0 - s, s)]
         assert len(walks) == (1 if _swaps(s) else 2), s
         assert row == [zeta_analytic(1.0 - s, q), zeta_analytic(s, q)], s
         assert [repr(z.value) for z in row] == [
