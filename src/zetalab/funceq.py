@@ -11,8 +11,8 @@ The completed values at 1 - s and s come from one exp-sinh pass over
 (0, inf), which gives each the bits a pass of its own gives: on the real
 axis for exp-alpha, two-param, generic-h and quarter-alpha-single-k, and
 for exp-symmetric at real lam on the ray of one of them, the other taken
-as its conjugate (`regularized._completed_exp`).  riemann-classic's two
-sides share one tail integral of zeta's theta route where both take it.
+as its conjugate (`regularized._completed_exp`).  In the strip
+riemann-classic takes zeta at s and 1 - s by two routes, one each.
 Residuals are *reported*, never asserted here — deciding whether a
 residual is acceptable belongs to callers (and the CLI exit-code layer).
 """
@@ -32,7 +32,7 @@ from .quadrature import integrate_powers
 from .regularized import (_completed_exp, _completed_quadrature,
                           _require_positive_real)
 from .types import DEFAULT_QUAD, FunctionalEqReport, QuadratureSpec, build_report
-from .zeta_classic import _zeta_analytic
+from .zeta_classic import zeta_analytic
 
 
 class FunctionalEqKind(Enum):
@@ -54,10 +54,8 @@ _GATE_LARGE_X = (1e5, 1e7)
 
 
 def _completed_classic(s_row, q: QuadratureSpec) -> list[complex]:
-    # one dict of tails: s and 1 - s in the strip share one tail integral
-    tails: dict = {}
     return [power_real_base(math.pi, -0.5 * s) * gamma_complex(0.5 * s)
-            * _zeta_analytic(s, q, tails).value for s in s_row]
+            * zeta_analytic(s, q).value for s in s_row]
 
 
 def _half_integrals_quad(cutoff: CutoffSpec, nus,
@@ -117,8 +115,8 @@ def _sides(kind: FunctionalEqKind, s: complex, params: dict, q: QuadratureSpec):
     """Run kind's checks at s and return sides(us) = [side(u) for u in us]
     (module docstring).
 
-    riemann-classic has no cutoff; its side is the completed classical zeta,
-    whose values at all us share their tail integrals (`_completed_classic`).
+    riemann-classic has no cutoff; its side is the completed classical zeta
+    (`_completed_classic`), at most one of 1 - s and s on the theta route.
     exp-symmetric, exp-alpha, two-param and generic-h take the completed
     values of all us from one row call (`_completed_exp`,
     `_completed_quadrature`), and generic-h its half-integrals from one

@@ -154,22 +154,20 @@ def _completed_series(s: complex, lam: complex, q: QuadratureSpec) -> EvalResult
 
 
 def _asymptote_integral(s: complex, lam: float, q: QuadratureSpec,
-                        ks: dict | None = None) -> EvalResult:
+                        ks: dict) -> EvalResult:
     """int_0^inf G(x) e^{-lam(x+1/x)} x^(s/2-1) dx, G = (x^(-1/2) - 1) e^{-pi x}/2.
 
     Both halves of G are Laplace pairs with beta = lam, gamma = lam + pi:
     r^((s-1)/4) K_{(s-1)/2}(z) - r^(s/4) K_{s/2}(z), r = lam/(lam+pi),
     z = 2 sqrt(lam (lam+pi)).  Converged when both K terms are.  The s of
-    one row share lam, and with it z: given a dict ks, each K is taken
-    once per canonical order of the row (`_k_once`).
+    one row share lam, and with it z: through the row's dict ks, each K is
+    taken once per canonical order of the row (`_k_once`).
     """
     shifted = lam + math.pi
     z = 2.0 * math.sqrt(lam * shifted)
     ratio = lam / shifted
     c_odd = power_real_base(ratio, 0.25 * (s - 1.0))
     c_even = power_real_base(ratio, 0.25 * s)
-    if ks is None:
-        ks = {}
     k_odd = _k_once(0.5 * (s - 1.0), z, q, ks)
     k_even = _k_once(0.5 * s, z, q, ks)
     return sum_pieces([sum_pieces([k_odd], c_odd), sum_pieces([k_even], -c_even)])

@@ -127,9 +127,9 @@ def test_eval_float_overflow_exits_2_without_traceback(capsys):
 
 @pytest.mark.parametrize("fn", ["zeta", "xi"])
 def test_max_terms_reaches_the_theta_tail(capsys, fn):
-    # at low t zeta and xi integrate psi, whose sum must stop at --max-terms
-    # as `eval --fn psi` does
-    code, _, err = run_cli(capsys, "eval", "--fn", fn, "--s", "0.5+3i",
+    # at low t left of Re s = 1/2 zeta, and xi anywhere, integrate psi,
+    # whose sum must stop at --max-terms as `eval --fn psi` does
+    code, _, err = run_cli(capsys, "eval", "--fn", fn, "--s", "0.3+3i",
                            "--max-terms", "3")
     assert code == 2
     assert "psi series hit max_terms" in err

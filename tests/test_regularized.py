@@ -666,7 +666,7 @@ def _ray_by_node(s_values, cutoff, q, theta):
         ray = sum_pieces([ray], cmath.exp(0.5j * theta * s - peak))
         rounding = EvalResult(0j, regularized._RAY_ROUNDING * abs(ray.value), 0, True)
         results.append(sum_pieces(
-            [ray, rounding, regularized._asymptote_integral(s, cutoff.lam, q)]))
+            [ray, rounding, regularized._asymptote_integral(s, cutoff.lam, q, {})]))
     return results
 
 

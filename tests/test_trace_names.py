@@ -41,24 +41,27 @@ _TRACED_JOBS = (
 )
 
 
-def _traced_pass(tracer_module):
-    """Per job: (exit code, {metric: (calls, evals)}) under a fresh Tracer."""
+def _traced_job(tracer_module, argv):
+    """(exit code, {metric: (calls, evals)}, scalars) of one CLI job under
+    a fresh Tracer."""
     cli = importlib.import_module("zetalab.cli")
-    results = []
-    for argv in _TRACED_JOBS:
-        tracer = tracer_module.Tracer()
-        tracer.install()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(list(argv))
-        finally:
-            tracer.uninstall()
-        totals = tracer.totals()
-        counts = {key: (calls, evals)
-                  for key, (calls, evals, _) in totals["agg"].items()}
-        results.append((code, counts, totals["scalars"]))
-    return results
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    counts = {key: (calls, evals)
+              for key, (calls, evals, _) in totals["agg"].items()}
+    return code, counts, totals["scalars"]
+
+
+def _traced_pass(tracer_module):
+    """Per job of `_TRACED_JOBS`: `_traced_job`'s triple."""
+    return [_traced_job(tracer_module, argv) for argv in _TRACED_JOBS]
 
 
 def test_trace_runs_in_process_and_repeats_its_counts():
@@ -76,6 +79,15 @@ def test_trace_runs_in_process_and_repeats_its_counts():
         assert counts["regularized.completed_quadrature"][0] > 0
     assert "regularized.completed_quadrature" not in scan_counts
     assert scan_counts["zeta_classic.hardy_z"][0] > 0
+
+
+def test_trace_sees_zeta_under_a_classic_verify():
+    # riemann-classic's two sides call the public zeta_analytic, which the
+    # tracer wraps: 0.3 + 5i on the theta route and 0.7 - 5i on the sum
+    code, counts, _ = _traced_job(
+        _load_tracer(), ["verify", "--kind", "riemann-classic", "--s", "0.3+5i"])
+    assert code == 0
+    assert counts["zeta_classic.zeta_analytic.low_t"][0] == 2
 
 
 def test_trace_counts_hits_and_misses_of_a_cache_log(tmp_path):
